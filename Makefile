@@ -9,14 +9,15 @@ test:
 	dune runtest
 
 # Polymorphic compare in sorts and polymorphic Hashtbl.hash are banned
-# from the solver hot path (lib/flow, lib/hire, and the priority-queue
-# modules of lib/prelude they pull in): they walk values structurally
-# and allocate.  Use Int.compare / Float.compare / String.compare and
-# Prelude.Int_tbl instead (docs/PERFORMANCE.md).
+# from the solver hot path (lib/flow, lib/hire, the priority-queue
+# modules of lib/prelude and the lib/topology queries they pull in):
+# they walk values structurally and allocate.  Use Int.compare /
+# Float.compare / String.compare and Prelude.Int_tbl instead
+# (docs/PERFORMANCE.md).
 lint-compare:
-	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude \
+	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
-	@! { grep -rn 'Hashtbl\.hash' lib/flow lib/hire lib/prelude | grep -v '\[Hashtbl\.hash\]'; } \
+	@! { grep -rn 'Hashtbl\.hash' lib/flow lib/hire lib/prelude lib/topology | grep -v '\[Hashtbl\.hash\]'; } \
 		|| { echo "lint-compare: FAIL (polymorphic Hashtbl.hash above)"; exit 1; }
 	@echo "lint-compare: OK"
 

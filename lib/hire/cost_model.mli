@@ -60,7 +60,8 @@ val phi_tor : Topology.Fat_tree.t -> switch:int -> float
     normalized), [gamma_norm] the normalized Γ of Alg. 1, and
     [server_weight] ∈ [0,1] the task-count weight of the server side.
     Returns 0.5 (neutral) when nothing related is placed yet
-    ([related_placed = false]). *)
+    ([related_placed = false]), whatever the other arguments are, so
+    callers may skip computing Υ and Γ in that case. *)
 val phi_loc :
   related_placed:bool -> upsilon:float -> gamma_norm:float -> server_weight:float -> float
 

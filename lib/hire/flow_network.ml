@@ -225,29 +225,15 @@ let stats t =
     full_rebuilds = t.b.full_rebuilds;
   }
 
-(* Locality context of one task group: inputs of Φloc. *)
-type loc_ctx = {
-  related_placed : bool;
-  server_weight : float;
-  group_size : int;
-  related : int list;
-  gain : Locality.Gain.t;
-}
+(* Locality context of one task group: inputs of Φloc.  Υ and Γ are
+   only read when a related task is placed, so a [Neutral] context
+   computes neither. *)
+type loc_ctx =
+  | Neutral
+  | Related of { server_weight : float; upsilon : int -> float; gain : Locality.Gain.t }
 
-let neutral_ctx view census ~(params : Cost_model.params) =
-  {
-    related_placed = false;
-    server_weight = 0.5;
-    group_size = 1;
-    related = [];
-    gain = Locality.Gain.compute view.View.topo census ~related:[] ~gamma:params.gamma ~xi:params.xi;
-  }
-
-and loc_ctx (view : View.t) census ~(params : Cost_model.params) (ts : Pending.tg_state) =
+let loc_ctx (view : View.t) census ~(params : Cost_model.params) (ts : Pending.tg_state) =
   let related = ts.tg.Poly_req.tg_id :: ts.tg.Poly_req.connected in
-  let group_size =
-    List.fold_left (fun acc id -> acc + Locality.Task_census.total census ~tg_id:id) 0 related
-  in
   let on_servers, on_switches =
     List.fold_left
       (fun (sv, sw) tg_id ->
@@ -259,23 +245,32 @@ and loc_ctx (view : View.t) census ~(params : Cost_model.params) (ts : Pending.t
       (0, 0) related
   in
   let total_placed = on_servers + on_switches in
-  {
-    related_placed = total_placed > 0;
-    server_weight =
-      (if total_placed = 0 then 0.5
-       else float_of_int on_servers /. float_of_int total_placed);
-    group_size = max 1 group_size;
-    related;
-    gain = Locality.Gain.compute view.topo census ~related ~gamma:params.gamma ~xi:params.xi;
-  }
+  if total_placed = 0 then Neutral
+  else begin
+    let group_size =
+      List.fold_left (fun acc id -> acc + Locality.Task_census.total census ~tg_id:id) 0 related
+    in
+    Related
+      {
+        server_weight = float_of_int on_servers /. float_of_int total_placed;
+        upsilon =
+          Locality.upsilon view.topo census ~tg_ids:related ~group_size:(max 1 group_size);
+        gain = Locality.Gain.compute view.topo census ~related ~gamma:params.gamma ~xi:params.xi;
+      }
+  end
 
-let phi_loc_at (view : View.t) census ctx node =
-  let upsilon =
-    Locality.upsilon view.topo census ~tg_ids:ctx.related ~node ~group_size:ctx.group_size
-  in
-  Cost_model.phi_loc ~related_placed:ctx.related_placed ~upsilon
-    ~gamma_norm:(Locality.Gain.normalized ctx.gain node)
-    ~server_weight:ctx.server_weight
+(* Cost_model.phi_loc ignores Υ, Γ and the weight when nothing related
+   is placed. *)
+let neutral_phi_loc =
+  Cost_model.phi_loc ~related_placed:false ~upsilon:1.0 ~gamma_norm:0.0 ~server_weight:0.5
+
+let phi_loc_at ctx node =
+  match ctx with
+  | Neutral -> neutral_phi_loc
+  | Related { server_weight; upsilon; gain } ->
+      Cost_model.phi_loc ~related_placed:true ~upsilon:(upsilon node)
+        ~gamma_norm:(Locality.Gain.normalized gain node)
+        ~server_weight
 
 (* ------------------------------------------------------------------ *)
 (* Shortcut candidates                                                *)
@@ -292,7 +287,7 @@ let trim_shortcuts ~(params : Cost_model.params) candidates =
   Array.sort (fun a b -> Int.compare a.cost b.cost) arr;
   Array.to_list (Array.sub arr 0 (min (Array.length arr) params.max_shortcuts))
 
-let server_shortcuts (view : View.t) census (tor_aggs : tor_agg option array) ~params ~ctx
+let server_shortcuts (view : View.t) (tor_aggs : tor_agg option array) ~params ~ctx
     ~phi_prio (ts : Pending.tg_state) =
   let topo = view.topo in
   let demand = ts.tg.Poly_req.demand in
@@ -306,7 +301,7 @@ let server_shortcuts (view : View.t) census (tor_aggs : tor_agg option array) ~p
             (* Every server under this ToR fits: one aggregate edge. *)
             let cost =
               Cost_model.gs_shortcut ~demand ~available:agg.max_avail
-                ~phi_loc:(phi_loc_at view census ctx tor)
+                ~phi_loc:(phi_loc_at ctx tor)
                 ~phi_prio params
             in
             candidates :=
@@ -320,7 +315,7 @@ let server_shortcuts (view : View.t) census (tor_aggs : tor_agg option array) ~p
                 if view.View.alive s && Vec.fits ~demand ~available then begin
                   let cost =
                     Cost_model.gs_shortcut ~demand ~available
-                      ~phi_loc:(phi_loc_at view census ctx s)
+                      ~phi_loc:(phi_loc_at ctx s)
                       ~phi_prio params
                   in
                   candidates := { target = `Server s; cap = 1; cost } :: !candidates
@@ -329,7 +324,7 @@ let server_shortcuts (view : View.t) census (tor_aggs : tor_agg option array) ~p
     (Fat_tree.tor_switches topo);
   trim_shortcuts ~params !candidates
 
-let network_shortcuts (view : View.t) census ~(params : Cost_model.params) ~ctx ~phi_prio
+let network_shortcuts (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_prio
     (ts : Pending.tg_state) (ninfo : Poly_req.network_info) =
   let topo = view.topo in
   let sharing = view.sharing in
@@ -372,7 +367,7 @@ let network_shortcuts (view : View.t) census ~(params : Cost_model.params) ~ctx 
         let cost =
           Cost_model.gn_shortcut ~demand:effective ~available
             ~capacity:(Sharing.capacity sharing)
-            ~phi_loc:(phi_loc_at view census ctx s)
+            ~phi_loc:(phi_loc_at ctx s)
             ~phi_new ~phi_prio params
         in
         candidates := { target = `Switch s; cap = 1; cost } :: !candidates
@@ -605,15 +600,14 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
           let tg = ts.tg in
           let gnode = mk (Group tg.Poly_req.tg_id) in
           let ctx =
-            if params.locality_aware then loc_ctx view census ~params ts
-            else neutral_ctx view census ~params
+            if params.locality_aware then loc_ctx view census ~params ts else Neutral
           in
           let shortcuts =
             match tg.Poly_req.kind with
             | Poly_req.Server_tg ->
-                server_shortcuts view census tor_aggs ~params ~ctx ~phi_prio ts
+                server_shortcuts view tor_aggs ~params ~ctx ~phi_prio ts
             | Poly_req.Network_tg ninfo ->
-                network_shortcuts view census ~params ~ctx ~phi_prio ts ninfo
+                network_shortcuts view ~params ~ctx ~phi_prio ts ninfo
           in
           (match shortcuts with
           | [] -> ()

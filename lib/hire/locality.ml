@@ -124,38 +124,44 @@ module Task_census = struct
     ()
 end
 
-let upsilon topo census ~tg_ids ~node ~group_size =
-  if group_size <= 0 then 1.0
+let upsilon topo census ~tg_ids ~group_size =
+  if group_size <= 0 then fun _ -> 1.0
   else begin
-    let total_related tg_node =
+    let total_related n =
       List.fold_left
-        (fun acc tg_id -> acc + Task_census.count_under census ~tg_id ~node:tg_node)
+        (fun acc tg_id -> acc + Task_census.count_under census ~tg_id ~node:n)
         0 tg_ids
     in
     let gs = float_of_int group_size in
+    let memo = Int_tbl.create 16 in
     (* Recursive Eq. 6: average over children of "related tasks missing
-       from that child's subtree". *)
+       from that child's subtree".  A subtree whose census rollup is 0
+       holds no related task anywhere below it (the rollups also count
+       switch-hosted tasks, so 0 is conservative): each of its server
+       leaves is gs/gs = 1.0 exactly, and n copies of 1.0 summed and
+       divided by n are 1.0 exactly, so answering 1.0 without the walk
+       gives the walk's bits.  Switch values are memoized, so a subtree
+       shared by many queried nodes is walked once. *)
     let rec go n =
-      if Fat_tree.is_server topo n then
-        Float.min 1.0 (float_of_int (max 0 (group_size - total_related n)) /. gs)
-      else begin
-        match Fat_tree.children topo n with
-        | [] -> 1.0
-        | kids ->
-            let sum =
-              List.fold_left
-                (fun acc kid ->
-                  acc
-                  +.
-                  if Fat_tree.is_server topo kid then
-                    float_of_int (max 0 (group_size - total_related kid)) /. gs
-                  else go kid)
-                0.0 kids
+      let related = total_related n in
+      if related = 0 then 1.0
+      else if Fat_tree.is_server topo n then
+        float_of_int (max 0 (group_size - related)) /. gs
+      else
+        match Int_tbl.find_opt memo n with
+        | Some v -> v
+        | None ->
+            let v =
+              match Fat_tree.children topo n with
+              | [] -> 1.0
+              | kids ->
+                  List.fold_left (fun acc kid -> acc +. go kid) 0.0 kids
+                  /. float_of_int (List.length kids)
             in
-            sum /. float_of_int (List.length kids)
-      end
+            Int_tbl.replace memo n v;
+            v
     in
-    Float.max 0.0 (Float.min 1.0 (go node))
+    fun node -> Float.max 0.0 (Float.min 1.0 (go node))
   end
 
 module Gain = struct

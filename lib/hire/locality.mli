@@ -50,14 +50,20 @@ module Task_census : sig
   val decode_state : t -> Prelude.Codec.Dec.t -> unit
 end
 
-(** [upsilon topo census ~tg_ids ~node ~group_size] computes Υ for the
-    union of the given (related) task groups at a switch [node],
-    normalized to [\[0,1\]] by [group_size] (so 1 = no related task in any
-    child subtree, 0 = all of them under every child).  For a server
-    [node] it degrades to the fraction of related tasks not on that
-    server. *)
+(** [upsilon topo census ~tg_ids ~group_size] stages Υ for the union
+    of the given (related) task groups: the returned closure gives Υ at
+    a node, normalized to [\[0,1\]] by [group_size] (so 1 = no related
+    task in any child subtree, 0 = all of them under every child).  For
+    a server node it degrades to the fraction of related tasks not on
+    that server.
+
+    The closure reads [census] on demand and memoizes per-switch values,
+    so it must not outlive a change to the census.  A subtree holding no
+    related task is answered from the census rollup without a walk, so
+    one closure queried at many nodes costs in proportion to where the
+    related tasks are, not to the topology. *)
 val upsilon :
-  Fat_tree.t -> Task_census.t -> tg_ids:int list -> node:int -> group_size:int -> float
+  Fat_tree.t -> Task_census.t -> tg_ids:int list -> group_size:int -> int -> float
 
 (** INC-locality gains (Alg. 1). *)
 module Gain : sig

@@ -183,10 +183,10 @@ let servers_under t id =
       let acc = ref [] in
       let rec go v =
         if is_server t v then acc := v :: !acc
-        else List.iter go (List.sort_uniq compare t.children_adj.(v))
+        else List.iter go (List.sort_uniq Int.compare t.children_adj.(v))
       in
       go id;
-      let arr = Array.of_list (List.sort_uniq compare !acc) in
+      let arr = Array.of_list (List.sort_uniq Int.compare !acc) in
       Hashtbl.replace t.servers_under_cache id arr;
       arr
 
@@ -203,7 +203,7 @@ let switches_under t id =
         end
       in
       go id;
-      let arr = Array.of_list (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])) in
+      let arr = Array.of_list (List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])) in
       Hashtbl.replace t.switches_under_cache id arr;
       arr
 

@@ -570,10 +570,109 @@ let test_upsilon_prefers_colocated_subtree () =
   let tor_near = Fat_tree.tor_of_server topo s0 in
   let tor_far = (Fat_tree.tor_switches topo).(7) in
   Locality.Task_census.add census ~tg_id:1 ~machine:s0;
-  let near = Locality.upsilon topo census ~tg_ids:[ 1 ] ~node:tor_near ~group_size:1 in
-  let far = Locality.upsilon topo census ~tg_ids:[ 1 ] ~node:tor_far ~group_size:1 in
+  let upsilon = Locality.upsilon topo census ~tg_ids:[ 1 ] ~group_size:1 in
+  let near = upsilon tor_near in
+  let far = upsilon tor_far in
   Alcotest.(check bool) "near subtree scores better (lower)" true (near < far);
   Alcotest.(check (float 1e-9)) "far subtree has nothing" 1.0 far
+
+(* The unpruned, unmemoized Eq. 6 recursion, kept as the oracle the
+   staged [Locality.upsilon] must match bit for bit. *)
+let naive_upsilon topo census ~tg_ids ~node ~group_size =
+  if group_size <= 0 then 1.0
+  else begin
+    let total_related tg_node =
+      List.fold_left
+        (fun acc tg_id -> acc + Locality.Task_census.count_under census ~tg_id ~node:tg_node)
+        0 tg_ids
+    in
+    let gs = float_of_int group_size in
+    let rec go n =
+      if Fat_tree.is_server topo n then
+        Float.min 1.0 (float_of_int (max 0 (group_size - total_related n)) /. gs)
+      else begin
+        match Fat_tree.children topo n with
+        | [] -> 1.0
+        | kids ->
+            let sum =
+              List.fold_left
+                (fun acc kid ->
+                  acc
+                  +.
+                  if Fat_tree.is_server topo kid then
+                    float_of_int (max 0 (group_size - total_related kid)) /. gs
+                  else go kid)
+                0.0 kids
+            in
+            sum /. float_of_int (List.length kids)
+      end
+    in
+    Float.max 0.0 (Float.min 1.0 (go node))
+  end
+
+(* Random censuses over fat-trees (k = 4, 6) and a leaf-spine fabric:
+   up to four groups, tasks on servers and switches (some censuses on
+   switches only, so rollups are positive above subtrees with no server
+   task), a few removals, and a queried group set that may name a group
+   with no tasks.  One staged closure answers every node twice, in a
+   random order, so memoized values are reused across queries. *)
+let prop_upsilon_matches_naive =
+  QCheck.Test.make ~name:"staged upsilon = naive Eq. 6 (bitwise)" ~count:300
+    QCheck.(pair (int_range 0 2) int)
+    (fun (shape, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let topo =
+        match shape with
+        | 0 -> Fat_tree.create ~k:4
+        | 1 -> Fat_tree.create ~k:6
+        | _ -> Fat_tree.create_leaf_spine ~spines:3 ~leafs:5 ~servers_per_leaf:4
+      in
+      let servers = Fat_tree.servers topo and switches = Fat_tree.switches topo in
+      let pick a = a.(Random.State.int rs (Array.length a)) in
+      let census = Locality.Task_census.create topo in
+      let switch_only = Random.State.int rs 4 = 0 in
+      let n_groups = 1 + Random.State.int rs 4 in
+      let placed = ref [] in
+      for tg_id = 1 to n_groups do
+        for _ = 1 to Random.State.int rs 13 do
+          let machine =
+            if switch_only || Random.State.int rs 3 = 0 then pick switches else pick servers
+          in
+          Locality.Task_census.add census ~tg_id ~machine;
+          placed := (tg_id, machine) :: !placed
+        done
+      done;
+      List.iter
+        (fun (tg_id, machine) ->
+          if Random.State.int rs 5 = 0 then Locality.Task_census.remove census ~tg_id ~machine)
+        !placed;
+      let tg_ids =
+        List.filter (fun _ -> Random.State.bool rs) (List.init (n_groups + 1) (fun i -> i + 1))
+      in
+      let group_size =
+        if Random.State.bool rs then
+          max 1
+            (List.fold_left
+               (fun acc tg_id -> acc + Locality.Task_census.total census ~tg_id)
+               0 tg_ids)
+        else Random.State.int rs 16
+      in
+      let staged = Locality.upsilon topo census ~tg_ids ~group_size in
+      let nodes = Array.init (2 * Fat_tree.node_count topo) (fun i -> i mod Fat_tree.node_count topo) in
+      for i = Array.length nodes - 1 downto 1 do
+        let j = Random.State.int rs (i + 1) in
+        let x = nodes.(i) in
+        nodes.(i) <- nodes.(j);
+        nodes.(j) <- x
+      done;
+      Array.for_all
+        (fun node ->
+          let want = naive_upsilon topo census ~tg_ids ~node ~group_size in
+          let got = staged node in
+          Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got)
+          || QCheck.Test.fail_reportf "node %d: staged %h, naive %h (shape %d, seed %d)" node got
+               want shape seed)
+        nodes)
 
 let test_gain_propagates_and_decays () =
   let topo = Fat_tree.create ~k:4 in
@@ -632,6 +731,17 @@ let test_phi_tor () =
     (Cost_model.phi_tor topo ~switch:(Fat_tree.agg_switches topo).(0));
   Alcotest.(check (float 1e-9)) "core 1" 1.0
     (Cost_model.phi_tor topo ~switch:(Fat_tree.core_switches topo).(0))
+
+(* Callers skip computing Υ and Γ when nothing related is placed; that
+   is only sound while Φloc ignores them (and the weight) there. *)
+let prop_phi_loc_unplaced_neutral =
+  QCheck.Test.make ~name:"phi_loc neutral when nothing related placed" ~count:500
+    QCheck.(triple float float float)
+    (fun (upsilon, gamma_norm, server_weight) ->
+      let v =
+        Cost_model.phi_loc ~related_placed:false ~upsilon ~gamma_norm ~server_weight
+      in
+      Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float 0.5))
 
 let test_phi_delay_monotonicity () =
   let base = Cost_model.phi_delay ~waiting:10.0 ~max_waiting:100.0 ~placed:0 ~total:10 in
@@ -769,7 +879,8 @@ let () =
           Alcotest.test_case "upsilon" `Quick test_upsilon_prefers_colocated_subtree;
           Alcotest.test_case "gain propagation" `Quick test_gain_propagates_and_decays;
           Alcotest.test_case "gain empty" `Quick test_gain_empty_sources;
-        ] );
+        ]
+        @ qt [ prop_upsilon_matches_naive ] );
       ( "cost_model",
         [
           Alcotest.test_case "phi_pref" `Quick test_phi_pref_shape;
@@ -780,7 +891,8 @@ let () =
           Alcotest.test_case "flatten/edges" `Quick test_flatten_and_edges;
           Alcotest.test_case "fallback penalty" `Quick test_fallback_penalty;
           Alcotest.test_case "flatten weights" `Quick test_flatten_weights;
-        ] );
+        ]
+        @ qt [ prop_phi_loc_unplaced_neutral ] );
       ( "pending",
         [
           Alcotest.test_case "lifecycle" `Quick test_pending_lifecycle;
