@@ -1,4 +1,4 @@
-.PHONY: all build test check lint-compare bench-solver bench-portfolio bench-journal bench-server bench-reopt doc clean
+.PHONY: all build test check lint-compare doc clean
 
 all: build
 
@@ -21,59 +21,15 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (polymorphic Hashtbl.hash above)"; exit 1; }
 	@echo "lint-compare: OK"
 
-# Full micro + end-to-end solver benchmark; writes BENCH_5.json (see
-# docs/PERFORMANCE.md for how to read it).  Exits non-zero if the
-# incremental path ever diverges from a from-scratch rebuild.
-bench-solver:
-	dune exec bench/bench_solver.exe -- --out BENCH_5.json
-	@grep -q '"identical": true' BENCH_5.json
-	@echo "bench-solver: OK (BENCH_5.json)"
-
-# Solver-portfolio race benchmark; writes BENCH_6.json (see
-# docs/PARALLELISM.md for how to read it).  Exits non-zero if the raced
-# winner ever diverges from a serial solve of the same backend.
-bench-portfolio:
-	dune exec bench/bench_portfolio.exe -- --out BENCH_6.json
-	@grep -q '"identical": true' BENCH_6.json
-	@echo "bench-portfolio: OK (BENCH_6.json)"
-
-# Journaling-overhead and crash-recovery benchmark; writes BENCH_7.json
-# (see docs/JOURNAL.md for how to read it).  Exits non-zero if any
-# journaled, crashed, or recovered run diverges from the plain run.
-bench-journal:
-	dune exec bench/bench_journal.exe -- --out BENCH_7.json
-	@grep -q '"identical": true' BENCH_7.json
-	@echo "bench-journal: OK (BENCH_7.json)"
-
-# Admission-server load benchmark; writes BENCH_8.json (see
-# docs/SERVER.md for how to read it).  Exits non-zero if any
-# acknowledged admission is lost across the kill -9 (WAL-before-ack).
-bench-server:
-	dune exec bench/bench_server.exe -- --out BENCH_8.json
-	@grep -q '"all_acked_recovered":true' BENCH_8.json
-	@echo "bench-server: OK (BENCH_8.json)"
-
-# Re-optimizing solve-path benchmark; writes BENCH_9.json (see
-# docs/PERFORMANCE.md, "Re-optimizing solves", for how to read it).
-# Exits non-zero if the Fast solver ever diverges from the Classic
-# baseline, if the re-optimizing pipeline diverges from its escape
-# hatches, or if the speedup gates (2x solve phase, 5x per-round
-# pipeline vs the pre-PR-5 baseline of BENCH_5.json) fail.
-bench-reopt:
-	dune exec bench/bench_reopt.exe -- --min-speedup 2 --min-e2e-speedup 5 --out BENCH_9.json
-	@grep -q '"identical": true' BENCH_9.json
-	@echo "bench-reopt: OK (BENCH_9.json)"
-
 # Tier-1 gate plus smoke-checks that the observability and fault flags
 # are wired into the CLI (docs/OBSERVABILITY.md, docs/FAULTS.md), that a
-# small deterministic fault-injected run completes, that bad flags fail
-# fast with a one-line error, that the parallel sweep runner
-# (docs/RUNNER.md) executes and resumes a tiny sweep, and that a run
-# with an exhausted solver budget degrades along the fallback chain
-# instead of wedging (docs/RESILIENCE.md), that a budgeted portfolio
-# run races and records per-backend wins (docs/PARALLELISM.md), that a
-# short solver benchmark still certifies the incremental network path
-# bit-identical (docs/PERFORMANCE.md), and that a journaled run crashed
+# small deterministic fault-injected run completes, that bad flags and
+# a malformed bench/main.exe environment knob fail fast with a one-line
+# error, that the parallel sweep runner (docs/RUNNER.md) executes and
+# resumes a tiny sweep, and that a run with an exhausted solver budget
+# degrades along the fallback chain instead of wedging
+# (docs/RESILIENCE.md), that a budgeted portfolio run races and records
+# per-backend wins (docs/PARALLELISM.md), and that a journaled run crashed
 # mid-flight with a corrupted WAL tail recovers — tear truncated
 # (journal.torn_tail), replayed, and finished byte-identical to an
 # uninterrupted run (docs/JOURNAL.md), and that the admission server
@@ -96,6 +52,13 @@ check: lint-compare
 		{ echo "check: FAIL (expected one-line unknown-scheduler error)"; exit 1; }
 	@test "$$(wc -l < /tmp/hire_sim_err.txt)" -eq 1 || \
 		{ echo "check: FAIL (error should be one line, got:)"; cat /tmp/hire_sim_err.txt; exit 1; }
+	@if HIRE_BENCH_SEEDS=x dune exec bench/main.exe 2>/tmp/hire_bench_err.txt >/dev/null; then \
+		echo "check: FAIL (malformed HIRE_BENCH_SEEDS should exit non-zero)"; exit 1; fi
+	@grep -q 'HIRE_BENCH_SEEDS' /tmp/hire_bench_err.txt || \
+		{ echo "check: FAIL (expected a HIRE_BENCH_SEEDS error)"; cat /tmp/hire_bench_err.txt; exit 1; }
+	@test "$$(wc -l < /tmp/hire_bench_err.txt)" -eq 1 || \
+		{ echo "check: FAIL (error should be one line, got:)"; cat /tmp/hire_bench_err.txt; exit 1; }
+	rm -f /tmp/hire_bench_err.txt
 	rm -rf /tmp/hire_check_sweep
 	dune exec bin/hire_sweep.exe -- --jobs 2 -k 4 --horizon 40 --util 2.0 \
 		--schedulers yarn-concurrent --mus 0.5 --seeds 1,2 \
@@ -113,11 +76,6 @@ check: lint-compare
 	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
 		--portfolio --solver-steps 4000 --obs-summary \
 		| grep -E 'flow\.portfolio\.win\.[a-z-]+ +[1-9]' > /dev/null
-	dune exec bench/bench_solver.exe -- --rounds 40 -k 4 --no-e2e \
-		--out /tmp/hire_bench_smoke.json
-	@grep -q '"identical": true' /tmp/hire_bench_smoke.json || \
-		{ echo "check: FAIL (incremental network diverged)"; exit 1; }
-	rm -f /tmp/hire_bench_smoke.json
 	dune exec bin/hire_service.exe -- --help=plain | grep -q -- '--recover'
 	dune exec bin/hire_sim.exe -- --help=plain | grep -q -- '--journal'
 	rm -rf /tmp/hire_check_journal

@@ -7,7 +7,6 @@
                  task groups (HIRE), switch detours, switch usage (μ=1),
                  placement-latency CCDF (μ=1)
    - [fig8f-8j]  the same five metrics with heterogeneous switches
-   - [bechamel]  micro-benchmarks of the MCMF substrate
 
    Absolute numbers differ from the paper (its testbed replayed 36 h of a
    4000-machine trace); the reproduction target is the *shape*: ordering
@@ -27,18 +26,34 @@ module Stats = Prelude.Stats
 
 let fast = Sys.getenv_opt "HIRE_BENCH_FAST" <> None
 
+(* A set but malformed knob is an error, not a silent default: a sweep
+   that quietly ran 3 seeds instead of the requested count would print
+   tables indistinguishable from the intended ones. *)
+let env_knob name ~what ~parse ~default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match parse s with
+      | Some v -> v
+      | None ->
+          Printf.eprintf "bench: %s=%S is not %s\n" name s what;
+          exit 1)
+
+let positive_int s = match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None
+
+let positive_float s =
+  match float_of_string_opt s with Some x when Float.is_finite x && x > 0.0 -> Some x | _ -> None
+
 let seeds =
   let n =
-    match Sys.getenv_opt "HIRE_BENCH_SEEDS" with
-    | Some s -> (try int_of_string s with _ -> 3)
-    | None -> if fast then 1 else 3 (* the paper runs three seeds per cell *)
+    env_knob "HIRE_BENCH_SEEDS" ~what:"a positive integer" ~parse:positive_int
+      ~default:(if fast then 1 else 3 (* the paper runs three seeds per cell *))
   in
-  List.init (max 1 n) (fun i -> i + 1)
+  List.init n (fun i -> i + 1)
 
 let horizon =
-  match Sys.getenv_opt "HIRE_BENCH_HORIZON" with
-  | Some s -> (try float_of_string s with _ -> 400.0)
-  | None -> if fast then 120.0 else 400.0
+  env_knob "HIRE_BENCH_HORIZON" ~what:"a positive number of seconds" ~parse:positive_float
+    ~default:(if fast then 120.0 else 400.0)
 
 let mus = if fast then [ 0.25; 1.0 ] else [ 0.05; 0.25; 0.5; 0.75; 1.0 ]
 
@@ -61,10 +76,7 @@ let spec ~scheduler ~mu ~setup ~seed =
 (* processes, docs/RUNNER.md).                                         *)
 (* ------------------------------------------------------------------ *)
 
-let jobs =
-  match Sys.getenv_opt "HIRE_BENCH_JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 1)
-  | None -> 1
+let jobs = env_knob "HIRE_BENCH_JOBS" ~what:"a positive integer" ~parse:positive_int ~default:1
 
 let trace_path = Sys.getenv_opt "HIRE_BENCH_TRACE"
 let obs_summary = Sys.getenv_opt "HIRE_BENCH_OBS" <> None
@@ -416,106 +428,6 @@ let fault_bench () =
     schedulers
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the substrates                        *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_benches () =
-  header "[bechamel] substrate micro-benchmarks"
-    "MCMF solves on scheduling-shaped instances and HIRE flow-network\n\
-     construction; monotonic-clock medians via bechamel.";
-  let open Bechamel in
-  let mcmf_instance n_tasks n_machines =
-    Staged.stage (fun () ->
-        let g = Flow.Graph.create () in
-        let tasks = Array.init n_tasks (fun _ -> Flow.Graph.add_node g) in
-        let machines = Array.init n_machines (fun _ -> Flow.Graph.add_node g) in
-        let unsched = Flow.Graph.add_node g in
-        let sink = Flow.Graph.add_node g in
-        Array.iter (fun t -> Flow.Graph.set_supply g t 1) tasks;
-        Flow.Graph.set_supply g sink (-n_tasks);
-        Array.iteri
-          (fun i t ->
-            ignore (Flow.Graph.add_arc g ~src:t ~dst:unsched ~cap:1 ~cost:50);
-            Array.iteri
-              (fun j m ->
-                if (i + j) mod 3 <> 0 then
-                  ignore (Flow.Graph.add_arc g ~src:t ~dst:m ~cap:1 ~cost:((i * j) mod 37)))
-              machines)
-          tasks;
-        Array.iter
-          (fun m -> ignore (Flow.Graph.add_arc g ~src:m ~dst:sink ~cap:1 ~cost:0))
-          machines;
-        ignore (Flow.Graph.add_arc g ~src:unsched ~dst:sink ~cap:n_tasks ~cost:0);
-        ignore (Flow.Mcmf.solve g))
-  in
-  let build_and_solve_network =
-    Staged.stage (fun () ->
-        let store = Hire.Comp_store.default () in
-        let rng = Prelude.Rng.create 42 in
-        let cluster =
-          Sim.Cluster.create ~k:4 ~setup:Sim.Cluster.Homogeneous
-            ~services:(Array.to_list (Hire.Comp_store.service_names store))
-            rng
-        in
-        let ids = Hire.Transformer.Id_gen.create () in
-        let jobs =
-          List.init 8 (fun i ->
-              let req =
-                {
-                  Hire.Comp_req.priority = Workload.Job.Batch;
-                  composites =
-                    [
-                      {
-                        Hire.Comp_req.comp_id = "c";
-                        template = "coordinator";
-                        base =
-                          { Hire.Comp_req.instances = 6; cpu = 2.0; mem = 4.0; duration = 30.0 };
-                        inc_alternatives = [ "netchain" ];
-                      };
-                    ];
-                  connections = [];
-                }
-              in
-              Hire.Pending.of_poly
-                (Hire.Transformer.transform store ids rng ~job_id:i ~arrival:0.0 req))
-        in
-        let census = Hire.Locality.Task_census.create (Sim.Cluster.topo cluster) in
-        let net =
-          Hire.Flow_network.build (Sim.Cluster.view cluster) census ~jobs ~now:2.5
-            ~params:Hire.Cost_model.default_params
-        in
-        ignore (Hire.Flow_network.solve_and_extract net))
-  in
-  let tests =
-    [
-      Test.make ~name:"mcmf/assignment-50x50" (mcmf_instance 50 50);
-      Test.make ~name:"mcmf/assignment-200x100" (mcmf_instance 200 100);
-      Test.make ~name:"hire/flow-network-build+solve-k4" build_and_solve_network;
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-40s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Main                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -550,7 +462,6 @@ let () =
   fig7 ();
   ablations ();
   if faults_enabled then fault_bench ();
-  bechamel_benches ();
   Runner.Cache.ensure_dir "results";
   Sim.Csv_export.write_file csv_path
     (List.map

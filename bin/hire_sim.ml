@@ -4,7 +4,7 @@
    built from; see bench/main.ml for the full sweep. *)
 
 let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max_retries
-    solver_budget solver_steps guard no_incremental no_reopt portfolio jobs verbose csv
+    solver_budget solver_steps guard portfolio jobs verbose csv
     trace obs_summary journal checkpoint_every =
   if trace <> None || obs_summary then Obs.set_enabled true;
   (match trace with
@@ -58,7 +58,8 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
   in
   let spec =
     {
-      Harness.Experiment.scheduler;
+      Harness.Experiment.default with
+      scheduler;
       mu;
       setup;
       k;
@@ -68,8 +69,6 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
       inc_capable_fraction = fraction;
       faults;
       resilience;
-      incremental = not no_incremental;
-      reopt = not no_reopt;
       portfolio;
     }
   in
@@ -284,24 +283,6 @@ let guard =
   in
   Arg.(value & opt int 0 & info [ "guard" ] ~docv:"N" ~doc)
 
-let no_incremental =
-  let doc =
-    "Disable incremental flow-network maintenance: rebuild the whole network and \
-     reallocate solver buffers every round instead of patching a persistent one.  \
-     Results are bit-identical either way (docs/PERFORMANCE.md); this is the \
-     verification escape hatch and slow path."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
-let no_reopt =
-  let doc =
-    "Disable the re-optimizing solve path: undo the previous round's flow with a \
-     full arena sweep instead of the sparse touched-arc reset, and skip flow \
-     tracking.  Results are bit-identical either way (docs/PERFORMANCE.md); this \
-     is the measurement escape hatch.  No effect with $(b,--no-incremental)."
-  in
-  Arg.(value & flag & info [ "no-reopt" ] ~doc)
-
 let portfolio =
   let doc =
     "Race both MCMF backends (SSP and cost scaling) on OCaml 5 domains inside every \
@@ -376,7 +357,7 @@ let cmd =
     Term.(
       const run $ scheduler $ mu $ k $ horizon $ seeds $ setup $ util $ fraction
       $ faults_flag $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard
-      $ no_incremental $ no_reopt $ portfolio $ jobs $ verbose $ csv $ trace
+      $ portfolio $ jobs $ verbose $ csv $ trace
       $ obs_summary $ journal $ checkpoint_every)
 
 (* [~catch:false] so bad flag values (unknown scheduler/setup) and

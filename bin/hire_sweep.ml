@@ -20,7 +20,7 @@ let parse_pool = function
 
 let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
     horizon util fraction faults_on mtbf mttr max_retries solver_budget solver_steps
-    guard no_incremental no_reopt portfolio out quiet =
+    guard portfolio out quiet =
   List.iter
     (fun s ->
       if not (List.mem s Schedulers.Registry.names) then
@@ -73,8 +73,6 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
       inc_capable_fraction = fraction;
       faults;
       resilience;
-      incremental = not no_incremental;
-      reopt = not no_reopt;
       portfolio;
     }
   in
@@ -250,24 +248,6 @@ let guard =
   in
   Arg.(value & opt int 0 & info [ "guard" ] ~docv:"N" ~doc)
 
-let no_incremental =
-  let doc =
-    "Disable incremental flow-network maintenance in every cell: rebuild the whole \
-     network and reallocate solver buffers each round instead of patching a persistent \
-     one.  Results are bit-identical either way (docs/PERFORMANCE.md), but the flag \
-     changes the cells' cache keys."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
-let no_reopt =
-  let doc =
-    "Disable the re-optimizing solve path in every cell: full arena flow sweep \
-     between rounds instead of the sparse touched-arc reset.  Results are \
-     bit-identical either way (docs/PERFORMANCE.md), but the flag changes the \
-     cells' cache keys.  No effect with $(b,--no-incremental)."
-  in
-  Arg.(value & flag & info [ "no-reopt" ] ~doc)
-
 let portfolio =
   let doc =
     "Race both MCMF backends on OCaml 5 domains inside every HIRE scheduling round \
@@ -307,8 +287,8 @@ let cmd =
     Term.(
       const sweep $ jobs $ pool $ resume $ no_cache $ state_dir $ cache_dir $ timeout $ retries
       $ schedulers $ mus $ setups $ seeds $ k $ horizon $ util $ fraction $ faults_flag
-      $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard $ no_incremental
-      $ no_reopt $ portfolio $ out $ quiet)
+      $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard $ portfolio
+      $ out $ quiet)
 
 (* [~catch:false] so bad arguments surface as our one-line error + exit 1
    instead of cmdliner's "internal error" backtrace. *)

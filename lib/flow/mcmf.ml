@@ -16,9 +16,9 @@ type result = {
 (* [Fast] is the production path: early-terminating Dijkstra with
    generation-stamped arrays, settled-only potential updates and an
    automatically selected bucket queue.  [Classic] is the historical
-   full-settle implementation, kept verbatim as the measured baseline of
-   bench_reopt (docs/PERFORMANCE.md); both are exact and produce
-   min-cost flows, but they may break ties between equally-cheap paths
+   full-settle implementation, kept verbatim as the reference the solver
+   tests compare [Fast] against; both are exact and produce min-cost
+   flows, but they may break ties between equally-cheap paths
    differently, so a run must use one algorithm throughout. *)
 type algo = Classic | Fast
 
@@ -34,8 +34,6 @@ let bucket_cost_limit = 1 lsl 16
 (* Reusable solver workspace.  Arrays are grown (never shrunk) to the
    instance size, so a scheduler that solves a similarly-sized network
    every round allocates nothing on the hot path after warm-up.
-   [pot_nodes] records for how many nodes [pot] holds the potentials of
-   a completed solve; -1 means the potentials are garbage.
 
    [dist]/[parent] entries are valid only where [stamp] holds the
    current [gen] — bumping [gen] invalidates both arrays in O(1),
@@ -53,7 +51,6 @@ type scratch = {
   mutable n_sources : int;
   heap : Heap.Int_pair.t;
   bucket : Bucket_queue.t;
-  mutable pot_nodes : int;
 }
 
 let scratch () =
@@ -70,7 +67,6 @@ let scratch () =
     n_sources = 0;
     heap = Heap.Int_pair.create ();
     bucket = Bucket_queue.create ();
-    pot_nodes = -1;
   }
 
 let ensure_scratch s n =
@@ -84,8 +80,7 @@ let ensure_scratch s n =
     s.settled <- Array.make cap 0;
     s.sources <- Array.make cap 0;
     (* Fresh stamps read as stale for any positive generation. *)
-    s.gen <- max 1 s.gen;
-    s.pot_nodes <- -1
+    s.gen <- max 1 s.gen
   end
 
 (* SPFA (queue-based Bellman–Ford) from every positive-excess node; used
@@ -277,24 +272,7 @@ let dijkstra_fast_bucket g s =
   done;
   !target
 
-(* Carried-over potentials are usable only if every residual arc still
-   has non-negative reduced cost — otherwise Dijkstra's clamp would
-   silently distort path costs.  O(n + m) scan. *)
-let warm_potentials_valid g pot =
-  let n = Graph.node_count g in
-  let ok = ref true in
-  let v = ref 0 in
-  while !ok && !v < n do
-    Graph.iter_out g !v (fun a ->
-        if !ok && Graph.residual_cap g a > 0 then begin
-          let u = Graph.dst g a in
-          if Graph.cost g a + pot.(!v) - pot.(u) < 0 then ok := false
-        end);
-    incr v
-  done;
-  !ok
-
-let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
+let solve ?budget ?ctl ?scratch:s ?(algo = Fast) g =
   let t0 = Clock.now () in
   (* [ctl] is an externally prepared budget state (portfolio race): the
      coordinator owns it — and owns chaos, drawing on this backend's
@@ -339,22 +317,16 @@ let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
   for v = 0 to n - 1 do
     excess.(v) <- Graph.supply g v
   done;
-  (* Potentials: reuse last round's when requested and still valid,
-     otherwise start from zero and bootstrap with SPFA only if the
-     graph actually has a negative-cost arc (tracked by the graph, no
+  (* Potentials start from zero and are bootstrapped with SPFA only if
+     the graph actually has a negative-cost arc (tracked by the graph, no
      O(m) rescan here). *)
-  let warm_requested = warm && s.pot_nodes = n in
-  let warm_hit = warm_requested && warm_potentials_valid g pot in
-  if not warm_hit then begin
-    Array.fill pot 0 n 0;
-    if Graph.has_negative_cost g then begin
-      let bf = staged t_spfa (fun () -> spfa g excess) in
-      for v = 0 to n - 1 do
-        if bf.(v) < infinity_dist then pot.(v) <- bf.(v)
-      done
-    end
+  Array.fill pot 0 n 0;
+  if Graph.has_negative_cost g then begin
+    let bf = staged t_spfa (fun () -> spfa g excess) in
+    for v = 0 to n - 1 do
+      if bf.(v) < infinity_dist then pot.(v) <- bf.(v)
+    done
   end;
-  s.pot_nodes <- -1;
   (* Queue selection for the fast path: bucket Dijkstra when all costs
      are non-negative and bounded (both always true for the HIRE cost
      model, whose scaled terms top out at the 6×cost_scale sentinel),
@@ -364,9 +336,6 @@ let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
   in
   if instrument then begin
     if scratch_reused then Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
-    if warm then
-      Obs.Registry.incr
-        (Obs.Registry.counter (if warm_hit then "flow.warm_hit" else "flow.warm_miss"));
     if algo = Fast then
       Obs.Registry.incr
         (Obs.Registry.counter (if use_bucket then "flow.queue.bucket" else "flow.queue.heap"))
@@ -506,10 +475,6 @@ let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
                   if remaining_supply () = 0 then continue_ := false)
         end
       done);
-  (* The potentials of a completed (even budget-truncated) solve are
-     valid for this graph size; record that so a warm caller can try to
-     reuse them next round. *)
-  s.pot_nodes <- n;
   let degraded = !exhausted <> None in
   if degraded && instrument then begin
     Obs.Registry.incr (Obs.Registry.counter "flow.budget_exhausted");
@@ -529,7 +494,6 @@ let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
       arcs = Graph.arc_count g;
       augmentations = !augmentations;
       scratch_reused;
-      warm_start = warm_hit;
       stages =
         (if instrument then
            [ ("spfa", !t_spfa); ("dijkstra", !t_dijkstra); ("augment", !t_augment) ]

@@ -70,10 +70,11 @@ val scratch : unit -> scratch
     results.
 
     [Classic] is the historical full-settle implementation, retained as
-    the measured baseline for bench_reopt (docs/PERFORMANCE.md). *)
+    the reference implementation that the solver tests compare [Fast]
+    against. *)
 type algo = Classic | Fast
 
-(** [solve ?budget ?ctl ?scratch ?warm ?algo g] computes a min-cost max-flow
+(** [solve ?budget ?ctl ?scratch ?algo g] computes a min-cost max-flow
     on [g], mutating arc flows in place.  Supplies/demands are read from
     the graph's node supplies.  [budget] bounds the solve (checked
     before every augmentation); without one the solve runs to
@@ -95,19 +96,12 @@ type algo = Classic | Fast
     nothing when obs was quiesced at that point.
 
     [scratch] provides a reusable workspace (exact; see {!scratch}).
-    [warm] (default [false]) additionally carries the node potentials of
-    the previous solve in [scratch] into this one when a reduced-cost
-    scan proves them still valid.  Warm potentials can change which of
-    several {e equally-cheap} shortest paths Dijkstra prefers, so warm
-    starts preserve objective values but not necessarily tie-breaks;
-    leave it off when bit-identical placements matter.
 
     [algo] (default [Fast]) selects the implementation; see {!algo}. *)
 val solve :
   ?budget:Budget.t ->
   ?ctl:Budget.state ->
   ?scratch:scratch ->
-  ?warm:bool ->
   ?algo:algo ->
   Graph.t ->
   result

@@ -285,11 +285,11 @@ let cell_key spec =
       in
       addf "|resilience=wall:%s;steps:%s;guard:%d" wall steps guard_every);
   (* Incremental network maintenance produces bit-identical results, so
-     the default (on) keeps the historical key; only the explicit
-     escape hatch gets its own cells. *)
+     the default (on) keeps the historical key; only the full-rebuild
+     reference path gets its own cells. *)
   if not spec.incremental then addf "|incremental=off";
   (* Same discipline for the re-optimizing solve path: bit-identical by
-     construction, so only the explicit escape hatch gets new cells. *)
+     construction, so only the cold-reset reference path gets new cells. *)
   if not spec.reopt then addf "|reopt=off";
   (* The portfolio race replays the serial chain's decisions exactly, so
      its reports match serial cells — but only for deterministic fields

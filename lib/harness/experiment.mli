@@ -32,16 +32,19 @@ type spec = {
       (** [true] (the default) lets HIRE variants patch a persistent
           flow network between rounds instead of rebuilding it
           (docs/PERFORMANCE.md).  Results are bit-identical either way,
-          so the default keeps the historical cache key; [false] — the
-          verification escape hatch — gets separate cells. *)
+          so the default keeps the historical cache key.  [false]
+          rebuilds the network every round: it is the reference path of
+          the end-to-end identity properties (test/test_incremental.ml)
+          and gets separate cells. *)
   reopt : bool;
       (** [true] (the default) additionally makes the persistent builder
           undo the previous round's flow sparsely, via touched-arc
           tracking, instead of sweeping the whole arena
           (docs/PERFORMANCE.md).  Bit-identical either way and ignored
           without [incremental]; like [incremental], the default keeps
-          the historical cache key and only the [--no-reopt] escape
-          hatch gets separate cells. *)
+          the historical cache key.  [false] (cold full resets) is the
+          reference path of the end-to-end identity properties
+          (test/test_reopt.ml) and gets separate cells. *)
   portfolio : bool;
       (** race the MCMF backends on OCaml 5 domains inside each HIRE
           round (docs/PARALLELISM.md); effective only together with

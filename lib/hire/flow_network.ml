@@ -747,21 +747,17 @@ type outcome = {
   solver : Mcmf.result;
 }
 
-type solver = Ssp | Ssp_classic | Cost_scaling
+type solver = Ssp | Cost_scaling
 
-let solver_name = function
-  | Ssp -> "ssp"
-  | Ssp_classic -> "ssp-classic"
-  | Cost_scaling -> "cost-scaling"
+let solver_name = function Ssp -> "ssp" | Cost_scaling -> "cost-scaling"
 
 (* Module-level solve usable on any graph carrying this network's node
    ids — the builder's own graph or a private [Graph.copy] snapshot (the
    portfolio race).  [ctl] is forwarded to the backend as its prepared
    budget state (see Mcmf.solve). *)
-let solve_graph ?(solver = Ssp) ?budget ?ctl ?scratch ?warm g =
+let solve_graph ?(solver = Ssp) ?budget ?ctl ?scratch g =
   match solver with
-  | Ssp -> Mcmf.solve ?budget ?ctl ?scratch ?warm g
-  | Ssp_classic -> Mcmf.solve ~algo:Mcmf.Classic ?budget ?ctl ?scratch ?warm g
+  | Ssp -> Mcmf.solve ?budget ?ctl ?scratch g
   | Cost_scaling ->
       let r = Flow.Cost_scaling.solve ?budget ?ctl g in
       {
@@ -774,8 +770,7 @@ let solve_graph ?(solver = Ssp) ?budget ?ctl ?scratch ?warm g =
         profile = r.Flow.Cost_scaling.profile;
       }
 
-let solve_only ?solver ?budget ?ctl ?scratch ?warm t =
-  solve_graph ?solver ?budget ?ctl ?scratch ?warm t.b.g
+let solve_only ?solver ?budget ?ctl ?scratch t = solve_graph ?solver ?budget ?ctl ?scratch t.b.g
 
 let extract_on t ~graph ~solver =
   let extract_t0 = if Obs.enabled () then Prelude.Clock.now () else 0.0 in
@@ -820,6 +815,6 @@ let extract_on t ~graph ~solver =
 
 let extract t ~solver = extract_on t ~graph:t.b.g ~solver
 
-let solve_and_extract ?solver ?budget ?scratch ?warm t =
-  let solver = solve_only ?solver ?budget ?scratch ?warm t in
+let solve_and_extract ?solver ?budget ?scratch t =
+  let solver = solve_only ?solver ?budget ?scratch t in
   extract t ~solver

@@ -59,8 +59,8 @@ type builder
     undoes the previous round's flow in time proportional to the arcs
     the solve actually used instead of the arena size.  The reset is
     bit-identical to the full sweep, so [reopt] never changes
-    placements — it is an escape hatch ([--no-reopt]) for measurement,
-    not a behaviour switch. *)
+    placements; without it the builder is the cold-reset reference path
+    of the end-to-end identity tests. *)
 val create_builder : ?reopt:bool -> unit -> builder
 
 (** Per-build patching statistics of the network a builder produced
@@ -113,12 +113,9 @@ type outcome = {
 
 (** Which exact MCMF algorithm solves the round (the paper's artifact
     races several solvers; all produce flows of identical cost).
-    [Ssp_classic] pins the pre-reoptimization SSP implementation
-    ({!Flow.Mcmf.Classic}) — kept as a measured baseline for
-    [bench/bench_reopt] and end-to-end comparisons; production paths
-    default to [Ssp], which runs the fast re-optimizing implementation
+    [Ssp] runs the fast re-optimizing implementation
     (docs/PERFORMANCE.md). *)
-type solver = Ssp | Ssp_classic | Cost_scaling
+type solver = Ssp | Cost_scaling
 
 val solver_name : solver -> string
 
@@ -130,9 +127,8 @@ val solver_name : solver -> string
     invariant guard (and the chaos harness) on the raw flow before any
     decision is read off it.
 
-    [scratch]/[warm] are forwarded to {!Flow.Mcmf.solve} when the SSP
-    backend runs (cost scaling ignores them): scratch reuse is exact;
-    warm starts trade tie-break stability for speed.
+    [scratch] is forwarded to {!Flow.Mcmf.solve} when the SSP backend
+    runs (cost scaling ignores it); scratch reuse is exact.
 
     [ctl] forwards an externally prepared budget state to the backend
     (overriding [budget], suppressing the backend's own chaos draws) —
@@ -143,7 +139,6 @@ val solve_only :
   ?budget:Flow.Budget.t ->
   ?ctl:Flow.Budget.state ->
   ?scratch:Flow.Mcmf.scratch ->
-  ?warm:bool ->
   t ->
   Flow.Mcmf.result
 
@@ -155,7 +150,6 @@ val solve_graph :
   ?budget:Flow.Budget.t ->
   ?ctl:Flow.Budget.state ->
   ?scratch:Flow.Mcmf.scratch ->
-  ?warm:bool ->
   Flow.Graph.t ->
   Flow.Mcmf.result
 
@@ -175,6 +169,5 @@ val solve_and_extract :
   ?solver:solver ->
   ?budget:Flow.Budget.t ->
   ?scratch:Flow.Mcmf.scratch ->
-  ?warm:bool ->
   t ->
   outcome

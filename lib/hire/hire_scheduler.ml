@@ -15,7 +15,6 @@ type config = {
   resilience : resilience option;
   incremental : bool;
   reopt : bool;
-  warm_start : bool;
   portfolio : bool;
   portfolio_eager : bool option;
 }
@@ -28,7 +27,6 @@ let default_config =
     resilience = None;
     incremental = true;
     reopt = true;
-    warm_start = false;
     portfolio = false;
     portfolio_eager = None;
   }
@@ -249,7 +247,7 @@ let resolve_for_guard t raw =
     raw
 
 let other_backend = function
-  | Flow_network.Ssp | Flow_network.Ssp_classic -> Flow_network.Cost_scaling
+  | Flow_network.Ssp -> Flow_network.Cost_scaling
   | Flow_network.Cost_scaling -> Flow_network.Ssp
 
 (* Build the round's network through the persistent builder (when
@@ -270,10 +268,6 @@ let build_network t ~jobs ~time ~params =
   end;
   net
 
-(* Scratch (exact) is reused whenever present; warm potentials are
-   opt-in and only meaningful for the SSP backend. *)
-let solve_opts t = (t.scratch, if t.config.warm_start then Some true else None)
-
 (* One rung of the fallback chain: rebuild the round's network (a
    previous cost-scaling attempt leaves its virtual feasibility node
    behind, so a solved network is never reused across attempts — the
@@ -285,8 +279,9 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
   let net = build_network t ~jobs ~time ~params in
   let size = Flow_network.size net in
   t.solves <- t.solves + 1;
-  let scratch, warm = solve_opts t in
-  let solver = Flow_network.solve_only ~solver:backend ?budget:r.budget ?scratch ?warm net in
+  let solver =
+    Flow_network.solve_only ~solver:backend ?budget:r.budget ?scratch:t.scratch net
+  in
   if solver.Flow.Mcmf.degraded && solver.Flow.Mcmf.shipped = 0 then begin
     (* Nothing salvageable (cost-scaling aborts to the zero flow; SSP
        ran out before the first augmentation): fall through. *)
@@ -389,10 +384,6 @@ let attempt_entry t ~params (r : resilience) ~trips ~deferred ~net
           let p = solver.Flow.Mcmf.profile in
           if p.Obs.Solver_profile.scratch_reused then
             Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
-          if t.config.warm_start && e.Flow.Portfolio.name = "ssp" then
-            Obs.Registry.incr
-              (Obs.Registry.counter
-                 (if p.Obs.Solver_profile.warm_start then "flow.warm_hit" else "flow.warm_miss"));
           if solver.Flow.Mcmf.degraded then begin
             let reason =
               if forced then Flow.Budget.Chaos
@@ -462,7 +453,6 @@ let portfolio_chain t ~jobs ~time ~params (r : resilience) ~trips =
   let net = build_network t ~jobs ~time ~params in
   let size = Flow_network.size net in
   let budget = Option.value r.budget ~default:Flow.Budget.unlimited in
-  let scratch, warm = solve_opts t in
   let job_of backend =
     {
       Flow.Portfolio.name = Flow_network.solver_name backend;
@@ -472,8 +462,7 @@ let portfolio_chain t ~jobs ~time ~params (r : resilience) ~trips =
              captured only by the (single) SSP job and migrates to that
              job's domain for the duration of the solve. *)
           match backend with
-          | Flow_network.Ssp | Flow_network.Ssp_classic ->
-              Flow_network.solve_graph ~solver:backend ~ctl ?scratch ?warm g
+          | Flow_network.Ssp -> Flow_network.solve_graph ~solver:backend ~ctl ?scratch:t.scratch g
           | Flow_network.Cost_scaling -> Flow_network.solve_graph ~solver:backend ~ctl g);
     }
   in
@@ -599,8 +588,9 @@ let run_round t ~time =
             ];
           Obs.Histogram.observe (Obs.Registry.histogram "hire.build_s") build_s
         end;
-        let scratch, warm = solve_opts t in
-        let outcome = Flow_network.solve_and_extract ~solver:t.config.solver ?scratch ?warm net in
+        let outcome =
+          Flow_network.solve_and_extract ~solver:t.config.solver ?scratch:t.scratch net
+        in
         let decisions = ref [] in
         apply_flavor_picks t ~flavor_picks:outcome.Flow_network.flavor_picks ~cancelled
           ~decisions;

@@ -36,8 +36,9 @@ type config = {
           and SSP scratch workspace across rounds: the topology part of
           the network is patched from the cluster's dirty set instead of
           rebuilt, and solver buffers are reused.  Placements and
-          objective values are bit-identical either way; [false] is the
-          escape hatch that rebuilds everything from scratch each round. *)
+          objective values are bit-identical either way; [false]
+          rebuilds everything from scratch each round and is the
+          reference path the end-to-end identity tests compare against. *)
   reopt : bool;
       (** [true] (the default) turns on the re-optimizing solve path:
           the persistent builder's graph tracks which arc pairs each
@@ -45,12 +46,8 @@ type config = {
           those ({!Flow_network.create_builder}).  Requires
           [incremental]; ignored without it.  The sparse reset is
           bit-identical to the full sweep, so placements never depend on
-          this flag — [false] ([--no-reopt]) exists to measure the
-          optimization, not to change behaviour. *)
-  warm_start : bool;
-      (** carry SSP node potentials across rounds when still valid.
-          Off by default: warm starts preserve objective values but may
-          change tie-breaks between equally-cheap placements. *)
+          this flag; [false] (cold full resets) is the reference path the
+          end-to-end identity tests compare against. *)
   portfolio : bool;
       (** race both MCMF backends on OCaml 5 domains instead of trying
           them sequentially (docs/PARALLELISM.md).  Only effective with

@@ -5,7 +5,7 @@ let think_of ~nodes ~arcs = 0.0005 +. (3e-7 *. float_of_int (nodes + arcs))
 
 let create ?(simple_flavor = false) ?(params = Hire.Cost_model.default_params)
     ?(solver = Hire.Flow_network.Ssp) ?(shared = true) ?resilience
-    ?(incremental = true) ?(reopt = true) ?(warm_start = false) ?(portfolio = false)
+    ?(incremental = true) ?(reopt = true) ?(portfolio = false)
     ?portfolio_eager ?name cluster =
   let config =
     {
@@ -15,7 +15,6 @@ let create ?(simple_flavor = false) ?(params = Hire.Cost_model.default_params)
       resilience;
       incremental;
       reopt;
-      warm_start;
       portfolio;
       portfolio_eager;
     }

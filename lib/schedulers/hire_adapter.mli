@@ -12,7 +12,6 @@ val create :
   ?resilience:Hire.Hire_scheduler.resilience ->
   ?incremental:bool ->
   ?reopt:bool ->
-  ?warm_start:bool ->
   ?portfolio:bool ->
   ?portfolio_eager:bool ->
   ?name:string ->

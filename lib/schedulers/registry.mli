@@ -13,11 +13,13 @@ val names : string list
     flow-based HIRE variants; the baselines ignore it.  [incremental]
     (default [true]) enables the persistent flow-network builder and
     solver-scratch reuse on the HIRE variants — results are identical
-    either way (docs/PERFORMANCE.md); [false] is the escape hatch.
+    either way (docs/PERFORMANCE.md).
     [reopt] (default [true]) additionally makes the persistent builder
     undo the previous round's flow sparsely via touched-arc tracking —
-    again bit-identical either way; [--no-reopt] is the measurement
-    escape hatch and is ignored without [incremental].
+    again bit-identical either way, and ignored without [incremental].
+    [false] for either selects the reference path that the end-to-end
+    identity properties (test/test_incremental.ml, test/test_reopt.ml)
+    compare the default against.
     [portfolio] races the MCMF backends on OCaml 5 domains on the HIRE
     variants (docs/PARALLELISM.md) — effective only together with a
     [resilience] policy; [portfolio_eager] overrides the race's spawn

@@ -1,11 +1,11 @@
-(* Tests for incremental flow-network maintenance and warm-started
-   solves (docs/PERFORMANCE.md): the Graph in-place patching primitives
-   (mark/release, set_cost/set_cap, negative-cost tracking, flow reset),
-   solver scratch/warm-start exactness, builder-vs-fresh network
-   identity under cost, structural, and liveness churn, and the
-   end-to-end property that a simulation run with [incremental = true]
-   is placement-for-placement identical to the full-rebuild path —
-   with and without fault injection. *)
+(* Tests for incremental flow-network maintenance (docs/PERFORMANCE.md):
+   the Graph in-place patching primitives (mark/release, set_cost/set_cap,
+   negative-cost tracking, flow reset), solver scratch exactness,
+   builder-vs-fresh network identity under cost, structural, and
+   liveness churn at k=4 and k=8, and the end-to-end property that a
+   simulation run with [incremental = true] is placement-for-placement
+   identical to the full-rebuild path — with and without fault
+   injection, on random k=4 cells and one fixed k=8 cell. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
@@ -113,7 +113,7 @@ let test_reset_flows_restores_capacities () =
         (Graph.residual_cap g a))
 
 (* ------------------------------------------------------------------ *)
-(* Scratch reuse and warm starts                                       *)
+(* Scratch reuse                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_scratch_solve_identical () =
@@ -129,39 +129,6 @@ let test_scratch_solve_identical () =
     Graph.iter_arcs g1 (fun a ->
         Alcotest.(check int) "same flow" (Graph.flow g1 a) (Graph.flow g2 a))
   done
-
-let test_warm_start_cost_identical () =
-  let scratch = Mcmf.scratch () in
-  let g, _, _ = fan_graph 5 in
-  let cold = Mcmf.solve ~scratch g in
-  Alcotest.(check bool) "cold run is not warm" false cold.Mcmf.profile.Obs.Solver_profile.warm_start;
-  (* Re-solve the same instance warm: hit or miss (the validity scan
-     decides — resetting flows can re-expose saturated arcs with
-     negative reduced cost), the objective must not move. *)
-  Graph.reset_flows g;
-  let warm = Mcmf.solve ~scratch ~warm:true g in
-  Alcotest.(check int) "same cost" cold.Mcmf.total_cost warm.Mcmf.total_cost;
-  Alcotest.(check int) "same shipped" cold.Mcmf.shipped warm.Mcmf.shipped;
-  (* On a zero-cost instance the carried potentials (all zero) are
-     always valid, so the warm request must actually hit. *)
-  let z = Graph.create () in
-  let zs = Graph.add_node z and zt = Graph.add_node z in
-  ignore (Graph.add_arc z ~src:zs ~dst:zt ~cap:2 ~cost:0);
-  Graph.set_supply z zs 2;
-  Graph.set_supply z zt (-2);
-  ignore (Mcmf.solve ~scratch z);
-  Graph.reset_flows z;
-  let hit = Mcmf.solve ~scratch ~warm:true z in
-  Alcotest.(check bool) "warm hit" true hit.Mcmf.profile.Obs.Solver_profile.warm_start;
-  Alcotest.(check int) "warm hit ships" 2 hit.Mcmf.shipped;
-  (* Costs changed since the potentials were computed -> the validity
-     scan must reject them and fall back to a cold bootstrap. *)
-  Graph.reset_flows g;
-  Graph.iter_arcs g (fun a -> Graph.set_cost g a (Graph.cost g a + 1));
-  let miss = Mcmf.solve ~scratch ~warm:true g in
-  Alcotest.(check bool) "stale potentials rejected" false
-    miss.Mcmf.profile.Obs.Solver_profile.warm_start;
-  Alcotest.(check int) "still ships everything" cold.Mcmf.shipped miss.Mcmf.shipped
 
 (* ------------------------------------------------------------------ *)
 (* Builder-vs-fresh network identity                                   *)
@@ -233,8 +200,8 @@ let check_identical_networks name na nb =
     (name ^ ": same objective")
     ob.Flow_network.solver.Mcmf.total_cost oa.Flow_network.solver.Mcmf.total_cost
 
-let test_builder_identity_under_churn () =
-  let cluster = make_cluster () in
+let builder_identity_under_churn ~k =
+  let cluster = make_cluster ~k () in
   let view = Sim.Cluster.view cluster in
   let census = Hire.Locality.Task_census.create view.Hire.View.topo in
   let jobs = pending_jobs () in
@@ -269,13 +236,16 @@ let test_builder_identity_under_churn () =
   ignore (Sim.Cluster.recover_node cluster servers.(1));
   build_both "after recovery"
 
+let test_builder_identity_under_churn () =
+  List.iter (fun k -> builder_identity_under_churn ~k) [ 4; 8 ]
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end property: incremental == full rebuild                    *)
 (* ------------------------------------------------------------------ *)
 
 (* One full simulation cell (mirrors Harness.Experiment.run, with the
    scheduler wrapped to log every round's placements in order). *)
-let run_cell ~incremental ~seed ~mu ~faults_on ~horizon =
+let run_cell ~incremental ~k ~seed ~mu ~faults_on ~horizon =
   let rng = Rng.create seed in
   let trace_rng = Rng.split rng in
   let scenario_rng = Rng.split rng in
@@ -283,7 +253,7 @@ let run_cell ~incremental ~seed ~mu ~faults_on ~horizon =
   let fault_rng = Rng.split rng in
   let services = Array.to_list (Comp_store.service_names store) in
   let cluster =
-    Sim.Cluster.create ~inc_capable_fraction:0.5 ~k:4 ~setup:Sim.Cluster.Homogeneous
+    Sim.Cluster.create ~inc_capable_fraction:0.5 ~k ~setup:Sim.Cluster.Homogeneous
       ~services cluster_rng
   in
   let trace_config =
@@ -349,23 +319,34 @@ let report_summary (r : Sim.Metrics.report) =
     r.Sim.Metrics.tgs_satisfied r.Sim.Metrics.tgs_total r.Sim.Metrics.inc_tgs_unserved
     r.Sim.Metrics.rounds r.Sim.Metrics.detour_mean
 
+(* [None] when the incremental run matches the full-rebuild run on the
+   placement log, the final ledgers and the report; otherwise what
+   diverged. *)
+let divergence ~k ~seed ~mu ~faults_on ~horizon =
+  let log_f, ledger_f, rep_f = run_cell ~incremental:false ~k ~seed ~mu ~faults_on ~horizon in
+  let log_i, ledger_i, rep_i = run_cell ~incremental:true ~k ~seed ~mu ~faults_on ~horizon in
+  let cell = Printf.sprintf "k=%d seed=%d mu=%.3f faults=%b" k seed mu faults_on in
+  if not (String.equal log_f log_i) then Some ("placement logs diverge (" ^ cell ^ ")")
+  else if not (String.equal ledger_f ledger_i) then Some ("final ledgers diverge (" ^ cell ^ ")")
+  else if not (String.equal (report_summary rep_f) (report_summary rep_i)) then
+    Some
+      (Printf.sprintf "reports diverge (%s): %s vs %s" cell (report_summary rep_f)
+         (report_summary rep_i))
+  else None
+
 let prop_incremental_identical =
   QCheck.Test.make ~name:"incremental solves identical to full rebuild (e2e)" ~count:8
     QCheck.(triple (int_range 0 1_000_000) (float_range 0.0 1.0) bool)
     (fun (seed, mu, faults_on) ->
-      let horizon = 60.0 in
-      let log_f, ledger_f, rep_f = run_cell ~incremental:false ~seed ~mu ~faults_on ~horizon in
-      let log_i, ledger_i, rep_i = run_cell ~incremental:true ~seed ~mu ~faults_on ~horizon in
-      if not (String.equal log_f log_i) then
-        QCheck.Test.fail_reportf "placement logs diverge (seed=%d mu=%.3f faults=%b)" seed
-          mu faults_on;
-      if not (String.equal ledger_f ledger_i) then
-        QCheck.Test.fail_reportf "final ledgers diverge (seed=%d mu=%.3f faults=%b)" seed mu
-          faults_on;
-      if not (String.equal (report_summary rep_f) (report_summary rep_i)) then
-        QCheck.Test.fail_reportf "reports diverge (seed=%d): %s vs %s" seed
-          (report_summary rep_f) (report_summary rep_i);
-      true)
+      match divergence ~k:4 ~seed ~mu ~faults_on ~horizon:60.0 with
+      | Some msg -> QCheck.Test.fail_report msg
+      | None -> true)
+
+(* The paper's reduced cell size: one fixed short-horizon k=8 input. *)
+let test_incremental_identical_k8 () =
+  match divergence ~k:8 ~seed:8 ~mu:0.5 ~faults_on:true ~horizon:60.0 with
+  | Some msg -> Alcotest.fail msg
+  | None -> ()
 
 let test_cell_key_escape_hatch () =
   let base = Harness.Experiment.default in
@@ -397,8 +378,6 @@ let () =
       ( "solver-reuse",
         [
           Alcotest.test_case "scratch solves identical" `Quick test_scratch_solve_identical;
-          Alcotest.test_case "warm start cost-identical" `Quick
-            test_warm_start_cost_identical;
         ] );
       ( "builder",
         [
@@ -407,6 +386,8 @@ let () =
       ( "end-to-end",
         qt [ prop_incremental_identical ]
         @ [
+            Alcotest.test_case "incremental identical to full rebuild at k=8" `Quick
+              test_incremental_identical_k8;
             Alcotest.test_case "cell_key escape hatch" `Quick test_cell_key_escape_hatch;
           ] );
     ]

@@ -1,10 +1,12 @@
 (* Tests for the re-optimizing solve path (docs/PERFORMANCE.md): the
    monotone bucket queue's exact pop-order equivalence with the binary
    heap (tie-heavy and word-boundary keys included), Fast-vs-Classic
-   solver agreement, touched-arc flow-reset exactness, and the
+   solver agreement on random graphs and on HIRE flow networks patched
+   over several rounds, touched-arc flow-reset exactness, and the
    end-to-end property that a run with [reopt = true] (the default) is
-   placement-for-placement identical to [--no-reopt] — with and without
-   fault injection. *)
+   placement-for-placement identical to cold full resets
+   ([reopt = false]) — with and without fault injection, on random k=4
+   cells and one fixed k=8 cell. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
@@ -165,6 +167,81 @@ let random_instance rng ~n ~extra_arcs ~cost_lo ~cost_hi =
   Graph.add_supply g (n - 1) (- !total);
   g
 
+let check_same_objective rc rf =
+  Alcotest.(check int) "same shipped" rc.Mcmf.shipped rf.Mcmf.shipped;
+  Alcotest.(check int) "same objective" rc.Mcmf.total_cost rf.Mcmf.total_cost;
+  Alcotest.(check int) "same unshipped" rc.Mcmf.unshipped rf.Mcmf.unshipped
+
+(* HIRE-shaped instances: a k=4 cluster with INC jobs for every catalogue
+   service plus server-only jobs, built through a persistent re-optimizing
+   builder over several rounds.  Between rounds the ledgers are charged
+   (cost churn, patched build) and a switch fails and recovers
+   (structural churn, full rebuild).  Fast solves the builder's own graph
+   with a persistent scratch, as a HIRE round does; Classic solves a copy
+   taken before. *)
+let fast_equals_classic_on_hire_networks () =
+  let cluster =
+    Sim.Cluster.create ~inc_capable_fraction:0.5 ~k:4 ~setup:Sim.Cluster.Homogeneous
+      ~services:(Array.to_list (Comp_store.service_names store))
+      (Rng.create 3)
+  in
+  let view = Sim.Cluster.view cluster in
+  let topo = view.Hire.View.topo in
+  let census = Hire.Locality.Task_census.create topo in
+  let ids = Hire.Transformer.Id_gen.create () in
+  let rng = Rng.create 5 in
+  let composite ~template ~n ~alternatives =
+    {
+      Hire.Comp_req.comp_id = "c0";
+      template;
+      base = { Hire.Comp_req.instances = n; cpu = 2.0; mem = 4.0; duration = 30.0 };
+      inc_alternatives = alternatives;
+    }
+  in
+  let jobs =
+    Array.to_list (Comp_store.service_names store)
+    |> List.concat_map (fun service ->
+           let template = Option.get (Comp_store.template_of_service store service) in
+           [
+             composite ~template ~n:4 ~alternatives:[ service ];
+             composite ~template:"server" ~n:3 ~alternatives:[];
+           ])
+    |> List.mapi (fun job_id c ->
+           let req =
+             { Hire.Comp_req.priority = Workload.Job.Batch; composites = [ c ]; connections = [] }
+           in
+           Hire.Pending.of_poly
+             (Hire.Transformer.transform store ids rng ~job_id ~arrival:(float_of_int job_id) req))
+  in
+  let builder = Hire.Flow_network.create_builder ~reopt:true () in
+  let servers = Topology.Fat_tree.servers topo in
+  let switch = (Topology.Fat_tree.switches topo).(0) in
+  let demand = Vec.scale 0.2 (Sim.Cluster.server_capacity cluster) in
+  let scratch = Mcmf.scratch () in
+  for round = 0 to 5 do
+    let now = 20.0 +. float_of_int round in
+    let net =
+      Hire.Flow_network.build ~builder view census ~jobs ~now
+        ~params:Hire.Cost_model.default_params
+    in
+    (* Round 0 is cold, and the switch failing after round 2 and
+       recovering after round 3 forces full rebuilds in rounds 3 and 4;
+       every other round patches. *)
+    let patched = not (Hire.Flow_network.stats net).Hire.Flow_network.full in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d build path" round)
+      (round > 0 && round <> 3 && round <> 4)
+      patched;
+    let g = Hire.Flow_network.graph net in
+    let rc = Mcmf.solve ~algo:Mcmf.Classic (Graph.copy g) in
+    let rf = Mcmf.solve ~algo:Mcmf.Fast ~scratch g in
+    Alcotest.(check bool) (Printf.sprintf "round %d ships tasks" round) true (rf.Mcmf.shipped > 0);
+    check_same_objective rc rf;
+    Sim.Cluster.place_server_task cluster ~server:servers.(round) ~demand;
+    if round = 2 then Sim.Cluster.fail_node cluster ~time:now switch;
+    if round = 3 then ignore (Sim.Cluster.recover_node cluster switch)
+  done
+
 let test_fast_equals_classic () =
   let rng = Rng.create 11 in
   for case = 1 to 40 do
@@ -172,12 +249,9 @@ let test_fast_equals_classic () =
     let g1 = random_instance rng ~n:(5 + (case mod 20)) ~extra_arcs:(3 * case mod 50)
         ~cost_lo ~cost_hi:12 in
     let g2 = Graph.copy g1 in
-    let rc = Mcmf.solve ~algo:Mcmf.Classic g1 in
-    let rf = Mcmf.solve ~algo:Mcmf.Fast g2 in
-    Alcotest.(check int) "same shipped" rc.Mcmf.shipped rf.Mcmf.shipped;
-    Alcotest.(check int) "same objective" rc.Mcmf.total_cost rf.Mcmf.total_cost;
-    Alcotest.(check int) "same unshipped" rc.Mcmf.unshipped rf.Mcmf.unshipped
-  done
+    check_same_objective (Mcmf.solve ~algo:Mcmf.Classic g1) (Mcmf.solve ~algo:Mcmf.Fast g2)
+  done;
+  fast_equals_classic_on_hire_networks ()
 
 (* The bucket queue is auto-selected on small costs; adding one dead
    (zero-capacity) very expensive arc pushes the cost envelope past the
@@ -249,7 +323,7 @@ let test_reset_touched_exact () =
 (* One full simulation cell; same structure as test_incremental's, with
    the reopt flag as the axis under test (incremental stays on — reopt
    is meaningless without the persistent builder). *)
-let run_cell ~reopt ~seed ~mu ~faults_on ~horizon =
+let run_cell ~reopt ~k ~seed ~mu ~faults_on ~horizon =
   let rng = Rng.create seed in
   let trace_rng = Rng.split rng in
   let scenario_rng = Rng.split rng in
@@ -257,7 +331,7 @@ let run_cell ~reopt ~seed ~mu ~faults_on ~horizon =
   let fault_rng = Rng.split rng in
   let services = Array.to_list (Comp_store.service_names store) in
   let cluster =
-    Sim.Cluster.create ~inc_capable_fraction:0.5 ~k:4 ~setup:Sim.Cluster.Homogeneous
+    Sim.Cluster.create ~inc_capable_fraction:0.5 ~k ~setup:Sim.Cluster.Homogeneous
       ~services cluster_rng
   in
   let trace_config =
@@ -324,23 +398,34 @@ let report_summary (r : Sim.Metrics.report) =
     r.Sim.Metrics.tgs_satisfied r.Sim.Metrics.tgs_total r.Sim.Metrics.inc_tgs_unserved
     r.Sim.Metrics.rounds r.Sim.Metrics.detour_mean
 
+(* [None] when the re-optimizing run matches the cold-reset run on the
+   placement log, the final ledgers and the report; otherwise what
+   diverged. *)
+let divergence ~k ~seed ~mu ~faults_on ~horizon =
+  let log_c, ledger_c, rep_c = run_cell ~reopt:false ~k ~seed ~mu ~faults_on ~horizon in
+  let log_r, ledger_r, rep_r = run_cell ~reopt:true ~k ~seed ~mu ~faults_on ~horizon in
+  let cell = Printf.sprintf "k=%d seed=%d mu=%.3f faults=%b" k seed mu faults_on in
+  if not (String.equal log_c log_r) then Some ("placement logs diverge (" ^ cell ^ ")")
+  else if not (String.equal ledger_c ledger_r) then Some ("final ledgers diverge (" ^ cell ^ ")")
+  else if not (String.equal (report_summary rep_c) (report_summary rep_r)) then
+    Some
+      (Printf.sprintf "reports diverge (%s): %s vs %s" cell (report_summary rep_c)
+         (report_summary rep_r))
+  else None
+
 let prop_reopt_identical =
   QCheck.Test.make ~name:"reopt solves identical to cold resets (e2e)" ~count:8
     QCheck.(triple (int_range 0 1_000_000) (float_range 0.0 1.0) bool)
     (fun (seed, mu, faults_on) ->
-      let horizon = 60.0 in
-      let log_c, ledger_c, rep_c = run_cell ~reopt:false ~seed ~mu ~faults_on ~horizon in
-      let log_r, ledger_r, rep_r = run_cell ~reopt:true ~seed ~mu ~faults_on ~horizon in
-      if not (String.equal log_c log_r) then
-        QCheck.Test.fail_reportf "placement logs diverge (seed=%d mu=%.3f faults=%b)" seed
-          mu faults_on;
-      if not (String.equal ledger_c ledger_r) then
-        QCheck.Test.fail_reportf "final ledgers diverge (seed=%d mu=%.3f faults=%b)" seed mu
-          faults_on;
-      if not (String.equal (report_summary rep_c) (report_summary rep_r)) then
-        QCheck.Test.fail_reportf "reports diverge (seed=%d): %s vs %s" seed
-          (report_summary rep_c) (report_summary rep_r);
-      true)
+      match divergence ~k:4 ~seed ~mu ~faults_on ~horizon:60.0 with
+      | Some msg -> QCheck.Test.fail_report msg
+      | None -> true)
+
+(* The paper's reduced cell size: one fixed short-horizon k=8 input. *)
+let test_reopt_identical_k8 () =
+  match divergence ~k:8 ~seed:8 ~mu:0.5 ~faults_on:true ~horizon:60.0 with
+  | Some msg -> Alcotest.fail msg
+  | None -> ()
 
 let test_cell_key_escape_hatch () =
   let base = Harness.Experiment.default in
@@ -393,6 +478,8 @@ let () =
       ( "end-to-end",
         qt [ prop_reopt_identical ]
         @ [
+            Alcotest.test_case "reopt identical to cold resets at k=8" `Quick
+              test_reopt_identical_k8;
             Alcotest.test_case "cell_key escape hatch" `Quick test_cell_key_escape_hatch;
             Alcotest.test_case "spec blob round-trip" `Quick test_spec_blob_roundtrip;
           ] );
