@@ -29,10 +29,12 @@ lint-compare:
 # resumes a tiny sweep, and that a run with an exhausted solver budget
 # degrades along the fallback chain instead of wedging
 # (docs/RESILIENCE.md), that a budgeted portfolio run races and records
-# per-backend wins (docs/PARALLELISM.md), and that a journaled run crashed
-# mid-flight with a corrupted WAL tail recovers — tear truncated
-# (journal.torn_tail), replayed, and finished byte-identical to an
-# uninterrupted run (docs/JOURNAL.md), and that the admission server
+# per-backend wins (docs/PARALLELISM.md), that a malformed HIRE_FAILPOINTS
+# and a --jobs run with failpoints armed fail fast with a one-line error,
+# and that a journaled run crashed mid-flight by the journal.crash
+# failpoint (docs/FAILPOINTS.md) with a corrupted WAL tail recovers — tear
+# truncated (journal.torn_tail), replayed, and finished byte-identical to
+# an uninterrupted run (docs/JOURNAL.md), and that the admission server
 # (docs/SERVER.md) serves a submit/drain/shutdown session over its Unix
 # socket and fails fast with a one-line error on an unusable state dir,
 # and that a serve session under an injected fsync failure
@@ -76,15 +78,32 @@ check: lint-compare
 	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
 		--portfolio --solver-steps 4000 --obs-summary \
 		| grep -E 'flow\.portfolio\.win\.[a-z-]+ +[1-9]' > /dev/null
+	@if HIRE_FAILPOINTS='solve.exhaust=frobnicate' dune exec bin/hire_sweep.exe -- \
+		-k 4 --horizon 10 --schedulers hire --mus 0.5 --seeds 1 \
+		--cache-dir /tmp/hire_check_fp/cache --out /tmp/hire_check_fp/sweep.csv \
+		2>/tmp/hire_fp_err.txt >/dev/null; then \
+		echo "check: FAIL (malformed HIRE_FAILPOINTS should exit non-zero)"; exit 1; fi
+	@grep -q '^hire_sweep: HIRE_FAILPOINTS' /tmp/hire_fp_err.txt || \
+		{ echo "check: FAIL (expected a HIRE_FAILPOINTS error)"; cat /tmp/hire_fp_err.txt; exit 1; }
+	@test "$$(wc -l < /tmp/hire_fp_err.txt)" -eq 1 || \
+		{ echo "check: FAIL (error should be one line, got:)"; cat /tmp/hire_fp_err.txt; exit 1; }
+	@if HIRE_FAILPOINTS='seed=1;solve.exhaust=25%trip' dune exec bin/hire_sim.exe -- \
+		-s hire -k 4 --horizon 10 --seeds 1,2 --jobs 2 2>/tmp/hire_fp_err.txt >/dev/null; then \
+		echo "check: FAIL (--jobs with failpoints armed should exit non-zero)"; exit 1; fi
+	@grep -q '^hire_sim: --jobs cannot run with HIRE_FAILPOINTS' /tmp/hire_fp_err.txt || \
+		{ echo "check: FAIL (expected a --jobs/HIRE_FAILPOINTS error)"; cat /tmp/hire_fp_err.txt; exit 1; }
+	@test "$$(wc -l < /tmp/hire_fp_err.txt)" -eq 1 || \
+		{ echo "check: FAIL (error should be one line, got:)"; cat /tmp/hire_fp_err.txt; exit 1; }
+	rm -rf /tmp/hire_fp_err.txt /tmp/hire_check_fp
 	dune exec bin/hire_service.exe -- --help=plain | grep -q -- '--recover'
 	dune exec bin/hire_sim.exe -- --help=plain | grep -q -- '--journal'
 	rm -rf /tmp/hire_check_journal
 	dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/ref \
 		-k 8 --horizon 30 --seed 1 --faults --mtbf 40 --mttr 5 \
 		--csv /tmp/hire_check_journal/ref.csv > /dev/null
-	@if dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/run \
-		-k 8 --horizon 30 --seed 1 --faults --mtbf 40 --mttr 5 \
-		--crash-at 300 > /dev/null 2>&1; then \
+	@if HIRE_FAILPOINTS='journal.crash=300*off->crash(5)' \
+		dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/run \
+		-k 8 --horizon 30 --seed 1 --faults --mtbf 40 --mttr 5 > /dev/null 2>&1; then \
 		echo "check: FAIL (armed crash should exit non-zero)"; exit 1; fi
 	printf '\012\000\000' >> /tmp/hire_check_journal/run/journal/wal.bin
 	dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/run \

@@ -6,6 +6,12 @@
 let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max_retries
     solver_budget solver_steps guard portfolio jobs verbose csv
     trace obs_summary journal checkpoint_every =
+  Failpt.init_env ();
+  (* Failpoint streams are process-global: seeds run on several domains
+     would draw from them concurrently. *)
+  if jobs > 1 && Failpt.enabled () then
+    failwith "--jobs cannot run with HIRE_FAILPOINTS set (failpoint state is process-global)";
+  Failpt.announce ();
   if trace <> None || obs_summary then Obs.set_enabled true;
   (match trace with
   | Some path -> (
@@ -297,8 +303,8 @@ let jobs =
   let doc =
     "Run up to $(docv) seeds concurrently on OCaml 5 domains (docs/PARALLELISM.md).  \
      Reports are still printed in seed order.  Ignored with $(b,--trace) or \
-     $(b,--obs-summary), whose instrumentation is process-global, and not supported \
-     together with HIRE_CHAOS."
+     $(b,--obs-summary), whose instrumentation is process-global; rejected when \
+     HIRE_FAILPOINTS is set."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -365,6 +371,10 @@ let cmd =
    cmdliner's "internal error" backtrace. *)
 let () =
   try exit (Cmd.eval ~catch:false cmd)
-  with Failure msg | Sys_error msg | Invalid_argument msg ->
-    Printf.eprintf "hire_sim: %s\n" msg;
-    exit 1
+  with
+  | Failure msg | Sys_error msg | Invalid_argument msg ->
+      Printf.eprintf "hire_sim: %s\n" msg;
+      exit 1
+  | Journal.Sink.Crashed seq ->
+      Printf.eprintf "hire_sim: injected crash at WAL seq %d\n" seq;
+      exit 9

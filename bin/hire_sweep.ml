@@ -21,6 +21,7 @@ let parse_pool = function
 let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
     horizon util fraction faults_on mtbf mttr max_retries solver_budget solver_steps
     guard portfolio out quiet =
+  Failpt.init_env ();
   List.iter
     (fun s ->
       if not (List.mem s Schedulers.Registry.names) then
@@ -62,8 +63,10 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
     else resilience
   in
   let pool = parse_pool pool in
-  if pool = Runner.Pool.Domains && Sys.getenv_opt "HIRE_CHAOS" <> None then
-    failwith "--pool domain cannot run with HIRE_CHAOS set (chaos state is process-global)";
+  if pool = Runner.Pool.Domains && Failpt.enabled () then
+    failwith
+      "--pool domain cannot run with HIRE_FAILPOINTS set (failpoint state is process-global)";
+  Failpt.announce ();
   let base =
     {
       Experiment.default with
@@ -142,7 +145,7 @@ let pool =
     "Worker pool flavor (docs/PARALLELISM.md): $(b,fork) (default) runs each cell in an \
      isolated forked child with enforceable timeouts; $(b,domain) runs cells on a pool \
      of OCaml 5 domains inside this process — no fork/marshalling cost, but no \
-     isolation, $(b,--timeout) is ignored, and HIRE_CHAOS is rejected; $(b,inline) \
+     isolation, $(b,--timeout) is ignored, and HIRE_FAILPOINTS is rejected; $(b,inline) \
      runs cells sequentially in-process."
   in
   Arg.(value & opt string "fork" & info [ "pool" ] ~docv:"MODE" ~doc)

@@ -13,12 +13,12 @@ let pp fmt b =
   | None, Some s -> Format.fprintf fmt "steps<=%d" s
   | Some w, Some s -> Format.fprintf fmt "wall<=%.6fs,steps<=%d" w s
 
-type reason = Wall_clock of float | Steps of int | Chaos | Cancelled
+type reason = Wall_clock of float | Steps of int | Injected | Cancelled
 
 let pp_reason fmt = function
   | Wall_clock s -> Format.fprintf fmt "wall-clock budget exhausted (%.6fs)" s
   | Steps n -> Format.fprintf fmt "step budget exhausted (%d steps)" n
-  | Chaos -> Format.pp_print_string fmt "chaos-forced exhaustion"
+  | Injected -> Format.pp_print_string fmt "injected exhaustion (solve.exhaust)"
   | Cancelled -> Format.pp_print_string fmt "cancelled (lost the portfolio race)"
 
 type state = {
@@ -44,12 +44,27 @@ let steps st = st.steps
 let inject_delay st s = st.handicap_s <- st.handicap_s +. s
 let force_exhaustion st = st.forced <- true
 
+let inject st =
+  (match Failpt.eval "solve.exhaust" with Some Failpt.Trip -> force_exhaustion st | _ -> ());
+  match Failpt.eval "solve.delay" with Some (Failpt.Delay s) -> inject_delay st s | _ -> ()
+
+let for_solve ?budget ?ctl () =
+  match ctl with
+  | Some _ -> ctl
+  | None ->
+      Option.map
+        (fun b ->
+          let st = start b in
+          inject st;
+          st)
+        budget
+
 let check st =
   match st.exhausted with
   | Some _ as r -> r
   | None ->
       let verdict =
-        if st.forced then Some Chaos
+        if st.forced then Some Injected
         else if cancelled st then Some Cancelled
         else
           match st.budget.max_steps with

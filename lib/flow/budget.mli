@@ -15,9 +15,10 @@
     the graph's flow is reset to zero and the result reports everything
     unshipped.
 
-    The chaos harness ({!Chaos}) can force exhaustion or handicap the
-    wall clock of a budgeted solve; unbudgeted solves are never touched,
-    so exact-solver tests stay exact even with [HIRE_CHAOS] set.
+    The [solve.exhaust] and [solve.delay] failpoints
+    (docs/FAILPOINTS.md) can force exhaustion or handicap the wall clock
+    of a budgeted solve ({!inject}); unbudgeted solves are never
+    touched, so exact-solver tests stay exact under any schedule.
 
     {b Concurrency.} A {!state} is owned by exactly one domain — the one
     running the solve — and its fields are plain mutable cells.  The one
@@ -44,7 +45,7 @@ val pp : Format.formatter -> t -> unit
 type reason =
   | Wall_clock of float  (** the wall cap, seconds *)
   | Steps of int  (** the step cap *)
-  | Chaos  (** {!Chaos} forced exhaustion *)
+  | Injected  (** the [solve.exhaust] failpoint forced exhaustion *)
   | Cancelled  (** the {!start} cancellation flag was set by another domain *)
 
 val pp_reason : Format.formatter -> reason -> unit
@@ -68,17 +69,32 @@ val spend : state -> int -> unit
 (** Steps recorded so far. *)
 val steps : state -> int
 
-(** Chaos hook: age the wall clock by [s] seconds (the solve appears to
-    have run that much longer). *)
+(** Age the wall clock by [s] seconds (the solve appears to have run
+    that much longer). *)
 val inject_delay : state -> float -> unit
 
-(** Chaos hook: the next {!check} reports {!Chaos}. *)
+(** The next {!check} reports {!Injected}. *)
 val force_exhaustion : state -> unit
+
+(** [inject st] evaluates the solver failpoints for one budgeted solve,
+    in this order: [solve.exhaust] ([trip]: {!force_exhaustion}), then
+    [solve.delay] ([delay(s)]: {!inject_delay} — the clock is aged, the
+    solve never sleeps).  Only the coordinator domain may call it: a
+    racing solve never evaluates failpoints, the portfolio replay calls
+    this on its behalf in the serial chain's order. *)
+val inject : state -> unit
+
+(** [for_solve ?budget ?ctl ()] is the state a backend solves under:
+    [ctl] as is (a portfolio race's pre-started state, whose failpoints
+    the coordinator owns), else a fresh state for [budget] with {!inject}
+    applied, else [None] — an unbudgeted solve has no degraded path to
+    absorb a fault, so it is never perturbed. *)
+val for_solve : ?budget:t -> ?ctl:state -> unit -> state option
 
 (** [check st] is [Some reason] once the budget is exhausted (sticky),
     [None] while within budget.  Checks, in order: a sticky prior
-    verdict, chaos forcing, the cancellation flag, the step cap, the
-    wall cap.  Reads the monotonic clock only when a wall cap is
+    verdict, injected exhaustion, the cancellation flag, the step cap,
+    the wall cap.  Reads the monotonic clock only when a wall cap is
     actually set, and the cancellation atomic only when one was given
     to {!start}. *)
 val check : state -> reason option

@@ -37,12 +37,12 @@ type result = {
     [budget] bounds the solve (checked at phase and discharge
     boundaries; pushes and relabels are the step currency); on
     exhaustion the flow is reset to zero and the result is flagged
-    [degraded].  Without a budget the chaos harness never touches the
-    solve.
+    [degraded].  Without a budget no failpoint ever touches the solve
+    ({!Budget.for_solve}).
 
     [ctl] takes precedence over [budget]: the solve uses this externally
     prepared {!Budget.state} (typically carrying a cancellation flag)
-    and performs no chaos draws — the portfolio-race coordinator owns
+    and evaluates no failpoints — the portfolio-race coordinator owns
     both; see {!Mcmf.solve} and docs/PARALLELISM.md.  Like SSP, the
     solve reads the obs flag once at entry and is safe to run on a
     racing domain. *)

@@ -63,9 +63,9 @@ val push : t -> arc -> int -> unit
 (** Fault-injection hook: [corrupt_flow t a delta] shifts the recorded
     flow of forward arc [a] by [delta] {e without any validation} —
     residual capacities may go negative and conservation is deliberately
-    broken at both endpoints.  Exists solely so the chaos harness
-    ({!Chaos}) can hand {!Verify.check} a corrupted solution; never use
-    it to build flows.
+    broken at both endpoints.  Exists solely so the [flow.corrupt]
+    failpoint ({!Verify.inject_corruption}) can hand {!Verify.check} a
+    corrupted solution; never use it to build flows.
     @raise Invalid_argument if [a] is not a forward arc. *)
 val corrupt_flow : t -> arc -> int -> unit
 

@@ -274,19 +274,7 @@ let dijkstra_fast_bucket g s =
 
 let solve ?budget ?ctl ?scratch:s ?(algo = Fast) g =
   let t0 = Clock.now () in
-  (* [ctl] is an externally prepared budget state (portfolio race): the
-     coordinator owns it — and owns chaos, drawing on this backend's
-     behalf during replay — so the solve itself must not draw.  Without
-     [ctl], chaos only ever perturbs budgeted solves: an unbudgeted
-     caller has no degraded path to absorb it. *)
-  let external_ctl = ctl <> None in
-  let bstate = match ctl with Some _ -> ctl | None -> Option.map Budget.start budget in
-  (match bstate with
-  | Some st when (not external_ctl) && Chaos.enabled () ->
-      let forced, d = Chaos.draw_solve ~backend:"ssp" in
-      if forced then Budget.force_exhaustion st;
-      if d > 0.0 then Budget.inject_delay st d
-  | _ -> ());
+  let bstate = Budget.for_solve ?budget ?ctl () in
   (* Read the obs flag exactly once: a solve running on a racing domain
      is spawned with obs quiesced and must never emit, even if the
      coordinator re-enables obs while the domain still runs. *)

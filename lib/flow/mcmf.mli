@@ -30,7 +30,7 @@ type result = {
   augmentations : int;  (** number of augmenting paths used *)
   elapsed_s : float;  (** monotonic wall-clock solve time ({!Prelude.Clock}) *)
   degraded : bool;
-      (** the solve was stopped by its {!Budget} (or a {!Chaos}-forced
+      (** the solve was stopped by its {!Budget} (or an injected
           exhaustion) before completing.  The flow left on the graph is
           still a valid min-cost flow for its (partial) value — every
           SSP prefix is — and passes {!Verify.check}; [unshipped] counts
@@ -78,17 +78,17 @@ type algo = Classic | Fast
     on [g], mutating arc flows in place.  Supplies/demands are read from
     the graph's node supplies.  [budget] bounds the solve (checked
     before every augmentation); without one the solve runs to
-    completion and [degraded] is always [false] — and the chaos harness
-    never touches the solve.
+    completion and [degraded] is always [false] — and no failpoint ever
+    touches the solve ({!Budget.for_solve}).
 
     [ctl], when given, takes precedence over [budget]: the solve uses
     this externally prepared {!Budget.state} (typically carrying a
     cancellation flag, see {!Budget.start}) instead of starting its own,
-    and performs {e no} chaos draws — the caller owns both the budget
-    state and the chaos stream.  This is the entry point the portfolio
-    race ({!Portfolio}, docs/PARALLELISM.md) uses to run the solver on
-    another domain while retaining cancellation and deterministic-chaos
-    control in the coordinator.
+    and evaluates {e no} failpoints — the caller owns both the budget
+    state and the [solve.*] sites.  This is the entry point the
+    portfolio race ({!Portfolio}, docs/PARALLELISM.md) uses to run the
+    solver on another domain while retaining cancellation and
+    deterministic fault injection in the coordinator.
 
     The solve itself is single-domain but safe to run {e on} any domain:
     it touches only [g], its scratch, its budget state (all owned by the

@@ -31,7 +31,7 @@
     snapshot — honouring [ctl] as its budget state (pass it as the
     solver's [?ctl] parameter so cancellation and budget caps are
     polled at step granularity), and must not touch any global mutable
-    state (obs, chaos, shared scratch). *)
+    state (obs, failpoints, shared scratch). *)
 type job = { name : string; run : ctl:Budget.state -> Graph.t -> Mcmf.result }
 
 (** Post-race view of one job, in input order. *)

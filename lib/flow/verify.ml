@@ -94,3 +94,24 @@ let check g =
       match check_conservation g with
       | Error _ as e -> e
       | Ok () -> optimal g)
+
+let inject_corruption g =
+  match Failpt.eval "flow.corrupt" with
+  | Some Failpt.Trip -> (
+      let rng = Option.get (Failpt.stream "flow.corrupt") in
+      (* Only arcs into zero-supply nodes: their balance must be exactly
+         zero, so the ±1 flip always surfaces as a violation (capacity or
+         conservation) instead of hiding in the slack of a partially
+         shipped supply/demand node. *)
+      let cands = ref [] in
+      Graph.iter_arcs g (fun a ->
+          if Graph.flow g a > 0 && Graph.supply g (Graph.dst g a) = 0 then
+            cands := a :: !cands);
+      match !cands with
+      | [] -> None
+      | l ->
+          let arr = Array.of_list l in
+          let a = arr.(Prelude.Rng.int rng (Array.length arr)) in
+          Graph.corrupt_flow g a (if Prelude.Rng.bool rng then 1 else -1);
+          Some a)
+  | _ -> None

@@ -25,3 +25,12 @@ val check : Graph.t -> (unit, violation) result
 
 (** [optimal g] checks only the negative-residual-cycle condition. *)
 val optimal : Graph.t -> (unit, violation) result
+
+(** The [flow.corrupt] failpoint (docs/FAILPOINTS.md): when it fires
+    ([trip]), flip the flow of one forward arc that carries flow and ends
+    in a zero-supply node by ±1 ({!Graph.corrupt_flow}).  Such a node
+    must conserve flow exactly, so {!check} always catches the flip.
+    Arc and sign are drawn from the site's own stream.  Returns the
+    flipped arc, or [None] when the site did not fire or no arc is
+    eligible.  Callers evaluate it on guarded rounds only. *)
+val inject_corruption : Graph.t -> Graph.arc option

@@ -462,7 +462,7 @@ let patch_prefix b (view : View.t) p d ~big ~(params : Cost_model.params) touche
   let g = b.g in
   let topo = view.topo in
   Graph.release g p.mark;
-  (* Undo last round's flow (and any chaos corruption) on prefix arcs:
+  (* Undo last round's flow (and any injected corruption) on prefix arcs:
      sparsely via the graph's touched-pair record when re-optimizing,
      otherwise a full arena sweep.  Bit-identical end state either
      way (Graph.reset_touched_flows contract). *)

@@ -124,16 +124,16 @@ val solver_name : solver -> string
     is bounded ({!Flow.Budget}); a degraded SSP result leaves a valid
     partial flow, a degraded cost-scaling result leaves the zero flow.
     Splitting solve from extraction lets the resilience layer run the
-    invariant guard (and the chaos harness) on the raw flow before any
-    decision is read off it.
+    invariant guard (and the flow.corrupt failpoint) on the raw flow
+    before any decision is read off it.
 
     [scratch] is forwarded to {!Flow.Mcmf.solve} when the SSP backend
     runs (cost scaling ignores it); scratch reuse is exact.
 
     [ctl] forwards an externally prepared budget state to the backend
-    (overriding [budget], suppressing the backend's own chaos draws) —
-    the portfolio race's cancellation and chaos-ownership hook; see
-    {!Flow.Mcmf.solve}. *)
+    (overriding [budget], suppressing the backend's own failpoint
+    evaluations) — the portfolio race's cancellation and
+    failpoint-ownership hook; see {!Flow.Mcmf.solve}. *)
 val solve_only :
   ?solver:solver ->
   ?budget:Flow.Budget.t ->

@@ -34,7 +34,8 @@ let default_config =
 (* HIRE_PORTFOLIO=1 forces the portfolio race on every round that runs
    the resilience chain (resilience = Some _); rounds without a policy
    keep the legacy single-solve path so its outputs stay byte-identical.
-   Used by the CI matrix leg together with HIRE_CHAOS. *)
+   Used by the CI matrix leg together with a HIRE_FAILPOINTS solver
+   schedule. *)
 let portfolio_env =
   lazy
     (match Sys.getenv_opt "HIRE_PORTFOLIO" with
@@ -272,7 +273,8 @@ let build_network t ~jobs ~time ~params =
    previous cost-scaling attempt leaves its virtual feasibility node
    behind, so a solved network is never reused across attempts — the
    persistent builder rewinds it instead of reallocating), solve under
-   the budget, optionally corrupt (chaos) and guard the live solution.
+   the budget, optionally corrupt (the flow.corrupt failpoint) and
+   guard the live solution.
    [`Accept] carries the extracted outcome; [`Reject] advances the
    chain. *)
 let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
@@ -295,10 +297,10 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
     else begin
       if Obs.enabled () then
         Obs.Registry.incr (Obs.Registry.counter "hire.resilience.guard_checks");
-      (* Chaos sits between the solver and the guard: a seeded bit-flip
-         on the live flow that the guard must catch. *)
-      if Flow.Chaos.enabled () then
-        ignore (Flow.Chaos.corrupt_solution (Flow_network.graph net));
+      (* The flow.corrupt failpoint sits between the solver and the
+         guard: a seeded bit-flip on the live flow that the guard must
+         catch. *)
+      ignore (Flow.Verify.inject_corruption (Flow_network.graph net));
       let verdict =
         match Guard.check_flow (Flow_network.graph net) with
         | Error v -> Error v
@@ -333,9 +335,9 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
 
 (* Decide-side replay of [attempt_backend] for one raced entry
    (docs/PARALLELISM.md).  The worker domain already solved its private
-   snapshot with no chaos draws and no obs emissions, so the coordinator
-   replays the serial rung procedure here — the solve counter, the
-   chaos draws on the backend's named streams, the degraded-and-empty
+   snapshot with no failpoint evaluations and no obs emissions, so the
+   coordinator replays the serial rung procedure here — the solve
+   counter, the solve.* failpoint evaluations, the degraded-and-empty
    rejection, guard sampling, corruption and the guard itself — against
    the entry's own graph.  Called from [Portfolio.race]'s [decide], i.e.
    with obs quiesced: every obs emission is pushed onto [deferred] (in
@@ -347,17 +349,20 @@ let attempt_entry t ~params (r : resilience) ~trips ~deferred ~net
   | None -> `Skip (* worker raised; [race] re-raises after the joins *)
   | Some result ->
       t.solves <- t.solves + 1;
-      (* Chaos replay: the serial solve draws from its backend's named
-         stream only when a budget is present.  The forced-exhaustion
-         emulation is exact for both backends (zero flow, nothing
-         shipped); the wall-delay draw is consumed for stream parity but
-         not retroactively applied — see docs/PARALLELISM.md. *)
+      (* Failpoint replay: the serial solve evaluates the solve.* sites
+         only when a budget is present ([Budget.for_solve]); [race]
+         consults entries in priority order, so evaluating them here
+         keeps the serial chain's order.  They run against a throwaway
+         state: the forced-exhaustion emulation below is exact for both
+         backends (zero flow, nothing shipped); a delay is consumed for
+         stream parity but not retroactively applied — see
+         docs/PARALLELISM.md. *)
       let forced =
         r.budget <> None
-        && Flow.Chaos.enabled ()
         &&
-        let f, _delay = Flow.Chaos.draw_solve ~backend:e.Flow.Portfolio.name in
-        f
+        let probe = Flow.Budget.start Flow.Budget.unlimited in
+        Flow.Budget.inject probe;
+        match Flow.Budget.check probe with Some Flow.Budget.Injected -> true | _ -> false
       in
       let solver =
         if not forced then result
@@ -386,11 +391,11 @@ let attempt_entry t ~params (r : resilience) ~trips ~deferred ~net
             Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
           if solver.Flow.Mcmf.degraded then begin
             let reason =
-              if forced then Flow.Budget.Chaos
+              if forced then Flow.Budget.Injected
               else
                 match Option.bind e.Flow.Portfolio.ctl Flow.Budget.check with
                 | Some reason -> reason
-                | None -> Flow.Budget.Chaos (* unreachable: degraded implies a verdict *)
+                | None -> Flow.Budget.Injected (* unreachable: degraded implies a verdict *)
             in
             Obs.Registry.incr (Obs.Registry.counter "flow.budget_exhausted");
             Obs.Trace.emit "solver_degraded"
@@ -412,8 +417,7 @@ let attempt_entry t ~params (r : resilience) ~trips ~deferred ~net
         else begin
           push (fun () ->
               Obs.Registry.incr (Obs.Registry.counter "hire.resilience.guard_checks"));
-          if Flow.Chaos.enabled () then
-            ignore (Flow.Chaos.corrupt_solution e.Flow.Portfolio.graph);
+          ignore (Flow.Verify.inject_corruption e.Flow.Portfolio.graph);
           let verdict =
             match Guard.check_flow e.Flow.Portfolio.graph with
             | Error v -> Error v

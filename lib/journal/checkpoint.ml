@@ -61,7 +61,7 @@ let write ?(fsync = false) ~dir ~gen ~upto_seq blob =
              Sink.write_all fd (String.sub data 0 (min k (String.length data)));
              raise (Unix.Unix_error (Unix.ENOSPC, "write", tmp))
          | Some (Failpt.Delay s) -> Unix.sleepf s
-         | None -> ());
+         | _ -> ());
          Sink.write_all fd data;
          if fsync then Unix.fsync fd);
      (* rename-into-place: readers only ever see absent or whole files. *)

@@ -7,8 +7,8 @@
     but the torn tail a crash legitimately leaves; {!Checkpoint} stores
     generation-numbered full-state snapshots with atomic
     rename-into-place so recovery replays a suffix instead of the whole
-    history; {!Chaos} is the seeded crash-point injector behind the
-    crash-anywhere recovery property; {!Error} is the closed error
+    history ({!Sink.Crashed} is the [journal.crash] failpoint behind the
+    crash-anywhere recovery property); {!Error} is the closed error
     taxonomy shared by all of them.  {!Frame} (the shared framing
     primitives) is exposed for the adversarial-input tests.
 
@@ -18,7 +18,6 @@
 
 module Error = Error
 module Frame = Frame
-module Chaos = Chaos
 module Sink = Sink
 module Source = Source
 module Checkpoint = Checkpoint

@@ -1,5 +1,7 @@
 module Clock = Prelude.Clock
 
+exception Crashed of int
+
 let magic = "HIREWAL1"
 let version = 1
 
@@ -11,7 +13,7 @@ type t = {
      {!Failpt} injection) the file is truncated back to [synced_end]
      and the frames are kept, so a retry rewrites them in order and the
      healed file is byte-identical to a failure-free run.  An injected
-     crash ({!Chaos}) flushes the whole frames first so the tear lands
+     crash (the [journal.crash] failpoint) flushes the whole frames first so the tear lands
      exactly where a real kill would leave it. *)
   buf : Buffer.t;
   (* Group-commit window: a {!commit} inside the window defers the
@@ -85,7 +87,7 @@ let write_frames t data =
       (try write_all t.fd (String.sub data 0 (min k (String.length data)))
        with Unix.Unix_error _ -> ());
       io_fail t ~op:"write" Unix.ENOSPC
-  | (Some (Failpt.Delay _) | None) as o ->
+  | o ->
       (match o with Some (Failpt.Delay s) -> Unix.sleepf s | _ -> ());
       (try write_all t.fd data with Unix.Unix_error (e, _, _) -> io_fail t ~op:"write" e)
 
@@ -93,7 +95,7 @@ let do_fsync t =
   match Failpt.eval "journal.fsync" with
   | Some (Failpt.Errno e) -> io_fail t ~op:"fsync" e
   | Some (Failpt.Short _) -> io_fail t ~op:"fsync" Unix.EIO
-  | (Some (Failpt.Delay _) | None) as o ->
+  | o ->
       (match o with Some (Failpt.Delay s) -> Unix.sleepf s | _ -> ());
       (try Unix.fsync t.fd with Unix.Unix_error (e, _, _) -> io_fail t ~op:"fsync" e)
 
@@ -117,16 +119,17 @@ let append t body =
   if t.closed then Error.raise_ (Error.State "append to a closed sink");
   let seq = t.next_seq in
   let frame = Frame.encode_record ~seq body in
-  (match Chaos.on_append ~seq ~len:(String.length frame) with
-  | None -> Buffer.add_string t.buf frame
-  | Some keep ->
+  (match Failpt.eval "journal.crash" with
+  | Some (Failpt.Crash tear) ->
       (* Injected crash: land every whole frame buffered so far (a real
          kill loses nothing that reached the page cache), then leave
          the torn prefix and abandon the process state right here. *)
       (try write_all t.fd (Buffer.contents t.buf) with Unix.Unix_error _ -> ());
-      (try write_all t.fd (String.sub frame 0 keep) with Unix.Unix_error _ -> ());
+      (try write_all t.fd (String.sub frame 0 (min tear (String.length frame)))
+       with Unix.Unix_error _ -> ());
       t.closed <- true;
-      raise (Chaos.Crashed seq));
+      raise (Crashed seq)
+  | _ -> Buffer.add_string t.buf frame);
   t.next_seq <- seq + 1;
   if Obs.enabled () then begin
     Obs.Registry.incr (Obs.Registry.counter "journal.appends");

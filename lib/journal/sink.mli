@@ -15,9 +15,9 @@
     docs/JOURNAL.md).  {!barrier} forces the deferred sync, and is
     called by {!Sim.Service} before a checkpoint so a checkpoint's
     [upto_seq] only ever covers durable records.  An injected crash
-    ({!Chaos}) flushes whole buffered frames before writing the torn
-    prefix, so the tear lands exactly where a real kill would leave
-    it.
+    (the [journal.crash] failpoint, docs/FAILPOINTS.md) flushes whole
+    buffered frames before writing the torn prefix, so the tear lands
+    exactly where a real kill would leave it.
 
     {2 I/O failures}
 
@@ -32,6 +32,14 @@
     journal is byte-identical to one that never failed. *)
 
 type t
+
+(** Raised from {!append} when the [journal.crash] failpoint fires with
+    [crash(tear)]: [tear] bytes of the frame reached the file and the
+    sink is abandoned, as a [kill -9] mid-write would leave it.  Carries
+    the sequence number of the record whose append "died".  Counting
+    appends from a fresh journal, [journal.crash=N*off->crash(5)] kills
+    the append of record [N]. *)
+exception Crashed of int
 
 val magic : string
 val version : int
@@ -52,7 +60,7 @@ val open_append :
 
 (** [append t body] frames and buffers one record, returning its
     sequence number.  Not yet durable — call {!commit}.  Raises
-    {!Chaos.Crashed} at an armed crash point. *)
+    {!Crashed} when the [journal.crash] failpoint fires. *)
 val append : t -> string -> int
 
 (** Durability point: fsync now, or — inside a group-commit window —

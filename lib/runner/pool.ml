@@ -244,8 +244,9 @@ let map_inline ~retries ~label ~log ~f items =
    The flip side: a cell cannot be SIGKILLed, so per-attempt timeouts
    are not enforceable (ignored, as in [map_inline]), a diverging cell
    hangs the pool, and [f] must not touch process-global mutable state
-   (the obs registry and the chaos harness are global: run domain-mode
-   sweeps with obs off and no HIRE_CHAOS — docs/PARALLELISM.md).
+   (the obs registry and the failpoint registry are global: run
+   domain-mode sweeps with obs off and HIRE_FAILPOINTS unset —
+   docs/PARALLELISM.md).
 
    Each result slot is written by exactly one domain (the one that
    pulled its index) and read by the coordinator only after joining

@@ -36,7 +36,7 @@ type 'b cell = { result : ('b, reason) result; attempts : int; wall_s : float }
       marshalling cost and shared-memory parallelism on multicore, but
       no isolation: timeouts are ignored, a diverging cell hangs the
       pool, and [f] must not touch process-global mutable state — run
-      with obs off and without [HIRE_CHAOS].
+      with obs off and without [HIRE_FAILPOINTS].
     - [Inline]: sequential in-process evaluation (the no-fork escape
       hatch; timeouts ignored). *)
 type mode = Fork | Domains | Inline

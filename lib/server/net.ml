@@ -174,7 +174,7 @@ let serve ~engine ~listen ~tick_interval ?(max_conns = 64) ?(io_timeout = 30.0) 
         match
           (match Failpt.eval "net.read" with
           | Some (Failpt.Errno e) -> raise (Unix.Unix_error (e, "read", ""))
-          | Some (Failpt.Short _) | Some (Failpt.Delay _) | None -> ());
+          | _ -> ());
           Unix.read c.fd chunk 0 read_chunk
         with
         | 0 -> close_conn conns c
@@ -264,7 +264,7 @@ let serve ~engine ~listen ~tick_interval ?(max_conns = 64) ?(io_timeout = 30.0) 
                 (* forced partial write: the resume path must finish the
                    reply on a later round *)
                 Unix.write_substring c.fd c.out c.out_off (min (max 1 k) len)
-            | Some (Failpt.Delay _) | None ->
+            | _ ->
                 Unix.write_substring c.fd c.out c.out_off len
           with
           | n ->
@@ -286,7 +286,7 @@ let serve ~engine ~listen ~tick_interval ?(max_conns = 64) ?(io_timeout = 30.0) 
     match
       (match Failpt.eval "net.accept" with
       | Some (Failpt.Errno e) -> raise (Unix.Unix_error (e, "accept", ""))
-      | Some (Failpt.Short _) | Some (Failpt.Delay _) | None -> ());
+      | _ -> ());
       Unix.accept lfd
     with
     | fd, _ ->

@@ -104,7 +104,7 @@ val step : t -> bool
 val finish : t -> Simulator.result
 
 (** Run the simulation to completion under the journal, final fsync
-    included.  An armed {!Journal.Chaos} crash point propagates as
-    {!Journal.Chaos.Crashed} with the log torn exactly as a real crash
+    included.  A fired [journal.crash] failpoint propagates as
+    {!Journal.Sink.Crashed} with the log torn exactly as a real crash
     would leave it. *)
 val run : t -> Simulator.result

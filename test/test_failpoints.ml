@@ -14,7 +14,6 @@
 module Json = Server.Json
 module Protocol = Server.Protocol
 module Admission = Server.Admission
-module Chaos = Journal.Chaos
 module Experiment = Harness.Experiment
 module Sink = Journal.Sink
 module Checkpoint = Journal.Checkpoint
@@ -73,9 +72,22 @@ let test_grammar_parses () =
   Alcotest.(check bool) "delay parses" true (Failpt.eval "x" = Some (Failpt.Delay 0.5));
   Failpt.set "x" "off";
   Alcotest.(check bool) "off disarms" true (Failpt.eval "x" = None);
+  (* fail-style chains: the off term holds the site quiet for two
+     evaluations, then crash(5) takes over *)
+  Failpt.set "journal.crash" "2*off->crash(5)";
+  let seen = List.init 4 (fun _ -> Failpt.eval "journal.crash") in
+  Alcotest.(check bool) "2*off->crash(5) fires on the third evaluation" true
+    (seen = [ None; None; Some (Failpt.Crash 5); Some (Failpt.Crash 5) ]);
+  Failpt.set "y" "1*trip->1*eio";
+  Alcotest.(check bool) "chain falls through used-up terms" true
+    (List.init 3 (fun _ -> Failpt.eval "y")
+    = [ Some Failpt.Trip; Some (Failpt.Errno Unix.EIO); None ]);
   Failpt.deactivate ();
   Alcotest.(check string) "disarmed registry describes empty" "" (Failpt.describe ())
 
+(* A rejected value installs nothing: parsing is all-or-nothing, so the
+   registry reads exactly as before — whether it was disarmed or
+   armed. *)
 let test_grammar_rejects () =
   with_failpoints @@ fun () ->
   let bad_loads =
@@ -91,21 +103,44 @@ let test_grammar_rejects () =
       "journal.write=eio(3)";
       "journal.write=delay(-1)";
       "journal.write=delay(inf)";
+      "seed=1;journal.fsync=1*eio;net.write=bogus";
+      "journal.crash=40*off->";
+      "journal.crash=->crash(5)";
+      "journal.crash=crash";
+      "solve.exhaust=trip(1)";
     ]
   in
-  List.iter
-    (fun v ->
-      match Failpt.load v with
-      | () -> Alcotest.failf "%S must be rejected" v
-      | exception Invalid_argument _ -> ())
-    bad_loads
+  let snapshot () = (Failpt.enabled (), Failpt.describe ()) in
+  let reject_all () =
+    let before = snapshot () in
+    List.iter
+      (fun v ->
+        (match Failpt.load v with
+        | () -> Alcotest.failf "%S must be rejected" v
+        | exception Invalid_argument _ -> ());
+        if snapshot () <> before then Alcotest.failf "rejected load %S changed the registry" v;
+        let site, spec =
+          match String.index_opt v '=' with
+          | Some i -> (String.sub v 0 i, String.sub v (i + 1) (String.length v - i - 1))
+          | None -> (v, "")
+        in
+        (match Failpt.set site spec with
+        | () -> ()
+        | exception Invalid_argument _ -> ());
+        if snapshot () <> before then Alcotest.failf "rejected set %S changed the registry" v)
+      bad_loads
+  in
+  Failpt.deactivate ();
+  reject_all ();
+  Failpt.load "seed=5;journal.fsync=1*eio";
+  reject_all ()
 
 (* A site's draw stream depends only on (seed, site name, evaluations
    of that site) — never on what other sites did in between. *)
 let test_eval_deterministic () =
   with_failpoints @@ fun () ->
-  let pattern other_cadence =
-    Failpt.activate ~seed:7;
+  let pattern ?(seed = 7) other_cadence =
+    Failpt.activate ~seed;
     Failpt.set "a" "50%eio";
     Failpt.set "b" "50%enospc";
     List.init 64 (fun i ->
@@ -114,6 +149,7 @@ let test_eval_deterministic () =
   in
   let p1 = pattern 3 and p2 = pattern 2 in
   Alcotest.(check bool) "a's stream independent of b's evaluations" true (p1 = p2);
+  Alcotest.(check bool) "different seed, different pattern" true (p1 <> pattern ~seed:8 3);
   Alcotest.(check bool) "50% fires sometimes" true (List.mem true p1);
   Alcotest.(check bool) "50% skips sometimes" true (List.mem false p1);
   (* count-bounded site fires exactly N times *)
@@ -456,7 +492,6 @@ let prop_failpoints_and_kill_lose_no_acked_job =
       let dir_a = fresh_dir () and dir_b = fresh_dir () in
       Fun.protect
         ~finally:(fun () ->
-          Chaos.disarm ();
           Failpt.deactivate ();
           rm_rf dir_a;
           rm_rf dir_b)
@@ -478,13 +513,12 @@ let prop_failpoints_and_kill_lose_no_acked_job =
           let schedule = schedules.(sched_idx) in
           (* tortured run: failpoint schedule armed AND a kill anywhere *)
           Failpt.load schedule;
-          Chaos.arm ~crash_at ();
+          Failpt.set "journal.crash" (Printf.sprintf "%d*off->crash(5)" crash_at);
           let engine_b = Admission.start ~dir:dir_b ~config:prop_config spec in
           match apply_ops_resilient engine_b script ~acked:[] with
           | acked_b, result_b ->
               (* the armed crash index fell past this run's lifetime: the
                  completed session must equal the control run outright *)
-              Chaos.disarm ();
               Failpt.deactivate ();
               if not (String.equal bytes_a (wal_bytes dir_b)) then
                 QCheck.Test.fail_reportf "seed %d sched %S: uncrashed WALs differ" seed
@@ -495,10 +529,9 @@ let prop_failpoints_and_kill_lose_no_acked_job =
                 QCheck.Test.fail_reportf "seed %d sched %S: uncrashed reports differ"
                   seed schedule;
               List.sort compare acked_a = List.sort compare acked_b
-          | exception Chaos.Crashed _ ->
+          | exception Sink.Crashed _ ->
               (* disk heals and the operator restarts: recovery runs with
                  the failpoints disarmed *)
-              Chaos.disarm ();
               Failpt.deactivate ();
               (* every durable [Admit] record is an admission whose ack
                  could have reached a client (WAL-before-ack) *)

@@ -12,7 +12,6 @@ module Dec = Codec.Dec
 module Sink = Journal.Sink
 module Source = Journal.Source
 module Checkpoint = Journal.Checkpoint
-module Chaos = Journal.Chaos
 module Error = Journal.Error
 module Experiment = Harness.Experiment
 
@@ -248,13 +247,13 @@ let test_open_append_truncates_tear () =
 let test_chaos_tears_exactly () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "wal.bin" in
-  Fun.protect ~finally:Chaos.disarm @@ fun () ->
-  Chaos.arm ~crash_at:2 ~tear:3 ();
+  Fun.protect ~finally:Failpt.deactivate @@ fun () ->
+  Failpt.load "journal.crash=2*off->crash(3)";
   let sink = Sink.create ~path ~header:"h" () in
   ignore (Sink.append sink "r0");
   ignore (Sink.append sink "r1");
   (match Sink.append sink "r2" with
-  | exception Chaos.Crashed seq -> Alcotest.(check int) "crashed at armed seq" 2 seq
+  | exception Sink.Crashed seq -> Alcotest.(check int) "crashed at armed seq" 2 seq
   | _ -> Alcotest.fail "armed crash did not fire");
   (* The file holds the two whole records plus a 3-byte torn prefix. *)
   let l = load_exn path in
@@ -525,8 +524,8 @@ let rebuild header =
   Experiment.prepare ~config:journal_config (Experiment.spec_of_blob header)
 
 let crash_then_recover spec ~dir ~checkpoint_every ~crash_at =
-  Fun.protect ~finally:Chaos.disarm @@ fun () ->
-  Chaos.arm ~crash_at ();
+  Fun.protect ~finally:Failpt.deactivate @@ fun () ->
+  Failpt.load (Printf.sprintf "journal.crash=%d*off->crash(5)" crash_at);
   (match
      Sim.Service.run
        (Sim.Service.start ~dir ~checkpoint_every
@@ -534,8 +533,8 @@ let crash_then_recover spec ~dir ~checkpoint_every ~crash_at =
           (Experiment.prepare ~config:journal_config spec))
    with
   | _ -> Alcotest.fail "armed crash did not fire"
-  | exception Chaos.Crashed _ -> ());
-  Chaos.disarm ();
+  | exception Sink.Crashed _ -> ());
+  Failpt.deactivate ();
   let r = Sim.Service.recover ~dir ~checkpoint_every ~rebuild () in
   (r, (Sim.Service.run r.Sim.Service.service).Sim.Simulator.report)
 
@@ -613,10 +612,12 @@ let test_torn_tail_counter_increments () =
   let was_enabled = Obs.enabled () in
   Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
   Obs.set_enabled true;
-  let before = Obs.Registry.counter_value (Obs.Registry.counter "journal.torn_tail") in
+  let count name = Obs.Registry.counter_value (Obs.Registry.counter name) in
+  let before = count "journal.torn_tail" and fired = count "failpt.fired.journal.crash" in
   let _, _ = crash_then_recover spec ~dir ~checkpoint_every:5 ~crash_at:60 in
-  let after = Obs.Registry.counter_value (Obs.Registry.counter "journal.torn_tail") in
-  Alcotest.(check bool) "journal.torn_tail incremented" true (after > before)
+  Alcotest.(check bool) "journal.torn_tail incremented" true (count "journal.torn_tail" > before);
+  Alcotest.(check int) "the crash is counted under its site" (fired + 1)
+    (count "failpt.fired.journal.crash")
 
 (* ------------------------------------------------------------------ *)
 

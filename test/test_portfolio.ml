@@ -3,15 +3,15 @@
    of losers, end-to-end equivalence with the serial fallback chain, and
    the domain-pool evaluation mode of the runner.
 
-   Chaos state is pinned explicitly ([Chaos.activate ~seed] under
-   [Fun.protect]) so the suite behaves identically whether or not
-   HIRE_CHAOS is set.  Every race is forced eager ([~eager:true]) so the
-   domain fan-out is exercised even on single-core CI hosts. *)
+   The failpoint registry is pinned explicitly ([with_solver_faults]
+   under [Fun.protect], [Failpt.deactivate] elsewhere) so the suite
+   behaves identically whether or not HIRE_FAILPOINTS is set.  Every
+   race is forced eager ([~eager:true]) so the domain fan-out is
+   exercised even on single-core CI hosts. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
 module Budget = Flow.Budget
-module Chaos = Flow.Chaos
 module Portfolio = Flow.Portfolio
 module Poly_req = Hire.Poly_req
 module Comp_req = Hire.Comp_req
@@ -23,9 +23,13 @@ module Rng = Prelude.Rng
 
 let store = Comp_store.default ()
 
-let with_chaos seed f =
-  Chaos.activate ~seed;
-  Fun.protect ~finally:Chaos.deactivate f
+(* The solver schedule the CI gates run the whole suite under. *)
+let with_solver_faults seed f =
+  Failpt.load
+    (Printf.sprintf
+       "seed=%d;solve.exhaust=25%%trip;solve.delay=25%%delay(0.001);flow.corrupt=50%%trip"
+       seed);
+  Fun.protect ~finally:Failpt.deactivate f
 
 (* n unit paths s -> m_i -> t with distinct costs (same fixture as
    test_resilience): SSP needs exactly n augmentations. *)
@@ -78,7 +82,7 @@ let accept_healthy _i (e : Portfolio.entry) =
 (* ------------------------------------------------------------------ *)
 
 let test_stalled_backend_loses () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let source = fan_graph 6 in
   (* 50 steps: plenty for SSP's 6 augmentations, a hard stop for the
      staller — it must lose within its own budget, not hang the race. *)
@@ -105,7 +109,7 @@ let test_stalled_backend_loses () =
   | None -> Alcotest.fail "winner produced no result"
 
 let test_loser_is_cancelled () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let source = fan_graph 4 in
   (* Unlimited budget: the spinner can only be stopped by the
      cancellation flag the coordinator sets once the winner is in. *)
@@ -122,7 +126,7 @@ let test_loser_is_cancelled () =
   | _ -> Alcotest.fail "loser's budget should report Cancelled"
 
 let test_lazy_mode_skips_after_winner () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let source = fan_graph 4 in
   let o =
     Portfolio.race ~eager:false ~budget:Budget.unlimited ~source
@@ -135,7 +139,7 @@ let test_lazy_mode_skips_after_winner () =
   Alcotest.(check bool) "and was not cancelled" false skipped.Portfolio.cancel_requested
 
 let test_decide_order_is_priority_order () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let source = fan_graph 3 in
   let seen = ref [] in
   let reject_all i (e : Portfolio.entry) =
@@ -159,7 +163,7 @@ let test_decide_order_is_priority_order () =
 (* A rejected-everywhere race reports no winner and leaves the source
    graph untouched (solves happen on private copies). *)
 let test_no_winner_and_source_untouched () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let source = fan_graph 5 in
   let o =
     Portfolio.race ~eager:true
@@ -274,14 +278,14 @@ let deterministic_fields (r : Sim.Metrics.report) =
 
 let check_equivalent ~name seed budget =
   let resilience = Hire.Hire_scheduler.resilience ?budget ~guard_every:3 () in
-  (* Fresh chaos activation per arm: both replay the same per-stream
-     draw sequences, which is exactly what the portfolio's decide-side
-     replay promises (docs/PARALLELISM.md). *)
+  (* Fresh schedule per arm: both evaluate the same per-site draw
+     sequences, which is exactly what the portfolio's decide-side replay
+     promises (docs/PARALLELISM.md). *)
   let serial_log, serial_cluster, serial_r =
-    with_chaos seed (fun () -> run_logged ~portfolio:false ~resilience seed)
+    with_solver_faults seed (fun () -> run_logged ~portfolio:false ~resilience seed)
   in
   let raced_log, raced_cluster, raced_r =
-    with_chaos seed (fun () -> run_logged ~portfolio:true ~resilience seed)
+    with_solver_faults seed (fun () -> run_logged ~portfolio:true ~resilience seed)
   in
   let ok =
     serial_log = raced_log
@@ -303,9 +307,9 @@ let test_portfolio_matches_serial_unbudgeted () =
   ignore (check_equivalent ~name:"chaos-only" 77 None)
 
 (* Randomized: for any seed and any step budget, a portfolio race under
-   chaos — whatever the winner or cancellation timing — produces the
-   exact placement log, ledgers, and report of the serial SSP-first
-   chain.  Wall-clock budgets are excluded by design: they are
+   the solver failpoint schedule — whatever the winner or cancellation
+   timing — produces the exact placement log, ledgers, and report of the
+   serial SSP-first chain.  Wall-clock budgets are excluded by design: they are
    nondeterministic in both modes. *)
 let prop_portfolio_equiv_serial =
   QCheck.Test.make ~name:"portfolio race == serial chain (placements, ledgers, reports)"

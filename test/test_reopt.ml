@@ -301,7 +301,7 @@ let test_reset_touched_exact () =
         Alcotest.(check int) "residual = capacity" (Graph.capacity g a)
           (Graph.residual_cap g a))
   done;
-  (* corrupt_flow is also a tracked mutation: chaos corruption on the
+  (* corrupt_flow is also a tracked mutation: injected corruption on the
      persistent graph must not survive the reset. *)
   let g = random_instance (Rng.create 5) ~n:6 ~extra_arcs:6 ~cost_lo:0 ~cost_hi:5 in
   Graph.set_flow_tracking g true;

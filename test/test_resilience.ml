@@ -1,17 +1,18 @@
 (* Tests for the solver-resilience layer (docs/RESILIENCE.md): solve
-   budgets and graceful degradation on both MCMF backends, the chaos
-   harness, the runtime invariant guard, the greedy last-rung placer,
-   and end-to-end runs under pathological budgets.
+   budgets and graceful degradation on both MCMF backends, the solver
+   failpoint sites (solve.exhaust, solve.delay, flow.corrupt), the
+   runtime invariant guard, the greedy last-rung placer, and end-to-end
+   runs under pathological budgets.
 
-   Chaos state is pinned explicitly in every test ([Chaos.deactivate] /
-   [Chaos.activate ~seed] under [Fun.protect]), so the suite behaves
-   identically whether or not HIRE_CHAOS is set in the environment. *)
+   The failpoint registry is pinned explicitly in every test
+   ([Failpt.deactivate] / [with_solver_faults] under [Fun.protect]), so
+   the suite behaves identically whether or not HIRE_FAILPOINTS is set
+   in the environment. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
 module Cost_scaling = Flow.Cost_scaling
 module Budget = Flow.Budget
-module Chaos = Flow.Chaos
 module Verify = Flow.Verify
 module Guard = Hire.Guard
 module Pending = Hire.Pending
@@ -80,7 +81,7 @@ let fan_graph n =
 (* ------------------------------------------------------------------ *)
 
 let test_ssp_step_budget_partial () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let g = fan_graph 8 in
   let r = Mcmf.solve ~budget:(Budget.make ~max_steps:3 ()) g in
   Alcotest.(check bool) "degraded" true r.Mcmf.degraded;
@@ -95,7 +96,7 @@ let test_ssp_step_budget_partial () =
   Alcotest.(check int) "prefix cost" 9 r.Mcmf.total_cost
 
 let test_ssp_unlimited_budget_identical () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let g1 = fan_graph 8 and g2 = fan_graph 8 in
   let r1 = Mcmf.solve g1 in
   let r2 = Mcmf.solve ~budget:Budget.unlimited g2 in
@@ -104,7 +105,7 @@ let test_ssp_unlimited_budget_identical () =
   Alcotest.(check int) "same cost" r1.Mcmf.total_cost r2.Mcmf.total_cost
 
 let test_ssp_wall_zero () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let g = fan_graph 4 in
   let r = Mcmf.solve ~budget:(Budget.make ~max_wall_s:0.0 ()) g in
   Alcotest.(check bool) "degraded" true r.Mcmf.degraded;
@@ -118,7 +119,7 @@ let test_ssp_wall_zero () =
 (* ------------------------------------------------------------------ *)
 
 let test_cost_scaling_abort_resets_flow () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let g = fan_graph 8 in
   let r = Cost_scaling.solve ~budget:(Budget.make ~max_steps:1 ()) g in
   Alcotest.(check bool) "degraded" true r.Cost_scaling.degraded;
@@ -133,7 +134,7 @@ let test_cost_scaling_abort_resets_flow () =
   | Error v -> Alcotest.failf "reset flow invalid: %a" Verify.pp_violation v
 
 let test_cost_scaling_unlimited_budget_identical () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let g1 = fan_graph 6 and g2 = fan_graph 6 in
   let r1 = Cost_scaling.solve g1 in
   let r2 = Cost_scaling.solve ~budget:Budget.unlimited g2 in
@@ -146,18 +147,18 @@ let test_cost_scaling_unlimited_budget_identical () =
 (* ------------------------------------------------------------------ *)
 
 let test_budget_forced_exhaustion_sticky () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let st = Budget.start Budget.unlimited in
   Alcotest.(check bool) "unlimited never fires" true (Budget.check st = None);
   Budget.force_exhaustion st;
   (match Budget.check st with
-  | Some Budget.Chaos -> ()
-  | _ -> Alcotest.fail "forced exhaustion should report Chaos");
+  | Some Budget.Injected -> ()
+  | _ -> Alcotest.fail "forced exhaustion should report Injected");
   (* Sticky: stays exhausted on re-check. *)
   Alcotest.(check bool) "sticky" true (Budget.check st <> None)
 
 let test_budget_injected_delay_ages_wall () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let st = Budget.start (Budget.make ~max_wall_s:10.0 ()) in
   Alcotest.(check bool) "fresh budget ok" true (Budget.check st = None);
   Budget.inject_delay st 11.0;
@@ -166,23 +167,27 @@ let test_budget_injected_delay_ages_wall () =
   | _ -> Alcotest.fail "injected delay should exhaust the wall budget"
 
 (* ------------------------------------------------------------------ *)
-(* Chaos harness                                                       *)
+(* Solver failpoint sites                                              *)
 (* ------------------------------------------------------------------ *)
 
-let with_chaos seed f =
-  Chaos.activate ~seed;
-  Fun.protect ~finally:Chaos.deactivate f
+(* The solver schedule the CI gates run the whole suite under. *)
+let with_solver_faults seed f =
+  Failpt.load
+    (Printf.sprintf
+       "seed=%d;solve.exhaust=25%%trip;solve.delay=25%%delay(0.001);flow.corrupt=50%%trip"
+       seed);
+  Fun.protect ~finally:Failpt.deactivate f
 
 let test_chaos_corruption_caught_by_verify () =
-  with_chaos 42 @@ fun () ->
-  (* The draw fires with p=1/2; try fresh graphs until it does. *)
+  with_solver_faults 42 @@ fun () ->
+  (* The site fires with p=1/2; try fresh graphs until it does. *)
   let rec go tries =
-    if tries = 0 then Alcotest.fail "corrupt_solution never fired in 64 draws"
+    if tries = 0 then Alcotest.fail "flow.corrupt never fired in 64 evaluations"
     else begin
       let g = fan_graph 6 in
       let r = Mcmf.solve g in
       Alcotest.(check bool) "unbudgeted solve untouched" false r.Mcmf.degraded;
-      match Chaos.corrupt_solution g with
+      match Verify.inject_corruption g with
       | None -> go (tries - 1)
       | Some _ -> (
           match Verify.check g with
@@ -192,40 +197,46 @@ let test_chaos_corruption_caught_by_verify () =
   in
   go 64
 
-let test_chaos_deterministic_given_seed () =
-  let draws seed =
-    with_chaos seed @@ fun () ->
-    List.init 32 (fun i ->
-        Chaos.draw_solve ~backend:(if i mod 2 = 0 then "ssp" else "cost-scaling"))
-  in
-  Alcotest.(check bool) "same seed, same draws" true (draws 7 = draws 7);
-  Alcotest.(check bool) "different seed, different draws" true (draws 7 <> draws 8)
-
-(* Streams are independent: a backend's draw sequence does not depend on
-   how many draws other streams made in between.  This is the property
-   the portfolio replay relies on (docs/PARALLELISM.md). *)
-let test_chaos_streams_independent () =
-  let ssp_only seed =
-    with_chaos seed @@ fun () -> List.init 16 (fun _ -> Chaos.draw_solve ~backend:"ssp")
-  in
-  let ssp_interleaved seed =
-    with_chaos seed @@ fun () ->
-    List.init 16 (fun _ ->
-        let d = Chaos.draw_solve ~backend:"ssp" in
-        ignore (Chaos.draw_solve ~backend:"cost-scaling");
-        d)
-  in
-  Alcotest.(check bool)
-    "ssp stream unaffected by cost-scaling draws" true
-    (ssp_only 7 = ssp_interleaved 7)
+(* solve.* reach budgeted solves only: an unbudgeted solve has no state
+   to perturb, and a pre-started [ctl] (a racing domain's) is passed
+   through without evaluating anything. *)
+let test_solve_sites_budgeted_only () =
+  Failpt.activate ~seed:1;
+  Fun.protect ~finally:Failpt.deactivate @@ fun () ->
+  Failpt.set "solve.exhaust" "trip";
+  Failpt.set "solve.delay" "delay(11)";
+  Alcotest.(check bool) "unbudgeted: no state" true (Budget.for_solve () = None);
+  let ctl = Budget.start Budget.unlimited in
+  (match Budget.for_solve ~ctl () with
+  | Some st -> Alcotest.(check bool) "ctl untouched" true (Budget.check st = None)
+  | None -> Alcotest.fail "ctl must be passed through");
+  (match Budget.for_solve ~budget:(Budget.make ~max_wall_s:10.0 ()) () with
+  | Some st -> (
+      match Budget.check st with
+      | Some Budget.Injected -> ()
+      | _ -> Alcotest.fail "solve.exhaust=trip should force exhaustion")
+  | None -> Alcotest.fail "budgeted solve must get a state");
+  Failpt.clear "solve.exhaust";
+  (match Budget.for_solve ~budget:(Budget.make ~max_wall_s:10.0 ()) () with
+  | Some st -> (
+      match Budget.check st with
+      | Some (Budget.Wall_clock _) -> ()
+      | _ -> Alcotest.fail "solve.delay should age the wall clock past the cap")
+  | None -> Alcotest.fail "budgeted solve must get a state");
+  Failpt.set "solve.exhaust" "trip";
+  let r = Mcmf.solve ~budget:(Budget.make ~max_steps:100 ()) (fan_graph 4) in
+  Alcotest.(check bool) "budgeted SSP degrades" true r.Mcmf.degraded;
+  let r = Mcmf.solve (fan_graph 4) in
+  Alcotest.(check bool) "unbudgeted SSP exact" false r.Mcmf.degraded
 
 let test_chaos_off_is_inert () =
-  Chaos.deactivate ();
-  Alcotest.(check bool) "no perturbation" true
-    (Chaos.draw_solve ~backend:"ssp" = (false, 0.0));
+  Failpt.deactivate ();
+  (match Budget.for_solve ~budget:(Budget.make ~max_steps:100 ()) () with
+  | Some st -> Alcotest.(check bool) "no perturbation" true (Budget.check st = None)
+  | None -> Alcotest.fail "budgeted solve must get a state");
   let g = fan_graph 3 in
   ignore (Mcmf.solve g);
-  Alcotest.(check bool) "no corruption" true (Chaos.corrupt_solution g = None)
+  Alcotest.(check bool) "no corruption" true (Verify.inject_corruption g = None)
 
 (* ------------------------------------------------------------------ *)
 (* Invariant guard                                                     *)
@@ -287,7 +298,7 @@ let test_guard_server_overcommit () =
     (Guard.check_placements view ~params ~placements:[ (ts, s) ])
 
 let test_guard_flow_check_flags_corruption () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let g = fan_graph 4 in
   ignore (Mcmf.solve g);
   (match Guard.check_flow g with
@@ -338,7 +349,7 @@ let assert_conserved ?(drained = true) name cluster (sched : Sim.Scheduler_intf.
     Alcotest.(check bool) (name ^ ": scheduler drained") false (sched.pending ())
 
 let test_e2e_zero_budget_degrades_and_completes () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   (* Server-only arrivals: the greedy last rung never makes flavor
      decisions, so only flavor-free work is guaranteed to drain when
      every solve exhausts its budget. *)
@@ -352,7 +363,7 @@ let test_e2e_zero_budget_degrades_and_completes () =
   assert_conserved "zero budget" cluster sched
 
 let test_e2e_zero_budget_mixed_conserves () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   (* With INC flavors in the mix, undecided groups legitimately wait for
      a healthy flow round that never comes — the run must still
      terminate with the ledgers clean, just not fully drained. *)
@@ -364,7 +375,7 @@ let test_e2e_zero_budget_mixed_conserves () =
   assert_conserved ~drained:false "zero budget mixed" cluster sched
 
 let test_e2e_no_policy_reports_nothing () =
-  Chaos.deactivate ();
+  Failpt.deactivate ();
   let cluster, sched, r = run_resilient () in
   Alcotest.(check int) "no degraded rounds" 0 r.Sim.Metrics.degraded_rounds;
   Alcotest.(check int) "no fallbacks" 0 r.Sim.Metrics.fallback_rounds;
@@ -372,9 +383,9 @@ let test_e2e_no_policy_reports_nothing () =
   assert_conserved "no policy" cluster sched
 
 let test_e2e_chaos_guard_trips_and_recovers () =
-  with_chaos 1234 @@ fun () ->
-  (* Guard every solve; chaos corrupts ~half the guarded solutions, and
-     the chain must absorb every trip. *)
+  with_solver_faults 1234 @@ fun () ->
+  (* Guard every solve; flow.corrupt flips ~half the guarded solutions,
+     and the chain must absorb every trip. *)
   let resilience = Hire.Hire_scheduler.resilience ~guard_every:1 () in
   let cluster, sched, r = run_resilient ~resilience () in
   Alcotest.(check bool) "guard tripped" true (r.Sim.Metrics.guard_trips > 0);
@@ -390,7 +401,7 @@ let prop_budgets_and_faults_conserve =
     ~count:6
     QCheck.(pair (int_range 0 1_000_000) (int_range 0 3))
     (fun (seed, budget_kind) ->
-      Chaos.deactivate ();
+      Failpt.deactivate ();
       let budget =
         match budget_kind with
         | 0 -> Some (Budget.make ~max_wall_s:0.0 ())
@@ -493,8 +504,7 @@ let () =
       ( "chaos",
         [
           quick "corruption is caught by Verify.check" test_chaos_corruption_caught_by_verify;
-          quick "deterministic given seed" test_chaos_deterministic_given_seed;
-          quick "streams are independent" test_chaos_streams_independent;
+          quick "solve sites touch budgeted solves only" test_solve_sites_budgeted_only;
           quick "inert when off" test_chaos_off_is_inert;
         ] );
       ( "guard",

@@ -12,7 +12,6 @@
 module Json = Server.Json
 module Protocol = Server.Protocol
 module Admission = Server.Admission
-module Chaos = Journal.Chaos
 module Experiment = Harness.Experiment
 
 (* ------------------------------------------------------------------ *)
@@ -484,12 +483,12 @@ let prop_kill_anywhere_loses_no_acked_job =
           let crash_at = 1 + int_of_float (frac *. float_of_int (n - 2)) in
           (* crashed run *)
           let acked_pre, crashed =
-            Fun.protect ~finally:Chaos.disarm @@ fun () ->
-            Chaos.arm ~crash_at ();
+            Fun.protect ~finally:Failpt.deactivate @@ fun () ->
+            Failpt.load (Printf.sprintf "journal.crash=%d*off->crash(5)" crash_at);
             let engine_b = Admission.start ~dir:dir_b ~config:engine_config spec in
             match apply_ops engine_b script ~from_:0 ~acked:[] with
             | _ -> (([] : int list), false)
-            | exception Chaos.Crashed _ ->
+            | exception Journal.Sink.Crashed _ ->
                 (* the admissions acked before the crash: their [Admit]
                    records survived the tear (WAL-before-ack made them
                    durable before any acknowledgment) *)
