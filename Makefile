@@ -26,10 +26,10 @@ lint-compare:
 # small deterministic fault-injected run completes, that bad flags and
 # a malformed bench/main.exe environment knob fail fast with a one-line
 # error, that the parallel sweep runner (docs/RUNNER.md) executes and
-# resumes a tiny sweep, and that a run with an exhausted solver budget
-# degrades along the fallback chain instead of wedging
-# (docs/RESILIENCE.md), that a budgeted portfolio run races and records
-# per-backend wins (docs/PARALLELISM.md), that a malformed HIRE_FAILPOINTS
+# resumes a tiny sweep but serves none of its cached cells to a re-run
+# under a failpoint schedule, and that a run with an exhausted solver
+# budget degrades along the fallback chain instead of wedging
+# (docs/RESILIENCE.md), that a malformed HIRE_FAILPOINTS
 # and a --jobs run with failpoints armed fail fast with a one-line error,
 # and that a journaled run crashed mid-flight by the journal.crash
 # failpoint (docs/FAILPOINTS.md) with a corrupted WAL tail recovers — tear
@@ -71,13 +71,16 @@ check: lint-compare
 		--cache-dir /tmp/hire_check_sweep/cache \
 		--out /tmp/hire_check_sweep/sweep.csv --quiet --resume \
 		| grep -q '2 cached'
+	HIRE_FAILPOINTS='seed=1;solve.exhaust=25%trip' dune exec bin/hire_sweep.exe -- \
+		--jobs 2 -k 4 --horizon 40 --util 2.0 \
+		--schedulers yarn-concurrent --mus 0.5 --seeds 1,2 \
+		--cache-dir /tmp/hire_check_sweep/cache \
+		--out /tmp/hire_check_sweep/sweep.csv --quiet --resume 2>/dev/null \
+		| grep -q ' 0 cached'
 	rm -rf /tmp/hire_check_sweep
 	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
 		--solver-budget 0 --guard 1 \
 		| grep -E 'degraded-rounds=[1-9]' > /dev/null
-	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
-		--portfolio --solver-steps 4000 --obs-summary \
-		| grep -E 'flow\.portfolio\.win\.[a-z-]+ +[1-9]' > /dev/null
 	@if HIRE_FAILPOINTS='solve.exhaust=frobnicate' dune exec bin/hire_sweep.exe -- \
 		-k 4 --horizon 10 --schedulers hire --mus 0.5 --seeds 1 \
 		--cache-dir /tmp/hire_check_fp/cache --out /tmp/hire_check_fp/sweep.csv \

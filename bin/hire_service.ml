@@ -51,7 +51,8 @@ let run state_dir checkpoint_every recover scheduler mu k horizon seed setup uti
   in
   let spec_of_flags =
     {
-      Harness.Experiment.scheduler;
+      Harness.Experiment.default with
+      scheduler;
       mu;
       setup;
       k;
@@ -60,10 +61,6 @@ let run state_dir checkpoint_every recover scheduler mu k horizon seed setup uti
       target_utilization = util;
       inc_capable_fraction = fraction;
       faults;
-      resilience = None;
-      incremental = true;
-      reopt = true;
-      portfolio = false;
     }
   in
   let result, csv_spec =

@@ -4,7 +4,7 @@
    built from; see bench/main.ml for the full sweep. *)
 
 let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max_retries
-    solver_budget solver_steps guard portfolio jobs verbose csv
+    solver_budget solver_steps guard jobs verbose csv
     trace obs_summary journal checkpoint_every =
   Failpt.init_env ();
   (* Failpoint streams are process-global: seeds run on several domains
@@ -55,13 +55,6 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
       in
       Some (Hire.Hire_scheduler.resilience ?budget ~guard_every:guard ())
   in
-  (* The portfolio race reuses the resilience chain's accept/reject
-     machinery, so --portfolio alone installs the default (unbounded,
-     guard-free) policy. *)
-  let resilience =
-    if portfolio && resilience = None then Some (Hire.Hire_scheduler.resilience ())
-    else resilience
-  in
   let spec =
     {
       Harness.Experiment.default with
@@ -75,7 +68,6 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
       inc_capable_fraction = fraction;
       faults;
       resilience;
-      portfolio;
     }
   in
   Printf.printf "scheduler=%s mu=%.2f k=%d horizon=%.0fs setup=%s util=%.2f seeds=[%s]\n%!"
@@ -93,8 +85,6 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
         | None -> "none"
         | Some b -> Format.asprintf "%a" Flow.Budget.pp b)
         r.Hire.Hire_scheduler.guard_every);
-  if portfolio then
-    Printf.printf "portfolio: racing ssp + cost-scaling on OCaml 5 domains per round\n%!";
   let reports =
     let instrumented = trace <> None || obs_summary in
     match journal with
@@ -289,19 +279,9 @@ let guard =
   in
   Arg.(value & opt int 0 & info [ "guard" ] ~docv:"N" ~doc)
 
-let portfolio =
-  let doc =
-    "Race both MCMF backends (SSP and cost scaling) on OCaml 5 domains inside every \
-     scheduling round instead of trying them sequentially (docs/PARALLELISM.md).  \
-     Placements and ledgers are identical to the serial chain; only round latency \
-     changes.  Implies a default resilience policy when none is configured.  Only \
-     meaningful for flow-based schedulers."
-  in
-  Arg.(value & flag & info [ "portfolio" ] ~doc)
-
 let jobs =
   let doc =
-    "Run up to $(docv) seeds concurrently on OCaml 5 domains (docs/PARALLELISM.md).  \
+    "Run up to $(docv) seeds concurrently on OCaml 5 domains (docs/RUNNER.md).  \
      Reports are still printed in seed order.  Ignored with $(b,--trace) or \
      $(b,--obs-summary), whose instrumentation is process-global; rejected when \
      HIRE_FAILPOINTS is set."
@@ -363,7 +343,7 @@ let cmd =
     Term.(
       const run $ scheduler $ mu $ k $ horizon $ seeds $ setup $ util $ fraction
       $ faults_flag $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard
-      $ portfolio $ jobs $ verbose $ csv $ trace
+      $ jobs $ verbose $ csv $ trace
       $ obs_summary $ journal $ checkpoint_every)
 
 (* [~catch:false] so bad flag values (unknown scheduler/setup) and

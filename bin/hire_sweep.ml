@@ -20,7 +20,7 @@ let parse_pool = function
 
 let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
     horizon util fraction faults_on mtbf mttr max_retries solver_budget solver_steps
-    guard portfolio out quiet =
+    guard out quiet =
   Failpt.init_env ();
   List.iter
     (fun s ->
@@ -55,13 +55,6 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
       in
       Some (Hire.Hire_scheduler.resilience ?budget ~guard_every:guard ())
   in
-  (* The in-round portfolio race reuses the resilience chain's
-     accept/reject machinery, so --portfolio alone installs the default
-     (unbounded, guard-free) policy. *)
-  let resilience =
-    if portfolio && resilience = None then Some (Hire.Hire_scheduler.resilience ())
-    else resilience
-  in
   let pool = parse_pool pool in
   if pool = Runner.Pool.Domains && Failpt.enabled () then
     failwith
@@ -76,7 +69,6 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
       inc_capable_fraction = fraction;
       faults;
       resilience;
-      portfolio;
     }
   in
   let specs = Experiment.sweep base ~schedulers ~mus ~setups ~seeds in
@@ -96,8 +88,17 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
     | Some c ->
         Printf.sprintf ", cache %s (%s)" (Runner.Cache.dir c)
           (if resume then "resume" else "overwrite"));
+  (* A failpoint schedule perturbs results without changing the spec, so
+     an armed sweep folds it into every key: its cells never share the
+     cache with unarmed ones.  Unarmed keys are the plain cell keys. *)
+  let key =
+    match Failpt.describe () with
+    | "" -> Experiment.cell_key
+    | armed ->
+        fun s -> Digest.to_hex (Digest.string (Experiment.cell_key s ^ "|failpoints=" ^ armed))
+  in
   let outcomes, stats =
-    Runner.run ~jobs ?timeout ~retries ?cache ~resume ~mode:pool ~key:Experiment.cell_key
+    Runner.run ~jobs ?timeout ~retries ?cache ~resume ~mode:pool ~key
       ~label:Experiment.describe ~log ~f:Experiment.run specs
   in
   let rows =
@@ -142,7 +143,7 @@ let jobs =
 
 let pool =
   let doc =
-    "Worker pool flavor (docs/PARALLELISM.md): $(b,fork) (default) runs each cell in an \
+    "Worker pool flavor (docs/RUNNER.md): $(b,fork) (default) runs each cell in an \
      isolated forked child with enforceable timeouts; $(b,domain) runs cells on a pool \
      of OCaml 5 domains inside this process — no fork/marshalling cost, but no \
      isolation, $(b,--timeout) is ignored, and HIRE_FAILPOINTS is rejected; $(b,inline) \
@@ -251,15 +252,6 @@ let guard =
   in
   Arg.(value & opt int 0 & info [ "guard" ] ~docv:"N" ~doc)
 
-let portfolio =
-  let doc =
-    "Race both MCMF backends on OCaml 5 domains inside every HIRE scheduling round \
-     (docs/PARALLELISM.md).  Placements and deterministic report fields are identical \
-     to the serial chain; raced cells get their own cache keys.  Implies a default \
-     resilience policy when none is configured."
-  in
-  Arg.(value & flag & info [ "portfolio" ] ~doc)
-
 let out =
   let doc = "CSV output file (one row per cell, enumeration order)." in
   Arg.(value & opt string (Filename.concat "results" "sweep_results.csv")
@@ -290,7 +282,7 @@ let cmd =
     Term.(
       const sweep $ jobs $ pool $ resume $ no_cache $ state_dir $ cache_dir $ timeout $ retries
       $ schedulers $ mus $ setups $ seeds $ k $ horizon $ util $ fraction $ faults_flag
-      $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard $ portfolio
+      $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard
       $ out $ quiet)
 
 (* [~catch:false] so bad arguments surface as our one-line error + exit 1

@@ -13,31 +13,26 @@ let pp fmt b =
   | None, Some s -> Format.fprintf fmt "steps<=%d" s
   | Some w, Some s -> Format.fprintf fmt "wall<=%.6fs,steps<=%d" w s
 
-type reason = Wall_clock of float | Steps of int | Injected | Cancelled
+type reason = Wall_clock of float | Steps of int | Injected
 
 let pp_reason fmt = function
   | Wall_clock s -> Format.fprintf fmt "wall-clock budget exhausted (%.6fs)" s
   | Steps n -> Format.fprintf fmt "step budget exhausted (%d steps)" n
   | Injected -> Format.pp_print_string fmt "injected exhaustion (solve.exhaust)"
-  | Cancelled -> Format.pp_print_string fmt "cancelled (lost the portfolio race)"
 
 type state = {
   budget : t;
   started : float;
-  cancel : bool Atomic.t option;
   mutable steps : int;
   mutable handicap_s : float;
   mutable forced : bool;
   mutable exhausted : reason option;  (* sticky verdict *)
 }
 
-let start ?cancel budget =
+let start budget =
   (* Only sample the clock when a wall cap can ever need it. *)
   let started = match budget.max_wall_s with Some _ -> Clock.now () | None -> 0.0 in
-  { budget; started; cancel; steps = 0; handicap_s = 0.0; forced = false; exhausted = None }
-
-let cancelled st =
-  match st.cancel with Some flag -> Atomic.get flag | None -> false
+  { budget; started; steps = 0; handicap_s = 0.0; forced = false; exhausted = None }
 
 let spend st n = st.steps <- st.steps + n
 let steps st = st.steps
@@ -48,16 +43,13 @@ let inject st =
   (match Failpt.eval "solve.exhaust" with Some Failpt.Trip -> force_exhaustion st | _ -> ());
   match Failpt.eval "solve.delay" with Some (Failpt.Delay s) -> inject_delay st s | _ -> ()
 
-let for_solve ?budget ?ctl () =
-  match ctl with
-  | Some _ -> ctl
-  | None ->
-      Option.map
-        (fun b ->
-          let st = start b in
-          inject st;
-          st)
-        budget
+let for_solve ?budget () =
+  Option.map
+    (fun b ->
+      let st = start b in
+      inject st;
+      st)
+    budget
 
 let check st =
   match st.exhausted with
@@ -65,7 +57,6 @@ let check st =
   | None ->
       let verdict =
         if st.forced then Some Injected
-        else if cancelled st then Some Cancelled
         else
           match st.budget.max_steps with
           | Some m when st.steps >= m -> Some (Steps m)

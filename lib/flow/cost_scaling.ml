@@ -21,10 +21,10 @@ type result = {
    the graph's flow (a mid-run pseudoflow is not salvageable). *)
 exception Exhausted of Budget.reason
 
-let solve ?(alpha = 8) ?budget ?ctl g =
+let solve ?(alpha = 8) ?budget g =
   if alpha < 2 then invalid_arg "Cost_scaling.solve: alpha must be >= 2";
   let t0 = Clock.now () in
-  let bstate = Budget.for_solve ?budget ?ctl () in
+  let bstate = Budget.for_solve ?budget () in
   let check_budget () =
     match bstate with
     | None -> ()

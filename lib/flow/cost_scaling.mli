@@ -32,18 +32,11 @@ type result = {
           when [Obs.enabled ()] held during the solve *)
 }
 
-(** [solve ?alpha ?budget ?ctl g] runs cost scaling with scale factor
+(** [solve ?alpha ?budget g] runs cost scaling with scale factor
     [alpha] (default 8).  Arc flows of [g] are left at the optimum.
     [budget] bounds the solve (checked at phase and discharge
     boundaries; pushes and relabels are the step currency); on
     exhaustion the flow is reset to zero and the result is flagged
     [degraded].  Without a budget no failpoint ever touches the solve
-    ({!Budget.for_solve}).
-
-    [ctl] takes precedence over [budget]: the solve uses this externally
-    prepared {!Budget.state} (typically carrying a cancellation flag)
-    and evaluates no failpoints — the portfolio-race coordinator owns
-    both; see {!Mcmf.solve} and docs/PARALLELISM.md.  Like SSP, the
-    solve reads the obs flag once at entry and is safe to run on a
-    racing domain. *)
-val solve : ?alpha:int -> ?budget:Budget.t -> ?ctl:Budget.state -> Graph.t -> result
+    ({!Budget.for_solve}). *)
+val solve : ?alpha:int -> ?budget:Budget.t -> Graph.t -> result

@@ -72,11 +72,8 @@ val corrupt_flow : t -> arc -> int -> unit
 (** [copy t] is a deep, fully private snapshot of [t]: identical node
     and arc ids, supplies, costs, capacities and current flow, but no
     shared backing arrays — mutating one side (including solving, which
-    moves residual capacities) never shows through to the other.  This
-    is the immutability contract of the portfolio race
-    (docs/PARALLELISM.md): the coordinator takes one [copy] per racing
-    backend, hands each domain its own, and never touches the source
-    graph while domains run. *)
+    moves residual capacities) never shows through to the other, so two
+    solvers can be run on the same instance and compared. *)
 val copy : t -> t
 
 (** {2 In-place patching}

@@ -272,12 +272,11 @@ let dijkstra_fast_bucket g s =
   done;
   !target
 
-let solve ?budget ?ctl ?scratch:s ?(algo = Fast) g =
+let solve ?budget ?scratch:s ?(algo = Fast) g =
   let t0 = Clock.now () in
-  let bstate = Budget.for_solve ?budget ?ctl () in
-  (* Read the obs flag exactly once: a solve running on a racing domain
-     is spawned with obs quiesced and must never emit, even if the
-     coordinator re-enables obs while the domain still runs. *)
+  let bstate = Budget.for_solve ?budget () in
+  (* Read the obs flag exactly once, so a solve either reports all of
+     its stages or none of them. *)
   let instrument = Obs.enabled () in
   let t_spfa = ref 0.0 and t_dijkstra = ref 0.0 and t_augment = ref 0.0 in
   let staged acc f =

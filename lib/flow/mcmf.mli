@@ -46,11 +46,7 @@ type result = {
     the hot path after the first round.  Reusing scratch never changes
     results — the workspace is (re)initialised at every solve.
 
-    A scratch is {e domain-local} state: it may migrate between domains
-    across solves (the portfolio race hands it to the SSP domain and
-    takes it back at join, with happens-before provided by
-    [Domain.spawn]/[join]), but must never be used by two concurrent
-    solves. *)
+    A scratch must never be used by two concurrent solves. *)
 type scratch
 
 val scratch : unit -> scratch
@@ -74,37 +70,17 @@ val scratch : unit -> scratch
     against. *)
 type algo = Classic | Fast
 
-(** [solve ?budget ?ctl ?scratch ?algo g] computes a min-cost max-flow
+(** [solve ?budget ?scratch ?algo g] computes a min-cost max-flow
     on [g], mutating arc flows in place.  Supplies/demands are read from
     the graph's node supplies.  [budget] bounds the solve (checked
     before every augmentation); without one the solve runs to
     completion and [degraded] is always [false] — and no failpoint ever
     touches the solve ({!Budget.for_solve}).
 
-    [ctl], when given, takes precedence over [budget]: the solve uses
-    this externally prepared {!Budget.state} (typically carrying a
-    cancellation flag, see {!Budget.start}) instead of starting its own,
-    and evaluates {e no} failpoints — the caller owns both the budget
-    state and the [solve.*] sites.  This is the entry point the
-    portfolio race ({!Portfolio}, docs/PARALLELISM.md) uses to run the
-    solver on another domain while retaining cancellation and
-    deterministic fault injection in the coordinator.
-
-    The solve itself is single-domain but safe to run {e on} any domain:
-    it touches only [g], its scratch, its budget state (all owned by the
-    calling domain) and reads the obs flag once at entry, emitting
-    nothing when obs was quiesced at that point.
-
     [scratch] provides a reusable workspace (exact; see {!scratch}).
 
     [algo] (default [Fast]) selects the implementation; see {!algo}. *)
-val solve :
-  ?budget:Budget.t ->
-  ?ctl:Budget.state ->
-  ?scratch:scratch ->
-  ?algo:algo ->
-  Graph.t ->
-  result
+val solve : ?budget:Budget.t -> ?scratch:scratch -> ?algo:algo -> Graph.t -> result
 
 (** A single decomposed flow path: node sequence from a supply node to a
     demand node, and the amount carried. *)

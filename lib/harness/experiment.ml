@@ -238,7 +238,6 @@ let describe spec =
     spec.k spec.seed
     (match spec.faults with None -> "" | Some _ -> " +faults")
     ^ (match spec.resilience with None -> "" | Some _ -> " +resilience")
-    ^ (if spec.portfolio then " +portfolio" else "")
     ^ (if spec.incremental then "" else " -incremental")
     ^ if spec.reopt then "" else " -reopt"
 
@@ -291,9 +290,4 @@ let cell_key spec =
   (* Same discipline for the re-optimizing solve path: bit-identical by
      construction, so only the cold-reset reference path gets new cells. *)
   if not spec.reopt then addf "|reopt=off";
-  (* The portfolio race replays the serial chain's decisions exactly, so
-     its reports match serial cells — but only for deterministic fields
-     (solver wall times differ), so raced cells get their own keys.
-     Opt-in segment: portfolio-off sweeps keep their historical keys. *)
-  if spec.portfolio then addf "|portfolio=on";
   Digest.to_hex (Digest.string (Buffer.contents b))

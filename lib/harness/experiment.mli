@@ -46,12 +46,11 @@ type spec = {
           reference path of the end-to-end identity properties
           (test/test_reopt.ml) and gets separate cells. *)
   portfolio : bool;
-      (** race the MCMF backends on OCaml 5 domains inside each HIRE
-          round (docs/PARALLELISM.md); effective only together with
-          [resilience].  Placements and deterministic report fields
-          match the serial chain, but solver wall times differ, so
-          [true] gets its own cache cells; [false] (the default) keeps
-          the historical keys. *)
+      (** exists only because [bench/perf] builds its cells through
+          {!Schedulers.Registry.create} with it; it goes with the
+          next change to the benchmark.  Must stay [false] (the default): the solver
+          race it selected was removed, and [true] makes {!run} raise
+          [Invalid_argument].  Not part of {!cell_key}. *)
 }
 
 val default : spec

@@ -751,15 +751,11 @@ type solver = Ssp | Cost_scaling
 
 let solver_name = function Ssp -> "ssp" | Cost_scaling -> "cost-scaling"
 
-(* Module-level solve usable on any graph carrying this network's node
-   ids — the builder's own graph or a private [Graph.copy] snapshot (the
-   portfolio race).  [ctl] is forwarded to the backend as its prepared
-   budget state (see Mcmf.solve). *)
-let solve_graph ?(solver = Ssp) ?budget ?ctl ?scratch g =
+let solve_only ?(solver = Ssp) ?budget ?scratch t =
   match solver with
-  | Ssp -> Mcmf.solve ?budget ?ctl ?scratch g
+  | Ssp -> Mcmf.solve ?budget ?scratch t.b.g
   | Cost_scaling ->
-      let r = Flow.Cost_scaling.solve ?budget ?ctl g in
+      let r = Flow.Cost_scaling.solve ?budget t.b.g in
       {
         Mcmf.shipped = r.Flow.Cost_scaling.shipped;
         unshipped = r.Flow.Cost_scaling.unshipped;
@@ -770,11 +766,9 @@ let solve_graph ?(solver = Ssp) ?budget ?ctl ?scratch g =
         profile = r.Flow.Cost_scaling.profile;
       }
 
-let solve_only ?solver ?budget ?ctl ?scratch t = solve_graph ?solver ?budget ?ctl ?scratch t.b.g
-
-let extract_on t ~graph ~solver =
+let extract t ~solver =
   let extract_t0 = if Obs.enabled () then Prelude.Clock.now () else 0.0 in
-  let paths = Mcmf.decompose graph in
+  let paths = Mcmf.decompose t.b.g in
   let placements = ref [] and flavor_picks = ref [] in
   List.iter
     (fun (p : Mcmf.path) ->
@@ -812,8 +806,6 @@ let extract_on t ~graph ~solver =
         ("extract_s", Obs.Trace.Float (Prelude.Clock.now () -. extract_t0));
       ];
   { placements = List.rev !placements; flavor_picks = List.rev !flavor_picks; solver }
-
-let extract t ~solver = extract_on t ~graph:t.b.g ~solver
 
 let solve_and_extract ?solver ?budget ?scratch t =
   let solver = solve_only ?solver ?budget ?scratch t in

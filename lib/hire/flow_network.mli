@@ -128,40 +128,14 @@ val solver_name : solver -> string
     before any decision is read off it.
 
     [scratch] is forwarded to {!Flow.Mcmf.solve} when the SSP backend
-    runs (cost scaling ignores it); scratch reuse is exact.
-
-    [ctl] forwards an externally prepared budget state to the backend
-    (overriding [budget], suppressing the backend's own failpoint
-    evaluations) — the portfolio race's cancellation and
-    failpoint-ownership hook; see {!Flow.Mcmf.solve}. *)
+    runs (cost scaling ignores it); scratch reuse is exact. *)
 val solve_only :
-  ?solver:solver ->
-  ?budget:Flow.Budget.t ->
-  ?ctl:Flow.Budget.state ->
-  ?scratch:Flow.Mcmf.scratch ->
-  t ->
-  Flow.Mcmf.result
-
-(** [solve_graph ~solver g] is {!solve_only} on an arbitrary graph
-    carrying this network's node ids — in practice a private
-    {!Flow.Graph.copy} snapshot raced by a portfolio domain. *)
-val solve_graph :
-  ?solver:solver ->
-  ?budget:Flow.Budget.t ->
-  ?ctl:Flow.Budget.state ->
-  ?scratch:Flow.Mcmf.scratch ->
-  Flow.Graph.t ->
-  Flow.Mcmf.result
+  ?solver:solver -> ?budget:Flow.Budget.t -> ?scratch:Flow.Mcmf.scratch -> t -> Flow.Mcmf.result
 
 (** [extract t ~solver] reads scheduling decisions off the flow
     decomposition of [t]'s graph.  Nodes unknown to the network (e.g.
     cost-scaling's virtual feasibility node) are skipped. *)
 val extract : t -> solver:Flow.Mcmf.result -> outcome
-
-(** [extract_on t ~graph ~solver] is {!extract} but decomposes [graph] —
-    a snapshot sharing [t]'s node ids (e.g. a portfolio winner's private
-    copy) — while reading roles from [t]. *)
-val extract_on : t -> graph:Flow.Graph.t -> solver:Flow.Mcmf.result -> outcome
 
 (** Solve the MCMF instance and read scheduling decisions back off the
     flow decomposition: [extract t ~solver:(solve_only ?solver ?budget t)]. *)

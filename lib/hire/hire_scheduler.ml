@@ -15,8 +15,6 @@ type config = {
   resilience : resilience option;
   incremental : bool;
   reopt : bool;
-  portfolio : bool;
-  portfolio_eager : bool option;
 }
 
 let default_config =
@@ -27,20 +25,7 @@ let default_config =
     resilience = None;
     incremental = true;
     reopt = true;
-    portfolio = false;
-    portfolio_eager = None;
   }
-
-(* HIRE_PORTFOLIO=1 forces the portfolio race on every round that runs
-   the resilience chain (resilience = Some _); rounds without a policy
-   keep the legacy single-solve path so its outputs stay byte-identical.
-   Used by the CI matrix leg together with a HIRE_FAILPOINTS solver
-   schedule. *)
-let portfolio_env =
-  lazy
-    (match Sys.getenv_opt "HIRE_PORTFOLIO" with
-    | Some ("1" | "true" | "on") -> true
-    | _ -> false)
 
 type t = {
   view : View.t;
@@ -333,167 +318,6 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
     end
   end
 
-(* Decide-side replay of [attempt_backend] for one raced entry
-   (docs/PARALLELISM.md).  The worker domain already solved its private
-   snapshot with no failpoint evaluations and no obs emissions, so the
-   coordinator replays the serial rung procedure here — the solve
-   counter, the solve.* failpoint evaluations, the degraded-and-empty
-   rejection, guard sampling, corruption and the guard itself — against
-   the entry's own graph.  Called from [Portfolio.race]'s [decide], i.e.
-   with obs quiesced: every obs emission is pushed onto [deferred] (in
-   serial program order) and run by the caller once obs is back. *)
-let attempt_entry t ~params (r : resilience) ~trips ~deferred ~net
-    (e : Flow.Portfolio.entry) =
-  let push f = deferred := f :: !deferred in
-  match e.Flow.Portfolio.result with
-  | None -> `Skip (* worker raised; [race] re-raises after the joins *)
-  | Some result ->
-      t.solves <- t.solves + 1;
-      (* Failpoint replay: the serial solve evaluates the solve.* sites
-         only when a budget is present ([Budget.for_solve]); [race]
-         consults entries in priority order, so evaluating them here
-         keeps the serial chain's order.  They run against a throwaway
-         state: the forced-exhaustion emulation below is exact for both
-         backends (zero flow, nothing shipped); a delay is consumed for
-         stream parity but not retroactively applied — see
-         docs/PARALLELISM.md. *)
-      let forced =
-        r.budget <> None
-        &&
-        let probe = Flow.Budget.start Flow.Budget.unlimited in
-        Flow.Budget.inject probe;
-        match Flow.Budget.check probe with Some Flow.Budget.Injected -> true | _ -> false
-      in
-      let solver =
-        if not forced then result
-        else begin
-          Flow.Graph.reset_flows e.graph;
-          {
-            result with
-            Flow.Mcmf.shipped = 0;
-            unshipped = Flow.Graph.total_positive_supply e.graph;
-            total_cost = 0;
-            augmentations = 0;
-            degraded = true;
-            profile =
-              {
-                (Obs.Solver_profile.zero ~solver:e.Flow.Portfolio.name) with
-                Obs.Solver_profile.nodes = result.Flow.Mcmf.profile.Obs.Solver_profile.nodes;
-                arcs = result.Flow.Mcmf.profile.Obs.Solver_profile.arcs;
-              };
-          }
-        end
-      in
-      (* Re-emit what the quiesced solve would have emitted itself. *)
-      push (fun () ->
-          let p = solver.Flow.Mcmf.profile in
-          if p.Obs.Solver_profile.scratch_reused then
-            Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
-          if solver.Flow.Mcmf.degraded then begin
-            let reason =
-              if forced then Flow.Budget.Injected
-              else
-                match Option.bind e.Flow.Portfolio.ctl Flow.Budget.check with
-                | Some reason -> reason
-                | None -> Flow.Budget.Injected (* unreachable: degraded implies a verdict *)
-            in
-            Obs.Registry.incr (Obs.Registry.counter "flow.budget_exhausted");
-            Obs.Trace.emit "solver_degraded"
-              [
-                ("solver", Obs.Trace.Str e.Flow.Portfolio.name);
-                ("reason", Obs.Trace.Str (Format.asprintf "%a" Flow.Budget.pp_reason reason));
-                ("shipped", Obs.Trace.Int solver.Flow.Mcmf.shipped);
-              ]
-          end;
-          Obs.Solver_profile.emit p);
-      if solver.Flow.Mcmf.degraded && solver.Flow.Mcmf.shipped = 0 then begin
-        push (fun () ->
-            Obs.Registry.incr (Obs.Registry.counter "hire.resilience.budget_exhausted"));
-        `Reject solver
-      end
-      else begin
-        let guard_due = r.guard_every > 0 && t.solves mod r.guard_every = 0 in
-        if not guard_due then `Accept (Flow_network.extract_on net ~graph:e.graph ~solver, solver)
-        else begin
-          push (fun () ->
-              Obs.Registry.incr (Obs.Registry.counter "hire.resilience.guard_checks"));
-          ignore (Flow.Verify.inject_corruption e.Flow.Portfolio.graph);
-          let verdict =
-            match Guard.check_flow e.Flow.Portfolio.graph with
-            | Error v -> Error v
-            | Ok () ->
-                let outcome = Flow_network.extract_on net ~graph:e.graph ~solver in
-                let resolved = resolve_for_guard t outcome.Flow_network.placements in
-                Result.map (fun () -> outcome)
-                  (Guard.check_placements t.view ~params ~placements:resolved)
-          in
-          match verdict with
-          | Ok outcome -> `Accept (outcome, solver)
-          | Error v ->
-              incr trips;
-              let msg = Format.asprintf "%a" Guard.pp_violation v in
-              let solve_no = t.solves in
-              Printf.eprintf
-                "hire: invariant guard trip on %s (solve #%d): %s — quarantining solution\n%!"
-                e.Flow.Portfolio.name solve_no msg;
-              push (fun () ->
-                  Obs.Registry.incr (Obs.Registry.counter "hire.resilience.guard_trips");
-                  Obs.Trace.emit "guard_trip"
-                    [
-                      ("solver", Obs.Trace.Str e.Flow.Portfolio.name);
-                      ("violation", Obs.Trace.Str msg);
-                    ]);
-              `Reject solver
-        end
-      end
-
-(* Portfolio variant of the fallback chain: build the round's network
-   once, race both backends on private snapshots (Flow.Portfolio), and
-   let the deterministic-priority [decide] replay the serial accept /
-   reject procedure — so the returned value has exactly the shape and
-   content of the serial [chain], only faster.  The greedy terminal rung
-   stays on the caller's side. *)
-let portfolio_chain t ~jobs ~time ~params (r : resilience) ~trips =
-  let net = build_network t ~jobs ~time ~params in
-  let size = Flow_network.size net in
-  let budget = Option.value r.budget ~default:Flow.Budget.unlimited in
-  let job_of backend =
-    {
-      Flow.Portfolio.name = Flow_network.solver_name backend;
-      run =
-        (fun ~ctl g ->
-          (* The persistent SSP scratch stays domain-local: it is
-             captured only by the (single) SSP job and migrates to that
-             job's domain for the duration of the solve. *)
-          match backend with
-          | Flow_network.Ssp -> Flow_network.solve_graph ~solver:backend ~ctl ?scratch:t.scratch g
-          | Flow_network.Cost_scaling -> Flow_network.solve_graph ~solver:backend ~ctl g);
-    }
-  in
-  let racers = List.map job_of [ t.config.solver; other_backend t.config.solver ] in
-  let deferred = ref [] in
-  let accepted = ref None in
-  let last = ref None in
-  let depth = ref 0 in
-  let decide _i entry =
-    match attempt_entry t ~params r ~trips ~deferred ~net entry with
-    | `Accept (outcome, solver) ->
-        accepted := Some (outcome, solver);
-        true
-    | `Reject solver ->
-        last := Some (solver, size);
-        incr depth;
-        false
-    | `Skip -> false
-  in
-  ignore
-    (Flow.Portfolio.race ?eager:t.config.portfolio_eager ~budget
-       ~source:(Flow_network.graph net) ~decide racers);
-  if Obs.enabled () then List.iter (fun f -> f ()) (List.rev !deferred);
-  match !accepted with
-  | Some (outcome, solver) -> (`Flow (outcome, solver, size), !depth)
-  | None -> (`Greedy !last, !depth)
-
 (* Total tasks the greedy rung could in principle still place — the
    denominator of its salvage ratio. *)
 let total_materialized_remaining jobs =
@@ -621,11 +445,7 @@ let run_round t ~time =
               | `Accept (outcome, solver, size) -> (`Flow (outcome, solver, size), depth)
               | `Reject (solver, size) -> chain (depth + 1) (Some (solver, size)) rest)
         in
-        let result, depth =
-          if t.config.portfolio || Lazy.force portfolio_env then
-            portfolio_chain t ~jobs ~time ~params r ~trips
-          else chain 0 None backends
-        in
+        let result, depth = chain 0 None backends in
         let flavor_picks, raw_placements, solver_res, (nodes, arcs), used_greedy =
           match result with
           | `Flow (outcome, solver, size) ->

@@ -48,17 +48,6 @@ type config = {
           bit-identical to the full sweep, so placements never depend on
           this flag; [false] (cold full resets) is the reference path the
           end-to-end identity tests compare against. *)
-  portfolio : bool;
-      (** race both MCMF backends on OCaml 5 domains instead of trying
-          them sequentially (docs/PARALLELISM.md).  Only effective with
-          a [resilience] policy installed (the race reuses the chain's
-          accept/reject procedure); placements, ledgers, and resilience
-          reports are identical to the serial chain's — only latency
-          changes.  Also forced on resilient rounds by [HIRE_PORTFOLIO=1]
-          in the environment.  Off by default. *)
-  portfolio_eager : bool option;
-      (** override {!Flow.Portfolio.race}'s spawn policy ([None] = let
-          the host's core count decide); tests force eager fan-out. *)
 }
 
 val default_config : config

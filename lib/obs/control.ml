@@ -1,7 +1,6 @@
-(* The enable switch is an atomic so flipping it is well-defined across
-   domains: the portfolio race (Flow.Portfolio) quiesces obs before
-   spawning solver domains and restores it after joining them, relying
-   on spawn/join ordering plus this atomic for publication. *)
+(* The enable switch is an atomic because every instrumentation site
+   reads it, including code running on [Runner.Pool.Domains] workers, so
+   a flip from any domain is published to all of them. *)
 let flag = Atomic.make false
 let enabled () = Atomic.get flag
 let set_enabled b = Atomic.set flag b

@@ -246,7 +246,7 @@ let map_inline ~retries ~label ~log ~f items =
    hangs the pool, and [f] must not touch process-global mutable state
    (the obs registry and the failpoint registry are global: run
    domain-mode sweeps with obs off and HIRE_FAILPOINTS unset —
-   docs/PARALLELISM.md).
+   docs/RUNNER.md).
 
    Each result slot is written by exactly one domain (the one that
    pulled its index) and read by the coordinator only after joining

@@ -26,7 +26,7 @@ val reason_to_string : reason -> string
     of the final attempt. *)
 type 'b cell = { result : ('b, reason) result; attempts : int; wall_s : float }
 
-(** How cells are evaluated (docs/PARALLELISM.md, docs/RUNNER.md).
+(** How cells are evaluated (docs/RUNNER.md).
 
     - [Fork] (the default): one forked child process per cell, results
       marshalled back over a pipe.  Full isolation: crashes are

@@ -3,9 +3,8 @@
     Executes a list of cells as a pool of isolated worker processes
     ({!Pool}: [Unix.fork], one child per cell, results marshalled back
     over a pipe) — or, with [~mode:Pool.Domains], as a fixed pool of
-    OCaml 5 domains sharing this process (docs/PARALLELISM.md) — behind
-    an on-disk result cache ({!Cache}) keyed by a content hash of each
-    cell's config.  Guarantees, in order of importance:
+    OCaml 5 domains sharing this process — behind an on-disk result
+    cache ({!Cache}) keyed by a content hash of each cell's config.  Guarantees, in order of importance:
 
     - {b determinism} — outcomes are returned in input order and carry
       pure marshalled values, so a [~jobs:4] run is byte-identical to a

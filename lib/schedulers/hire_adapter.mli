@@ -12,8 +12,6 @@ val create :
   ?resilience:Hire.Hire_scheduler.resilience ->
   ?incremental:bool ->
   ?reopt:bool ->
-  ?portfolio:bool ->
-  ?portfolio_eager:bool ->
   ?name:string ->
   Sim.Cluster.t ->
   Sim.Scheduler_intf.t

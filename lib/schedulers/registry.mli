@@ -20,17 +20,15 @@ val names : string list
     [false] for either selects the reference path that the end-to-end
     identity properties (test/test_incremental.ml, test/test_reopt.ml)
     compare the default against.
-    [portfolio] races the MCMF backends on OCaml 5 domains on the HIRE
-    variants (docs/PARALLELISM.md) — effective only together with a
-    [resilience] policy; [portfolio_eager] overrides the race's spawn
-    policy (tests force eager fan-out).
-    @raise Invalid_argument on unknown names. *)
+    [portfolio] exists only because [bench/perf] passes it; it goes
+    with the next change to the benchmark.  [false] (the default) is the only
+    accepted value: the solver race it selected was removed.
+    @raise Invalid_argument on unknown names and on [~portfolio:true]. *)
 val create :
   ?resilience:Hire.Hire_scheduler.resilience ->
   ?incremental:bool ->
   ?reopt:bool ->
   ?portfolio:bool ->
-  ?portfolio_eager:bool ->
   string ->
   seed:int ->
   Sim.Cluster.t ->

@@ -198,18 +198,13 @@ let test_chaos_corruption_caught_by_verify () =
   go 64
 
 (* solve.* reach budgeted solves only: an unbudgeted solve has no state
-   to perturb, and a pre-started [ctl] (a racing domain's) is passed
-   through without evaluating anything. *)
+   to perturb. *)
 let test_solve_sites_budgeted_only () =
   Failpt.activate ~seed:1;
   Fun.protect ~finally:Failpt.deactivate @@ fun () ->
   Failpt.set "solve.exhaust" "trip";
   Failpt.set "solve.delay" "delay(11)";
   Alcotest.(check bool) "unbudgeted: no state" true (Budget.for_solve () = None);
-  let ctl = Budget.start Budget.unlimited in
-  (match Budget.for_solve ~ctl () with
-  | Some st -> Alcotest.(check bool) "ctl untouched" true (Budget.check st = None)
-  | None -> Alcotest.fail "ctl must be passed through");
   (match Budget.for_solve ~budget:(Budget.make ~max_wall_s:10.0 ()) () with
   | Some st -> (
       match Budget.check st with

@@ -672,6 +672,16 @@ let test_registry_unknown () =
        false
      with Invalid_argument _ -> true)
 
+(* The solver race behind [~portfolio] is gone; asking for it must fail
+   loudly rather than silently run the serial chain. *)
+let test_registry_rejects_portfolio () =
+  let cluster = make_cluster () in
+  Alcotest.(check bool) "portfolio rejected" true
+    (try
+       ignore (Schedulers.Registry.create ~portfolio:true "hire" ~seed:1 cluster);
+       false
+     with Invalid_argument _ -> true)
+
 (* Resources must be fully released once every job has finished. *)
 let test_resources_conserved_after_drain () =
   List.iter
@@ -774,6 +784,7 @@ let () =
           Alcotest.test_case "gang semantics" `Slow test_gang_semantics;
           Alcotest.test_case "csv export" `Slow test_csv_export_row;
           Alcotest.test_case "unknown scheduler" `Quick test_registry_unknown;
+          Alcotest.test_case "portfolio rejected" `Quick test_registry_rejects_portfolio;
           Alcotest.test_case "resources conserved" `Slow test_resources_conserved_after_drain;
         ] );
     ]
