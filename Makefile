@@ -13,12 +13,17 @@ test:
 # modules of lib/prelude and the lib/topology queries they pull in):
 # they walk values structurally and allocate.  Use Int.compare /
 # Float.compare / String.compare and Prelude.Int_tbl instead
-# (docs/PERFORMANCE.md).
+# (docs/PERFORMANCE.md).  lib/hire/flow_network.ml must also not call
+# the Sharing accessors that copy or sort (supported_services,
+# active_services, Sharing.available, Sharing.capacity): it prices
+# switches through Sharing.iter_supporting, n_active and n_supported.
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
 	@! { grep -rn 'Hashtbl\.hash' lib/flow lib/hire lib/prelude lib/topology | grep -v '\[Hashtbl\.hash\]'; } \
 		|| { echo "lint-compare: FAIL (polymorphic Hashtbl.hash above)"; exit 1; }
+	@! grep -nE '(supported_services|active_services|Sharing\.available|Sharing\.capacity)\b' lib/hire/flow_network.ml \
+		|| { echo "lint-compare: FAIL (copying or sorting Sharing accessor in flow_network.ml above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags

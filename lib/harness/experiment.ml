@@ -71,7 +71,7 @@ let prepare ?config spec =
         let topo = Sim.Cluster.topo cluster in
         let sharing = Sim.Cluster.sharing cluster in
         Faults.Plan.generate fs.plan fault_rng
-          ~inc_capable:(fun s -> Hire.Sharing.supported_services sharing s <> [])
+          ~inc_capable:(fun s -> Hire.Sharing.n_supported sharing s > 0)
           ~servers:(Topology.Fat_tree.servers topo)
           ~switches:(Topology.Fat_tree.switches topo)
           ~horizon:spec.horizon)

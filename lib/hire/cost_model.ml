@@ -32,7 +32,17 @@ let default_params =
     server_fallback_penalty = 3.5;
   }
 
-let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
+(* [Float.max 0.0 x] and [Float.max 0.0 (Float.min 1.0 x)] spelt out,
+   NaN passing through and -0.0 becoming 0.0 exactly as there, so that
+   they inline and the shortcut costs below keep their floats unboxed. *)
+let[@inline] nonneg x = if x > 0.0 || Float.is_nan x then x else 0.0
+let[@inline] clamp01 x = nonneg (if x > 1.0 then 1.0 else x)
+
+(* The flattened, penalized and scaled cost of a σ⃗ whose average is
+   [avg] — the last step of every edge cost. *)
+let[@inline] scaled ~avg ~penalty params =
+  let v = (clamp01 avg +. nonneg penalty) *. float_of_int params.cost_scale in
+  int_of_float (Float.round v)
 
 let flatten ?weights components ~penalty params =
   let components = Array.of_list components in
@@ -53,8 +63,7 @@ let flatten ?weights components ~penalty params =
           end
     end
   in
-  let v = (clamp01 avg +. Float.max 0.0 penalty) *. float_of_int params.cost_scale in
-  int_of_float (Float.round v)
+  scaled ~avg ~penalty params
 
 (* ------------------------------------------------------------------ *)
 (* Φ functions                                                        *)
@@ -120,31 +129,83 @@ let phi_xhat ~estimate ~max_estimate =
 
 let balance_inverted util = clamp01 (1.0 -. Vec.stddev util)
 
-(* avg and stddev of the demand-to-availability ratio (d ⊘ r). *)
-let demand_fit ~demand ~available =
-  let ratio = Array.map clamp01 (Vec.div demand available) in
-  (Vec.avg ratio, clamp01 (Vec.stddev ratio))
-
 let ms_to_k ~util params =
   flatten [ Vec.avg util; balance_inverted util ] ~penalty:0.0 params
 
 let mn_to_k ~util ~phi_tor ~phi_floor params =
   flatten [ Vec.avg util; balance_inverted util; phi_tor; phi_floor ] ~penalty:0.0 params
 
+(* The shortcut costs run once per candidate machine per task group, so
+   they are loops over the dimensions instead of [flatten] over fresh
+   vectors.  Each performs the float operations of the list form, in
+   its order: the ratio r = clamp01 (d ⊘ a) (0 where |a| < [Vec.eps]),
+   its mean and population stddev as in [Prelude.Stats], then a
+   left-to-right sum of the σ⃗ components divided by their count and
+   [scaled].  test/test_hire_model.ml checks both bit for bit against
+   that list form. *)
+
+let[@inline] fit_ratio ~demand ~available i =
+  let a = available.(i) in
+  clamp01 (if Float.abs a < Vec.eps then 0.0 else demand.(i) /. a)
+
+(* Mean of r over the dimensions. *)
+let[@inline] fit_avg ~demand ~available n =
+  if n = 0 then 0.0
+  else begin
+    let sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      sum := !sum +. fit_ratio ~demand ~available i
+    done;
+    !sum /. float_of_int n
+  end
+
+(* Clamped population stddev of r around its mean [m]. *)
+let[@inline] fit_dev ~demand ~available ~m n =
+  if n < 2 then 0.0
+  else begin
+    let ss = ref 0.0 in
+    for i = 0 to n - 1 do
+      let x = fit_ratio ~demand ~available i in
+      ss := !ss +. ((x -. m) *. (x -. m))
+    done;
+    clamp01 (sqrt (!ss /. float_of_int n))
+  end
+
+let check_dims name a b =
+  if Array.length a <> Array.length b then
+    invalid_arg (Printf.sprintf "Cost_model.%s: dimension mismatch" name)
+
 let gs_shortcut ~demand ~available ~phi_loc ~phi_prio params =
-  let fit_avg, fit_dev = demand_fit ~demand ~available in
-  flatten [ fit_avg; fit_dev; phi_loc; 1.0; phi_prio ] ~penalty:0.0 params
+  check_dims "gs_shortcut" demand available;
+  let n = Array.length demand in
+  let m = fit_avg ~demand ~available n in
+  let dev = fit_dev ~demand ~available ~m n in
+  let sum = 0.0 +. m +. dev +. phi_loc +. 1.0 +. phi_prio in
+  scaled ~avg:(sum /. 5.0) ~penalty:0.0 params
 
 let gn_shortcut ~demand ~available ~capacity ~phi_loc ~phi_new ~phi_prio params =
-  let fit_avg, fit_dev = demand_fit ~demand ~available in
+  check_dims "gn_shortcut" demand available;
+  check_dims "gn_shortcut" available capacity;
+  let n = Array.length demand in
+  let m = fit_avg ~demand ~available n in
+  let dev = fit_dev ~demand ~available ~m n in
   (* Switches are the scarce resource: unlike servers (load-balanced),
      INC placements are packed best-fit — the cost grows with the
      head-room that would remain, fighting SRAM fragmentation. *)
   let free_after =
-    let remaining = Vec.clamp_nonneg (Vec.sub available demand) in
-    Vec.avg (Vec.div remaining capacity)
+    if n = 0 then 0.0
+    else begin
+      let sum = ref 0.0 in
+      for i = 0 to n - 1 do
+        let remaining = nonneg (available.(i) -. demand.(i)) in
+        let c = capacity.(i) in
+        sum := !sum +. (if Float.abs c < Vec.eps then 0.0 else remaining /. c)
+      done;
+      !sum /. float_of_int n
+    end
   in
-  flatten [ fit_avg; fit_dev; free_after; phi_loc; phi_new; phi_prio ] ~penalty:0.0 params
+  let sum = 0.0 +. m +. dev +. free_after +. phi_loc +. phi_new +. phi_prio in
+  scaled ~avg:(sum /. 6.0) ~penalty:0.0 params
 
 let g_to_p ~phi_delay params = flatten [ phi_delay ] ~penalty:5.0 params
 

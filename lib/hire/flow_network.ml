@@ -337,42 +337,36 @@ let network_shortcuts (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_pr
       ( Vec.zero (Vec.dim ts.tg.Poly_req.demand),
         Vec.add ninfo.Poly_req.per_switch ts.tg.Poly_req.demand )
   in
+  (* The demand a switch is charged: [per_instance] where the service
+     is already registered, [fresh] where the registration comes too
+     (Sharing.effective_demand). *)
+  let fresh = Vec.add per_switch per_instance in
+  let single_tor =
+    match ninfo.Poly_req.shape with
+    | Comp_store.Single_tor -> true
+    | Comp_store.Single | Comp_store.Chain | Comp_store.Tree | Comp_store.Spine_leaf -> false
+  in
   let candidates = ref [] in
-  Array.iter
-    (fun s ->
-      let shape_ok =
-        match ninfo.Poly_req.shape with
-        | Comp_store.Single_tor -> Fat_tree.kind topo s = Fat_tree.Tor
-        | Comp_store.Single | Comp_store.Chain | Comp_store.Tree | Comp_store.Spine_leaf ->
-            true
-      in
+  Sharing.iter_supporting sharing ~service
+    (fun s ~avail ~capacity ~active ~n_active ~n_supported ->
+      let demand = if active then per_instance else fresh in
       if
-        shape_ok
+        ((not single_tor) || Fat_tree.kind topo s = Fat_tree.Tor)
         && (not (List.mem s ts.placed_on))
-        && Sharing.can_place sharing ~switch:s ~service ~per_switch ~per_instance
+        && Vec.fits ~demand ~available:avail
       then begin
-        let effective =
-          Sharing.effective_demand sharing ~switch:s ~service ~per_switch ~per_instance
-        in
-        let available = Sharing.available sharing s in
-        let n_supported = List.length (Sharing.supported_services sharing s) in
         let phi_new =
           if params.sharing_aware then
-            Cost_model.phi_new
-              ~service_active:(Sharing.instances sharing ~switch:s ~service > 0)
-              ~n_active:(Sharing.n_active sharing s)
-              ~max_possible:n_supported
+            Cost_model.phi_new ~service_active:active ~n_active ~max_possible:n_supported
           else 0.5
         in
         let cost =
-          Cost_model.gn_shortcut ~demand:effective ~available
-            ~capacity:(Sharing.capacity sharing)
+          Cost_model.gn_shortcut ~demand ~available:avail ~capacity
             ~phi_loc:(phi_loc_at ctx s)
             ~phi_new ~phi_prio params
         in
         candidates := { target = `Switch s; cap = 1; cost } :: !candidates
-      end)
-    (Sharing.switch_ids sharing);
+      end);
   trim_shortcuts ~params !candidates
 
 (* ------------------------------------------------------------------ *)
@@ -386,7 +380,7 @@ let mn_cost (view : View.t) s (params : Cost_model.params) =
     ~phi_floor:
       (Cost_model.phi_floor_p
          ~active:(Sharing.n_active view.sharing s)
-         ~max_possible:(List.length (Sharing.supported_services view.sharing s)))
+         ~max_possible:(Sharing.n_supported view.sharing s))
     params
 
 (* Rebuild the topology prefix from scratch: sink, machine nodes for
@@ -425,7 +419,7 @@ let build_prefix b (view : View.t) ~big ~(params : Cost_model.params) mk =
     (Fat_tree.switches topo);
   Array.iter
     (fun s ->
-      if view.View.alive s && Sharing.supported_services view.sharing s <> [] then begin
+      if view.View.alive s && Sharing.n_supported view.sharing s > 0 then begin
         let v = mk (Machine_inc s) in
         b.mn_node.(s) <- v;
         ignore (Graph.add_arc g ~src:b.nn_node.(s) ~dst:v ~cap:1 ~cost:0);

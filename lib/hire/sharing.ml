@@ -6,29 +6,38 @@ type sw_state = {
   avail : Vec.t;  (* mutated in place *)
   supported : (string, unit) Hashtbl.t;
   counts : (string, int) Hashtbl.t;  (* running instances per service *)
+  mutable n_active : int;  (* services with a positive count *)
   registered : (string, Vec.t) Hashtbl.t;  (* per-switch part currently charged *)
   mutable alive : bool;  (* fault injection: dead switches host nothing *)
 }
 
-type t = { cap : Vec.t; states : sw_state Int_tbl.t; ids : int array }
+(* [by_index.(i)] is the state of switch [ids.(i)]: the same records
+   as [states], laid out for scans in [ids] order. *)
+type t = { cap : Vec.t; states : sw_state Int_tbl.t; ids : int array; by_index : sw_state array }
 
 let create ~topo ~capacity ~supported =
   let ids = Fat_tree.switches topo in
   let states = Int_tbl.create (Array.length ids) in
-  Array.iter
-    (fun id ->
-      let sup = Hashtbl.create 8 in
-      List.iter (fun s -> Hashtbl.replace sup s ()) (supported id);
-      Int_tbl.replace states id
-        {
-          avail = Vec.copy capacity;
-          supported = sup;
-          counts = Hashtbl.create 4;
-          registered = Hashtbl.create 4;
-          alive = true;
-        })
-    ids;
-  { cap = Vec.copy capacity; states; ids }
+  let by_index =
+    Array.map
+      (fun id ->
+        let sup = Hashtbl.create 8 in
+        List.iter (fun s -> Hashtbl.replace sup s ()) (supported id);
+        let st =
+          {
+            avail = Vec.copy capacity;
+            supported = sup;
+            counts = Hashtbl.create 4;
+            n_active = 0;
+            registered = Hashtbl.create 4;
+            alive = true;
+          }
+        in
+        Int_tbl.replace states id st;
+        st)
+      ids
+  in
+  { cap = Vec.copy capacity; states; ids; by_index }
 
 let state t switch =
   match Int_tbl.find_opt t.states switch with
@@ -57,10 +66,24 @@ let active_services t switch =
   Hashtbl.fold (fun k c acc -> if c > 0 then k :: acc else acc) (state t switch).counts []
   |> List.sort String.compare
 
-let n_active t switch = List.length (active_services t switch)
+let n_active t switch = (state t switch).n_active
+let n_supported t switch = Hashtbl.length (state t switch).supported
 
-let instances t ~switch ~service =
-  match Hashtbl.find_opt (state t switch).counts service with Some c -> c | None -> 0
+(* [Hashtbl.find] rather than [find_opt]: no [Some] box per lookup. *)
+let st_instances st service =
+  match Hashtbl.find st.counts service with c -> c | exception Not_found -> 0
+
+let instances t ~switch ~service = st_instances (state t switch) service
+
+let iter_supporting t ~service f =
+  for i = 0 to Array.length t.by_index - 1 do
+    let st = t.by_index.(i) in
+    if st.alive && Hashtbl.mem st.supported service then
+      f t.ids.(i) ~avail:st.avail ~capacity:t.cap
+        ~active:(st_instances st service > 0)
+        ~n_active:st.n_active
+        ~n_supported:(Hashtbl.length st.supported)
+  done
 
 let effective_demand t ~switch ~service ~per_switch ~per_instance =
   if instances t ~switch ~service > 0 then Vec.copy per_instance
@@ -81,7 +104,8 @@ let place t ~switch ~service ~per_switch ~per_instance =
   Vec.sub_into st.avail per_instance;
   if first then begin
     Vec.sub_into st.avail per_switch;
-    Hashtbl.replace st.registered service (Vec.copy per_switch)
+    Hashtbl.replace st.registered service (Vec.copy per_switch);
+    st.n_active <- st.n_active + 1
   end;
   Hashtbl.replace st.counts service (instances t ~switch ~service + 1)
 
@@ -112,7 +136,8 @@ let release t ~switch ~service ~per_instance =
     | Some reg -> Vec.add_into st.avail reg
     | None -> ());
     Hashtbl.remove st.registered service;
-    Hashtbl.remove st.counts service
+    Hashtbl.remove st.counts service;
+    st.n_active <- st.n_active - 1
   end
   else Hashtbl.replace st.counts service (c - 1);
   check_over_release st t.cap ~switch
@@ -186,6 +211,7 @@ let decode_state t d =
              let s = Dec.string d in
              let c = Dec.uint d in
              (s, c)));
+      st.n_active <- Hashtbl.fold (fun _ c n -> if c > 0 then n + 1 else n) st.counts 0;
       Hashtbl.reset st.registered;
       List.iter (fun (s, v) -> Hashtbl.replace st.registered s v)
         (Dec.list d (fun d ->

@@ -43,8 +43,13 @@ val is_alive : t -> int -> bool
 val set_alive : t -> int -> bool -> unit
 val active_services : t -> int -> string list
 
-(** Number of distinct INC services currently running on the switch. *)
+(** Number of distinct INC services currently running on the switch:
+    [List.length (active_services t switch)], from a counter. *)
 val n_active : t -> int -> int
+
+(** Size of the static capability set: [List.length (supported_services
+    t switch)] without building the list. *)
+val n_supported : t -> int -> int
 
 (** Number of instances of one service on the switch. *)
 val instances : t -> switch:int -> service:string -> int
@@ -78,6 +83,28 @@ val utilization : t -> int -> Vec.t
 val total_used : t -> Vec.t
 
 val switch_ids : t -> int array
+
+(** [iter_supporting t ~service f] calls [f switch ~avail ~capacity
+    ~active ~n_active ~n_supported] for every switch that {!supports}
+    [service], in {!switch_ids} order.  [avail] is the switch's
+    remaining resources and [capacity] the per-switch capacity — the
+    ledger's own vectors, not copies, so [f] must neither mutate nor
+    keep them, and must not change the ledger.  [active] is
+    [instances t ~switch ~service > 0]; [n_active] and [n_supported]
+    are {!n_active} and {!n_supported}.  The pass walks an array of
+    switch states: no per-switch table lookup by id and no
+    allocation. *)
+val iter_supporting :
+  t ->
+  service:string ->
+  (int ->
+  avail:Vec.t ->
+  capacity:Vec.t ->
+  active:bool ->
+  n_active:int ->
+  n_supported:int ->
+  unit) ->
+  unit
 
 (** Journal-checkpoint serialization (docs/JOURNAL.md) of the {e
     dynamic} ledger state only: availability vectors, liveness flags,

@@ -38,11 +38,16 @@ let sub_into acc v =
   check_dims acc v "sub_into";
   Array.iteri (fun i x -> acc.(i) <- acc.(i) -. x) v
 
+(* A loop rather than [Array.iteri]: the candidate scans of the flow
+   network call this once per switch per task group. *)
 let le a b =
   check_dims a b "le";
-  let ok = ref true in
-  Array.iteri (fun i x -> if x > b.(i) +. eps then ok := false) a;
-  !ok
+  let n = Array.length a in
+  let i = ref 0 in
+  while !i < n && not (a.(!i) > b.(!i) +. eps) do
+    incr i
+  done;
+  !i = n
 
 let fits ~demand ~available = le demand available
 

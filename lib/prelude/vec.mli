@@ -6,6 +6,11 @@
 
 type t = float array
 
+(** Tolerance of the comparisons below: {!le} forgives coordinates up
+    to [eps] over, {!div} treats a divisor below [eps] in magnitude as
+    zero, {!is_zero} and {!equal} compare within [eps]. *)
+val eps : float
+
 val create : int -> float -> t
 val of_list : float list -> t
 val dim : t -> int

@@ -101,7 +101,7 @@ let recover_node t node =
 
 let n_inc_capable t =
   Array.fold_left
-    (fun acc s -> if Sharing.supported_services t.sharing s = [] then acc else acc + 1)
+    (fun acc s -> if Sharing.n_supported t.sharing s > 0 then acc + 1 else acc)
     0
     (Fat_tree.switches t.topo)
 let n_servers t = Array.length (Fat_tree.servers t.topo)

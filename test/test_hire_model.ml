@@ -13,6 +13,7 @@ module Cost_model = Hire.Cost_model
 module Pending = Hire.Pending
 module Vec = Prelude.Vec
 module Rng = Prelude.Rng
+module Int_tbl = Prelude.Int_tbl
 module Fat_tree = Topology.Fat_tree
 
 let store = Comp_store.default ()
@@ -535,6 +536,117 @@ let test_sharing_non_switch_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* The counters and the supporting-switch pass against the list
+   accessors they replace, over random ledger histories: places,
+   releases, liveness flips and checkpoint round trips into a fresh
+   ledger with the same capability map. *)
+type sharing_op =
+  | Place of int * int  (* switch index, service index *)
+  | Release of int * int
+  | Set_alive of int * bool
+  | Roundtrip
+
+let sharing_services = [| "netcache"; "netchain"; "sharp" |]
+
+(* Per-service registration and per-instance demands, fixed so that a
+   release refunds exactly what a place charged. *)
+let sharing_demand i =
+  ( Vec.of_list [ 0.0; float_of_int (4 + (2 * i)); 0.0 ],
+    Vec.of_list [ 1.0; 2.0; float_of_int (3 + i) ] )
+
+let sharing_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun sw sv -> Place (sw, sv)) (int_bound 19) (int_bound 2));
+        (3, map2 (fun sw sv -> Release (sw, sv)) (int_bound 19) (int_bound 2));
+        (1, map2 (fun sw b -> Set_alive (sw, b)) (int_bound 19) bool);
+        (1, return Roundtrip);
+      ])
+
+let sharing_op_print = function
+  | Place (sw, sv) -> Printf.sprintf "place(%d,%d)" sw sv
+  | Release (sw, sv) -> Printf.sprintf "release(%d,%d)" sw sv
+  | Set_alive (sw, b) -> Printf.sprintf "alive(%d,%b)" sw b
+  | Roundtrip -> "roundtrip"
+
+let sharing_counters_consistent sh =
+  let ids = Sharing.switch_ids sh in
+  Array.for_all
+    (fun sw ->
+      Sharing.n_active sh sw = List.length (Sharing.active_services sh sw)
+      && Sharing.n_supported sh sw = List.length (Sharing.supported_services sh sw))
+    ids
+  && Array.for_all
+       (fun service ->
+         let visited = ref [] in
+         Sharing.iter_supporting sh ~service
+           (fun sw ~avail ~capacity ~active ~n_active ~n_supported ->
+             visited := (sw, Array.copy avail, Array.copy capacity, active, n_active, n_supported)
+                        :: !visited);
+         let expected =
+           List.filter_map
+             (fun sw ->
+               if Sharing.supports sh ~switch:sw ~service then
+                 Some
+                   ( sw,
+                     Sharing.available sh sw,
+                     Sharing.capacity sh,
+                     Sharing.instances sh ~switch:sw ~service > 0,
+                     Sharing.n_active sh sw,
+                     Sharing.n_supported sh sw )
+               else None)
+             (Array.to_list ids)
+         in
+         List.rev !visited = expected)
+       sharing_services
+
+let prop_sharing_counters =
+  QCheck.Test.make ~name:"n_active, n_supported and iter_supporting match the lists"
+    ~count:200
+    QCheck.(
+      pair (int_bound 1000)
+        (make ~print:(Print.list sharing_op_print) Gen.(list_size (int_range 1 60) sharing_op_gen)))
+    (fun (seed, ops) ->
+      let topo = Fat_tree.create ~k:4 in
+      let ids = Fat_tree.switches topo in
+      (* A random capability map: each switch gets a random subset of
+         the services, possibly none. *)
+      let rng = Rng.create seed in
+      let caps = Int_tbl.create 32 in
+      Array.iter
+        (fun sw ->
+          Int_tbl.replace caps sw
+            (List.filter (fun _ -> Rng.int rng 3 > 0) (Array.to_list sharing_services)))
+        ids;
+      let fresh () =
+        Sharing.create ~topo ~capacity:(Vec.of_list [ 100.0; 48.0; 22.0 ])
+          ~supported:(Int_tbl.find caps)
+      in
+      let sh = ref (fresh ()) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Place (i, v) ->
+              let switch = ids.(i) and service = sharing_services.(v) in
+              let per_switch, per_instance = sharing_demand v in
+              if Sharing.can_place !sh ~switch ~service ~per_switch ~per_instance then
+                Sharing.place !sh ~switch ~service ~per_switch ~per_instance
+          | Release (i, v) ->
+              let switch = ids.(i) and service = sharing_services.(v) in
+              if Sharing.instances !sh ~switch ~service > 0 then
+                Sharing.release !sh ~switch ~service ~per_instance:(snd (sharing_demand v))
+          | Set_alive (i, b) -> Sharing.set_alive !sh ids.(i) b
+          | Roundtrip ->
+              let e = Prelude.Codec.Enc.create () in
+              Sharing.encode_state !sh e;
+              let restored = fresh () in
+              Sharing.decode_state restored
+                (Prelude.Codec.Dec.of_string (Prelude.Codec.Enc.to_string e));
+              sh := restored);
+          sharing_counters_consistent !sh)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Locality                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -743,6 +855,108 @@ let prop_phi_loc_unplaced_neutral =
       in
       Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float 0.5))
 
+(* The shortcut costs as [flatten] over fresh vectors — the form the
+   loops in Cost_model replaced — kept here as their reference. *)
+module Reference_cost = struct
+  let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
+
+  let flatten components ~penalty (params : Cost_model.params) =
+    let components = Array.of_list components in
+    let n = Array.length components in
+    let avg = if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 components /. float_of_int n in
+    let v = (clamp01 avg +. Float.max 0.0 penalty) *. float_of_int params.cost_scale in
+    int_of_float (Float.round v)
+
+  let demand_fit ~demand ~available =
+    let ratio = Array.map clamp01 (Vec.div demand available) in
+    (Vec.avg ratio, clamp01 (Vec.stddev ratio))
+
+  let gs_shortcut ~demand ~available ~phi_loc ~phi_prio params =
+    let fit_avg, fit_dev = demand_fit ~demand ~available in
+    flatten [ fit_avg; fit_dev; phi_loc; 1.0; phi_prio ] ~penalty:0.0 params
+
+  let gn_shortcut ~demand ~available ~capacity ~phi_loc ~phi_new ~phi_prio params =
+    let fit_avg, fit_dev = demand_fit ~demand ~available in
+    let free_after =
+      let remaining = Vec.clamp_nonneg (Vec.sub available demand) in
+      Vec.avg (Vec.div remaining capacity)
+    in
+    flatten [ fit_avg; fit_dev; free_after; phi_loc; phi_new; phi_prio ] ~penalty:0.0 params
+end
+
+(* Coordinates that stress every branch: zero, magnitudes just below and
+   just above [Vec.eps] of either sign, negative values and ordinary
+   ones.  Demands are drawn from the same mix, so they exceed the
+   availability as often as not. *)
+let coord_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return 0.0);
+        (1, return (Vec.eps /. 2.0));
+        (1, return (-.Vec.eps /. 2.0));
+        (1, return (Vec.eps *. 2.0));
+        (2, float_range (-20.0) 0.0);
+        (6, float_range 0.0 60.0);
+      ])
+
+let shortcut_input_gen =
+  QCheck.Gen.(
+    int_range 2 3 >>= fun n ->
+    let vec = array_size (return n) coord_gen in
+    let unit = float_range 0.0 1.0 in
+    map
+      (fun ((demand, available, capacity), (phi_loc, phi_new, phi_prio)) ->
+        (demand, available, capacity, phi_loc, phi_new, phi_prio))
+      (pair (triple vec vec vec) (triple unit unit (oneofl [ 0.0; 1.0 ]))))
+
+let print_shortcut_input (demand, available, capacity, phi_loc, phi_new, phi_prio) =
+  let v a = String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Printf.sprintf "demand [%s] available [%s] capacity [%s] loc %h new %h prio %h" (v demand)
+    (v available) (v capacity) phi_loc phi_new phi_prio
+
+(* With [cost_scale] = 2^61 the scaling is exact and the integer cost
+   keeps every bit of any average above 2^-9: a reordered sum fails
+   there even when the default scale would round it away. *)
+let bitwise_params = { params with Cost_model.cost_scale = 1 lsl 61 }
+
+let prop_shortcut_costs_match_reference =
+  QCheck.Test.make ~name:"gs/gn shortcut loops = flatten over vectors (bitwise)" ~count:2000
+    (QCheck.make ~print:print_shortcut_input shortcut_input_gen)
+    (fun (demand, available, capacity, phi_loc, phi_new, phi_prio) ->
+      List.for_all
+        (fun params ->
+          let gs = Cost_model.gs_shortcut ~demand ~available ~phi_loc ~phi_prio params in
+          let gs_ref =
+            Reference_cost.gs_shortcut ~demand ~available ~phi_loc ~phi_prio params
+          in
+          let gn =
+            Cost_model.gn_shortcut ~demand ~available ~capacity ~phi_loc ~phi_new ~phi_prio
+              params
+          in
+          let gn_ref =
+            Reference_cost.gn_shortcut ~demand ~available ~capacity ~phi_loc ~phi_new
+              ~phi_prio params
+          in
+          (gs = gs_ref && gn = gn_ref)
+          || QCheck.Test.fail_reportf "scale %d: gs %d (reference %d), gn %d (reference %d)"
+               params.Cost_model.cost_scale gs gs_ref gn gn_ref)
+        [ params; bitwise_params ])
+
+(* [flatten] prices every other edge through the same clamp; NaN,
+   infinities and -0.0 included, it must agree with the Stdlib form. *)
+let prop_flatten_matches_reference =
+  let special = QCheck.Gen.oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0 ] in
+  let component = QCheck.Gen.(frequency [ (1, special); (4, float_range (-2.0) 3.0) ]) in
+  QCheck.Test.make ~name:"flatten = Stdlib-clamp reference" ~count:1000
+    QCheck.(
+      make
+        ~print:Print.(pair (list float) float)
+        Gen.(pair (list_size (int_range 0 6) component) component))
+    (fun (components, penalty) ->
+      Cost_model.flatten components ~penalty params
+      = Reference_cost.flatten components ~penalty params)
+
 let test_phi_delay_monotonicity () =
   let base = Cost_model.phi_delay ~waiting:10.0 ~max_waiting:100.0 ~placed:0 ~total:10 in
   let waited = Cost_model.phi_delay ~waiting:50.0 ~max_waiting:100.0 ~placed:0 ~total:10 in
@@ -871,7 +1085,8 @@ let () =
           Alcotest.test_case "release without place" `Quick test_sharing_release_without_place_raises;
           Alcotest.test_case "total used" `Quick test_sharing_total_used;
           Alcotest.test_case "non-switch rejected" `Quick test_sharing_non_switch_rejected;
-        ] );
+        ]
+        @ qt [ prop_sharing_counters ] );
       ( "locality",
         [
           Alcotest.test_case "census counts" `Quick test_census_counts;
@@ -892,7 +1107,12 @@ let () =
           Alcotest.test_case "fallback penalty" `Quick test_fallback_penalty;
           Alcotest.test_case "flatten weights" `Quick test_flatten_weights;
         ]
-        @ qt [ prop_phi_loc_unplaced_neutral ] );
+        @ qt
+            [
+              prop_phi_loc_unplaced_neutral;
+              prop_shortcut_costs_match_reference;
+              prop_flatten_matches_reference;
+            ] );
       ( "pending",
         [
           Alcotest.test_case "lifecycle" `Quick test_pending_lifecycle;

@@ -240,6 +240,154 @@ let test_builder_identity_under_churn () =
   List.iter (fun k -> builder_identity_under_churn ~k) [ 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
+(* Golden network digests                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of everything the solver reads from a built network: every
+   arc's (src, dst, cap, cost) in creation order and every node's
+   supply.  The expected values below were recorded from the
+   list-based shortcut pricing that preceded the allocation-free
+   rewrite; any change to them is a change to the networks HIRE
+   builds. *)
+let network_digest net =
+  let g = Flow_network.graph net in
+  let buf = Buffer.create 4096 in
+  Graph.iter_arcs g (fun a ->
+      Printf.bprintf buf "%d,%d,%d,%d;" (Graph.src g a) (Graph.dst g a) (Graph.capacity g a)
+        (Graph.cost g a));
+  for v = 0 to Graph.node_count g - 1 do
+    Printf.bprintf buf "%d:%d;" v (Graph.supply g v)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Two INC jobs ([service]) interleaved with server-only jobs. *)
+let golden_jobs ?(service = "netchain") () =
+  let ids = Transformer.Id_gen.create () in
+  let rng = Rng.create 11 in
+  List.init 4 (fun i ->
+      let req = if i mod 2 = 0 then inc_req ~service ~n:(3 + i) () else server_only_req 3 in
+      Pending.of_poly
+        (Transformer.transform store ids rng ~job_id:i ~arrival:(float_of_int i) req))
+
+let network_tgs jobs =
+  List.concat_map
+    (fun (j : Pending.job_state) ->
+      List.filter (fun (ts : Pending.tg_state) -> Poly_req.is_network ts.tg)
+        (Array.to_list j.tg_states))
+    jobs
+
+let server_tgs jobs =
+  List.concat_map
+    (fun (j : Pending.job_state) ->
+      List.filter (fun (ts : Pending.tg_state) -> not (Poly_req.is_network ts.tg))
+        (Array.to_list j.tg_states))
+    jobs
+
+let inc_switches cluster =
+  let sharing = Sim.Cluster.sharing cluster in
+  List.filter
+    (fun s -> Hire.Sharing.supported_services sharing s <> [])
+    (Array.to_list (Topology.Fat_tree.switches (Sim.Cluster.topo cluster)))
+
+(* Charge one instance of [ts]'s service on each of [switches] where it
+   fits, as a running task of the group would. *)
+let charge_switches cluster (ts : Pending.tg_state) switches =
+  List.iter
+    (fun sw ->
+      try ignore (Sim.Cluster.place_network_task cluster ~switch:sw ~tg:ts.tg ~shared:true)
+      with Invalid_argument _ -> ())
+    switches
+
+let golden_cases () =
+  let params = Cost_model.default_params in
+  let build ?(params = params) ?census cluster jobs =
+    let view = Sim.Cluster.view cluster in
+    let census =
+      match census with
+      | Some c -> c
+      | None -> Hire.Locality.Task_census.create view.Hire.View.topo
+    in
+    Flow_network.build view census ~jobs ~now:10.0 ~params
+  in
+  let sharing_unaware () =
+    let cluster = make_cluster ~fraction:0.75 () in
+    let jobs = golden_jobs () in
+    let sws = inc_switches cluster in
+    charge_switches cluster (List.hd (network_tgs jobs)) [ List.nth sws 0; List.nth sws 2 ];
+    build ~params:{ params with Cost_model.sharing_aware = false } cluster jobs
+  in
+  let related_placed () =
+    let cluster = make_cluster ~fraction:0.75 () in
+    let topo = Sim.Cluster.topo cluster in
+    let census = Hire.Locality.Task_census.create topo in
+    let jobs = golden_jobs () in
+    let sws = inc_switches cluster in
+    let ntg = List.hd (network_tgs jobs) in
+    let placed = [ List.nth sws 1; List.nth sws 4 ] in
+    charge_switches cluster ntg placed;
+    List.iter
+      (fun sw ->
+        Hire.Locality.Task_census.add census ~tg_id:ntg.tg.Poly_req.tg_id ~machine:sw;
+        ntg.placed_on <- sw :: ntg.placed_on)
+      placed;
+    let stg = List.hd (server_tgs jobs) in
+    let servers = Topology.Fat_tree.servers topo in
+    List.iter
+      (fun s ->
+        Sim.Cluster.place_server_task cluster ~server:s ~demand:stg.tg.Poly_req.demand;
+        Hire.Locality.Task_census.add census ~tg_id:stg.tg.Poly_req.tg_id ~machine:s)
+      [ servers.(0); servers.(5) ];
+    build ~census cluster jobs
+  in
+  let single_tor () =
+    let cluster = make_cluster ~fraction:0.75 () in
+    let jobs = golden_jobs ~service:"netcache" () in
+    let sws = inc_switches cluster in
+    charge_switches cluster (List.hd (network_tgs jobs)) [ List.nth sws 0 ];
+    build cluster jobs
+  in
+  let dead_switch () =
+    let cluster = make_cluster () in
+    let jobs = golden_jobs () in
+    let sws = inc_switches cluster in
+    charge_switches cluster (List.hd (network_tgs jobs)) [ List.nth sws 3 ];
+    Sim.Cluster.fail_node cluster ~time:5.0 (List.nth sws 0);
+    Sim.Cluster.fail_node cluster ~time:5.0 (List.nth sws 6);
+    build cluster jobs
+  in
+  let patched () =
+    let cluster = make_cluster ~fraction:0.75 () in
+    let view = Sim.Cluster.view cluster in
+    let census = Hire.Locality.Task_census.create view.Hire.View.topo in
+    let jobs = golden_jobs () in
+    let builder = Flow_network.create_builder () in
+    ignore (Flow_network.build ~builder view census ~jobs ~now:10.0 ~params);
+    let sws = inc_switches cluster in
+    let ntgs = network_tgs jobs in
+    charge_switches cluster (List.hd ntgs) [ List.nth sws 2; List.nth sws 3 ];
+    charge_switches cluster (List.nth ntgs 1) [ List.nth sws 3 ];
+    let servers = Topology.Fat_tree.servers view.Hire.View.topo in
+    Sim.Cluster.place_server_task cluster ~server:servers.(2)
+      ~demand:(Vec.scale 0.3 (Sim.Cluster.server_capacity cluster));
+    let net = Flow_network.build ~builder view census ~jobs ~now:12.0 ~params in
+    Alcotest.(check bool) "patched, not rebuilt" false (Flow_network.stats net).Flow_network.full;
+    net
+  in
+  [
+    ("sharing-unaware", sharing_unaware, "9afd56ef623031f2e0d6d0b0344aa813");
+    ("related placed", related_placed, "c9c93897b815aa566740e94a20a59f7e");
+    ("single-tor service", single_tor, "e79adac2c3c9af69032945c01e6d0b07");
+    ("dead switches", dead_switch, "4568a82471d66049e5f9acde96fcd364");
+    ("patched build", patched, "22c32c2aa2cc062f2519e2dc6c6db318");
+  ]
+
+let test_golden_network_digests () =
+  List.iter
+    (fun (name, build, expected) ->
+      Alcotest.(check string) name expected (network_digest (build ())))
+    (golden_cases ())
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end property: incremental == full rebuild                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,6 +530,7 @@ let () =
       ( "builder",
         [
           Alcotest.test_case "identity under churn" `Quick test_builder_identity_under_churn;
+          Alcotest.test_case "golden network digests" `Quick test_golden_network_digests;
         ] );
       ( "end-to-end",
         qt [ prop_incremental_identical ]
