@@ -17,6 +17,11 @@ test:
 # the Sharing accessors that copy or sort (supported_services,
 # active_services, Sharing.available, Sharing.capacity): it prices
 # switches through Sharing.iter_supporting, n_active and n_supported.
+# In lib/flow/mcmf.ml, the fast SSP Dijkstra bodies (from `let
+# dijkstra_fast_heap` up to `let solve`) and `decompose` (to the end of
+# the file) must not call Graph.iter_out or Graph.fold_out: they walk
+# the forward chains and the live twins through Graph.Raw, without a
+# closure and without visiting zero-capacity twins.
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -24,6 +29,9 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (polymorphic Hashtbl.hash above)"; exit 1; }
 	@! grep -nE '(supported_services|active_services|Sharing\.available|Sharing\.capacity)\b' lib/hire/flow_network.ml \
 		|| { echo "lint-compare: FAIL (copying or sorting Sharing accessor in flow_network.ml above)"; exit 1; }
+	@! { sed -n '/^let dijkstra_fast_heap/,/^let solve/p;/^let decompose/,$$p' lib/flow/mcmf.ml \
+		| grep -nE 'Graph\.(iter_out|fold_out)'; } \
+		|| { echo "lint-compare: FAIL (full residual scan in the fast SSP or decompose above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags

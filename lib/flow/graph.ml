@@ -2,6 +2,16 @@
    user arc, arc 2k+1 its residual twin.  All per-arc attributes live in
    growable parallel int arrays.
 
+   Each node has two adjacency chains sharing one [next] array: its
+   forward arcs link from [head], the residual twins leaving it from
+   [in_head].  An arc is prepended to its chain when it is created and
+   [release] only drops the newest ids, so both chains run in decreasing
+   arc id, and merging them by id ([iter_out]) yields the order a single
+   list of all residual arcs would have.  The SSP solver walks the
+   forward chain alone plus the twins it knows to have capacity
+   (lib/flow/mcmf.ml), skipping the zero-capacity twins that make up
+   most of a scheduling network's residual arcs.
+
    The arena is designed for reuse across solver rounds: [clear] empties
    it without freeing, and [mark]/[release] snapshot and restore a
    prefix so a persistent caller (lib/hire/flow_network.ml) can keep a
@@ -12,9 +22,10 @@ type arc = int
 type t = {
   mutable n : int;                 (* node count *)
   mutable m : int;                 (* residual arc count = 2 * forward arcs *)
-  mutable head : int array;        (* first outgoing residual arc per node, -1 if none *)
+  mutable head : int array;        (* first forward arc leaving the node, -1 if none *)
+  mutable in_head : int array;     (* first residual twin leaving the node, -1 if none *)
   mutable supply_arr : int array;
-  mutable next : int array;        (* next residual arc in the forward star *)
+  mutable next : int array;        (* next arc of the same chain, -1 at the end *)
   mutable to_ : int array;         (* arc destination *)
   mutable cap : int array;         (* remaining residual capacity *)
   mutable cost_arr : int array;
@@ -38,6 +49,7 @@ let create ?(node_hint = 16) ?(arc_hint = 64) () =
     n = 0;
     m = 0;
     head = Array.make node_hint (-1);
+    in_head = Array.make node_hint (-1);
     supply_arr = Array.make node_hint 0;
     next = Array.make arc_hint (-1);
     to_ = Array.make arc_hint 0;
@@ -67,6 +79,7 @@ let ensure_node_capacity t len =
   if Array.length t.head < len then begin
     let cap = max len (2 * Array.length t.head) in
     t.head <- grow_int_array t.head cap (-1);
+    t.in_head <- grow_int_array t.in_head cap (-1);
     t.supply_arr <- grow_int_array t.supply_arr cap 0
   end
 
@@ -84,6 +97,7 @@ let add_node t =
   ensure_node_capacity t (t.n + 1);
   let id = t.n in
   t.head.(id) <- -1;
+  t.in_head.(id) <- -1;
   t.supply_arr.(id) <- 0;
   t.n <- t.n + 1;
   id
@@ -109,8 +123,14 @@ let add_half t ~src ~dst ~cap ~cost =
   t.cap.(a) <- cap;
   t.orig_cap.(a) <- cap;
   t.cost_arr.(a) <- cost;
-  t.next.(a) <- t.head.(src);
-  t.head.(src) <- a;
+  if a land 1 = 0 then begin
+    t.next.(a) <- t.head.(src);
+    t.head.(src) <- a
+  end
+  else begin
+    t.next.(a) <- t.in_head.(src);
+    t.in_head.(src) <- a
+  end;
   t.m <- t.m + 1;
   a
 
@@ -244,7 +264,8 @@ let set_cap t a c =
 let retire_node t v =
   check_node t v "retire_node";
   t.supply_arr.(v) <- 0;
-  t.head.(v) <- -1
+  t.head.(v) <- -1;
+  t.in_head.(v) <- -1
 
 let clear t =
   t.n <- 0;
@@ -257,19 +278,21 @@ type mark = {
   mk_n : int;
   mk_m : int;
   mk_head : int array;
+  mk_in_head : int array;
   mk_supply : int array;
   mk_n_negative : int;
 }
 
-(* The head-array prefix must be part of the snapshot: residual twins of
-   later (suffix) arcs are linked into the adjacency lists of earlier
-   nodes, so truncating [m] alone would leave dangling arc ids at the
-   front of those lists. *)
+(* Both head-array prefixes must be part of the snapshot: suffix arcs
+   leave earlier nodes (forward chains) and their residual twins are
+   linked into the chains of earlier nodes too, so truncating [m] alone
+   would leave dangling arc ids at the front of those chains. *)
 let mark t =
   {
     mk_n = t.n;
     mk_m = t.m;
     mk_head = Array.sub t.head 0 t.n;
+    mk_in_head = Array.sub t.in_head 0 t.n;
     mk_supply = Array.sub t.supply_arr 0 t.n;
     mk_n_negative = t.n_negative;
   }
@@ -280,6 +303,7 @@ let release t mk =
   t.n <- mk.mk_n;
   t.m <- mk.mk_m;
   Array.blit mk.mk_head 0 t.head 0 mk.mk_n;
+  Array.blit mk.mk_in_head 0 t.in_head 0 mk.mk_n;
   Array.blit mk.mk_supply 0 t.supply_arr 0 mk.mk_n;
   t.n_negative <- mk.mk_n_negative
 
@@ -293,6 +317,7 @@ let copy t =
     n = t.n;
     m = t.m;
     head = Array.sub t.head 0 t.n;
+    in_head = Array.sub t.in_head 0 t.n;
     supply_arr = Array.sub t.supply_arr 0 t.n;
     next = Array.sub t.next 0 t.m;
     to_ = Array.sub t.to_ 0 t.m;
@@ -309,12 +334,23 @@ let copy t =
     cost_ub = t.cost_ub;
   }
 
+(* Merge of the two chains by decreasing id.  A forward and a twin id
+   never tie (even vs odd), and an exhausted chain reads -1, below every
+   id of the other. *)
 let iter_out t v f =
   check_node t v "iter_out";
-  let a = ref t.head.(v) in
-  while !a >= 0 do
-    f !a;
-    a := t.next.(!a)
+  let a = ref t.head.(v) and b = ref t.in_head.(v) in
+  while !a >= 0 || !b >= 0 do
+    if !a > !b then begin
+      let x = !a in
+      a := t.next.(x);
+      f x
+    end
+    else begin
+      let x = !b in
+      b := t.next.(x);
+      f x
+    end
   done
 
 let fold_out t v init f =
@@ -328,6 +364,14 @@ let iter_arcs t f =
     f !a;
     a := !a + 2
   done
+
+module Raw = struct
+  let forward_head t = t.head
+  let next t = t.next
+  let dst t = t.to_
+  let cap t = t.cap
+  let cost t = t.cost_arr
+end
 
 let reset_flows t =
   for a = 0 to t.m - 1 do

@@ -125,11 +125,36 @@ val mark : t -> mark
 val release : t -> mark -> unit
 
 (** [iter_out t v f] applies [f] to every residual arc (forward and
-    reverse) leaving [v]. *)
+    reverse) leaving [v], in {e decreasing arc id}.  The set is every
+    arc whose source is [v], created since [v] was added or last
+    {!retire_node}d (as restored by {!release}).  The order is a
+    contract: solvers break ties between equally cheap arcs by scan
+    order, so their flows depend on it. *)
 val iter_out : t -> int -> (arc -> unit) -> unit
 
-(** [fold_out t v init f] folds over residual arcs leaving [v]. *)
+(** [fold_out t v init f] folds over residual arcs leaving [v], in the
+    order of {!iter_out}. *)
 val fold_out : t -> int -> 'a -> ('a -> arc -> 'a) -> 'a
+
+(** {2 Raw adjacency (internal to lib/flow)}
+
+    Closure-free read access for the SSP hot path (lib/flow/mcmf.ml);
+    code outside lib/flow and its tests uses the accessors above.
+    Each node has two chains threaded through one [next] array, both
+    in decreasing arc id: its forward arcs (even ids), which start at
+    [forward_head.(v)], and the residual twins leaving it (odd ids);
+    -1 ends a chain.  {!iter_out} is the merge of the two by
+    decreasing id.  The arrays are the live backing store, indexed by
+    node or arc id: read them only, and only until the next call that
+    adds a node or an arc (which may reallocate them).  [cap] holds
+    residual capacities. *)
+module Raw : sig
+  val forward_head : t -> int array
+  val next : t -> int array
+  val dst : t -> int array
+  val cap : t -> int array
+  val cost : t -> int array
+end
 
 (** [iter_arcs t f] applies [f] to every forward arc. *)
 val iter_arcs : t -> (arc -> unit) -> unit

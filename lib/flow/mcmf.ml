@@ -1,7 +1,6 @@
 module Heap = Prelude.Heap
 module Bucket_queue = Prelude.Bucket_queue
 module Clock = Prelude.Clock
-module Int_tbl = Prelude.Int_tbl
 
 type result = {
   shipped : int;
@@ -37,7 +36,18 @@ let bucket_cost_limit = 1 lsl 16
 
    [dist]/[parent] entries are valid only where [stamp] holds the
    current [gen] — bumping [gen] invalidates both arrays in O(1),
-   replacing the per-Dijkstra O(n) fills of the classic path. *)
+   replacing the per-Dijkstra O(n) fills of the classic path.
+
+   [live_head] lists, per node and in decreasing arc id, the residual
+   twins (odd arc ids) leaving it that have had capacity at some point
+   of the current solve — a superset of its {e live twins}, those whose
+   residual capacity is above 0 now.  A twin that a push drains stays
+   listed, and the scan rejects it as a full scan would.  List entries
+   come from a pool ([live_arc] holds an entry's twin, [live_next] the
+   next entry), so the lists cost memory in proportion to the twins a
+   solve lifts, not to the arc count.  The fast Dijkstra scans a node's
+   forward chain merged with its list instead of every residual arc
+   (see [dijkstra_fast_heap]). *)
 type scratch = {
   mutable excess : int array;
   mutable pot : int array;
@@ -49,6 +59,10 @@ type scratch = {
   mutable n_settled : int;
   mutable sources : int array;  (* compact positive-excess node list *)
   mutable n_sources : int;
+  mutable live_head : int array;  (* per node: first entry of its list, -1 if none *)
+  mutable live_arc : int array;   (* per entry: its twin's arc id *)
+  mutable live_next : int array;  (* per entry: next entry, -1 at the end *)
+  mutable live_used : int;        (* entries taken from the pool by this solve *)
   heap : Heap.Int_pair.t;
   bucket : Bucket_queue.t;
 }
@@ -65,6 +79,10 @@ let scratch () =
     n_settled = 0;
     sources = [||];
     n_sources = 0;
+    live_head = [||];
+    live_arc = [||];
+    live_next = [||];
+    live_used = 0;
     heap = Heap.Int_pair.create ();
     bucket = Bucket_queue.create ();
   }
@@ -79,6 +97,7 @@ let ensure_scratch s n =
     s.stamp <- Array.make cap 0;
     s.settled <- Array.make cap 0;
     s.sources <- Array.make cap 0;
+    s.live_head <- Array.make cap (-1);
     (* Fresh stamps read as stale for any positive generation. *)
     s.gen <- max 1 s.gen
   end
@@ -177,6 +196,59 @@ let compact_sources s =
     end
   done
 
+(* Live twins.  The pool grows by doubling and is reused across
+   solves, so a warm solve takes entries without allocating. *)
+let live_alloc s =
+  let e = s.live_used in
+  if e = Array.length s.live_arc then begin
+    let cap = max 64 (2 * e) in
+    let grow a =
+      let b = Array.make cap (-1) in
+      Array.blit a 0 b 0 e;
+      b
+    in
+    s.live_arc <- grow s.live_arc;
+    s.live_next <- grow s.live_next
+  end;
+  s.live_used <- e + 1;
+  e
+
+(* [live_insert s u t] lists twin [t], whose residual capacity has just
+   risen above 0, under its source [u] at its place in decreasing id
+   order, unless a drain earlier in the solve left it listed. *)
+let live_insert s u t =
+  let prev = ref (-1) and cur = ref s.live_head.(u) in
+  while !cur >= 0 && s.live_arc.(!cur) > t do
+    prev := !cur;
+    cur := s.live_next.(!cur)
+  done;
+  if !cur < 0 || s.live_arc.(!cur) <> t then begin
+    let e = live_alloc s in
+    s.live_arc.(e) <- t;
+    s.live_next.(e) <- !cur;
+    if !prev >= 0 then s.live_next.(!prev) <- e else s.live_head.(u) <- e
+  end
+
+(* Seed the lists from the twins that already have capacity — none when
+   the solve starts from the zero flow, as every scheduling round does.
+   Walking twin ids upwards and prepending leaves each list in
+   decreasing id order. *)
+let seed_live s g n =
+  Array.fill s.live_head 0 n (-1);
+  s.live_used <- 0;
+  let cap = Graph.Raw.cap g and dst = Graph.Raw.dst g in
+  let m = 2 * Graph.arc_count g in
+  let t = ref 1 in
+  while !t < m do
+    if cap.(!t) > 0 then begin
+      let u = dst.(!t - 1) and e = live_alloc s in
+      s.live_arc.(e) <- !t;
+      s.live_next.(e) <- s.live_head.(u);
+      s.live_head.(u) <- e
+    end;
+    t := !t + 2
+  done
+
 (* One Dijkstra pass that stops at the first settled deficit node and
    returns it (-1 when no deficit is reachable).  Because settling
    follows the canonical (dist, node) order, the returned target is
@@ -185,12 +257,22 @@ let compact_sources s =
    parent chain above it is final at that point.  [dist]/[parent] are
    stamped with [s.gen]; everything else in them is garbage.
 
+   A settled node's scan walks its forward chain merged, by decreasing
+   arc id, with its listed twins: every arc leaving it that has residual
+   capacity, in the order {!Graph.iter_out} would visit them, minus
+   zero-capacity twins that could never be relaxed.  The relaxations
+   are therefore exactly those of a full residual scan, in the same
+   order (docs/PERFORMANCE.md, "Why the scan is exact").
+
    The two bodies below are identical except for the queue type; they
-   are kept monomorphic (no first-class module) to avoid indirect calls
-   in the innermost loop. *)
+   are kept monomorphic (no first-class module, no closure per settled
+   node) to avoid indirect calls in the innermost loop. *)
 let dijkstra_fast_heap g s =
   let excess = s.excess and pot = s.pot and dist = s.dist in
   let parent = s.parent and stamp = s.stamp in
+  let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
+  let live = s.live_head and live_arc = s.live_arc and live_next = s.live_next in
+  let dst = Graph.Raw.dst g and cap = Graph.Raw.cap g and cost = Graph.Raw.cost g in
   let gen = s.gen in
   let h = s.heap in
   Heap.Int_pair.clear h;
@@ -213,20 +295,40 @@ let dijkstra_fast_heap g s =
       s.settled.(s.n_settled) <- v;
       s.n_settled <- s.n_settled + 1;
       if excess.(v) < 0 then target := v
-      else
-        Graph.iter_out g v (fun a ->
-            if Graph.residual_cap g a > 0 then begin
-              let u = Graph.dst g a in
-              let rc = Graph.cost g a + pot.(v) - pot.(u) in
-              let rc = if rc < 0 then 0 else rc in
-              let nd = d + rc in
-              if nd < (if stamp.(u) = gen then dist.(u) else infinity_dist) then begin
-                dist.(u) <- nd;
-                parent.(u) <- a;
-                stamp.(u) <- gen;
-                Heap.Int_pair.push h nd u
-              end
-            end)
+      else begin
+        let pv = pot.(v) in
+        (* [a]: next forward arc; [e]: next live-twin entry, whose
+           twin is [b] (-1 at the end of either). *)
+        let a = ref fwd.(v) and e = ref live.(v) in
+        let b = ref (if !e >= 0 then live_arc.(!e) else -1) in
+        while !a >= 0 || !b >= 0 do
+          let arc =
+            if !a > !b then begin
+              let x = !a in
+              a := next.(x);
+              x
+            end
+            else begin
+              let x = !b in
+              e := live_next.(!e);
+              b := if !e >= 0 then live_arc.(!e) else -1;
+              x
+            end
+          in
+          if cap.(arc) > 0 then begin
+            let u = dst.(arc) in
+            let rc = cost.(arc) + pv - pot.(u) in
+            let rc = if rc < 0 then 0 else rc in
+            let nd = d + rc in
+            if nd < (if stamp.(u) = gen then dist.(u) else infinity_dist) then begin
+              dist.(u) <- nd;
+              parent.(u) <- arc;
+              stamp.(u) <- gen;
+              Heap.Int_pair.push h nd u
+            end
+          end
+        done
+      end
     end
   done;
   !target
@@ -234,6 +336,9 @@ let dijkstra_fast_heap g s =
 let dijkstra_fast_bucket g s =
   let excess = s.excess and pot = s.pot and dist = s.dist in
   let parent = s.parent and stamp = s.stamp in
+  let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
+  let live = s.live_head and live_arc = s.live_arc and live_next = s.live_next in
+  let dst = Graph.Raw.dst g and cap = Graph.Raw.cap g and cost = Graph.Raw.cost g in
   let gen = s.gen in
   let q = s.bucket in
   Bucket_queue.clear q;
@@ -254,20 +359,40 @@ let dijkstra_fast_bucket g s =
       s.settled.(s.n_settled) <- v;
       s.n_settled <- s.n_settled + 1;
       if excess.(v) < 0 then target := v
-      else
-        Graph.iter_out g v (fun a ->
-            if Graph.residual_cap g a > 0 then begin
-              let u = Graph.dst g a in
-              let rc = Graph.cost g a + pot.(v) - pot.(u) in
-              let rc = if rc < 0 then 0 else rc in
-              let nd = d + rc in
-              if nd < (if stamp.(u) = gen then dist.(u) else infinity_dist) then begin
-                dist.(u) <- nd;
-                parent.(u) <- a;
-                stamp.(u) <- gen;
-                Bucket_queue.push q nd u
-              end
-            end)
+      else begin
+        let pv = pot.(v) in
+        (* [a]: next forward arc; [e]: next live-twin entry, whose
+           twin is [b] (-1 at the end of either). *)
+        let a = ref fwd.(v) and e = ref live.(v) in
+        let b = ref (if !e >= 0 then live_arc.(!e) else -1) in
+        while !a >= 0 || !b >= 0 do
+          let arc =
+            if !a > !b then begin
+              let x = !a in
+              a := next.(x);
+              x
+            end
+            else begin
+              let x = !b in
+              e := live_next.(!e);
+              b := if !e >= 0 then live_arc.(!e) else -1;
+              x
+            end
+          in
+          if cap.(arc) > 0 then begin
+            let u = dst.(arc) in
+            let rc = cost.(arc) + pv - pot.(u) in
+            let rc = if rc < 0 then 0 else rc in
+            let nd = d + rc in
+            if nd < (if stamp.(u) = gen then dist.(u) else infinity_dist) then begin
+              dist.(u) <- nd;
+              parent.(u) <- arc;
+              stamp.(u) <- gen;
+              Bucket_queue.push q nd u
+            end
+          end
+        done
+      end
     end
   done;
   !target
@@ -278,16 +403,12 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
   (* Read the obs flag exactly once, so a solve either reports all of
      its stages or none of them. *)
   let instrument = Obs.enabled () in
+  (* Stage timers.  They wrap no closure around the timed code, so with
+     Obs disabled a stage costs two [instrument] tests and no
+     allocation. *)
   let t_spfa = ref 0.0 and t_dijkstra = ref 0.0 and t_augment = ref 0.0 in
-  let staged acc f =
-    if instrument then begin
-      let s0 = Clock.now () in
-      let r = f () in
-      acc := !acc +. (Clock.now () -. s0);
-      r
-    end
-    else f ()
-  in
+  let stage_start () = if instrument then Clock.now () else 0.0 in
+  let stage_end acc s0 = if instrument then acc := !acc +. (Clock.now () -. s0) in
   let n = Graph.node_count g in
   let s, scratch_reused =
     match s with
@@ -309,7 +430,9 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
      O(m) rescan here). *)
   Array.fill pot 0 n 0;
   if Graph.has_negative_cost g then begin
-    let bf = staged t_spfa (fun () -> spfa g excess) in
+    let s0 = stage_start () in
+    let bf = spfa g excess in
+    stage_end t_spfa s0;
     for v = 0 to n - 1 do
       if bf.(v) < infinity_dist then pot.(v) <- bf.(v)
     done
@@ -354,6 +477,8 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
   let continue_ = ref (!remaining > 0) in
   (match algo with
   | Fast ->
+      seed_live s g n;
+      let cap = Graph.Raw.cap g and dst = Graph.Raw.dst g in
       while !continue_ do
         (* Budget checked at augmentation boundaries: an SSP prefix is a
            valid min-cost flow for its value, so stopping here leaves a
@@ -361,52 +486,55 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
         if not (within_budget ()) then continue_ := false
         else begin
           s.gen <- s.gen + 1;
-          let target =
-            staged t_dijkstra (fun () ->
-                if use_bucket then dijkstra_fast_bucket g s else dijkstra_fast_heap g s)
-          in
+          let s0 = stage_start () in
+          let target = if use_bucket then dijkstra_fast_bucket g s else dijkstra_fast_heap g s in
+          stage_end t_dijkstra s0;
           if target < 0 then continue_ := false
-          else
-            staged t_augment (fun () ->
-                let d_target = dist.(target) in
-                (* Bottleneck along the path back to whichever source
-                   started it; every node on it is settled, so the
-                   parent chain is final. *)
-                let bottleneck = ref (-excess.(target)) in
-                let v = ref target in
-                while parent.(!v) >= 0 do
-                  let a = parent.(!v) in
-                  if Graph.residual_cap g a < !bottleneck then
-                    bottleneck := Graph.residual_cap g a;
-                  v := Graph.src g a
-                done;
-                let source = !v in
-                if excess.(source) < !bottleneck then bottleneck := excess.(source);
-                let amount = !bottleneck in
-                let v = ref target in
-                while parent.(!v) >= 0 do
-                  let a = parent.(!v) in
-                  Graph.push g a amount;
-                  v := Graph.src g a
-                done;
-                excess.(source) <- excess.(source) - amount;
-                excess.(target) <- excess.(target) + amount;
-                shipped := !shipped + amount;
-                remaining := !remaining - amount;
-                incr augmentations;
-                (match bstate with Some st -> Budget.spend st 1 | None -> ());
-                (* Settled-only Johnson update: π(u) += dist(u) − D
-                   keeps every residual reduced cost non-negative
-                   (settled→settled arcs are unchanged relative shifts;
-                   settled→unsettled arcs gain dist(u) − D ≥ dist(w) − D
-                   ≥ 0 slack from the relaxation at u's settle time;
-                   unsettled→settled arcs gain D − dist(w) ≥ 0), while
-                   leaving unreached potentials untouched. *)
-                for i = 0 to s.n_settled - 1 do
-                  let u = s.settled.(i) in
-                  pot.(u) <- pot.(u) + dist.(u) - d_target
-                done;
-                if !remaining = 0 then continue_ := false)
+          else begin
+            let s0 = stage_start () in
+            let d_target = dist.(target) in
+            (* Bottleneck along the path back to whichever source
+               started it; every node on it is settled, so the parent
+               chain is final. *)
+            let bottleneck = ref (-excess.(target)) in
+            let v = ref target in
+            while parent.(!v) >= 0 do
+              let a = parent.(!v) in
+              if cap.(a) < !bottleneck then bottleneck := cap.(a);
+              v := dst.(a lxor 1)
+            done;
+            let source = !v in
+            if excess.(source) < !bottleneck then bottleneck := excess.(source);
+            let amount = !bottleneck in
+            (* [amount] > 0, so a forward push lifts its twin from 0
+               exactly when the twin now holds [amount]. *)
+            let v = ref target in
+            while parent.(!v) >= 0 do
+              let a = parent.(!v) in
+              Graph.push g a amount;
+              if a land 1 = 0 && cap.(a + 1) = amount then live_insert s dst.(a) (a + 1);
+              v := dst.(a lxor 1)
+            done;
+            excess.(source) <- excess.(source) - amount;
+            excess.(target) <- excess.(target) + amount;
+            shipped := !shipped + amount;
+            remaining := !remaining - amount;
+            incr augmentations;
+            (match bstate with Some st -> Budget.spend st 1 | None -> ());
+            (* Settled-only Johnson update: π(u) += dist(u) − D keeps
+               every residual reduced cost non-negative (settled→settled
+               arcs are unchanged relative shifts; settled→unsettled
+               arcs gain dist(u) − D ≥ dist(w) − D ≥ 0 slack from the
+               relaxation at u's settle time; unsettled→settled arcs
+               gain D − dist(w) ≥ 0), while leaving unreached potentials
+               untouched. *)
+            for i = 0 to s.n_settled - 1 do
+              let u = s.settled.(i) in
+              pot.(u) <- pot.(u) + dist.(u) - d_target
+            done;
+            stage_end t_augment s0;
+            if !remaining = 0 then continue_ := false
+          end
         end
       done
   | Classic ->
@@ -420,7 +548,9 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
       while !continue_ do
         if not (within_budget ()) then continue_ := false
         else begin
-          staged t_dijkstra (fun () -> dijkstra_classic g excess pot dist parent s.heap);
+          let s0 = stage_start () in
+          dijkstra_classic g excess pot dist parent s.heap;
+          stage_end t_dijkstra s0;
           (* Nearest reachable deficit node. *)
           let best = ref (-1) in
           for v = 0 to n - 1 do
@@ -430,36 +560,37 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
           match !best with
           | -1 -> continue_ := false
           | target ->
-              staged t_augment (fun () ->
-                  let bottleneck = ref (-excess.(target)) in
-                  let v = ref target in
-                  while parent.(!v) >= 0 do
-                    let a = parent.(!v) in
-                    if Graph.residual_cap g a < !bottleneck then
-                      bottleneck := Graph.residual_cap g a;
-                    v := Graph.src g a
-                  done;
-                  let source = !v in
-                  if excess.(source) < !bottleneck then bottleneck := excess.(source);
-                  let amount = !bottleneck in
-                  let v = ref target in
-                  while parent.(!v) >= 0 do
-                    let a = parent.(!v) in
-                    Graph.push g a amount;
-                    v := Graph.src g a
-                  done;
-                  excess.(source) <- excess.(source) - amount;
-                  excess.(target) <- excess.(target) + amount;
-                  shipped := !shipped + amount;
-                  remaining := !remaining - amount;
-                  incr augmentations;
-                  (match bstate with Some st -> Budget.spend st 1 | None -> ());
-                  (* Johnson potential update keeps reduced costs
-                     non-negative. *)
-                  for u = 0 to n - 1 do
-                    if dist.(u) < infinity_dist then pot.(u) <- pot.(u) + dist.(u)
-                  done;
-                  if remaining_supply () = 0 then continue_ := false)
+              let s0 = stage_start () in
+              let bottleneck = ref (-excess.(target)) in
+              let v = ref target in
+              while parent.(!v) >= 0 do
+                let a = parent.(!v) in
+                if Graph.residual_cap g a < !bottleneck then
+                  bottleneck := Graph.residual_cap g a;
+                v := Graph.src g a
+              done;
+              let source = !v in
+              if excess.(source) < !bottleneck then bottleneck := excess.(source);
+              let amount = !bottleneck in
+              let v = ref target in
+              while parent.(!v) >= 0 do
+                let a = parent.(!v) in
+                Graph.push g a amount;
+                v := Graph.src g a
+              done;
+              excess.(source) <- excess.(source) - amount;
+              excess.(target) <- excess.(target) + amount;
+              shipped := !shipped + amount;
+              remaining := !remaining - amount;
+              incr augmentations;
+              (match bstate with Some st -> Budget.spend st 1 | None -> ());
+              (* Johnson potential update keeps reduced costs
+                 non-negative. *)
+              for u = 0 to n - 1 do
+                if dist.(u) < infinity_dist then pot.(u) <- pot.(u) + dist.(u)
+              done;
+              stage_end t_augment s0;
+              if remaining_supply () = 0 then continue_ := false
         end
       done);
   let degraded = !exhausted <> None in
@@ -501,54 +632,99 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
 
 type path = { nodes : int list; amount : int }
 
+(* Paths are peeled off the flow by walking forward arcs only.  Each
+   node keeps a cursor into its forward chain: the first arc, in chain
+   order, that may still carry flow no earlier path has consumed, and
+   [used] is how much of that arc's flow earlier paths consumed.  A walk
+   always leaves a node by its cursor arc, so the path under
+   construction is the chain of cursor arcs from its source, and
+   consumption only ever lands on cursor arcs; an arc whose flow is
+   used up never regains any, so cursors only move down their chains.
+   Every array is per node — nothing is sized by the arc count.
+
+   A walk that reaches a node already on its path has closed a flow
+   cycle (a solve may leave flow on both arcs of a zero-cost
+   antiparallel pair).  The cycle's bottleneck is consumed from every
+   arc of the cycle, which keeps the remaining flow a conserving one,
+   and the walk resumes from that node.  Each cancellation consumes at
+   least one unit, so every walk ends. *)
 let decompose g =
   let n = Graph.node_count g in
-  (* Remaining flow per forward arc, consumed as paths are peeled off. *)
-  let rem = Int_tbl.create 256 in
-  Graph.iter_arcs g (fun a ->
-      let f = Graph.flow g a in
-      if f > 0 then Int_tbl.replace rem a f);
-  let rem_supply = Array.init n (fun v -> max 0 (Graph.supply g v)) in
-  let rem_demand = Array.init n (fun v -> max 0 (-Graph.supply g v)) in
+  let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
+  let dst = Graph.Raw.dst g in
+  let cursor = Array.sub fwd 0 n and used = Array.make n 0 in
+  (* Remaining supply (> 0) or demand (< 0) per node. *)
+  let balance = Array.init n (Graph.supply g) in
+  let on_path = Bytes.make n '\000' in
+  let remaining v = Graph.flow g cursor.(v) - used.(v) in
   let out_with_flow v =
-    Graph.fold_out g v None (fun acc a ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            if Graph.is_forward a && Int_tbl.mem rem a && Int_tbl.find rem a > 0 then Some a
-            else None)
+    while cursor.(v) >= 0 && remaining v <= 0 do
+      cursor.(v) <- next.(cursor.(v));
+      used.(v) <- 0
+    done;
+    cursor.(v)
+  in
+  (* Follow cursor arcs from [first] until [last], consuming [amount]
+     from each and clearing the on-path mark of every node left. *)
+  let consume first last amount =
+    let v = ref first in
+    while !v <> last do
+      let u = dst.(cursor.(!v)) in
+      used.(!v) <- used.(!v) + amount;
+      Bytes.set on_path !v '\000';
+      v := u
+    done
   in
   let paths = ref [] in
   for source = 0 to n - 1 do
-    while rem_supply.(source) > 0 && out_with_flow source <> None do
-      (* Walk positive-flow arcs until we hit a node with remaining
-         demand and no further mandatory outflow, collecting the
-         bottleneck. *)
-      let rec walk v acc_nodes acc_arcs bottleneck =
-        if rem_demand.(v) > 0 then (List.rev (v :: acc_nodes), List.rev acc_arcs, min bottleneck rem_demand.(v))
-        else
-          match out_with_flow v with
-          | None ->
-              (* Conservation guarantees this only happens at a demand
-                 node; treat as sink with whatever bottleneck we have. *)
-              (List.rev (v :: acc_nodes), List.rev acc_arcs, bottleneck)
-          | Some a ->
-              let f = Int_tbl.find rem a in
-              walk (Graph.dst g a) (v :: acc_nodes) (a :: acc_arcs) (min bottleneck f)
-      in
-      let nodes, arcs, bottleneck = walk source [] [] rem_supply.(source) in
-      if bottleneck <= 0 || arcs = [] then rem_supply.(source) <- 0 (* degenerate; stop *)
+    while balance.(source) > 0 && out_with_flow source >= 0 do
+      (* Walk flow-carrying arcs until a node with remaining demand, or
+         one without remaining outflow (conservation makes that a demand
+         node too). *)
+      Bytes.set on_path source '\001';
+      let v = ref source and walking = ref true in
+      while !walking do
+        if balance.(!v) < 0 then walking := false
+        else begin
+          let a = out_with_flow !v in
+          if a < 0 then walking := false
+          else begin
+            let u = dst.(a) in
+            if Bytes.get on_path u = '\001' then begin
+              (* Flow cycle u -> ... -> v -> u: cancel its bottleneck. *)
+              let w = dst.(cursor.(u)) in
+              let c = ref (remaining u) and x = ref w in
+              while !x <> u do
+                c := Int.min !c (remaining !x);
+                x := dst.(cursor.(!x))
+              done;
+              used.(u) <- used.(u) + !c;
+              consume w u !c
+            end
+            else Bytes.set on_path u '\001';
+            v := u
+          end
+        end
+      done;
+      let sink = !v in
+      let bottleneck = ref balance.(source) and x = ref source in
+      while !x <> sink do
+        bottleneck := Int.min !bottleneck (remaining !x);
+        x := dst.(cursor.(!x))
+      done;
+      if balance.(sink) < 0 then bottleneck := Int.min !bottleneck (-balance.(sink));
+      let amount = !bottleneck in
+      (* [sink = source] when all of the source's outflow cycled back. *)
+      if sink = source then balance.(source) <- 0
       else begin
-        List.iter
-          (fun a ->
-            let f = Int_tbl.find rem a - bottleneck in
-            if f <= 0 then Int_tbl.remove rem a else Int_tbl.replace rem a f)
-          arcs;
-        let sink = List.nth nodes (List.length nodes - 1) in
-        rem_supply.(source) <- rem_supply.(source) - bottleneck;
-        rem_demand.(sink) <- max 0 (rem_demand.(sink) - bottleneck);
-        paths := { nodes; amount = bottleneck } :: !paths
-      end
+        let rec nodes_from x = if x = sink then [ x ] else x :: nodes_from dst.(cursor.(x)) in
+        let nodes = nodes_from source in
+        consume source sink amount;
+        balance.(source) <- balance.(source) - amount;
+        if balance.(sink) < 0 then balance.(sink) <- Int.min 0 (balance.(sink) + amount);
+        paths := { nodes; amount } :: !paths
+      end;
+      Bytes.set on_path sink '\000'
     done
   done;
   List.rev !paths

@@ -40,10 +40,16 @@ type result = {
           when [Obs.enabled ()] held during the solve *)
 }
 
-(** Reusable solver workspace: excess/potential/distance/parent arrays
-    and the Dijkstra heap.  Pass the same scratch to successive [solve]
-    calls on similarly-sized graphs and the solver allocates nothing on
-    the hot path after the first round.  Reusing scratch never changes
+(** Reusable solver workspace: excess/potential/distance/parent arrays,
+    the per-node lists of live residual twins, and the Dijkstra heap and
+    bucket queue.  It grows with the instance (never shrinks) and is
+    reused: a solve that reuses a large enough scratch allocates
+    nothing sized by the node or arc count, except the SPFA bootstrap
+    of a graph with negative costs.  Pass the same scratch to
+    successive [Fast] solves of similarly-sized graphs and, after the
+    first round, a solve with {!Obs} disabled allocates only its fixed
+    per-call values (result, profile, a few closures) — nothing per
+    augmentation or per settled node.  Reusing scratch never changes
     results — the workspace is (re)initialised at every solve.
 
     A scratch must never be used by two concurrent solves. *)
@@ -63,7 +69,10 @@ val scratch : unit -> scratch
     the graph has no negative costs and a small cost bound
     ({!Graph.cost_ub}).  The heap and bucket queue pop in the same
     canonical (distance, node) order, so queue selection never affects
-    results.
+    results.  A settled node's scan walks only its forward arcs and
+    the residual twins that have capacity, in {!Graph.iter_out} order;
+    its relaxations are exactly those of a scan over every residual
+    arc, so this never affects results either.
 
     [Classic] is the historical full-settle implementation, retained as
     the reference implementation that the solver tests compare [Fast]
@@ -86,8 +95,13 @@ val solve : ?budget:Budget.t -> ?scratch:scratch -> ?algo:algo -> Graph.t -> res
     demand node, and the amount carried. *)
 type path = { nodes : int list; amount : int }
 
-(** [decompose g] decomposes the current flow of [g] into source-to-sink
-    paths (cycles cannot occur in a min-cost solution with non-negative
-    reduced costs; any residual cycles of zero net cost are ignored).
-    The graph's flow is not modified. *)
+(** [decompose g] decomposes the current flow of [g] into simple
+    source-to-sink paths, which together carry everything the flow
+    ships from supply to demand nodes.  A min-cost flow may still
+    contain cycles of zero cost (flow on both arcs of a zero-cost
+    antiparallel pair, say); a walk that closes one removes the cycle's
+    bottleneck from it and goes on, so cycles are left out of the paths
+    and every call ends.  A path leaves each node by its forward arcs
+    in {!Graph.iter_out} order.  Allocates per node, not per arc.  The
+    graph's flow is not modified. *)
 val decompose : Graph.t -> path list

@@ -1,6 +1,9 @@
-(* Tests for the MCMF substrate: graph bookkeeping, known solver
-   instances, verifier behaviour, flow decomposition, and randomized
-   properties cross-checked with the independent optimality verifier. *)
+(* Tests for the MCMF substrate: graph bookkeeping and adjacency order
+   across patching, known solver instances, verifier behaviour, flow
+   decomposition (including flows with zero-cost cycles), the fast
+   SSP's live-arc scan against a full residual scan, hot-path
+   allocation, and randomized properties cross-checked with the
+   independent optimality verifier. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
@@ -429,6 +432,446 @@ let prop_solver_cost_not_above_greedy =
       let r = Mcmf.solve g in
       r.Mcmf.total_cost <= 50 * n_tasks)
 
+(* ------------------------------------------------------------------ *)
+(* Adjacency across in-place patching                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Random sequences of add_node, add_arc, push, mark, release,
+   retire_node and copy, checked after every step against a brute-force
+   model: the arcs [iter_out] visits from [v] are exactly the ids [a]
+   with [src a = v] at or above [v]'s floor (the arc count when [v] was
+   added or last retired, restored by [release]), in decreasing order;
+   the forward chain holds exactly the even ones. *)
+let check_adjacency g floor =
+  let m = 2 * Graph.arc_count g in
+  let ok = ref true in
+  for v = 0 to Graph.node_count g - 1 do
+    let expected = ref [] in
+    for a = 0 to m - 1 do
+      if a >= floor.(v) && Graph.src g a = v then expected := a :: !expected
+    done;
+    let seen = List.rev (Graph.fold_out g v [] (fun acc a -> a :: acc)) in
+    let forward = ref [] and a = ref (Graph.Raw.forward_head g).(v) in
+    while !a >= 0 do
+      forward := !a :: !forward;
+      a := (Graph.Raw.next g).(!a)
+    done;
+    if seen <> !expected then ok := false;
+    if List.rev !forward <> List.filter Graph.is_forward !expected then ok := false
+  done;
+  !ok
+
+let adjacency_history seed =
+  let rng = Prelude.Rng.create seed in
+  let g = ref (Graph.create ~node_hint:1 ~arc_hint:1 ()) in
+  let floor = ref (Array.make 64 0) in
+  let marks = ref [] in
+  let ok = ref true in
+  let add_node () =
+    let v = Graph.add_node !g in
+    if v >= Array.length !floor then begin
+      let f = Array.make (2 * v) 0 in
+      Array.blit !floor 0 f 0 (Array.length !floor);
+      floor := f
+    end;
+    !floor.(v) <- 2 * Graph.arc_count !g
+  in
+  add_node ();
+  for _ = 1 to 60 do
+    let n = Graph.node_count !g in
+    (match Prelude.Rng.int rng 10 with
+    | 0 | 1 -> add_node ()
+    | 2 | 3 | 4 ->
+        ignore
+          (Graph.add_arc !g ~src:(Prelude.Rng.int rng n) ~dst:(Prelude.Rng.int rng n)
+             ~cap:(Prelude.Rng.int rng 4) ~cost:(Prelude.Rng.int rng 7 - 2))
+    | 5 ->
+        let m = 2 * Graph.arc_count !g in
+        if m > 0 then begin
+          let a = Prelude.Rng.int rng m in
+          let c = Graph.residual_cap !g a in
+          if c > 0 then Graph.push !g a (1 + Prelude.Rng.int rng c)
+        end
+    | 6 -> marks := (Graph.mark !g, Array.copy !floor) :: !marks
+    | 7 -> (
+        match !marks with
+        | [] -> ()
+        | _ ->
+            (* Releasing to a mark invalidates every later one. *)
+            let i = Prelude.Rng.int rng (List.length !marks) in
+            let rest = List.filteri (fun j _ -> j >= i) !marks in
+            let mk, fl = List.hd rest in
+            Graph.release !g mk;
+            floor := Array.copy fl;
+            marks := rest)
+    | 8 ->
+        let v = Prelude.Rng.int rng n in
+        Graph.retire_node !g v;
+        !floor.(v) <- 2 * Graph.arc_count !g
+    | _ -> g := Graph.copy !g);
+    if not (check_adjacency !g !floor) then ok := false
+  done;
+  !ok
+
+let prop_adjacency_order =
+  QCheck.Test.make ~name:"iter_out order across patching" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    adjacency_history
+
+(* ------------------------------------------------------------------ *)
+(* Decomposition of flows with zero-cost cycles                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The SSP ships 3 units at cost 4 here and leaves one unit on both
+   1->2 and 2->1: the twin of 1->2 and the arc 2->1 tie when node 2 is
+   scanned.  A walk 0->1->2->1->... then closes a cycle. *)
+let cycle_graph ?(swap = false) ?(scale = 1) () =
+  let g = Graph.create () in
+  ignore (Graph.add_nodes g 5);
+  Graph.set_supply g 0 3;
+  Graph.set_supply g 4 (-3);
+  let arc src dst cap cost = Graph.add_arc g ~src ~dst ~cap ~cost:(cost * scale) in
+  ignore (arc 1 3 3 1);
+  ignore (arc 0 1 1 0);
+  ignore (arc 2 4 2 0);
+  let a12, a21 =
+    if swap then
+      let a21 = arc 2 1 2 0 in
+      (arc 1 2 2 0, a21)
+    else
+      let a12 = arc 1 2 2 0 in
+      (a12, arc 2 1 2 0)
+  in
+  ignore (arc 0 2 3 1);
+  ignore (arc 3 4 2 1);
+  (g, a12, a21)
+
+(* Paths must start at supply, end at demand, follow arcs with flow and
+   use no node pair beyond the flow the solve left on it. *)
+let paths_consistent g (paths : Mcmf.path list) =
+  let n = Graph.node_count g in
+  let pair_flow = Hashtbl.create 16 in
+  Graph.iter_arcs g (fun a ->
+      let key = (Graph.src g a, Graph.dst g a) in
+      let prev = Option.value ~default:0 (Hashtbl.find_opt pair_flow key) in
+      Hashtbl.replace pair_flow key (prev + Graph.flow g a));
+  let used = Hashtbl.create 16 in
+  let ok = ref true in
+  List.iter
+    (fun (p : Mcmf.path) ->
+      let nodes = Array.of_list p.nodes in
+      let k = Array.length nodes in
+      if p.amount <= 0 || k < 2 then ok := false
+      else begin
+        if Graph.supply g nodes.(0) <= 0 || Graph.supply g nodes.(k - 1) >= 0 then ok := false;
+        let seen = Array.make n false in
+        Array.iter (fun v -> if seen.(v) then ok := false else seen.(v) <- true) nodes;
+        for i = 0 to k - 2 do
+          let key = (nodes.(i), nodes.(i + 1)) in
+          let u = p.amount + Option.value ~default:0 (Hashtbl.find_opt used key) in
+          Hashtbl.replace used key u;
+          if u > Option.value ~default:0 (Hashtbl.find_opt pair_flow key) then ok := false
+        done
+      end)
+    paths;
+  !ok
+
+let test_decompose_zero_cost_cycle () =
+  let g, a12, a21 = cycle_graph () in
+  let r = Mcmf.solve g in
+  Alcotest.(check int) "shipped" 3 r.Mcmf.shipped;
+  Alcotest.(check int) "cost" 4 r.Mcmf.total_cost;
+  Alcotest.(check int) "flow on 1->2" 1 (Graph.flow g a12);
+  Alcotest.(check int) "flow on 2->1" 1 (Graph.flow g a21);
+  let paths = Mcmf.decompose g in
+  Alcotest.(check int) "paths ship everything" 3
+    (List.fold_left (fun acc (p : Mcmf.path) -> acc + p.amount) 0 paths);
+  Alcotest.(check bool) "paths follow the flow" true (paths_consistent g paths)
+
+(* Random graphs rich in zero-cost antiparallel pairs and parallel
+   arcs, so solves leave flow cycles behind. *)
+let random_cyclic_graph rng =
+  let n = 3 + Prelude.Rng.int rng 8 in
+  let g = Graph.create () in
+  ignore (Graph.add_nodes g n);
+  let total = 1 + Prelude.Rng.int rng 6 in
+  Graph.set_supply g 0 total;
+  Graph.set_supply g (n - 1) (-total);
+  for _ = 1 to n + Prelude.Rng.int rng (3 * n) do
+    let u = Prelude.Rng.int rng n and v = Prelude.Rng.int rng n in
+    if u <> v then begin
+      let cap = 1 + Prelude.Rng.int rng 3 in
+      if Prelude.Rng.bernoulli rng 0.5 then begin
+        ignore (Graph.add_arc g ~src:u ~dst:v ~cap ~cost:0);
+        ignore (Graph.add_arc g ~src:v ~dst:u ~cap ~cost:0)
+      end
+      else ignore (Graph.add_arc g ~src:u ~dst:v ~cap ~cost:(Prelude.Rng.int rng 3))
+    end
+  done;
+  g
+
+let prop_decompose_cycles =
+  QCheck.Test.make ~name:"decompose ends on zero-cost cycles" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g = random_cyclic_graph (Prelude.Rng.create seed) in
+      let r = Mcmf.solve g in
+      let paths = Mcmf.decompose g in
+      List.fold_left (fun acc (p : Mcmf.path) -> acc + p.amount) 0 paths = r.Mcmf.shipped
+      && paths_consistent g paths)
+
+(* ------------------------------------------------------------------ *)
+(* Fast SSP identity against the full residual scan                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A copy of the fast SSP as it was when its Dijkstra scanned every
+   residual arc of a settled node through [Graph.iter_out], dead twins
+   included: same SPFA bootstrap, early-terminating Dijkstra over the
+   canonical (distance, node) order, bottleneck augmentation and
+   settled-only potential update.  The live-arc scan must reproduce
+   its per-arc flows bit for bit. *)
+let reference_solve g =
+  let n = Graph.node_count g in
+  let inf = max_int / 4 in
+  let excess = Array.init n (Graph.supply g) in
+  let pot = Array.make n 0 in
+  if Graph.has_negative_cost g then begin
+    let dist = Array.make n inf and in_queue = Array.make n false in
+    let q = Queue.create () in
+    for v = 0 to n - 1 do
+      if excess.(v) > 0 then begin
+        dist.(v) <- 0;
+        Queue.push v q;
+        in_queue.(v) <- true
+      end
+    done;
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      in_queue.(v) <- false;
+      Graph.iter_out g v (fun a ->
+          if Graph.residual_cap g a > 0 then begin
+            let u = Graph.dst g a in
+            let nd = dist.(v) + Graph.cost g a in
+            if nd < dist.(u) then begin
+              dist.(u) <- nd;
+              if not in_queue.(u) then begin
+                Queue.push u q;
+                in_queue.(u) <- true
+              end
+            end
+          end)
+    done;
+    Array.iteri (fun v d -> if d < inf then pot.(v) <- d) dist
+  end;
+  let dist = Array.make n inf and parent = Array.make n (-1) in
+  let h = Prelude.Heap.Int_pair.create () in
+  let shipped = ref 0 and augmentations = ref 0 in
+  let continue_ = ref (Array.exists (fun e -> e > 0) excess) in
+  while !continue_ do
+    Array.fill dist 0 n inf;
+    Prelude.Heap.Int_pair.clear h;
+    for v = 0 to n - 1 do
+      if excess.(v) > 0 then begin
+        dist.(v) <- 0;
+        parent.(v) <- -1;
+        Prelude.Heap.Int_pair.push h 0 v
+      end
+    done;
+    let settled = ref [] and target = ref (-1) in
+    while !target < 0 && not (Prelude.Heap.Int_pair.is_empty h) do
+      let d = Prelude.Heap.Int_pair.min_key h in
+      let v = Prelude.Heap.Int_pair.pop h in
+      if d = dist.(v) then begin
+        settled := v :: !settled;
+        if excess.(v) < 0 then target := v
+        else
+          Graph.iter_out g v (fun a ->
+              if Graph.residual_cap g a > 0 then begin
+                let u = Graph.dst g a in
+                let rc = Graph.cost g a + pot.(v) - pot.(u) in
+                let nd = d + if rc < 0 then 0 else rc in
+                if nd < dist.(u) then begin
+                  dist.(u) <- nd;
+                  parent.(u) <- a;
+                  Prelude.Heap.Int_pair.push h nd u
+                end
+              end)
+      end
+    done;
+    if !target < 0 then continue_ := false
+    else begin
+      let t = !target in
+      let bottleneck = ref (-excess.(t)) and v = ref t in
+      while parent.(!v) >= 0 do
+        bottleneck := min !bottleneck (Graph.residual_cap g parent.(!v));
+        v := Graph.src g parent.(!v)
+      done;
+      let source = !v in
+      let amount = min !bottleneck excess.(source) in
+      let v = ref t in
+      while parent.(!v) >= 0 do
+        Graph.push g parent.(!v) amount;
+        v := Graph.src g parent.(!v)
+      done;
+      excess.(source) <- excess.(source) - amount;
+      excess.(t) <- excess.(t) + amount;
+      shipped := !shipped + amount;
+      incr augmentations;
+      let d_target = dist.(t) in
+      List.iter (fun u -> pot.(u) <- pot.(u) + dist.(u) - d_target) !settled;
+      if not (Array.exists (fun e -> e > 0) excess) then continue_ := false
+    end
+  done;
+  (!shipped, !augmentations)
+
+let flows g =
+  let acc = ref [] in
+  Graph.iter_arcs g (fun a -> acc := Graph.flow g a :: !acc);
+  !acc
+
+(* Solve [g] with the production solver (on [g]) and the reference (on
+   a copy taken first); true iff results and per-arc flows agree. *)
+let same_as_reference ?scratch g =
+  let ref_g = Graph.copy g in
+  let r = Mcmf.solve ?scratch g in
+  let shipped, augmentations = reference_solve ref_g in
+  r.Mcmf.shipped = shipped && r.Mcmf.augmentations = augmentations && flows g = flows ref_g
+
+(* Random multigraphs with parallel and antiparallel arcs.  [`Bucket]
+   keeps costs small and non-negative; [`Large] pushes the cost bound
+   past the bucket queue's limit and [`Negative] adds negative costs
+   (potential-shifted, so no negative cycle), both of which select the
+   binary heap. *)
+let random_multigraph ?(g = Graph.create ()) rng kind =
+  let base = Graph.node_count g in
+  let n = 2 + Prelude.Rng.int rng 9 in
+  ignore (Graph.add_nodes g n);
+  let phi = Array.init n (fun _ -> Prelude.Rng.int rng 6) in
+  for _ = 1 to 1 + Prelude.Rng.int rng 5 do
+    let s = Prelude.Rng.int rng n and t = Prelude.Rng.int rng n in
+    let amount = 1 + Prelude.Rng.int rng 4 in
+    Graph.add_supply g (base + s) amount;
+    Graph.add_supply g (base + t) (-amount)
+  done;
+  (* Most arcs cost 0: zero-cost antiparallel pairs are where an arc
+     and a live twin tie for the same destination. *)
+  let cost u v =
+    let c = max 0 (Prelude.Rng.int rng 4 - 2) in
+    match kind with
+    | `Bucket -> c
+    | `Large -> c * 40_000
+    | `Negative -> c + phi.(u) - phi.(v)
+  in
+  for _ = 1 to n + Prelude.Rng.int rng (4 * n) do
+    let u = Prelude.Rng.int rng n and v = Prelude.Rng.int rng n in
+    if u <> v then begin
+      let arc u v = Graph.add_arc g ~src:(base + u) ~dst:(base + v) ~cap:(1 + Prelude.Rng.int rng 3) ~cost:(cost u v) in
+      ignore (arc u v);
+      if Prelude.Rng.bernoulli rng 0.3 then ignore (arc u v);
+      if Prelude.Rng.bernoulli rng 0.7 then ignore (arc v u)
+    end
+  done;
+  g
+
+let kind_of seed = match seed mod 3 with 0 -> `Bucket | 1 -> `Large | _ -> `Negative
+
+(* Some graphs start with flow on zero-cost arcs: the solver ignores it
+   in its excesses but must scan the twins it left with capacity.  Only
+   without negative costs, where such flow leaves every residual cost
+   non-negative; otherwise it could leave a negative residual cycle,
+   which no SSP handles. *)
+let prop_fast_scan_identity =
+  let scratch = Mcmf.scratch () in
+  QCheck.Test.make ~name:"live-arc scan equals full scan" ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prelude.Rng.create seed in
+      let kind = kind_of seed in
+      let g = random_multigraph rng kind in
+      if seed land 1 = 1 && kind <> `Negative then
+        Graph.iter_arcs g (fun a ->
+            if Graph.cost g a = 0 && Prelude.Rng.bernoulli rng 0.3 then
+              Graph.push g a (Prelude.Rng.int rng (Graph.residual_cap g a + 1)));
+      same_as_reference ~scratch g)
+
+(* One graph patched with mark/release across rounds, as the network
+   builder does, solved with one reused scratch. *)
+let prop_fast_scan_patched =
+  QCheck.Test.make ~name:"live-arc scan equals full scan, patched" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prelude.Rng.create seed in
+      let scratch = Mcmf.scratch () in
+      let kind = kind_of seed in
+      let g = random_multigraph rng kind in
+      let mk = Graph.mark g in
+      List.for_all
+        (fun _ ->
+          Graph.reset_flows g;
+          Graph.release g mk;
+          ignore (random_multigraph ~g rng kind);
+          (* Suffix arcs into the prefix put twins on prefix chains; cost
+             5 outweighs any potential shift, so no negative cycle. *)
+          for _ = 1 to 3 do
+            let n = Graph.node_count g in
+            ignore
+              (Graph.add_arc g ~src:(Prelude.Rng.int rng n) ~dst:(Prelude.Rng.int rng n)
+                 ~cap:(1 + Prelude.Rng.int rng 3)
+                 ~cost:(match kind with `Large -> 40_000 | _ -> 5))
+          done;
+          same_as_reference ~scratch g)
+        [ 1; 2; 3; 4 ])
+
+(* Both creation orders of the tied pair, on both queues: with 2->1
+   created first, the twin of 1->2 outranks it at node 2. *)
+let test_fast_scan_cycle_graph () =
+  List.iter
+    (fun (swap, scale) ->
+      let g, _, _ = cycle_graph ~swap ~scale () in
+      Alcotest.(check bool) "same flows" true (same_as_reference g))
+    [ (false, 1); (true, 1); (false, 40_000); (true, 40_000) ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation on the hot path                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [k] unit paths s -> m_i -> t: [k] augmentations.  [scale] above the
+   bucket limit selects the heap. *)
+let fan k ~scale =
+  let g = Graph.create () in
+  let s = Graph.add_node g and t = Graph.add_node g in
+  for i = 1 to k do
+    let m = Graph.add_node g in
+    ignore (Graph.add_arc g ~src:s ~dst:m ~cap:1 ~cost:(i * scale));
+    ignore (Graph.add_arc g ~src:m ~dst:t ~cap:1 ~cost:0)
+  done;
+  Graph.set_supply g s k;
+  Graph.set_supply g t (-k);
+  g
+
+(* With Obs disabled, a warm solve allocates only its fixed per-solve
+   records: the same minor words for 10 augmentations as for 200. *)
+let test_warm_solve_allocation () =
+  Obs.set_enabled false;
+  List.iter
+    (fun scale ->
+      let scratch = Mcmf.scratch () in
+      let small = fan 10 ~scale and large = fan 200 ~scale in
+      let solve g =
+        Graph.reset_flows g;
+        let before = Gc.minor_words () in
+        let r = Mcmf.solve ~scratch g in
+        let words = Gc.minor_words () -. before in
+        (r.Mcmf.augmentations, words)
+      in
+      ignore (solve small);
+      ignore (solve large);
+      let aug_small, words_small = solve small in
+      let aug_large, words_large = solve large in
+      Alcotest.(check (pair int int)) "augmentations" (10, 200) (aug_small, aug_large);
+      Alcotest.(check (float 0.0)) "same minor words" words_small words_large)
+    [ 1; 1000 ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "flow"
@@ -442,7 +885,8 @@ let () =
           Alcotest.test_case "bulk nodes" `Quick test_graph_add_nodes_bulk;
           Alcotest.test_case "reset flow" `Quick test_graph_reset_flow;
           Alcotest.test_case "iter out" `Quick test_graph_iter_out;
-        ] );
+        ]
+        @ qt [ prop_adjacency_order ] );
       ( "mcmf",
         [
           Alcotest.test_case "prefers cheap arc" `Quick test_mcmf_prefers_cheap_arc;
@@ -452,6 +896,7 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_mcmf_disconnected;
           Alcotest.test_case "negative costs" `Quick test_mcmf_negative_costs;
           Alcotest.test_case "multi source/sink" `Quick test_mcmf_multi_source_sink;
+          Alcotest.test_case "warm solve allocation" `Quick test_warm_solve_allocation;
         ] );
       ( "verify",
         [
@@ -470,7 +915,12 @@ let () =
           Alcotest.test_case "simple path" `Quick test_decompose_simple_path;
           Alcotest.test_case "amounts sum" `Quick test_decompose_amounts_sum;
           Alcotest.test_case "through hub" `Quick test_decompose_through_hub;
-        ] );
+          Alcotest.test_case "zero-cost cycle" `Quick test_decompose_zero_cost_cycle;
+        ]
+        @ qt [ prop_decompose_cycles ] );
+      ( "fast-scan",
+        Alcotest.test_case "cycle graph" `Quick test_fast_scan_cycle_graph
+        :: qt [ prop_fast_scan_identity; prop_fast_scan_patched ] );
       ( "properties",
         qt
           [

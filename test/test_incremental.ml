@@ -387,6 +387,51 @@ let test_golden_network_digests () =
       Alcotest.(check string) name expected (network_digest (build ())))
     (golden_cases ())
 
+(* MD5s of what the default SSP solve makes of each golden network: the
+   per-arc flows (with the result's shipped/unshipped/cost/augmentation
+   counts) and the decomposed paths in order.  Recorded from the solver
+   whose Dijkstra scanned every residual arc, dead twins included, and
+   whose decomposition folded over all of them. *)
+let golden_flow_digests =
+  [
+    ("sharing-unaware",
+      ("f39c6e3d3fd9e4c8af4ab702a1c08e7a", "cca10d968cde09bfb9a1e871fb05648d"));
+    ("related placed",
+      ("aeb29e46e47bf85cc561e7bbc0f9e72f", "c5df108e9cb2217c64b11b2c22240e06"));
+    ("single-tor service",
+      ("d4d0f3e49701c4d818a1da98472b2870", "cca10d968cde09bfb9a1e871fb05648d"));
+    ("dead switches",
+      ("079b2b36762ebd2ef4edab7a7f66023e", "f212bd9ecf4c84750d2eaef17061b46d"));
+    ("patched build",
+      ("e0a2eef0914eb025f088101837abad20", "cf35b4e5968e6faba6847fcafc020e81"));
+  ]
+
+let solve_digests net =
+  let g = Flow_network.graph net in
+  let r = Mcmf.solve g in
+  let flows = Buffer.create 4096 in
+  Printf.bprintf flows "%d,%d,%d,%d;" r.Mcmf.shipped r.Mcmf.unshipped r.Mcmf.total_cost
+    r.Mcmf.augmentations;
+  Graph.iter_arcs g (fun a -> Printf.bprintf flows "%d;" (Graph.flow g a));
+  let paths = Buffer.create 4096 in
+  List.iter
+    (fun (p : Mcmf.path) ->
+      Printf.bprintf paths "%d:" p.amount;
+      List.iter (Printf.bprintf paths "%d,") p.nodes;
+      Buffer.add_char paths ';')
+    (Mcmf.decompose g);
+  let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  (md5 flows, md5 paths)
+
+let test_golden_flow_digests () =
+  List.iter
+    (fun (name, build, _) ->
+      let flows, paths = solve_digests (build ()) in
+      let want_flows, want_paths = List.assoc name golden_flow_digests in
+      Alcotest.(check string) (name ^ ": flows") want_flows flows;
+      Alcotest.(check string) (name ^ ": paths") want_paths paths)
+    (golden_cases ())
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end property: incremental == full rebuild                    *)
 (* ------------------------------------------------------------------ *)
@@ -531,6 +576,7 @@ let () =
         [
           Alcotest.test_case "identity under churn" `Quick test_builder_identity_under_churn;
           Alcotest.test_case "golden network digests" `Quick test_golden_network_digests;
+          Alcotest.test_case "golden flow digests" `Quick test_golden_flow_digests;
         ] );
       ( "end-to-end",
         qt [ prop_incremental_identical ]
