@@ -21,7 +21,11 @@ test:
 # dijkstra_fast_heap` up to `let solve`) and `decompose` (to the end of
 # the file) must not call Graph.iter_out or Graph.fold_out: they walk
 # the forward chains and the live twins through Graph.Raw, without a
-# closure and without visiting zero-capacity twins.
+# closure and without visiting zero-capacity twins.  The shortcut
+# section of lib/hire/flow_network.ml (from `let push_shortcut` up to
+# `(* Build`) must not call Array.sort, List.sort, Array.of_list,
+# Array.to_list or List.mem: a group's candidates live in the builder's
+# reused int buffers and are ordered by Prelude.Cost_sort.
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -32,6 +36,9 @@ lint-compare:
 	@! { sed -n '/^let dijkstra_fast_heap/,/^let solve/p;/^let decompose/,$$p' lib/flow/mcmf.ml \
 		| grep -nE 'Graph\.(iter_out|fold_out)'; } \
 		|| { echo "lint-compare: FAIL (full residual scan in the fast SSP or decompose above)"; exit 1; }
+	@! { sed -n '/^let push_shortcut/,/^(\* Build/p' lib/hire/flow_network.ml \
+		| grep -nE '(Array\.sort|List\.sort|Array\.of_list|Array\.to_list|List\.mem)\b'; } \
+		|| { echo "lint-compare: FAIL (allocating list/array call in shortcut selection above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags

@@ -18,7 +18,11 @@ type params = {
   w_threshold : float;  (** Φw threshold, seconds (paper: 0.5) *)
   gamma : int;  (** initial INC locality gain γ for Alg. 1 *)
   xi : int;  (** decay divisor ξ for Alg. 1 *)
-  max_shortcuts : int;  (** shortcut edges per task group (paper: 50) *)
+  max_shortcuts : int;
+      (** shortcut edges per task group (paper: 50): each group keeps its
+          [max_shortcuts] cheapest candidates, equal costs ordered as
+          [Array.sort] orders the reversed generation sequence
+          ({!Flow_network.build}) *)
   max_flavor_decisions : int;  (** flavor decisions per round (paper: 250) *)
   max_queue_tgs : int;  (** requesting task groups in the graph (paper: 800) *)
   locality_aware : bool;

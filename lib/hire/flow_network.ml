@@ -120,6 +120,14 @@ type builder = {
   mutable tor_aggs : tor_agg option array;  (* by ToR switch id *)
   mutable tor_stamp : int array;  (* dedupe per-round ToR recomputes *)
   mutable stamp : int;
+  (* Shortcut candidates of the task group being built, in generation
+     order, and their packed sort keys (see [select_shortcuts]).  Reused
+     across groups and rounds. *)
+  mutable sc_cost : int array;
+  mutable sc_dst : int array;  (* graph node *)
+  mutable sc_cap : int array;
+  mutable sc_keys : int array;
+  mutable sc_n : int;
   (* Stats. *)
   mutable builds : int;
   mutable full_rebuilds : int;
@@ -152,6 +160,11 @@ let create_builder ?(reopt = false) () =
     tor_aggs = [||];
     tor_stamp = [||];
     stamp = 0;
+    sc_cost = [||];
+    sc_dst = [||];
+    sc_cap = [||];
+    sc_keys = [||];
+    sc_n = 0;
     builds = 0;
     full_rebuilds = 0;
     last_full = true;
@@ -276,25 +289,52 @@ let phi_loc_at ctx node =
 (* Shortcut candidates                                                *)
 (* ------------------------------------------------------------------ *)
 
-type shortcut = {
-  target : [ `Tor of int | `Server of int | `Switch of int ];
-  cap : int;
-  cost : int;
-}
+(* A group's candidates are appended to the builder's buffer, then
+   [select_shortcuts] keeps the [max_shortcuts] cheapest.  The order of
+   equal costs is observable (arc order sets SSP tie-breaks, and the cut
+   decides which candidates survive), so it is fixed, and pinned by the
+   golden and bench digests: [Array.sort] by cost over the candidates in
+   reverse generation order.  Sort key [i] packs the cost of candidate
+   [n-1-i] with that index, and Prelude.Cost_sort permutes the keys as
+   [Array.sort] does (docs/PERFORMANCE.md, "Why the order is exact"). *)
+let push_shortcut b ~dst ~cap ~cost =
+  if b.sc_n = Array.length b.sc_cost then begin
+    let len = max 64 (2 * b.sc_n) in
+    let grow a =
+      let a' = Array.make len 0 in
+      Array.blit a 0 a' 0 b.sc_n;
+      a'
+    in
+    b.sc_cost <- grow b.sc_cost;
+    b.sc_dst <- grow b.sc_dst;
+    b.sc_cap <- grow b.sc_cap;
+    b.sc_keys <- Array.make len 0
+  end;
+  let i = b.sc_n in
+  b.sc_cost.(i) <- cost;
+  b.sc_dst.(i) <- dst;
+  b.sc_cap.(i) <- cap;
+  b.sc_n <- i + 1
 
-let trim_shortcuts ~(params : Cost_model.params) candidates =
-  let arr = Array.of_list candidates in
-  Array.sort (fun a b -> Int.compare a.cost b.cost) arr;
-  Array.to_list (Array.sub arr 0 (min (Array.length arr) params.max_shortcuts))
+(* Sorts the buffered candidates and returns how many of the cheapest
+   are kept; [Cost_sort.index b.sc_keys.(j)] is the buffer slot of the
+   [j]-th kept one. *)
+let select_shortcuts b ~(params : Cost_model.params) =
+  let n = b.sc_n in
+  for i = 0 to n - 1 do
+    let c = n - 1 - i in
+    b.sc_keys.(i) <- Prelude.Cost_sort.pack ~cost:b.sc_cost.(c) ~index:c
+  done;
+  Prelude.Cost_sort.sort b.sc_keys n;
+  min n params.max_shortcuts
 
-let server_shortcuts (view : View.t) (tor_aggs : tor_agg option array) ~params ~ctx
-    ~phi_prio (ts : Pending.tg_state) =
+let server_shortcuts b (view : View.t) ~params ~ctx ~phi_prio (ts : Pending.tg_state) =
   let topo = view.topo in
   let demand = ts.tg.Poly_req.demand in
-  let candidates = ref [] in
+  b.sc_n <- 0;
   Array.iter
     (fun tor ->
-      match tor_aggs.(tor) with
+      match b.tor_aggs.(tor) with
       | None -> ()
       | Some agg ->
           if Vec.fits ~demand ~available:agg.min_avail then begin
@@ -304,8 +344,7 @@ let server_shortcuts (view : View.t) (tor_aggs : tor_agg option array) ~params ~
                 ~phi_loc:(phi_loc_at ctx tor)
                 ~phi_prio params
             in
-            candidates :=
-              { target = `Tor tor; cap = min ts.remaining agg.n_servers; cost } :: !candidates
+            push_shortcut b ~dst:b.ns_node.(tor) ~cap:(min ts.remaining agg.n_servers) ~cost
           end
           else if Vec.fits ~demand ~available:agg.max_avail then
             (* Mixed ToR: direct edges to the servers that do fit. *)
@@ -318,13 +357,15 @@ let server_shortcuts (view : View.t) (tor_aggs : tor_agg option array) ~params ~
                       ~phi_loc:(phi_loc_at ctx s)
                       ~phi_prio params
                   in
-                  candidates := { target = `Server s; cap = 1; cost } :: !candidates
+                  push_shortcut b ~dst:b.ms_node.(s) ~cap:1 ~cost
                 end)
               (Fat_tree.servers_under topo tor))
     (Fat_tree.tor_switches topo);
-  trim_shortcuts ~params !candidates
+  select_shortcuts b ~params
 
-let network_shortcuts (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_prio
+let rec mem_int x = function [] -> false | y :: l -> Int.equal x y || mem_int x l
+
+let network_shortcuts b (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_prio
     (ts : Pending.tg_state) (ninfo : Poly_req.network_info) =
   let topo = view.topo in
   let sharing = view.sharing in
@@ -346,13 +387,13 @@ let network_shortcuts (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_pr
     | Comp_store.Single_tor -> true
     | Comp_store.Single | Comp_store.Chain | Comp_store.Tree | Comp_store.Spine_leaf -> false
   in
-  let candidates = ref [] in
+  b.sc_n <- 0;
   Sharing.iter_supporting sharing ~service
     (fun s ~avail ~capacity ~active ~n_active ~n_supported ->
       let demand = if active then per_instance else fresh in
       if
         ((not single_tor) || Fat_tree.kind topo s = Fat_tree.Tor)
-        && (not (List.mem s ts.placed_on))
+        && (not (mem_int s ts.placed_on))
         && Vec.fits ~demand ~available:avail
       then begin
         let phi_new =
@@ -365,9 +406,9 @@ let network_shortcuts (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_pr
             ~phi_loc:(phi_loc_at ctx s)
             ~phi_new ~phi_prio params
         in
-        candidates := { target = `Switch s; cap = 1; cost } :: !candidates
+        push_shortcut b ~dst:b.mn_node.(s) ~cap:1 ~cost
       end);
-  trim_shortcuts ~params !candidates
+  select_shortcuts b ~params
 
 (* ------------------------------------------------------------------ *)
 (* Build                                                              *)
@@ -572,7 +613,6 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
      ledgers only change after the round returns. *)
   (match view.View.dirty with Some d -> Dirty.clear d | None -> ());
 
-  let tor_aggs = b.tor_aggs in
   let max_waiting =
     List.fold_left
       (fun acc (job, _) -> Float.max acc (now -. (job : Pending.job_state).poly.Poly_req.arrival))
@@ -596,26 +636,20 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
           let ctx =
             if params.locality_aware then loc_ctx view census ~params ts else Neutral
           in
-          let shortcuts =
+          let kept =
             match tg.Poly_req.kind with
-            | Poly_req.Server_tg ->
-                server_shortcuts view tor_aggs ~params ~ctx ~phi_prio ts
-            | Poly_req.Network_tg ninfo ->
-                network_shortcuts view ~params ~ctx ~phi_prio ts ninfo
+            | Poly_req.Server_tg -> server_shortcuts b view ~params ~ctx ~phi_prio ts
+            | Poly_req.Network_tg ninfo -> network_shortcuts b view ~params ~ctx ~phi_prio ts ninfo
           in
-          (match shortcuts with
-          | [] -> ()
-          | best :: _ -> Int_tbl.replace cheapest_shortcut tg.Poly_req.tg_id best.cost);
-          List.iter
-            (fun sc ->
-              let dst =
-                match sc.target with
-                | `Tor s -> b.ns_node.(s)
-                | `Server s -> b.ms_node.(s)
-                | `Switch s -> b.mn_node.(s)
-              in
-              ignore (Graph.add_arc g ~src:gnode ~dst ~cap:sc.cap ~cost:sc.cost))
-            shortcuts;
+          if kept > 0 then
+            Int_tbl.replace cheapest_shortcut tg.Poly_req.tg_id
+              (Prelude.Cost_sort.cost b.sc_keys.(0));
+          for j = 0 to kept - 1 do
+            let c = Prelude.Cost_sort.index b.sc_keys.(j) in
+            ignore
+              (Graph.add_arc g ~src:gnode ~dst:b.sc_dst.(c) ~cap:b.sc_cap.(c)
+                 ~cost:b.sc_cost.(c))
+          done;
           match Pending.status job ts with
           | Flavor.Materialized ->
               Graph.set_supply g gnode ts.remaining;

@@ -23,6 +23,16 @@
       support, sharing-aware effective demand, and the switches the group
       already occupies (a chain must use distinct switches).
 
+    Each group keeps its [max_shortcuts] cheapest shortcut candidates
+    ({!Cost_model.params}), emitted cheapest first.  Equal costs are
+    ordered as [Array.sort] (OCaml 5.1, an unstable heapsort) orders the
+    candidates by cost alone when given them in reverse generation
+    order: ToRs and their servers in [Fat_tree.tor_switches] order for
+    server groups, switches in [Sharing.iter_supporting] order for
+    network groups.  That order decides which tied candidates survive
+    the cut and sets the arc order the solver breaks ties by; the golden
+    network digests and the bench placement digests pin it.
+
     Costs follow the Appendix-A cost model. *)
 
 type node_role =

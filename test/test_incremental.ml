@@ -247,8 +247,9 @@ let test_builder_identity_under_churn () =
    arc's (src, dst, cap, cost) in creation order and every node's
    supply.  The expected values below were recorded from the
    list-based shortcut pricing that preceded the allocation-free
-   rewrite; any change to them is a change to the networks HIRE
-   builds. *)
+   rewrite, and the two cut cases from the record-list trim
+   ([Array.sort] over records) that preceded the int-buffer selection;
+   any change to them is a change to the networks HIRE builds. *)
 let network_digest net =
   let g = Flow_network.graph net in
   let buf = Buffer.create 4096 in
@@ -373,12 +374,21 @@ let golden_cases () =
     Alcotest.(check bool) "patched, not rebuilt" false (Flow_network.stats net).Flow_network.full;
     net
   in
+  (* Cold networks that cut each group at [max_shortcuts]: which of the
+     equal-cost candidates survive the cut, and in what order, is the
+     trim's tie order.  At k=8 every server group ties across all 32
+     ToRs and keeps 8. *)
+  let trimmed ~k ~max_shortcuts () =
+    build ~params:{ params with Cost_model.max_shortcuts } (make_cluster ~k ()) (golden_jobs ())
+  in
   [
     ("sharing-unaware", sharing_unaware, "9afd56ef623031f2e0d6d0b0344aa813");
     ("related placed", related_placed, "c9c93897b815aa566740e94a20a59f7e");
     ("single-tor service", single_tor, "e79adac2c3c9af69032945c01e6d0b07");
     ("dead switches", dead_switch, "4568a82471d66049e5f9acde96fcd364");
     ("patched build", patched, "22c32c2aa2cc062f2519e2dc6c6db318");
+    ("k=4 cut at 2", trimmed ~k:4 ~max_shortcuts:2, "95ad1d71ccb6a694556495d3554f4b40");
+    ("k=8 cut at 8", trimmed ~k:8 ~max_shortcuts:8, "2ac9084789c1d4cb9d8cdb1ff6e0adbd");
   ]
 
 let test_golden_network_digests () =
@@ -391,7 +401,8 @@ let test_golden_network_digests () =
    per-arc flows (with the result's shipped/unshipped/cost/augmentation
    counts) and the decomposed paths in order.  Recorded from the solver
    whose Dijkstra scanned every residual arc, dead twins included, and
-   whose decomposition folded over all of them. *)
+   whose decomposition folded over all of them; the two cut cases from
+   the live-arc solver over networks trimmed by [Array.sort]. *)
 let golden_flow_digests =
   [
     ("sharing-unaware",
@@ -404,6 +415,10 @@ let golden_flow_digests =
       ("079b2b36762ebd2ef4edab7a7f66023e", "f212bd9ecf4c84750d2eaef17061b46d"));
     ("patched build",
       ("e0a2eef0914eb025f088101837abad20", "cf35b4e5968e6faba6847fcafc020e81"));
+    ("k=4 cut at 2",
+      ("7ce7d1e7a3beb1eacf1ee412e3d0d86e", "74c5c85c46a1fd99df4131813e4f740b"));
+    ("k=8 cut at 8",
+      ("ac01090523599d1ee63ef18ea0d13d12", "f8c6aa69d00eb58194e886adafce9684"));
   ]
 
 let solve_digests net =
@@ -431,6 +446,49 @@ let test_golden_flow_digests () =
       Alcotest.(check string) (name ^ ": flows") want_flows flows;
       Alcotest.(check string) (name ^ ": paths") want_paths paths)
     (golden_cases ())
+
+(* A warm build keeps a group's shortcut candidates in the builder's
+   reused buffers, so its allocation does not depend on how many
+   candidates there are: a server group that fits under all 32 ToRs of
+   a k=8 cluster allocates exactly what one that fits under a single
+   ToR does. *)
+let test_warm_build_alloc_flat () =
+  let warm_build_words ~fitting_tors =
+    let cluster = make_cluster ~k:8 () in
+    let topo = Sim.Cluster.topo cluster in
+    let full = Sim.Cluster.server_capacity cluster in
+    Array.iteri
+      (fun i tor ->
+        if i >= fitting_tors then
+          Array.iter
+            (fun server -> Sim.Cluster.place_server_task cluster ~server ~demand:full)
+            (Topology.Fat_tree.servers_under topo tor))
+      (Topology.Fat_tree.tor_switches topo);
+    let view = Sim.Cluster.view cluster in
+    let census = Hire.Locality.Task_census.create topo in
+    let ids = Transformer.Id_gen.create () in
+    let jobs =
+      [
+        Pending.of_poly
+          (Transformer.transform store ids (Rng.create 5) ~job_id:0 ~arrival:0.0
+             (server_only_req 3));
+      ]
+    in
+    let params = Cost_model.default_params in
+    let builder = Flow_network.create_builder () in
+    let build () = Flow_network.build ~builder view census ~jobs ~now:10.0 ~params in
+    ignore (build ());
+    ignore (build ());
+    let before = Gc.minor_words () in
+    let net = build () in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "patched" false (Flow_network.stats net).Flow_network.full;
+    (snd (Flow_network.size net), words)
+  in
+  let arcs_all, words_all = warm_build_words ~fitting_tors:32 in
+  let arcs_one, words_one = warm_build_words ~fitting_tors:1 in
+  Alcotest.(check int) "31 more shortcut arcs" 31 (arcs_all - arcs_one);
+  Alcotest.(check (float 0.0)) "same minor words" words_one words_all
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end property: incremental == full rebuild                    *)
@@ -577,6 +635,8 @@ let () =
           Alcotest.test_case "identity under churn" `Quick test_builder_identity_under_churn;
           Alcotest.test_case "golden network digests" `Quick test_golden_network_digests;
           Alcotest.test_case "golden flow digests" `Quick test_golden_flow_digests;
+          Alcotest.test_case "warm build allocation flat in candidates" `Quick
+            test_warm_build_alloc_flat;
         ] );
       ( "end-to-end",
         qt [ prop_incremental_identical ]

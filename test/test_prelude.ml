@@ -289,6 +289,71 @@ let prop_vec_add_commutes =
       let a = Prelude.Vec.of_list xs and b = Prelude.Vec.of_list ys in
       Prelude.Vec.equal (Prelude.Vec.add a b) (Prelude.Vec.add b a))
 
+(* ------------------------------------------------------------------ *)
+(* Cost_sort                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type tagged = { t_cost : int; t_index : int }
+
+(* The permutation [Array.sort] makes of index-tagged records compared
+   by cost alone, and the one [Cost_sort.sort] makes of the packed
+   entries: the indices in sorted order. *)
+let reference_order costs =
+  let arr = Array.mapi (fun i c -> { t_cost = c; t_index = i }) costs in
+  Array.sort (fun a b -> Int.compare a.t_cost b.t_cost) arr;
+  Array.map (fun r -> r.t_index) arr
+
+let cost_sort_order costs =
+  let n = Array.length costs in
+  (* Room past [n] that the sort must not touch. *)
+  let a = Array.make (n + 3) (-1) in
+  Array.iteri (fun i c -> a.(i) <- Cost_sort.pack ~cost:c ~index:i) costs;
+  Cost_sort.sort a n;
+  Alcotest.(check (array int)) "tail untouched" [| -1; -1; -1 |] (Array.sub a n 3);
+  Array.map Cost_sort.index (Array.sub a 0 n)
+
+let test_cost_sort_equal_keys () =
+  List.iter
+    (fun n ->
+      let costs = Array.make n 7 in
+      Alcotest.(check (array int))
+        (Printf.sprintf "%d equal keys" n)
+        (reference_order costs) (cost_sort_order costs))
+    [ 0; 1; 2; 3; 4; 338; 845 ]
+
+let test_cost_sort_bounds () =
+  let max_cost = (1 lsl 40) - 1 and max_index = (1 lsl Cost_sort.index_bits) - 1 in
+  let x = Cost_sort.pack ~cost:max_cost ~index:max_index in
+  Alcotest.(check (pair int int)) "round trip" (max_cost, max_index)
+    (Cost_sort.cost x, Cost_sort.index x);
+  let raises name f =
+    Alcotest.(check bool) name true (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  raises "negative cost" (fun () -> Cost_sort.pack ~cost:(-1) ~index:0);
+  raises "cost 2^40" (fun () -> Cost_sort.pack ~cost:(1 lsl 40) ~index:0);
+  raises "index 2^21" (fun () -> Cost_sort.pack ~cost:0 ~index:(max_index + 1));
+  raises "count past the array" (fun () -> Cost_sort.sort [| 0 |] 2)
+
+let test_cost_sort_no_alloc () =
+  let rng = Rng.create 4 in
+  let a = Array.init 845 (fun i -> Cost_sort.pack ~cost:(Rng.int rng 4) ~index:i) in
+  Cost_sort.sort a 845;
+  let before = Gc.minor_words () in
+  Cost_sort.sort a 845;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+
+let prop_cost_sort_matches_array_sort =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 2; 4; 16; 1000; 1 lsl 40 ] >>= fun range ->
+      int_range 0 2000 >>= fun n -> array_repeat n (int_bound (range - 1)))
+  in
+  let print costs = Printf.sprintf "n=%d" (Array.length costs) in
+  QCheck.Test.make ~name:"Cost_sort.sort = Array.sort on tagged records" ~count:300
+    (QCheck.make ~print gen)
+    (fun costs -> reference_order costs = cost_sort_order costs)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "prelude"
@@ -338,4 +403,9 @@ let () =
         :: Alcotest.test_case "dim mismatch" `Quick test_vec_dim_mismatch
         :: Alcotest.test_case "clamp" `Quick test_vec_clamp
         :: qt [ prop_vec_add_commutes ] );
+      ( "cost_sort",
+        Alcotest.test_case "equal keys" `Quick test_cost_sort_equal_keys
+        :: Alcotest.test_case "pack bounds" `Quick test_cost_sort_bounds
+        :: Alcotest.test_case "no allocation" `Quick test_cost_sort_no_alloc
+        :: qt [ prop_cost_sort_matches_array_sort ] );
     ]
