@@ -49,8 +49,10 @@ lint-compare:
 # resumes a tiny sweep but serves none of its cached cells to a re-run
 # under a failpoint schedule, and that a run with an exhausted solver
 # budget degrades along the fallback chain instead of wedging
-# (docs/RESILIENCE.md), that a malformed HIRE_FAILPOINTS
-# and a --jobs run with failpoints armed fail fast with a one-line error,
+# (docs/RESILIENCE.md), that hire_sim's seeds on three forked worker
+# processes (--jobs 3) print byte-identical stdout to --jobs 1, that a
+# malformed HIRE_FAILPOINTS and a --jobs run with failpoints armed fail
+# fast with a one-line error,
 # and that a journaled run crashed mid-flight by the journal.crash
 # failpoint (docs/FAILPOINTS.md) with a corrupted WAL tail recovers — tear
 # truncated (journal.torn_tail), replayed, and finished byte-identical to
@@ -101,6 +103,13 @@ check: lint-compare
 	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
 		--solver-budget 0 --guard 1 \
 		| grep -E 'degraded-rounds=[1-9]' > /dev/null
+	dune exec bin/hire_sim.exe -- -s yarn-concurrent -k 4 --horizon 40 --util 2.0 \
+		--seeds 1,2,3 --jobs 1 > /tmp/hire_check_jobs1.txt
+	dune exec bin/hire_sim.exe -- -s yarn-concurrent -k 4 --horizon 40 --util 2.0 \
+		--seeds 1,2,3 --jobs 3 > /tmp/hire_check_jobs3.txt
+	@cmp /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs3.txt || \
+		{ echo "check: FAIL (hire_sim --jobs 3 stdout differs from --jobs 1)"; exit 1; }
+	rm -f /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs3.txt
 	@if HIRE_FAILPOINTS='solve.exhaust=frobnicate' dune exec bin/hire_sweep.exe -- \
 		-k 4 --horizon 10 --schedulers hire --mus 0.5 --seeds 1 \
 		--cache-dir /tmp/hire_check_fp/cache --out /tmp/hire_check_fp/sweep.csv \

@@ -7,10 +7,13 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
     solver_budget solver_steps guard jobs verbose csv
     trace obs_summary journal checkpoint_every =
   Failpt.init_env ();
-  (* Failpoint streams are process-global: seeds run on several domains
-     would draw from them concurrently. *)
+  (* Failpoint streams are process-global and never reset between runs:
+     sequential seeds continue one stream, while forked seeds would each
+     restart it from the parent's state and so print different reports. *)
   if jobs > 1 && Failpt.enabled () then
-    failwith "--jobs cannot run with HIRE_FAILPOINTS set (failpoint state is process-global)";
+    failwith
+      "--jobs cannot run with HIRE_FAILPOINTS set (sequential seeds share one failpoint \
+       stream; forked seeds would each restart it)";
   Failpt.announce ();
   if trace <> None || obs_summary then Obs.set_enabled true;
   (match trace with
@@ -114,16 +117,16 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
     | None ->
     if jobs <= 1 || List.length seeds <= 1 then Harness.Experiment.run_seeds spec seeds
     else if instrumented then begin
-      (* Instrumentation (obs registry, trace ring) is process-global;
-         seed-level domain parallelism would interleave it. *)
+      (* The obs registry and trace ring a forked child fills are lost
+         when it exits, so instrumented seeds run in this process. *)
       Printf.eprintf
-        "hire_sim: --jobs ignored with --trace/--obs-summary (instrumentation is \
-         process-global)\n\
+        "hire_sim: --jobs ignored with --trace/--obs-summary (a forked worker's \
+         instrumentation would be lost)\n\
          %!";
       Harness.Experiment.run_seeds spec seeds
     end
     else
-      Runner.Pool.map ~jobs ~retries:0 ~mode:Runner.Pool.Domains
+      Runner.Pool.map ~jobs ~retries:0
         ~label:(fun seed -> Printf.sprintf "seed %d" seed)
         ~f:(fun seed -> Harness.Experiment.run { spec with seed })
         seeds
@@ -281,10 +284,11 @@ let guard =
 
 let jobs =
   let doc =
-    "Run up to $(docv) seeds concurrently on OCaml 5 domains (docs/RUNNER.md).  \
-     Reports are still printed in seed order.  Ignored with $(b,--trace) or \
-     $(b,--obs-summary), whose instrumentation is process-global; rejected when \
-     HIRE_FAILPOINTS is set."
+    "Run up to $(docv) seeds concurrently on forked worker processes \
+     (docs/RUNNER.md).  Reports are still printed in seed order.  Ignored with \
+     $(b,--trace) or $(b,--obs-summary), whose instrumentation a forked worker \
+     would lose; rejected when HIRE_FAILPOINTS is set, since sequential seeds share \
+     one failpoint stream that forked seeds would each restart."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 

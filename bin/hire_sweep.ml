@@ -12,13 +12,7 @@ let parse_setup = function
   | "heterogeneous" | "het" -> Sim.Cluster.Heterogeneous
   | other -> failwith (Printf.sprintf "unknown setup %S (homogeneous|heterogeneous)" other)
 
-let parse_pool = function
-  | "fork" -> Runner.Pool.Fork
-  | "domain" | "domains" -> Runner.Pool.Domains
-  | "inline" -> Runner.Pool.Inline
-  | other -> failwith (Printf.sprintf "unknown pool mode %S (fork|domain|inline)" other)
-
-let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
+let sweep jobs resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
     horizon util fraction faults_on mtbf mttr max_retries solver_budget solver_steps
     guard out quiet =
   Failpt.init_env ();
@@ -55,10 +49,6 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
       in
       Some (Hire.Hire_scheduler.resilience ?budget ~guard_every:guard ())
   in
-  let pool = parse_pool pool in
-  if pool = Runner.Pool.Domains && Failpt.enabled () then
-    failwith
-      "--pool domain cannot run with HIRE_FAILPOINTS set (failpoint state is process-global)";
   Failpt.announce ();
   let base =
     {
@@ -98,7 +88,7 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
         fun s -> Digest.to_hex (Digest.string (Experiment.cell_key s ^ "|failpoints=" ^ armed))
   in
   let outcomes, stats =
-    Runner.run ~jobs ?timeout ~retries ?cache ~resume ~mode:pool ~key
+    Runner.run ~jobs ?timeout ~retries ?cache ~resume ~key
       ~label:Experiment.describe ~log ~f:Experiment.run specs
   in
   let rows =
@@ -138,18 +128,11 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
 open Cmdliner
 
 let jobs =
-  let doc = "Concurrent workers (forked children, or domains with $(b,--pool) domain)." in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let pool =
   let doc =
-    "Worker pool flavor (docs/RUNNER.md): $(b,fork) (default) runs each cell in an \
-     isolated forked child with enforceable timeouts; $(b,domain) runs cells on a pool \
-     of OCaml 5 domains inside this process — no fork/marshalling cost, but no \
-     isolation, $(b,--timeout) is ignored, and HIRE_FAILPOINTS is rejected; $(b,inline) \
-     runs cells sequentially in-process."
+    "Run cells on up to $(docv) forked worker processes concurrently, one child per \
+     cell (docs/RUNNER.md)."
   in
-  Arg.(value & opt string "fork" & info [ "pool" ] ~docv:"MODE" ~doc)
+  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let resume =
   let doc =
@@ -267,11 +250,11 @@ let cmd =
       `S Manpage.s_description;
       `P
         "Enumerates the ⟨scheduler, mu, setup, seed⟩ cross product and executes every \
-         cell in an isolated forked worker ($(b,--jobs) of them in parallel).  Results \
-         are cached on disk keyed by a content hash of the cell config, so \
-         $(b,--resume) completes an interrupted sweep without recomputing finished \
-         cells; a crashing or hanging cell is retried and then reported without \
-         aborting the rest.  Output tables are byte-identical for any $(b,--jobs).  \
+         cell in an isolated child, on $(b,--jobs) forked worker processes in \
+         parallel.  Results are cached on disk keyed by a content hash of the cell \
+         config, so $(b,--resume) completes an interrupted sweep without recomputing \
+         finished cells; a crashing or hanging cell is retried and then reported \
+         without aborting the rest.  Output tables are byte-identical for any $(b,--jobs).  \
          See docs/RUNNER.md.";
       `S Manpage.s_exit_status;
       `P "0 on success, 1 on usage errors, 2 if any cell ultimately failed.";
@@ -280,7 +263,7 @@ let cmd =
   Cmd.v
     (Cmd.info "hire_sweep" ~version:"1.0" ~doc ~man)
     Term.(
-      const sweep $ jobs $ pool $ resume $ no_cache $ state_dir $ cache_dir $ timeout $ retries
+      const sweep $ jobs $ resume $ no_cache $ state_dir $ cache_dir $ timeout $ retries
       $ schedulers $ mus $ setups $ seeds $ k $ horizon $ util $ fraction $ faults_flag
       $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard
       $ out $ quiet)

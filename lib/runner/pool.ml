@@ -200,7 +200,7 @@ let map_forked ~jobs ~timeout ~retries ~label ~log ~f items =
 (* In-process fallback: same retry semantics, no isolation and therefore
    no enforceable timeout.  Used when the caller needs child-side
    instrumentation (tracing, registry counters) to land in its own
-   process, and as the no-fork escape hatch. *)
+   process, and as the reference the forked pool is tested against. *)
 let map_inline ~retries ~label ~log ~f items =
   let n = List.length items in
   let max_attempts = 1 + max 0 retries in
@@ -233,93 +233,13 @@ let map_inline ~retries ~label ~log ~f items =
       attempt 1)
     items
 
-(* ------------------------------------------------------------------ *)
-(* Domain-based pool                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* One OCaml 5 domain per worker, pulling cell indices off a shared
-   atomic counter until it runs dry.  Cells share the process and the
-   runtime — no fork, no marshalling, results stay on the major heap —
-   which is the cheap mode for many small cells on a multicore host.
-   The flip side: a cell cannot be SIGKILLed, so per-attempt timeouts
-   are not enforceable (ignored, as in [map_inline]), a diverging cell
-   hangs the pool, and [f] must not touch process-global mutable state
-   (the obs registry and the failpoint registry are global: run
-   domain-mode sweeps with obs off and HIRE_FAILPOINTS unset —
-   docs/RUNNER.md).
-
-   Each result slot is written by exactly one domain (the one that
-   pulled its index) and read by the coordinator only after joining
-   every worker, so the slot array needs no lock; the log callback is
-   shared and serialized by a mutex. *)
-let map_domains ~jobs ~retries ~label ~log ~f items =
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let results : 'b cell option array = Array.make n None in
-  let max_attempts = 1 + max 0 retries in
-  let next = Atomic.make 0 in
-  let done_count = Atomic.make 0 in
-  let log_mutex = Mutex.create () in
-  let log line =
-    Mutex.lock log_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock log_mutex) (fun () -> log line)
-  in
-  let worker () =
-    let continue_ = ref true in
-    while !continue_ do
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= n then continue_ := false
-      else begin
-        let item = items.(i) in
-        let name = label i item in
-        let rec attempt k =
-          let t0 = Clock.now () in
-          match f item with
-          | v ->
-              let wall_s = Clock.now () -. t0 in
-              let d = 1 + Atomic.fetch_and_add done_count 1 in
-              results.(i) <- Some { result = Ok v; attempts = k; wall_s };
-              log
-                (Printf.sprintf "[runner] (%d/%d) ok   %s  %.1fs%s" d n name wall_s
-                   (if k > 1 then Printf.sprintf " (attempt %d)" k else ""))
-          | exception e ->
-              let msg = Printexc.to_string e in
-              if k < max_attempts then begin
-                log
-                  (Printf.sprintf "[runner] retry %s after attempt %d/%d: error: %s" name k
-                     max_attempts msg);
-                attempt (k + 1)
-              end
-              else begin
-                let wall_s = Clock.now () -. t0 in
-                let d = 1 + Atomic.fetch_and_add done_count 1 in
-                results.(i) <- Some { result = Error (Child_error msg); attempts = k; wall_s };
-                log
-                  (Printf.sprintf "[runner] (%d/%d) FAIL %s after %d attempt(s): error: %s" d
-                     n name k msg)
-              end
-        in
-        attempt 1
-      end
-    done
-  in
-  let workers = max 1 (min jobs n) in
-  let domains = Array.init workers (fun _ -> Domain.spawn worker) in
-  Array.iter Domain.join domains;
-  Array.to_list (Array.map Option.get results)
-
-type mode = Fork | Domains | Inline
-
-let map ?(jobs = 1) ?timeout ?(retries = 1) ?(isolate = true) ?mode ?label ?(log = ignore)
-    ~f items =
+let map ?(jobs = 1) ?timeout ?(retries = 1) ?(isolate = true) ?label ?(log = ignore) ~f
+    items =
   let jobs = max 1 jobs in
   let label =
     match label with
     | Some l -> fun _ item -> l item
     | None -> fun i _ -> Printf.sprintf "cell %d" i
   in
-  let mode = match mode with Some m -> m | None -> if isolate then Fork else Inline in
-  match mode with
-  | Fork -> map_forked ~jobs ~timeout ~retries ~label ~log ~f items
-  | Domains -> map_domains ~jobs ~retries ~label ~log ~f items
-  | Inline -> map_inline ~retries ~label ~log ~f items
+  if isolate then map_forked ~jobs ~timeout ~retries ~label ~log ~f items
+  else map_inline ~retries ~label ~log ~f items

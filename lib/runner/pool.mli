@@ -26,21 +26,6 @@ val reason_to_string : reason -> string
     of the final attempt. *)
 type 'b cell = { result : ('b, reason) result; attempts : int; wall_s : float }
 
-(** How cells are evaluated (docs/RUNNER.md).
-
-    - [Fork] (the default): one forked child process per cell, results
-      marshalled back over a pipe.  Full isolation: crashes are
-      contained and timeouts enforced with [SIGKILL].
-    - [Domains]: a fixed pool of OCaml 5 domains pulling cells off a
-      shared atomic counter inside {e this} process.  No fork or
-      marshalling cost and shared-memory parallelism on multicore, but
-      no isolation: timeouts are ignored, a diverging cell hangs the
-      pool, and [f] must not touch process-global mutable state — run
-      with obs off and without [HIRE_FAILPOINTS].
-    - [Inline]: sequential in-process evaluation (the no-fork escape
-      hatch; timeouts ignored). *)
-type mode = Fork | Domains | Inline
-
 (** [map ~f items] runs [f] on every item.
 
     @param jobs concurrent worker processes (default 1; clamped to >= 1).
@@ -50,22 +35,19 @@ type mode = Fork | Domains | Inline
     @param retries extra attempts after a failed one (default 1); after
       [1 + retries] failures the cell settles on a structured failure —
       other cells are unaffected.
-    @param isolate [false] runs every cell in-process (no fork): used
-      when per-process instrumentation must accumulate in the caller.
-      Timeouts are not enforceable in-process and are ignored; a raising
-      [f] still yields {!Child_error}.  Default [true].  Kept as the
-      historical boolean spelling of [mode]; [mode], when given, wins.
-    @param mode evaluation strategy ({!mode}); default [Fork] when
-      [isolate], [Inline] otherwise.
+    @param isolate [true] (the default) runs each cell in a forked
+      child; [false] runs every cell sequentially in-process, the
+      reference path, used when per-process instrumentation must
+      accumulate in the caller.  Timeouts are not enforceable in-process
+      and are ignored; a raising [f] still yields {!Child_error}.
     @param label used in [log] lines (default: the item's index).
-    @param log per-cell progress sink (default: silent).  In [Domains]
-      mode it is called from worker domains, serialized by a mutex. *)
+    @param log per-cell progress sink (default: silent); called from
+      this process only. *)
 val map :
   ?jobs:int ->
   ?timeout:float ->
   ?retries:int ->
   ?isolate:bool ->
-  ?mode:mode ->
   ?label:('a -> string) ->
   ?log:(string -> unit) ->
   f:('a -> 'b) ->

@@ -2,9 +2,10 @@
 
     Executes a list of cells as a pool of isolated worker processes
     ({!Pool}: [Unix.fork], one child per cell, results marshalled back
-    over a pipe) — or, with [~mode:Pool.Domains], as a fixed pool of
-    OCaml 5 domains sharing this process — behind an on-disk result
-    cache ({!Cache}) keyed by a content hash of each cell's config.  Guarantees, in order of importance:
+    over a pipe) — or, with [~isolate:false], sequentially in this
+    process, the reference path — behind an on-disk result cache
+    ({!Cache}) keyed by a content hash of each cell's config.
+    Guarantees, in order of importance:
 
     - {b determinism} — outcomes are returned in input order and carry
       pure marshalled values, so a [~jobs:4] run is byte-identical to a
@@ -55,8 +56,8 @@ let obs_account stats =
     Obs.Registry.incr ~by:stats.retries (c "retries")
   end
 
-let run ?(jobs = 1) ?timeout ?(retries = 1) ?cache ?(resume = true) ?(isolate = true) ?mode
-    ?label ?(log = ignore) ~key ~f items =
+let run ?(jobs = 1) ?timeout ?(retries = 1) ?cache ?(resume = true) ?(isolate = true) ?label
+    ?(log = ignore) ~key ~f items =
   let t0 = Prelude.Clock.now () in
   let keyed = List.map (fun item -> (item, key item)) items in
   (* Resolve cache hits first; only the misses go to the pool. *)
@@ -83,7 +84,7 @@ let run ?(jobs = 1) ?timeout ?(retries = 1) ?cache ?(resume = true) ?(isolate = 
     match label with Some l -> Some (fun (item, _k) -> l item) | None -> None
   in
   let ran =
-    Pool.map ~jobs ?timeout ~retries ~isolate ?mode ?label:pool_label ~log
+    Pool.map ~jobs ?timeout ~retries ~isolate ?label:pool_label ~log
       ~f:(fun (item, _k) -> f item)
       to_run
   in

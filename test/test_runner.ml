@@ -1,8 +1,9 @@
 (* Tests for lib/runner: the fork pool (ordering, isolation, timeout,
    retry, structured failures), the on-disk result
    cache (resume, corruption tolerance), and the acceptance properties
-   of the sweep runner — parallel output byte-identical to sequential,
-   and an interrupted sweep resuming from cached cells only. *)
+   of the sweep runner — parallel output byte-identical to sequential
+   and to the in-process reference path, and an interrupted sweep
+   resuming from cached cells only. *)
 
 module Runner = Runner
 module Pool = Runner.Pool
@@ -65,7 +66,10 @@ let test_pool_order_deterministic () =
   let sequential = run 1 and parallel = run 4 in
   Alcotest.(check (list (pair int int))) "input order" (List.map (fun x -> (x, x * x)) items)
     sequential;
-  Alcotest.(check (list (pair int int))) "jobs=4 identical to jobs=1" sequential parallel
+  Alcotest.(check (list (pair int int))) "jobs=4 identical to jobs=1" sequential parallel;
+  (* More workers than items: the pool forks only what it needs. *)
+  Alcotest.(check (list int)) "jobs=8 over 3 items" [ 2; 3; 4 ]
+    (List.map ok_exn_pool (Pool.map ~jobs:8 ~f:succ [ 1; 2; 3 ]))
 
 let test_pool_child_crash () =
   let f x = if x = 2 then Unix._exit 7 else x in
@@ -279,15 +283,19 @@ let csv_rows specs outcomes =
     specs outcomes
 
 (* The acceptance property: a --jobs 4 sweep emits byte-identical result
-   rows to the sequential run.  (Deterministic simulation metrics only;
-   measured wall-clock columns are excluded by using non-flow schedulers,
-   whose solver histogram is empty.) *)
+   rows to the sequential run, and both match the in-process reference
+   path.  (Deterministic simulation metrics only; measured wall-clock
+   columns are excluded by using non-flow schedulers, whose solver
+   histogram is empty.) *)
 let test_sweep_parallel_byte_identical () =
-  let run jobs =
-    let outcomes, _ = Runner.run ~jobs ~key:Experiment.cell_key ~f:Experiment.run small_specs in
+  let run ?isolate jobs =
+    let outcomes, _ =
+      Runner.run ~jobs ?isolate ~key:Experiment.cell_key ~f:Experiment.run small_specs
+    in
     csv_rows small_specs outcomes
   in
-  let sequential = run 1 and parallel = run 4 in
+  let inline = run ~isolate:false 1 and sequential = run 1 and parallel = run 4 in
+  Alcotest.(check (list string)) "forked jobs=1 byte-identical to inline" inline sequential;
   Alcotest.(check (list string)) "byte-identical CSV rows" sequential parallel
 
 (* The acceptance property: a killed sweep restarted with resume
