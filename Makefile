@@ -16,12 +16,16 @@ test:
 # (docs/PERFORMANCE.md).  lib/hire/flow_network.ml must also not call
 # the Sharing accessors that copy or sort (supported_services,
 # active_services, Sharing.available, Sharing.capacity): it prices
-# switches through Sharing.iter_supporting, n_active and n_supported.
-# In lib/flow/mcmf.ml, the fast SSP Dijkstra bodies (from `let
-# dijkstra_fast_heap` up to `let solve`) and `decompose` (to the end of
-# the file) must not call Graph.iter_out or Graph.fold_out: they walk
-# the forward chains and the live twins through Graph.Raw, without a
-# closure and without visiting zero-capacity twins.  The shortcut
+# switches through Sharing.iter_supporting, live_available,
+# live_capacity, n_active and n_supported.  Nor may it call
+# Resource.utilization: Cost_model.ms_to_k and mn_to_k read the server
+# and switch ledgers in place instead of building a utilization vector.
+# In lib/flow/mcmf.ml, the fast SSP Dijkstra bodies and the zero-length
+# search before them (from `let dijkstra_fast_heap` up to `let solve`)
+# and `decompose` (to the end of the file) must not call Graph.iter_out
+# or Graph.fold_out: they walk the forward chains and the live twins
+# through Graph.Raw, without a closure and without visiting
+# zero-capacity twins.  The shortcut
 # section of lib/hire/flow_network.ml (from `let push_shortcut` up to
 # `(* Build`) must not call Array.sort, List.sort, Array.of_list,
 # Array.to_list or List.mem: a group's candidates live in the builder's
@@ -33,6 +37,8 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (polymorphic Hashtbl.hash above)"; exit 1; }
 	@! grep -nE '(supported_services|active_services|Sharing\.available|Sharing\.capacity)\b' lib/hire/flow_network.ml \
 		|| { echo "lint-compare: FAIL (copying or sorting Sharing accessor in flow_network.ml above)"; exit 1; }
+	@! grep -nE 'Resource\.utilization\b' lib/hire/flow_network.ml \
+		|| { echo "lint-compare: FAIL (utilization vector in flow_network.ml above)"; exit 1; }
 	@! { sed -n '/^let dijkstra_fast_heap/,/^let solve/p;/^let decompose/,$$p' lib/flow/mcmf.ml \
 		| grep -nE 'Graph\.(iter_out|fold_out)'; } \
 		|| { echo "lint-compare: FAIL (full residual scan in the fast SSP or decompose above)"; exit 1; }

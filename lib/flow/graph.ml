@@ -93,6 +93,10 @@ let ensure_arc_capacity t len =
     t.orig_cap <- grow_int_array t.orig_cap cap 0
   end
 
+let reserve t ~nodes ~arcs =
+  ensure_node_capacity t nodes;
+  ensure_arc_capacity t (2 * arcs)
+
 let add_node t =
   ensure_node_capacity t (t.n + 1);
   let id = t.n in

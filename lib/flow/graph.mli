@@ -15,6 +15,12 @@ type arc = int
 
 val create : ?node_hint:int -> ?arc_hint:int -> unit -> t
 
+(** [reserve t ~nodes ~arcs] makes room for [nodes] nodes and [arcs]
+    forward arcs in all, so that a build which stays within them grows
+    no array.  A no-op when the arena is already that big; it changes
+    neither the node and arc counts nor any id. *)
+val reserve : t -> nodes:int -> arcs:int -> unit
+
 (** [add_node t] allocates a fresh node and returns its id. *)
 val add_node : t -> int
 

@@ -397,6 +397,79 @@ let dijkstra_fast_bucket g s =
   done;
   !target
 
+(* The search for a zero-length augmenting path, run before each fast
+   Dijkstra.  It starts from the same sources, pops from [s.heap] with
+   every key 0, so in node order, relaxes only arcs with residual
+   capacity and a clamped reduced cost of 0, onto nodes not yet stamped
+   in this generation, and stops at the first settled deficit.
+
+   When it finds one, the full search would have returned the same
+   target with the same settled list, in the same order, and the same
+   parents: the full search also pops every key-0 node before any
+   other, in node order on both queues; a positive-key relaxation never
+   pops before the key-0 nodes run out, and never changes a key-0
+   node's parent, which is the first key-0 relaxation onto it in both
+   searches.  Every settled node has distance 0, so the potential
+   update moves nothing.  When it finds none, the caller bumps the
+   generation and runs the full search (docs/PERFORMANCE.md,
+   "Zero-length augmenting paths"). *)
+let zero_path g s =
+  let excess = s.excess and pot = s.pot and dist = s.dist in
+  let parent = s.parent and stamp = s.stamp in
+  let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
+  let live = s.live_head and live_arc = s.live_arc and live_next = s.live_next in
+  let dst = Graph.Raw.dst g and cap = Graph.Raw.cap g and cost = Graph.Raw.cost g in
+  let gen = s.gen in
+  let h = s.heap in
+  Heap.Int_pair.clear h;
+  s.n_settled <- 0;
+  compact_sources s;
+  for i = 0 to s.n_sources - 1 do
+    let v = s.sources.(i) in
+    dist.(v) <- 0;
+    parent.(v) <- -1;
+    stamp.(v) <- gen;
+    Heap.Int_pair.push h 0 v
+  done;
+  let target = ref (-1) in
+  while !target < 0 && not (Heap.Int_pair.is_empty h) do
+    (* Each node is pushed once, so no entry is stale. *)
+    let v = Heap.Int_pair.pop h in
+    s.settled.(s.n_settled) <- v;
+    s.n_settled <- s.n_settled + 1;
+    if excess.(v) < 0 then target := v
+    else begin
+      let pv = pot.(v) in
+      let a = ref fwd.(v) and e = ref live.(v) in
+      let b = ref (if !e >= 0 then live_arc.(!e) else -1) in
+      while !a >= 0 || !b >= 0 do
+        let arc =
+          if !a > !b then begin
+            let x = !a in
+            a := next.(x);
+            x
+          end
+          else begin
+            let x = !b in
+            e := live_next.(!e);
+            b := if !e >= 0 then live_arc.(!e) else -1;
+            x
+          end
+        in
+        if cap.(arc) > 0 then begin
+          let u = dst.(arc) in
+          if stamp.(u) <> gen && cost.(arc) + pv - pot.(u) <= 0 then begin
+            dist.(u) <- 0;
+            parent.(u) <- arc;
+            stamp.(u) <- gen;
+            Heap.Int_pair.push h 0 u
+          end
+        end
+      done
+    end
+  done;
+  !target
+
 let solve ?budget ?scratch:s ?(algo = Fast) g =
   let t0 = Clock.now () in
   let bstate = Budget.for_solve ?budget () in
@@ -475,6 +548,8 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
     end
   done;
   let continue_ = ref (!remaining > 0) in
+  (* Augmentations whose path [zero_path] found. *)
+  let zero_paths = ref 0 in
   (match algo with
   | Fast ->
       seed_live s g n;
@@ -487,7 +562,17 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
         else begin
           s.gen <- s.gen + 1;
           let s0 = stage_start () in
-          let target = if use_bucket then dijkstra_fast_bucket g s else dijkstra_fast_heap g s in
+          let target =
+            let t = zero_path g s in
+            if t >= 0 then begin
+              incr zero_paths;
+              t
+            end
+            else begin
+              s.gen <- s.gen + 1;
+              if use_bucket then dijkstra_fast_bucket g s else dijkstra_fast_heap g s
+            end
+          in
           stage_end t_dijkstra s0;
           if target < 0 then continue_ := false
           else begin
@@ -593,6 +678,8 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
               if remaining_supply () = 0 then continue_ := false
         end
       done);
+  if instrument && algo = Fast then
+    Obs.Registry.incr ~by:!zero_paths (Obs.Registry.counter "flow.zero_paths");
   let degraded = !exhausted <> None in
   if degraded && instrument then begin
     Obs.Registry.incr (Obs.Registry.counter "flow.budget_exhausted");

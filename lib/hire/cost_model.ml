@@ -127,13 +127,63 @@ let phi_xhat ~estimate ~max_estimate =
 (* Edge assembly                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let balance_inverted util = clamp01 (1.0 -. Vec.stddev util)
+let check_dims name a b =
+  if Array.length a <> Array.length b then
+    invalid_arg (Printf.sprintf "Cost_model.%s: dimension mismatch" name)
 
-let ms_to_k ~util params =
-  flatten [ Vec.avg util; balance_inverted util ] ~penalty:0.0 params
+(* The M→K costs run once per machine of every cold build, so they read
+   the ledger in place instead of building a utilization vector.  Each
+   performs the float operations of the list form, in its order: the
+   used fraction u = clamp01 ((c - a) / c) (0 where c <= 0) of
+   [Topology.Resource.utilization], its mean and population stddev as
+   in [Prelude.Stats], the balance clamp01 (1 - stddev), then a
+   left-to-right sum of the σ⃗ components divided by their count and
+   [scaled].  test/test_hire_model.ml checks both bit for bit against
+   that list form. *)
 
-let mn_to_k ~util ~phi_tor ~phi_floor params =
-  flatten [ Vec.avg util; balance_inverted util; phi_tor; phi_floor ] ~penalty:0.0 params
+let[@inline] used_frac ~capacity ~available i =
+  let c = capacity.(i) in
+  if c <= 0.0 then 0.0 else clamp01 ((c -. available.(i)) /. c)
+
+(* Mean of u over the dimensions. *)
+let[@inline] used_avg ~capacity ~available n =
+  if n = 0 then 0.0
+  else begin
+    let sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      sum := !sum +. used_frac ~capacity ~available i
+    done;
+    !sum /. float_of_int n
+  end
+
+(* Inverted balance: clamp01 (1 - stddev u), u's mean being [m]. *)
+let[@inline] used_balance ~capacity ~available ~m n =
+  let dev =
+    if n < 2 then 0.0
+    else begin
+      let ss = ref 0.0 in
+      for i = 0 to n - 1 do
+        let x = used_frac ~capacity ~available i in
+        ss := !ss +. ((x -. m) *. (x -. m))
+      done;
+      sqrt (!ss /. float_of_int n)
+    end
+  in
+  clamp01 (1.0 -. dev)
+
+let ms_to_k ~capacity ~available params =
+  check_dims "ms_to_k" capacity available;
+  let n = Array.length capacity in
+  let m = used_avg ~capacity ~available n in
+  let bal = used_balance ~capacity ~available ~m n in
+  scaled ~avg:((0.0 +. m +. bal) /. 2.0) ~penalty:0.0 params
+
+let mn_to_k ~capacity ~available ~phi_tor ~phi_floor params =
+  check_dims "mn_to_k" capacity available;
+  let n = Array.length capacity in
+  let m = used_avg ~capacity ~available n in
+  let bal = used_balance ~capacity ~available ~m n in
+  scaled ~avg:((0.0 +. m +. bal +. phi_tor +. phi_floor) /. 4.0) ~penalty:0.0 params
 
 (* The shortcut costs run once per candidate machine per task group, so
    they are loops over the dimensions instead of [flatten] over fresh
@@ -170,10 +220,6 @@ let[@inline] fit_dev ~demand ~available ~m n =
     done;
     clamp01 (sqrt (!ss /. float_of_int n))
   end
-
-let check_dims name a b =
-  if Array.length a <> Array.length b then
-    invalid_arg (Printf.sprintf "Cost_model.%s: dimension mismatch" name)
 
 let gs_shortcut ~demand ~available ~phi_loc ~phi_prio params =
   check_dims "gs_shortcut" demand available;

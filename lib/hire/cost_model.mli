@@ -97,11 +97,16 @@ val phi_xhat : estimate:float -> max_estimate:float -> float
 (* Edge-cost assembly (Tab. 4 rows)                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** Ms→K: avg utilization + inverted balance. *)
-val ms_to_k : util:Vec.t -> params -> int
+(** Ms→K: avg utilization + inverted balance of a server whose ledger
+    holds [available] of [capacity].  Reads both vectors in place.
+    @raise Invalid_argument if their dimensions differ. *)
+val ms_to_k : capacity:Vec.t -> available:Vec.t -> params -> int
 
-(** Mn→K: utilization, balance, ΦToR, Φ⌊P⌋. *)
-val mn_to_k : util:Vec.t -> phi_tor:float -> phi_floor:float -> params -> int
+(** Mn→K: utilization, balance, ΦToR, Φ⌊P⌋ of a switch whose ledger
+    holds [available] of [capacity].  Reads both vectors in place.
+    @raise Invalid_argument if their dimensions differ. *)
+val mn_to_k :
+  capacity:Vec.t -> available:Vec.t -> phi_tor:float -> phi_floor:float -> params -> int
 
 (** Gs→Ns/Ms shortcut: demand fit (avg and stddev of d ⊘ r), Φloc,
     constant interference 1, Φprio. *)

@@ -65,28 +65,32 @@ let decode_role packed =
 type tor_agg = { n_servers : int; min_avail : Vec.t; max_avail : Vec.t }
 
 let compute_tor_agg (view : View.t) tor =
-  let topo = view.topo in
+  let servers = Fat_tree.servers_under view.topo tor in
   (* Dead servers are invisible: they must not shape the aggregate
      bounds, or the ToR shortcut could admit flow the subtree cannot
-     host. *)
-  let servers =
-    Array.of_list (List.filter view.alive (Array.to_list (Fat_tree.servers_under topo tor)))
-  in
-  if Array.length servers = 0 then None
-  else begin
-    let first = view.server_available servers.(0) in
-    let min_avail = Vec.copy first and max_avail = Vec.copy first in
-    Array.iter
-      (fun s ->
-        let a = view.server_available s in
-        Array.iteri
-          (fun i x ->
-            if x < min_avail.(i) then min_avail.(i) <- x;
-            if x > max_avail.(i) then max_avail.(i) <- x)
-          a)
-      servers;
-    Some { n_servers = Array.length servers; min_avail; max_avail }
-  end
+     host.  The first alive server seeds both bounds with copies of its
+     ledger; the others fold into them. *)
+  let n = ref 0 and min_avail = ref [||] and max_avail = ref [||] in
+  for j = 0 to Array.length servers - 1 do
+    let s = servers.(j) in
+    if view.alive s then begin
+      let a = view.server_available s in
+      if !n = 0 then begin
+        min_avail := Vec.copy a;
+        max_avail := Vec.copy a
+      end
+      else begin
+        let lo = !min_avail and hi = !max_avail in
+        for i = 0 to Array.length a - 1 do
+          let x = a.(i) in
+          if x < lo.(i) then lo.(i) <- x;
+          if x > hi.(i) then hi.(i) <- x
+        done
+      end;
+      incr n
+    end
+  done;
+  if !n = 0 then None else Some { n_servers = !n; min_avail = !min_avail; max_avail = !max_avail }
 
 (* ------------------------------------------------------------------ *)
 (* Persistent builder                                                 *)
@@ -120,6 +124,13 @@ type builder = {
   mutable tor_aggs : tor_agg option array;  (* by ToR switch id *)
   mutable tor_stamp : int array;  (* dedupe per-round ToR recomputes *)
   mutable stamp : int;
+  (* Bounds on the prefix's nodes and forward arcs, and its server and
+     INC-capable switch counts, counted once per topology
+     ([count_prefix]); [prefix_nodes] is -1 until then. *)
+  mutable prefix_nodes : int;
+  mutable prefix_arcs : int;
+  mutable n_machine_servers : int;
+  mutable n_machine_switches : int;
   (* Shortcut candidates of the task group being built, in generation
      order, and their packed sort keys (see [select_shortcuts]).  Reused
      across groups and rounds. *)
@@ -138,7 +149,7 @@ type builder = {
 }
 
 let create_builder ?(reopt = false) () =
-  let g = Graph.create ~node_hint:1024 ~arc_hint:8192 () in
+  let g = Graph.create () in
   (* With re-optimization on, the graph records which arc pairs each
      solve moves flow on, so the next patch undoes only those instead of
      sweeping the whole arena. *)
@@ -160,6 +171,10 @@ let create_builder ?(reopt = false) () =
     tor_aggs = [||];
     tor_stamp = [||];
     stamp = 0;
+    prefix_nodes = -1;
+    prefix_arcs = -1;
+    n_machine_servers = 0;
+    n_machine_switches = 0;
     sc_cost = [||];
     sc_dst = [||];
     sc_cap = [||];
@@ -183,7 +198,8 @@ let ensure_topology b node_count =
     b.mn_arc <- Array.make node_count (-1);
     b.tor_aggs <- Array.make node_count None;
     b.tor_stamp <- Array.make node_count (-1);
-    b.prefix <- None
+    b.prefix <- None;
+    b.prefix_nodes <- -1
   end
 
 let ensure_roles b n =
@@ -414,15 +430,74 @@ let network_shortcuts b (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_
 (* Build                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let ms_cost (view : View.t) s (params : Cost_model.params) =
+  Cost_model.ms_to_k ~capacity:view.server_capacity ~available:(view.server_available s) params
+
 let mn_cost (view : View.t) s (params : Cost_model.params) =
   Cost_model.mn_to_k
-    ~util:(Sharing.utilization view.sharing s)
+    ~capacity:(Sharing.live_capacity view.sharing)
+    ~available:(Sharing.live_available view.sharing s)
     ~phi_tor:(Cost_model.phi_tor view.topo ~switch:s)
     ~phi_floor:
       (Cost_model.phi_floor_p
          ~active:(Sharing.n_active view.sharing s)
          ~max_possible:(Sharing.n_supported view.sharing s))
     params
+
+(* What [build_prefix] creates when every server is alive, and so a
+   bound on it otherwise: the sink; per server an Ms node and its Ms→K
+   arc; per switch Ns and Nn; per supported switch an Mn node with its
+   Nn→Mn and Mn→K arcs; and per topology link one Ns→Ms arc (to a
+   server) or an Ns and an Nn arc (to a switch). *)
+let count_prefix b (view : View.t) =
+  let topo = view.topo in
+  let servers = Array.length (Fat_tree.servers topo) in
+  let switches = Fat_tree.switches topo in
+  let supported = ref 0 and links = ref 0 in
+  Array.iter
+    (fun s ->
+      if Sharing.n_supported view.sharing s > 0 then incr supported;
+      List.iter
+        (fun child -> links := !links + if Fat_tree.is_server topo child then 1 else 2)
+        (Fat_tree.children topo s))
+    switches;
+  b.prefix_nodes <- 1 + servers + (2 * Array.length switches) + !supported;
+  b.prefix_arcs <- servers + (2 * !supported) + !links;
+  b.n_machine_servers <- servers;
+  b.n_machine_switches <- !supported
+
+(* Sizes the arena of a full build once, before its first arc: the
+   prefix bound plus a bound on the job suffix.  The suffix holds per
+   job a P node and at most an F node, with the F→P, P→K and S→F arcs;
+   per group a G node, one G→P or F→G arc, and its kept shortcuts: at
+   most [max_shortcuts], and at most one per server (a ToR aggregate
+   stands for at least one) or per INC-capable switch; and the super
+   selector.  A patched build keeps the arena it has, which already
+   holds the prefix and earlier suffixes, and grows it by doubling only
+   when a suffix outgrows them: the bound is loose for a long queue,
+   and reserving it every round would size the arena by the bound
+   rather than by the arcs built. *)
+let reserve_full b (view : View.t) ~(params : Cost_model.params) selected =
+  if b.prefix_nodes < 0 then count_prefix b view;
+  let kept n = min (max 0 params.max_shortcuts) n + 1 in
+  let nodes = ref (b.prefix_nodes + 1) and arcs = ref b.prefix_arcs in
+  List.iter
+    (fun (_, tgs) ->
+      nodes := !nodes + 2;
+      arcs := !arcs + 3;
+      List.iter
+        (fun (ts : Pending.tg_state) ->
+          incr nodes;
+          arcs :=
+            !arcs
+            +
+            match ts.tg.Poly_req.kind with
+            | Poly_req.Server_tg -> kept b.n_machine_servers
+            | Poly_req.Network_tg _ -> kept b.n_machine_switches)
+        tgs)
+    selected;
+  Graph.reserve b.g ~nodes:!nodes ~arcs:!arcs;
+  ensure_roles b !nodes
 
 (* Rebuild the topology prefix from scratch: sink, machine nodes for
    alive servers / supported switches, the two topology copies, and the
@@ -449,8 +524,7 @@ let build_prefix b (view : View.t) ~big ~(params : Cost_model.params) mk =
       if view.View.alive s then begin
         let v = mk (Machine_server s) in
         b.ms_node.(s) <- v;
-        let cost = Cost_model.ms_to_k ~util:(View.server_utilization view s) params in
-        b.ms_arc.(s) <- Graph.add_arc g ~src:v ~dst:sink ~cap:1 ~cost
+        b.ms_arc.(s) <- Graph.add_arc g ~src:v ~dst:sink ~cap:1 ~cost:(ms_cost view s params)
       end)
     (Fat_tree.servers topo);
   Array.iter
@@ -516,7 +590,7 @@ let patch_prefix b (view : View.t) p d ~big ~(params : Cost_model.params) touche
   Dirty.iter_servers d (fun s ->
       let a = b.ms_arc.(s) in
       if a >= 0 then begin
-        Graph.set_cost g a (Cost_model.ms_to_k ~util:(View.server_utilization view s) params);
+        Graph.set_cost g a (ms_cost view s params);
         incr touched
       end);
   Dirty.iter_switches d (fun s ->
@@ -602,6 +676,7 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
         b.last_full <- false;
         0
     | _ ->
+        reserve_full b view ~params selected;
         let sink = build_prefix b view ~big ~params mk in
         b.last_full <- true;
         b.full_rebuilds <- b.full_rebuilds + 1;

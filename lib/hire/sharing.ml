@@ -46,6 +46,8 @@ let state t switch =
 
 let capacity t = Vec.copy t.cap
 let available t switch = Vec.copy (state t switch).avail
+let live_available t switch = (state t switch).avail
+let live_capacity t = t.cap
 
 let is_alive t switch = (state t switch).alive
 let set_alive t switch alive = (state t switch).alive <- alive
@@ -141,10 +143,6 @@ let release t ~switch ~service ~per_instance =
   end
   else Hashtbl.replace st.counts service (c - 1);
   check_over_release st t.cap ~switch
-
-let utilization t switch =
-  let st = state t switch in
-  Topology.Resource.utilization ~capacity:t.cap ~available:st.avail
 
 let total_used t =
   let acc = Vec.zero (Vec.dim t.cap) in

@@ -27,6 +27,15 @@ val capacity : t -> Vec.t
 (** Remaining resources of a switch (a copy). *)
 val available : t -> int -> Vec.t
 
+(** [live_available t switch] is the switch's remaining resources and
+    [live_capacity t] the per-switch capacity: the ledger's own vectors,
+    not copies, as {!iter_supporting} passes them.  Callers must neither
+    mutate nor keep them.  The flow network prices Mn→K arcs through
+    them. *)
+val live_available : t -> int -> Vec.t
+
+val live_capacity : t -> Vec.t
+
 (** [supports] iff the switch is alive {e and} capable of the service;
     every placement predicate ({!can_place}, the flow-network arcs, the
     baselines' feasibility checks) routes through it, so marking a
@@ -75,9 +84,6 @@ val place :
     @raise Invalid_argument if no such instance is recorded, or if the
     refund would push the ledger above capacity (double release). *)
 val release : t -> switch:int -> service:string -> per_instance:Vec.t -> unit
-
-(** Per-dimension used fraction of a switch. *)
-val utilization : t -> int -> Vec.t
 
 (** Sum of used resources across all switches, per dimension. *)
 val total_used : t -> Vec.t

@@ -6,6 +6,3 @@ type t = {
   alive : int -> bool;
   dirty : Dirty.t option;
 }
-
-let server_utilization t id =
-  Topology.Resource.utilization ~capacity:t.server_capacity ~available:(t.server_available id)

@@ -7,7 +7,10 @@
 type t = {
   topo : Topology.Fat_tree.t;
   server_capacity : Prelude.Vec.t;
-  server_available : int -> Prelude.Vec.t;  (** by server node id *)
+  server_available : int -> Prelude.Vec.t;
+      (** by server node id: the server's live ledger, not a copy.
+          Callers must not mutate it, and must not keep it past the next
+          change to the ledger. *)
   sharing : Sharing.t;
   alive : int -> bool;
       (** node liveness under fault injection; dead servers must receive
@@ -18,6 +21,3 @@ type t = {
           [None] means the owner does not track dirt and incremental
           builders must conservatively rebuild everything *)
 }
-
-(** Per-dimension used fraction of one server. *)
-val server_utilization : t -> int -> Prelude.Vec.t

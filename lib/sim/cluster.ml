@@ -114,11 +114,18 @@ let server_available t s =
 
 let server_capacity t = Vec.copy t.server_cap
 
+(* The view hands out the ledger itself, not a copy: HIRE only reads
+   it, once per Ms→K price, ToR aggregate and shortcut candidate. *)
+let server_ledger t s =
+  match Hashtbl.find t.server_avail s with
+  | v -> v
+  | exception Not_found -> invalid_arg (Printf.sprintf "Cluster.view: %d is not a server" s)
+
 let view t =
   {
     Hire.View.topo = t.topo;
     server_capacity = t.server_cap;
-    server_available = (fun s -> server_available t s);
+    server_available = server_ledger t;
     sharing = t.sharing;
     alive = (fun node -> is_alive t node);
     dirty = Some t.dirty;

@@ -628,8 +628,15 @@ let prop_decompose_cycles =
    residual arc of a settled node through [Graph.iter_out], dead twins
    included: same SPFA bootstrap, early-terminating Dijkstra over the
    canonical (distance, node) order, bottleneck augmentation and
-   settled-only potential update.  The live-arc scan must reproduce
-   its per-arc flows bit for bit. *)
+   settled-only potential update.  The live-arc scan and the zero-length
+   search in front of it must reproduce its per-arc flows bit for bit.
+   It counts the augmentations whose path had reduced length 0 in
+   [ref_zero] and the others in [ref_positive]: the first kind is what
+   the zero-length search finds, the second what it hands on to the
+   full Dijkstra. *)
+let ref_zero = ref 0
+let ref_positive = ref 0
+
 let reference_solve g =
   let n = Graph.node_count g in
   let inf = max_int / 4 in
@@ -718,6 +725,7 @@ let reference_solve g =
       shipped := !shipped + amount;
       incr augmentations;
       let d_target = dist.(t) in
+      incr (if d_target = 0 then ref_zero else ref_positive);
       List.iter (fun u -> pot.(u) <- pot.(u) + dist.(u) - d_target) !settled;
       if not (Array.exists (fun e -> e > 0) excess) then continue_ := false
     end
@@ -822,6 +830,149 @@ let prop_fast_scan_patched =
           same_as_reference ~scratch g)
         [ 1; 2; 3; 4 ])
 
+(* Scheduling-shaped graphs, laid out as the HIRE builder lays them out:
+   the sink is node 0, then the prefix (machines, each with a
+   capacity-1 arc to the sink, and aux nodes fanning out to machines at
+   cost 0), then per round the groups, which are the sources, with
+   shortcut arcs into the prefix and a costly arc to a postpone node.
+   Most costs are 0, so most augmenting paths have reduced length 0 and
+   ties are everywhere; once the cheap machines fill up, the paths turn
+   positive.  [scale] above the bucket limit selects the heap. *)
+let sched_prefix ~scale rng =
+  let g = Graph.create () in
+  let sink = Graph.add_node g in
+  let n_machines = 2 + Prelude.Rng.int rng 8 in
+  let first = Graph.add_nodes g n_machines in
+  for m = first to first + n_machines - 1 do
+    ignore
+      (Graph.add_arc g ~src:m ~dst:sink ~cap:1
+         ~cost:(scale * max 0 (Prelude.Rng.int rng 5 - 2)))
+  done;
+  for _ = 1 to 1 + Prelude.Rng.int rng 3 do
+    let aux = Graph.add_node g in
+    for m = first to first + n_machines - 1 do
+      if Prelude.Rng.bernoulli rng 0.5 then
+        ignore (Graph.add_arc g ~src:aux ~dst:m ~cap:1 ~cost:0)
+    done
+  done;
+  g
+
+(* Appends one round of groups to [g], whose nodes [1 .. prefix - 1]
+   are machines and aux nodes. *)
+let sched_suffix ~scale rng g =
+  let prefix = Graph.node_count g in
+  let postpone = Graph.add_node g in
+  let total = ref 0 in
+  for _ = 1 to 1 + Prelude.Rng.int rng 4 do
+    let grp = Graph.add_node g in
+    let supply = 1 + Prelude.Rng.int rng 4 in
+    Graph.set_supply g grp supply;
+    total := !total + supply;
+    for _ = 1 to 1 + Prelude.Rng.int rng 5 do
+      ignore
+        (Graph.add_arc g ~src:grp
+           ~dst:(1 + Prelude.Rng.int rng (prefix - 1))
+           ~cap:(1 + Prelude.Rng.int rng 2)
+           ~cost:(scale * max 0 (Prelude.Rng.int rng 4 - 1)))
+    done;
+    ignore (Graph.add_arc g ~src:grp ~dst:postpone ~cap:supply ~cost:(scale * 5))
+  done;
+  ignore (Graph.add_arc g ~src:postpone ~dst:0 ~cap:!total ~cost:0);
+  Graph.add_supply g 0 (- !total)
+
+let sched_scale seed = if seed land 1 = 0 then 1 else 40_000
+
+let sched_graph seed =
+  let rng = Prelude.Rng.create seed in
+  let scale = sched_scale seed in
+  let g = sched_prefix ~scale rng in
+  sched_suffix ~scale rng g;
+  g
+
+(* One prefix, four rounds of groups, one reused scratch. *)
+let sched_patched seed =
+  let rng = Prelude.Rng.create seed in
+  let scale = sched_scale seed in
+  let scratch = Mcmf.scratch () in
+  let g = sched_prefix ~scale rng in
+  let mk = Graph.mark g in
+  List.for_all
+    (fun _ ->
+      Graph.reset_flows g;
+      Graph.release g mk;
+      sched_suffix ~scale rng g;
+      same_as_reference ~scratch g)
+    [ 1; 2; 3; 4 ]
+
+let prop_fast_scan_sched =
+  let scratch = Mcmf.scratch () in
+  QCheck.Test.make ~name:"live-arc scan equals full scan, scheduling-shaped" ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed -> same_as_reference ~scratch (sched_graph seed))
+
+let prop_fast_scan_sched_patched =
+  QCheck.Test.make ~name:"live-arc scan equals full scan, scheduling-shaped patched"
+    ~count:100
+    QCheck.(int_range 0 1_000_000)
+    sched_patched
+
+(* Over a fixed run of scheduling-shaped solves, both kinds of
+   augmentation occur, so both the zero-length search and the full
+   Dijkstra it falls back to are exercised; and the solver's
+   [flow.zero_paths] counter equals the reference's count of
+   zero-length augmentations, so the search finds a path exactly when
+   the full Dijkstra would have found one of length 0. *)
+let test_fast_scan_sched_both_kinds () =
+  let was_enabled = Obs.enabled () in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
+  Obs.set_enabled true;
+  let zero_paths = Obs.Registry.counter "flow.zero_paths" in
+  let z0 = !ref_zero and p0 = !ref_positive in
+  let c0 = Obs.Registry.counter_value zero_paths in
+  for seed = 0 to 299 do
+    Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true
+      (same_as_reference (sched_graph seed));
+    Alcotest.(check bool) (Printf.sprintf "seed %d, patched" seed) true
+      (seed >= 60 || sched_patched seed)
+  done;
+  let zero = !ref_zero - z0 and positive = !ref_positive - p0 in
+  Alcotest.(check bool) "zero-length augmentations occur" true (zero > 0);
+  Alcotest.(check bool) "positive-length augmentations occur" true (positive > 0);
+  Alcotest.(check int) "flow.zero_paths counts the zero-length ones" zero
+    (Obs.Registry.counter_value zero_paths - c0)
+
+(* Sink 0, aux node A = 1, machines M1 = 2 and M2 = 3, sources S1 = 4
+   and S2 = 5.  The first Dijkstra pops S1, then A, which it reached at
+   key 0 from S1 and which pops before S2 by node order, then M1 and
+   the sink: the path S1 -> A -> M1 -> K, of length 0.  S2 then finds
+   no zero-length path (only M2, at cost 1, still reaches the sink), so
+   the full search takes S2 -> M2 -> K.  Popping both sources before A
+   would have sent S2 through M1 and S1 through A -> M2 instead. *)
+let test_fast_scan_prefix_between_sources () =
+  List.iter
+    (fun scale ->
+      let g = Graph.create () in
+      ignore (Graph.add_nodes g 6);
+      let arc src dst cost = Graph.add_arc g ~src ~dst ~cap:1 ~cost:(cost * scale) in
+      let s1_a = arc 4 1 0 in
+      let a_m1 = arc 1 2 0 in
+      let a_m2 = arc 1 3 1 in
+      let s2_m1 = arc 5 2 0 in
+      let s2_m2 = arc 5 3 1 in
+      let m1_k = arc 2 0 0 in
+      let m2_k = arc 3 0 0 in
+      Graph.set_supply g 4 1;
+      Graph.set_supply g 5 1;
+      Graph.set_supply g 0 (-2);
+      let z0 = !ref_zero and p0 = !ref_positive in
+      Alcotest.(check bool) "same flows" true (same_as_reference g);
+      Alcotest.(check (pair int int)) "one zero-length, one positive" (1, 1)
+        (!ref_zero - z0, !ref_positive - p0);
+      Alcotest.(check (list int)) "flows"
+        [ 1; 1; 0; 0; 1; 1; 1 ]
+        (List.map (Graph.flow g) [ s1_a; a_m1; a_m2; s2_m1; s2_m2; m1_k; m2_k ]))
+    [ 1; 40_000 ]
+
 (* Both creation orders of the tied pair, on both queues: with 2->1
    created first, the twin of 1->2 outranks it at node 2. *)
 let test_fast_scan_cycle_graph () =
@@ -920,7 +1071,17 @@ let () =
         @ qt [ prop_decompose_cycles ] );
       ( "fast-scan",
         Alcotest.test_case "cycle graph" `Quick test_fast_scan_cycle_graph
-        :: qt [ prop_fast_scan_identity; prop_fast_scan_patched ] );
+        :: Alcotest.test_case "scheduling-shaped, both path kinds" `Quick
+             test_fast_scan_sched_both_kinds
+        :: Alcotest.test_case "prefix node pops between sources" `Quick
+             test_fast_scan_prefix_between_sources
+        :: qt
+             [
+               prop_fast_scan_identity;
+               prop_fast_scan_patched;
+               prop_fast_scan_sched;
+               prop_fast_scan_sched_patched;
+             ] );
       ( "properties",
         qt
           [

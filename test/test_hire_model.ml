@@ -882,6 +882,17 @@ module Reference_cost = struct
       Vec.avg (Vec.div remaining capacity)
     in
     flatten [ fit_avg; fit_dev; free_after; phi_loc; phi_new; phi_prio ] ~penalty:0.0 params
+
+  (* The M→K costs as they were priced from a utilization vector. *)
+  let balance_inverted util = clamp01 (1.0 -. Vec.stddev util)
+
+  let ms_to_k ~capacity ~available params =
+    let util = Topology.Resource.utilization ~capacity ~available in
+    flatten [ Vec.avg util; balance_inverted util ] ~penalty:0.0 params
+
+  let mn_to_k ~capacity ~available ~phi_tor ~phi_floor params =
+    let util = Topology.Resource.utilization ~capacity ~available in
+    flatten [ Vec.avg util; balance_inverted util; phi_tor; phi_floor ] ~penalty:0.0 params
 end
 
 (* Coordinates that stress every branch: zero, magnitudes just below and
@@ -941,6 +952,71 @@ let prop_shortcut_costs_match_reference =
           (gs = gs_ref && gn = gn_ref)
           || QCheck.Test.fail_reportf "scale %d: gs %d (reference %d), gn %d (reference %d)"
                params.Cost_model.cost_scale gs gs_ref gn gn_ref)
+        [ params; bitwise_params ])
+
+(* A ledger of 0 to 4 dimensions: capacities of 0, -0.0, negative or
+   ordinary; remaining resources of the whole capacity (an empty
+   ledger), 0 or -0.0 (a full one), negative, or anywhere up to a bit
+   above the capacity.  A quarter of the ledgers are entirely empty or
+   entirely full. *)
+let ledger_gen =
+  QCheck.Gen.(
+    let cap =
+      frequency
+        [
+          (1, return 0.0);
+          (1, return (-0.0));
+          (1, float_range (-5.0) 0.0);
+          (6, float_range 0.0 100.0);
+        ]
+    in
+    let dim =
+      cap >>= fun c ->
+      map
+        (fun a -> (c, a))
+        (frequency
+           [
+             (2, return c);
+             (2, return 0.0);
+             (1, return (-0.0));
+             (1, float_range (-10.0) 0.0);
+             (4, float_range 0.0 ((Float.abs c *. 1.2) +. 1.0));
+           ])
+    in
+    int_range 0 4 >>= fun n ->
+    list_size (return n) dim >>= fun dims ->
+    let capacity = Array.of_list (List.map fst dims) in
+    frequency
+      [
+        (6, return (capacity, Array.of_list (List.map snd dims)));
+        (1, return (capacity, Array.copy capacity));
+        (1, return (capacity, Array.make n 0.0));
+      ])
+
+let print_ledger (capacity, available, phi_tor, phi_floor) =
+  let v a = String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Printf.sprintf "capacity [%s] available [%s] tor %h floor %h" (v capacity) (v available)
+    phi_tor phi_floor
+
+let prop_machine_costs_match_reference =
+  QCheck.Test.make ~name:"ms/mn to-sink loops = flatten over utilization (bitwise)" ~count:2000
+    (QCheck.make ~print:print_ledger
+       QCheck.Gen.(
+         map2
+           (fun (capacity, available) (phi_tor, phi_floor) ->
+             (capacity, available, phi_tor, phi_floor))
+           ledger_gen
+           (pair (oneofl [ 0.0; 0.5; 1.0 ]) (float_range 0.0 1.0))))
+    (fun (capacity, available, phi_tor, phi_floor) ->
+      List.for_all
+        (fun params ->
+          let ms = Cost_model.ms_to_k ~capacity ~available params in
+          let ms_ref = Reference_cost.ms_to_k ~capacity ~available params in
+          let mn = Cost_model.mn_to_k ~capacity ~available ~phi_tor ~phi_floor params in
+          let mn_ref = Reference_cost.mn_to_k ~capacity ~available ~phi_tor ~phi_floor params in
+          (ms = ms_ref && mn = mn_ref)
+          || QCheck.Test.fail_reportf "scale %d: ms %d (reference %d), mn %d (reference %d)"
+               params.Cost_model.cost_scale ms ms_ref mn mn_ref)
         [ params; bitwise_params ])
 
 (* [flatten] prices every other edge through the same clamp; NaN,
@@ -1111,6 +1187,7 @@ let () =
             [
               prop_phi_loc_unplaced_neutral;
               prop_shortcut_costs_match_reference;
+              prop_machine_costs_match_reference;
               prop_flatten_matches_reference;
             ] );
       ( "pending",

@@ -490,6 +490,38 @@ let test_warm_build_alloc_flat () =
   Alcotest.(check int) "31 more shortcut arcs" 31 (arcs_all - arcs_one);
   Alcotest.(check (float 0.0)) "same minor words" words_one words_all
 
+(* [View.server_available] hands the builder the live server ledgers,
+   and Mn→K pricing reads the live switch ledgers: building, solving
+   and extracting a k=8 network, cold and then patched, must leave
+   every ledger encoding to the same bytes. *)
+let test_build_leaves_ledgers () =
+  let cluster = make_cluster ~k:8 ~fraction:0.75 () in
+  let view = Sim.Cluster.view cluster in
+  let census = Hire.Locality.Task_census.create view.Hire.View.topo in
+  let jobs = golden_jobs () in
+  let params = Cost_model.default_params in
+  let builder = Flow_network.create_builder () in
+  let round name =
+    let before = Sim.Cluster.snapshot cluster in
+    let net = Flow_network.build ~builder view census ~jobs ~now:10.0 ~params in
+    let out = Flow_network.solve_and_extract net in
+    Alcotest.(check bool) (name ^ ": placed something") true
+      (out.Flow_network.placements <> []);
+    Alcotest.(check bool) (name ^ ": ledgers unchanged") true
+      (String.equal before (Sim.Cluster.snapshot cluster));
+    (Flow_network.stats net).Flow_network.full
+  in
+  Alcotest.(check bool) "cold build" true (round "cold");
+  (* Charges dirty a few servers and switches, so the next build
+     re-prices them and re-aggregates their ToRs in place. *)
+  let servers = Topology.Fat_tree.servers view.Hire.View.topo in
+  let demand = Vec.scale 0.3 (Sim.Cluster.server_capacity cluster) in
+  List.iter
+    (fun i -> Sim.Cluster.place_server_task cluster ~server:servers.(i) ~demand)
+    [ 0; 1; 17 ];
+  charge_switches cluster (List.hd (network_tgs jobs)) [ List.nth (inc_switches cluster) 2 ];
+  Alcotest.(check bool) "patched build" false (round "patched")
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end property: incremental == full rebuild                    *)
 (* ------------------------------------------------------------------ *)
@@ -635,6 +667,8 @@ let () =
           Alcotest.test_case "identity under churn" `Quick test_builder_identity_under_churn;
           Alcotest.test_case "golden network digests" `Quick test_golden_network_digests;
           Alcotest.test_case "golden flow digests" `Quick test_golden_flow_digests;
+          Alcotest.test_case "build leaves the ledgers unchanged" `Quick
+            test_build_leaves_ledgers;
           Alcotest.test_case "warm build allocation flat in candidates" `Quick
             test_warm_build_alloc_flat;
         ] );
