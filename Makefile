@@ -30,6 +30,13 @@ test:
 # `(* Build`) must not call Array.sort, List.sort, Array.of_list,
 # Array.to_list or List.mem: a group's candidates live in the builder's
 # reused int buffers and are ordered by Prelude.Cost_sort.
+# The body of Sharing.iter_supporting (lib/hire/sharing.ml) must not
+# call Hashtbl.mem: it walks the service's cached array of capable
+# switches instead of asking every switch's capability table.  And
+# lib/hire/flow_network.ml must not mention Aux_inc or big_arcs: the
+# builder creates only the nodes a shortcut can reach, not the INC
+# shadow copy of the topology or the switch-switch arcs
+# (docs/PERFORMANCE.md, "Only reachable nodes").
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -45,6 +52,10 @@ lint-compare:
 	@! { sed -n '/^let push_shortcut/,/^(\* Build/p' lib/hire/flow_network.ml \
 		| grep -nE '(Array\.sort|List\.sort|Array\.of_list|Array\.to_list|List\.mem)\b'; } \
 		|| { echo "lint-compare: FAIL (allocating list/array call in shortcut selection above)"; exit 1; }
+	@! { sed -n '/^let iter_supporting/,/^let /p' lib/hire/sharing.ml | grep -n 'Hashtbl\.mem'; } \
+		|| { echo "lint-compare: FAIL (per-switch capability lookup in Sharing.iter_supporting above)"; exit 1; }
+	@! grep -nE 'Aux_inc|big_arcs' lib/hire/flow_network.ml \
+		|| { echo "lint-compare: FAIL (unreachable topology part in flow_network.ml above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags

@@ -257,14 +257,6 @@ let set_cost t a c =
 
 let cost_ub t = t.cost_ub
 
-let set_cap t a c =
-  if not (is_forward a) then invalid_arg "Graph.set_cap: not a forward arc";
-  if a >= t.m then invalid_arg "Graph.set_cap: arc out of range";
-  if c < 0 then invalid_arg "Graph.set_cap: negative capacity";
-  t.orig_cap.(a) <- c;
-  t.cap.(a) <- c;
-  t.cap.(rev a) <- 0
-
 let retire_node t v =
   check_node t v "retire_node";
   t.supply_arr.(v) <- 0;

@@ -100,11 +100,6 @@ val has_negative_cost : t -> bool
     @raise Invalid_argument if [a] is not a live forward arc. *)
 val set_cost : t -> arc -> int -> unit
 
-(** [set_cap t a c] rewrites the capacity of forward arc [a] to [c],
-    resetting the pair to zero flow ([residual_cap a = c], twin 0).
-    @raise Invalid_argument if [a] is not a live forward arc or [c < 0]. *)
-val set_cap : t -> arc -> int -> unit
-
 (** [retire_node t v] detaches node [v]: zero supply, empty adjacency
     list.  Arcs {e into} [v] are untouched — callers must also zero the
     capacities of incoming arcs (or only retire nodes whose incoming
@@ -125,7 +120,7 @@ val mark : t -> mark
     [mk]: node/arc counts, adjacency heads, supplies and the
     negative-cost counter are all restored.  Arc attributes (costs,
     capacities) of the surviving prefix are {e not} restored — patch
-    those explicitly with {!set_cost}/{!set_cap}, and call
+    costs explicitly with {!set_cost}, and call
     {!reset_flows} to restore prefix capacities consumed by a solve.
     @raise Invalid_argument if the graph is behind the mark. *)
 val release : t -> mark -> unit

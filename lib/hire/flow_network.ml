@@ -10,7 +10,6 @@ type node_role =
   | Group of int
   | Postpone of int
   | Aux_server of int
-  | Aux_inc of int
   | Machine_server of int
   | Machine_inc of int
   | Sink
@@ -21,7 +20,6 @@ let pp_role fmt = function
   | Group tg -> Format.fprintf fmt "G(tg %d)" tg
   | Postpone j -> Format.fprintf fmt "P(job %d)" j
   | Aux_server s -> Format.fprintf fmt "Ns(%d)" s
-  | Aux_inc s -> Format.fprintf fmt "Nn(%d)" s
   | Machine_server s -> Format.fprintf fmt "Ms(%d)" s
   | Machine_inc s -> Format.fprintf fmt "Mn(%d)" s
   | Sink -> Format.pp_print_string fmt "K"
@@ -37,9 +35,8 @@ let encode_role = function
   | Group tg -> (tg lsl 4) lor 3
   | Postpone j -> (j lsl 4) lor 4
   | Aux_server s -> (s lsl 4) lor 5
-  | Aux_inc s -> (s lsl 4) lor 6
-  | Machine_server s -> (s lsl 4) lor 7
-  | Machine_inc s -> (s lsl 4) lor 8
+  | Machine_server s -> (s lsl 4) lor 6
+  | Machine_inc s -> (s lsl 4) lor 7
 
 let decode_role packed =
   let id = packed asr 4 in
@@ -50,9 +47,8 @@ let decode_role packed =
   | 3 -> Group id
   | 4 -> Postpone id
   | 5 -> Aux_server id
-  | 6 -> Aux_inc id
-  | 7 -> Machine_server id
-  | 8 -> Machine_inc id
+  | 6 -> Machine_server id
+  | 7 -> Machine_inc id
   | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
@@ -97,14 +93,10 @@ let compute_tor_agg (view : View.t) tor =
 (* ------------------------------------------------------------------ *)
 
 (* Watermark of the topology ("prefix") part of the network: everything
-   up to and including the Ms/Ns/Nn/Mn nodes and topology arcs.  The
+   up to and including the Ms/Ns/Mn nodes and topology arcs.  The
    per-round job part is a suffix appended after the mark and discarded
    by [Graph.release] at the start of the next build. *)
-type prefix = {
-  mark : Graph.mark;
-  p_arcs : int;  (* forward-arc count at the mark *)
-  mutable big : int;  (* switch-switch arc capacity used by this prefix *)
-}
+type prefix = { mark : Graph.mark; p_arcs : int (* forward-arc count at the mark *) }
 
 type builder = {
   g : Graph.t;
@@ -115,22 +107,25 @@ type builder = {
   (* Topology-id -> graph-node / arc maps, -1 = absent. *)
   mutable ms_node : int array;
   mutable ns_node : int array;
-  mutable nn_node : int array;
   mutable mn_node : int array;
   mutable ms_arc : int array;  (* Ms -> K arc, patched on server dirt *)
   mutable mn_arc : int array;  (* Mn -> K arc, patched on switch dirt *)
-  mutable big_arcs : int array;  (* switch-switch arcs carrying [big] *)
-  mutable n_big : int;
   mutable tor_aggs : tor_agg option array;  (* by ToR switch id *)
   mutable tor_stamp : int array;  (* dedupe per-round ToR recomputes *)
   mutable stamp : int;
-  (* Bounds on the prefix's nodes and forward arcs, and its server and
-     INC-capable switch counts, counted once per topology
-     ([count_prefix]); [prefix_nodes] is -1 until then. *)
+  (* Bounds on the prefix's nodes and forward arcs, its server and
+     INC-capable switch counts, and its switch-switch links, counted
+     once per topology ([count_prefix]); [prefix_nodes] is -1 until
+     then. *)
   mutable prefix_nodes : int;
   mutable prefix_arcs : int;
   mutable n_machine_servers : int;
   mutable n_machine_switches : int;
+  mutable switch_links : int;
+  (* Nodes and arcs of Fig. 6's topology part that no flow can reach
+     and the last full build left out ([build_prefix]). *)
+  mutable omitted_nodes : int;
+  mutable omitted_arcs : int;
   (* Shortcut candidates of the task group being built, in generation
      order, and their packed sort keys (see [select_shortcuts]).  Reused
      across groups and rounds. *)
@@ -162,12 +157,9 @@ let create_builder ?(reopt = false) () =
     prefix = None;
     ms_node = [||];
     ns_node = [||];
-    nn_node = [||];
     mn_node = [||];
     ms_arc = [||];
     mn_arc = [||];
-    big_arcs = [||];
-    n_big = 0;
     tor_aggs = [||];
     tor_stamp = [||];
     stamp = 0;
@@ -175,6 +167,9 @@ let create_builder ?(reopt = false) () =
     prefix_arcs = -1;
     n_machine_servers = 0;
     n_machine_switches = 0;
+    switch_links = 0;
+    omitted_nodes = 0;
+    omitted_arcs = 0;
     sc_cost = [||];
     sc_dst = [||];
     sc_cap = [||];
@@ -192,7 +187,6 @@ let ensure_topology b node_count =
   if Array.length b.ms_node <> node_count then begin
     b.ms_node <- Array.make node_count (-1);
     b.ns_node <- Array.make node_count (-1);
-    b.nn_node <- Array.make node_count (-1);
     b.mn_node <- Array.make node_count (-1);
     b.ms_arc <- Array.make node_count (-1);
     b.mn_arc <- Array.make node_count (-1);
@@ -210,16 +204,6 @@ let ensure_roles b n =
     b.roles <- arr
   end
 
-let push_big b a =
-  if b.n_big = Array.length b.big_arcs then begin
-    let cap = max 64 (2 * Array.length b.big_arcs) in
-    let arr = Array.make cap 0 in
-    Array.blit b.big_arcs 0 arr 0 b.n_big;
-    b.big_arcs <- arr
-  end;
-  b.big_arcs.(b.n_big) <- a;
-  b.n_big <- b.n_big + 1
-
 type t = { b : builder; sink : int }
 
 let graph t = t.b.g
@@ -233,7 +217,8 @@ let role t v =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Flow_network.role: unknown node %d" v)
 
-let size t = (Graph.node_count t.b.g, Graph.arc_count t.b.g)
+let size t =
+  (Graph.node_count t.b.g + t.b.omitted_nodes, Graph.arc_count t.b.g + t.b.omitted_arcs)
 
 type build_stats = {
   full : bool;
@@ -444,27 +429,30 @@ let mn_cost (view : View.t) s (params : Cost_model.params) =
          ~max_possible:(Sharing.n_supported view.sharing s))
     params
 
-(* What [build_prefix] creates when every server is alive, and so a
+(* What [build_prefix] creates when every node is alive, and so a
    bound on it otherwise: the sink; per server an Ms node and its Ms→K
-   arc; per switch Ns and Nn; per supported switch an Mn node with its
-   Nn→Mn and Mn→K arcs; and per topology link one Ns→Ms arc (to a
-   server) or an Ns and an Nn arc (to a switch). *)
+   arc; per ToR an Ns node; per supported switch an Mn node with its
+   Mn→K arc; and per server link one Ns→Ms arc.  The switch-switch
+   links are counted for [size] only. *)
 let count_prefix b (view : View.t) =
   let topo = view.topo in
   let servers = Array.length (Fat_tree.servers topo) in
   let switches = Fat_tree.switches topo in
-  let supported = ref 0 and links = ref 0 in
+  let tors = Array.length (Fat_tree.tor_switches topo) in
+  let supported = ref 0 and server_links = ref 0 and switch_links = ref 0 in
   Array.iter
     (fun s ->
       if Sharing.n_supported view.sharing s > 0 then incr supported;
       List.iter
-        (fun child -> links := !links + if Fat_tree.is_server topo child then 1 else 2)
+        (fun child -> incr (if Fat_tree.is_server topo child then server_links else switch_links))
         (Fat_tree.children topo s))
     switches;
-  b.prefix_nodes <- 1 + servers + (2 * Array.length switches) + !supported;
-  b.prefix_arcs <- servers + (2 * !supported) + !links;
+  b.prefix_nodes <- 1 + servers + tors + !supported;
+  b.prefix_arcs <- servers + !supported + !server_links;
   b.n_machine_servers <- servers;
-  b.n_machine_switches <- !supported
+  b.n_machine_switches <- !supported;
+  b.switch_links <- !switch_links;
+  b.omitted_nodes <- (2 * Array.length switches) - tors
 
 (* Sizes the arena of a full build once, before its first arc: the
    prefix bound plus a bound on the job suffix.  The suffix holds per
@@ -500,22 +488,24 @@ let reserve_full b (view : View.t) ~(params : Cost_model.params) selected =
   ensure_roles b !nodes
 
 (* Rebuild the topology prefix from scratch: sink, machine nodes for
-   alive servers / supported switches, the two topology copies, and the
-   downward arcs.  Node and arc creation order is the contract here —
-   the patch path below reuses these ids, so any reordering breaks the
-   full-vs-incremental identity. *)
-let build_prefix b (view : View.t) ~big ~(params : Cost_model.params) mk =
+   alive servers / supported switches, the ToR aggregators, and their
+   arcs down to the servers.  That is Fig. 6's topology part restricted
+   to what a shortcut can reach: every shortcut ends at a ToR's Ns, an
+   Ms or an Mn, so the Nn copy, the Ns of aggregation and core switches
+   and the arcs between switches could never carry flow, and [size]
+   adds them back by count only.  Node and arc creation order is the
+   contract here — the patch path below reuses these ids, so any
+   reordering breaks the full-vs-incremental identity. *)
+let build_prefix b (view : View.t) ~(params : Cost_model.params) mk =
   let g = b.g in
   let topo = view.topo in
   let node_count = Fat_tree.node_count topo in
   Graph.clear g;
   Array.fill b.ms_node 0 node_count (-1);
   Array.fill b.ns_node 0 node_count (-1);
-  Array.fill b.nn_node 0 node_count (-1);
   Array.fill b.mn_node 0 node_count (-1);
   Array.fill b.ms_arc 0 node_count (-1);
   Array.fill b.mn_arc 0 node_count (-1);
-  b.n_big <- 0;
   let sink = mk Sink in
   (* Dead servers get no machine node at all: without an Ms→K arc no
      path can end there, and the ToR topology arcs below skip them. *)
@@ -527,47 +517,40 @@ let build_prefix b (view : View.t) ~big ~(params : Cost_model.params) mk =
         b.ms_arc.(s) <- Graph.add_arc g ~src:v ~dst:sink ~cap:1 ~cost:(ms_cost view s params)
       end)
     (Fat_tree.servers topo);
-  Array.iter
-    (fun s ->
-      b.ns_node.(s) <- mk (Aux_server s);
-      b.nn_node.(s) <- mk (Aux_inc s))
-    (Fat_tree.switches topo);
+  let tors = Fat_tree.tor_switches topo in
+  Array.iter (fun tor -> b.ns_node.(tor) <- mk (Aux_server tor)) tors;
+  let n_mn = ref 0 in
   Array.iter
     (fun s ->
       if view.View.alive s && Sharing.n_supported view.sharing s > 0 then begin
         let v = mk (Machine_inc s) in
         b.mn_node.(s) <- v;
-        ignore (Graph.add_arc g ~src:b.nn_node.(s) ~dst:v ~cap:1 ~cost:0);
-        b.mn_arc.(s) <- Graph.add_arc g ~src:v ~dst:sink ~cap:1 ~cost:(mn_cost view s params)
+        b.mn_arc.(s) <- Graph.add_arc g ~src:v ~dst:sink ~cap:1 ~cost:(mn_cost view s params);
+        incr n_mn
       end)
     (Fat_tree.switches topo);
-  (* Topology arcs, downward. *)
+  (* ToR→server arcs; a dead server has no Ms node and gets none. *)
   Array.iter
-    (fun s ->
+    (fun tor ->
       List.iter
-        (fun child ->
-          if Fat_tree.is_server topo child then begin
-            let dst = b.ms_node.(child) in
-            if dst >= 0 then ignore (Graph.add_arc g ~src:b.ns_node.(s) ~dst ~cap:1 ~cost:0)
-            (* dead server: unreachable by construction *)
-          end
-          else begin
-            push_big b (Graph.add_arc g ~src:b.ns_node.(s) ~dst:b.ns_node.(child) ~cap:big ~cost:0);
-            push_big b (Graph.add_arc g ~src:b.nn_node.(s) ~dst:b.nn_node.(child) ~cap:big ~cost:0)
-          end)
-        (Fat_tree.children topo s))
-    (Fat_tree.switches topo);
-  Array.iter (fun tor -> b.tor_aggs.(tor) <- compute_tor_agg view tor) (Fat_tree.tor_switches topo);
-  b.prefix <- Some { mark = Graph.mark g; p_arcs = Graph.arc_count g; big };
+        (fun server ->
+          let dst = b.ms_node.(server) in
+          if dst >= 0 then ignore (Graph.add_arc g ~src:b.ns_node.(tor) ~dst ~cap:1 ~cost:0))
+        (Fat_tree.children topo tor))
+    tors;
+  (* Left out: one Nn→Mn arc per Mn and two arcs per switch-switch link. *)
+  b.omitted_arcs <- !n_mn + (2 * b.switch_links);
+  Array.iter (fun tor -> b.tor_aggs.(tor) <- compute_tor_agg view tor) tors;
+  b.prefix <- Some { mark = Graph.mark g; p_arcs = Graph.arc_count g };
   sink
 
 (* Rewind the graph to the topology prefix and patch only the arcs whose
-   inputs changed: Ms→K / Mn→K costs of dirty nodes, switch-switch
-   capacities when [big] moved, and the ToR aggregates of dirty servers.
+   inputs changed: Ms→K / Mn→K costs of dirty nodes and the ToR
+   aggregates of dirty servers.
    The resulting arrays are element-for-element identical to what
    [build_prefix] would produce from the same cluster state, which is
    what makes incremental solves bit-identical to full rebuilds. *)
-let patch_prefix b (view : View.t) p d ~big ~(params : Cost_model.params) touched =
+let patch_prefix b (view : View.t) p d ~(params : Cost_model.params) touched =
   let g = b.g in
   let topo = view.topo in
   Graph.release g p.mark;
@@ -579,13 +562,6 @@ let patch_prefix b (view : View.t) p d ~big ~(params : Cost_model.params) touche
   else begin
     Graph.reset_flows g;
     b.last_reset <- Graph.arc_count g
-  end;
-  if p.big <> big then begin
-    for i = 0 to b.n_big - 1 do
-      Graph.set_cap g b.big_arcs.(i) big
-    done;
-    touched := !touched + b.n_big;
-    p.big <- big
   end;
   Dirty.iter_servers d (fun s ->
       let a = b.ms_arc.(s) in
@@ -660,7 +636,6 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
           acc tgs)
       0 selected
   in
-  let big = total_supply + List.length selected + 1 in
 
   (* --- topology part: patch the persistent prefix or rebuild it --- *)
   let touched = ref 0 in
@@ -672,12 +647,12 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
   let sink =
     match (b.prefix, dirt) with
     | Some p, Some d ->
-        patch_prefix b view p d ~big ~params touched;
+        patch_prefix b view p d ~params touched;
         b.last_full <- false;
         0
     | _ ->
         reserve_full b view ~params selected;
-        let sink = build_prefix b view ~big ~params mk in
+        let sink = build_prefix b view ~params mk in
         b.last_full <- true;
         b.full_rebuilds <- b.full_rebuilds + 1;
         b.last_reset <- 0;

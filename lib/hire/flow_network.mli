@@ -11,11 +11,14 @@
     - per requesting task group: a group node [G].  Materialized groups
       carry their remaining task count as supply; flavor-undecided groups
       have supply 0 and are fed through [F];
-    - two copies of the topology: auxiliary server nodes [Nˢ] with server
-      machine leaves [Mˢ], and the INC shadow network [Nⁿ] with switch
-      machine nodes [Mⁿ].  All [M]→[K] edges have capacity 1, so a
+    - the topology part: server machine nodes [Mˢ], an auxiliary node
+      [Nˢ] per ToR switch with an edge to each of its alive servers, and
+      switch machine nodes [Mⁿ].  All [M]→[K] edges have capacity 1, so a
       machine accepts at most one new task per round (the CoCo
-      discipline);
+      discipline).  Fig. 6 also has [Nˢ] nodes for the aggregation and
+      core switches, the INC shadow copy [Nⁿ] of the topology and the
+      edges between switches; no shortcut ends there, so no flow could
+      reach them, and they are not built;
     - shortcut edges [G]→[Nˢ]/[Mˢ]/[Mⁿ]: a subtree shortcut is added only
       when *every* server under the subtree can host a task of the group
       (lower-bound propagation), so all flows end in valid allocations;
@@ -40,8 +43,7 @@ type node_role =
   | Flavor_sel of int  (** job id *)
   | Group of int  (** tg id *)
   | Postpone of int  (** job id *)
-  | Aux_server of int  (** switch id in the server part *)
-  | Aux_inc of int  (** switch id in the shadow part *)
+  | Aux_server of int  (** ToR switch id: the aggregator of its servers *)
   | Machine_server of int  (** server id *)
   | Machine_inc of int  (** switch id *)
   | Sink
@@ -92,7 +94,13 @@ val stats : t -> build_stats
 val graph : t -> Flow.Graph.t
 val role : t -> int -> node_role
 
-(** (nodes, arcs) of the built network — drives the think-time model. *)
+(** (nodes, arcs) of the paper's full Fig. 6 network: the built graph
+    plus the unreachable topology part a full build leaves out (an [Nⁿ]
+    node per switch, an [Nˢ] node per aggregation or core switch, an
+    [Nⁿ]→[Mⁿ] arc per [Mⁿ] and two arcs per switch-switch link).  It
+    is the only input of the simulated think time, so it prices the
+    network HIRE's solver would face; {!stats}' [total_arcs] is the
+    built arc count. *)
 val size : t -> int * int
 
 (** [build ?builder view census ~jobs ~now ~params] assembles the

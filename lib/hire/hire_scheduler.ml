@@ -132,32 +132,27 @@ let cleanup t =
 let inc_still_feasible t (job : Pending.job_state) =
   let sharing = t.view.View.sharing in
   let topo = t.view.View.topo in
-  let capacity = Sharing.capacity sharing in
   Pending.undecided job
-  |> List.filter (fun ts -> Poly_req.is_network ts.Pending.tg)
   |> List.for_all (fun (ts : Pending.tg_state) ->
          match ts.tg.Poly_req.kind with
          | Poly_req.Server_tg -> true
          | Poly_req.Network_tg n ->
              let demand = Prelude.Vec.add n.Poly_req.per_switch ts.tg.Poly_req.demand in
-             let eligible =
-               Array.to_list (Sharing.switch_ids sharing)
-               |> List.filter (fun s ->
-                      let shape_ok =
-                        match n.Poly_req.shape with
-                        | Comp_store.Single_tor ->
-                            Topology.Fat_tree.kind topo s = Topology.Fat_tree.Tor
-                        | _ -> true
-                      in
-                      shape_ok
-                      && Sharing.supports sharing ~switch:s ~service:n.Poly_req.service
-                      && Prelude.Vec.fits ~demand ~available:capacity)
+             let single_tor =
+               match n.Poly_req.shape with Comp_store.Single_tor -> true | _ -> false
              in
              (* A group of [remaining] slots needs that many distinct
                 switches beyond the ones it already occupies. *)
-             List.length
-               (List.filter (fun s -> not (List.exists (Int.equal s) ts.placed_on)) eligible)
-             >= ts.remaining)
+             let eligible = ref 0 in
+             if Prelude.Vec.fits ~demand ~available:(Sharing.live_capacity sharing) then
+               Sharing.iter_supporting sharing ~service:n.Poly_req.service
+                 (fun s ~avail:_ ~capacity:_ ~active:_ ~n_active:_ ~n_supported:_ ->
+                   if
+                     ((not single_tor)
+                     || Topology.Fat_tree.kind topo s = Topology.Fat_tree.Tor)
+                     && not (List.exists (Int.equal s) ts.placed_on)
+                   then incr eligible);
+             !eligible >= ts.remaining)
 
 (* Apply the round's flavor picks so the picked groups materialize;
    records decisions and dropped groups. *)

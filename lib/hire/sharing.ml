@@ -12,8 +12,17 @@ type sw_state = {
 }
 
 (* [by_index.(i)] is the state of switch [ids.(i)]: the same records
-   as [states], laid out for scans in [ids] order. *)
-type t = { cap : Vec.t; states : sw_state Int_tbl.t; ids : int array; by_index : sw_state array }
+   as [states], laid out for scans in [ids] order.  [supporters] maps a
+   service to the ascending indices into [by_index] of the switches
+   capable of it, filled in on a service's first scan: the capability
+   sets never change. *)
+type t = {
+  cap : Vec.t;
+  states : sw_state Int_tbl.t;
+  ids : int array;
+  by_index : sw_state array;
+  supporters : (string, int array) Hashtbl.t;
+}
 
 let create ~topo ~capacity ~supported =
   let ids = Fat_tree.switches topo in
@@ -37,7 +46,7 @@ let create ~topo ~capacity ~supported =
         st)
       ids
   in
-  { cap = Vec.copy capacity; states; ids; by_index }
+  { cap = Vec.copy capacity; states; ids; by_index; supporters = Hashtbl.create 8 }
 
 let state t switch =
   match Int_tbl.find_opt t.states switch with
@@ -77,12 +86,26 @@ let st_instances st service =
 
 let instances t ~switch ~service = st_instances (state t switch) service
 
+let supporters t service =
+  match Hashtbl.find t.supporters service with
+  | idx -> idx
+  | exception Not_found ->
+      let idx = ref [] in
+      for i = Array.length t.by_index - 1 downto 0 do
+        if Hashtbl.mem t.by_index.(i).supported service then idx := i :: !idx
+      done;
+      let idx = Array.of_list !idx in
+      Hashtbl.replace t.supporters service idx;
+      idx
+
 let iter_supporting t ~service f =
-  for i = 0 to Array.length t.by_index - 1 do
+  let idx = supporters t service in
+  for j = 0 to Array.length idx - 1 do
+    let i = idx.(j) in
     let st = t.by_index.(i) in
-    if st.alive && Hashtbl.mem st.supported service then
+    if st.alive then
       f t.ids.(i) ~avail:st.avail ~capacity:t.cap
-        ~active:(st_instances st service > 0)
+        ~active:(st.n_active > 0 && st_instances st service > 0)
         ~n_active:st.n_active
         ~n_supported:(Hashtbl.length st.supported)
   done

@@ -97,9 +97,11 @@ val switch_ids : t -> int array
     ledger's own vectors, not copies, so [f] must neither mutate nor
     keep them, and must not change the ledger.  [active] is
     [instances t ~switch ~service > 0]; [n_active] and [n_supported]
-    are {!n_active} and {!n_supported}.  The pass walks an array of
-    switch states: no per-switch table lookup by id and no
-    allocation. *)
+    are {!n_active} and {!n_supported}.  The pass walks the array of
+    the switches capable of [service], built on the service's first
+    call and kept (the capability sets are static), and reads only the
+    alive ones' states: no per-switch table lookup and no allocation
+    after that first call. *)
 val iter_supporting :
   t ->
   service:string ->

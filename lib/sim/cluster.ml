@@ -13,11 +13,16 @@ type t = {
   topo : Fat_tree.t;
   server_cap : Vec.t;
   switch_cap : Vec.t;
-  server_avail : (int, Vec.t) Hashtbl.t;
+  server_avail : Vec.t array;  (* by node id; [no_ledger] for switches *)
   sharing : Sharing.t;
-  dead : (int, float) Hashtbl.t;  (* node -> failure time *)
+  failed_at : float array;  (* by node id; nan while the node is up *)
+  mutable n_dead : int;
   dirty : Hire.Dirty.t;  (* ledger changes since the last network build *)
 }
+
+(* Vectors have at least one dimension, so the empty one marks a node
+   without a server ledger. *)
+let no_ledger : Vec.t = [||]
 
 let create ?server_capacity ?switch_capacity ?inc_capable_fraction ?topology ~k ~setup ~services rng =
   let server_cap =
@@ -31,8 +36,9 @@ let create ?server_capacity ?switch_capacity ?inc_capable_fraction ?topology ~k 
     | None -> Topology.Resource.Switch.default_capacity
   in
   let topo = match topology with Some t -> t | None -> Fat_tree.create ~k in
-  let server_avail = Hashtbl.create 256 in
-  Array.iter (fun s -> Hashtbl.replace server_avail s (Vec.copy server_cap)) (Fat_tree.servers topo);
+  let node_count = Fat_tree.node_count topo in
+  let server_avail = Array.make node_count no_ledger in
+  Array.iter (fun s -> server_avail.(s) <- Vec.copy server_cap) (Fat_tree.servers topo);
   let service_arr = Array.of_list services in
   (* Keep the paper's servers-per-INC-switch ratio (k = 26 ⇒ 5.2) at any
      scale: only a k/26 fraction of switches offer INC. *)
@@ -66,8 +72,9 @@ let create ?server_capacity ?switch_capacity ?inc_capable_fraction ?topology ~k 
     switch_cap;
     server_avail;
     sharing;
-    dead = Hashtbl.create 16;
-    dirty = Hire.Dirty.create ~node_count:(Fat_tree.node_count topo);
+    failed_at = Array.make node_count Float.nan;
+    n_dead = 0;
+    dirty = Hire.Dirty.create ~node_count;
   }
 
 let topo t = t.topo
@@ -77,27 +84,28 @@ let sharing t = t.sharing
 (* Liveness (fault injection)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let is_alive t node = not (Hashtbl.mem t.dead node)
-let n_dead t = Hashtbl.length t.dead
+let is_alive t node = Float.is_nan t.failed_at.(node)
+let n_dead t = t.n_dead
 
 let fail_node t ~time node =
-  if Hashtbl.mem t.dead node then
+  if not (is_alive t node) then
     invalid_arg (Printf.sprintf "Cluster.fail_node: node %d is already down" node);
   (* Ledgers are untouched: the simulator kills and releases the node's
      running tasks first, so capacity conservation holds through the
      outage (a recovered node comes back with exactly its capacity). *)
   if not (Fat_tree.is_server t.topo node) then Sharing.set_alive t.sharing node false;
   Hire.Dirty.mark_structural t.dirty;
-  Hashtbl.replace t.dead node time
+  t.failed_at.(node) <- time;
+  t.n_dead <- t.n_dead + 1
 
 let recover_node t node =
-  match Hashtbl.find_opt t.dead node with
-  | None -> invalid_arg (Printf.sprintf "Cluster.recover_node: node %d is up" node)
-  | Some failed_at ->
-      Hashtbl.remove t.dead node;
-      if not (Fat_tree.is_server t.topo node) then Sharing.set_alive t.sharing node true;
-      Hire.Dirty.mark_structural t.dirty;
-      failed_at
+  if is_alive t node then invalid_arg (Printf.sprintf "Cluster.recover_node: node %d is up" node);
+  let failed_at = t.failed_at.(node) in
+  t.failed_at.(node) <- Float.nan;
+  t.n_dead <- t.n_dead - 1;
+  if not (Fat_tree.is_server t.topo node) then Sharing.set_alive t.sharing node true;
+  Hire.Dirty.mark_structural t.dirty;
+  failed_at
 
 let n_inc_capable t =
   Array.fold_left
@@ -107,19 +115,24 @@ let n_inc_capable t =
 let n_servers t = Array.length (Fat_tree.servers t.topo)
 let n_switches t = Array.length (Fat_tree.switches t.topo)
 
+(* The ledger of server [s], or [no_ledger] when [s] is not a server. *)
+let ledger t s =
+  if s >= 0 && s < Array.length t.server_avail then t.server_avail.(s) else no_ledger
+
 let server_available t s =
-  match Hashtbl.find_opt t.server_avail s with
-  | Some v -> Vec.copy v
-  | None -> invalid_arg (Printf.sprintf "Cluster.server_available: %d is not a server" s)
+  let v = ledger t s in
+  if v == no_ledger then
+    invalid_arg (Printf.sprintf "Cluster.server_available: %d is not a server" s);
+  Vec.copy v
 
 let server_capacity t = Vec.copy t.server_cap
 
 (* The view hands out the ledger itself, not a copy: HIRE only reads
    it, once per Ms→K price, ToR aggregate and shortcut candidate. *)
 let server_ledger t s =
-  match Hashtbl.find t.server_avail s with
-  | v -> v
-  | exception Not_found -> invalid_arg (Printf.sprintf "Cluster.view: %d is not a server" s)
+  let v = ledger t s in
+  if v == no_ledger then invalid_arg (Printf.sprintf "Cluster.view: %d is not a server" s);
+  v
 
 let view t =
   {
@@ -132,41 +145,38 @@ let view t =
   }
 
 let place_server_task t ~server ~demand =
-  match Hashtbl.find_opt t.server_avail server with
-  | None -> invalid_arg (Printf.sprintf "Cluster.place_server_task: %d is not a server" server)
-  | Some avail ->
-      if not (is_alive t server) then
-        invalid_arg (Printf.sprintf "Cluster.place_server_task: server %d is down" server);
-      if not (Vec.fits ~demand ~available:avail) then
-        invalid_arg
-          (Printf.sprintf "Cluster.place_server_task: demand does not fit on server %d" server);
-      Vec.sub_into avail demand;
-      Hire.Dirty.mark_server t.dirty server
+  let avail = ledger t server in
+  if avail == no_ledger then
+    invalid_arg (Printf.sprintf "Cluster.place_server_task: %d is not a server" server);
+  if not (is_alive t server) then
+    invalid_arg (Printf.sprintf "Cluster.place_server_task: server %d is down" server);
+  if not (Vec.fits ~demand ~available:avail) then
+    invalid_arg
+      (Printf.sprintf "Cluster.place_server_task: demand does not fit on server %d" server);
+  Vec.sub_into avail demand;
+  Hire.Dirty.mark_server t.dirty server
 
 let release_server_task t ~server ~demand =
-  match Hashtbl.find_opt t.server_avail server with
-  | None -> invalid_arg "Cluster.release_server_task: not a server"
-  | Some avail ->
-      Vec.add_into avail demand;
-      (* Defensive ledger check: a refund beyond capacity means a double
-         release (or a release with the wrong demand).  Fail loudly —
-         the fault-injection requeue path leans on this invariant —
-         while tolerating floating-point drift from charge/refund
-         cycles. *)
-      Array.iteri
-        (fun i x ->
-          let cap = t.server_cap.(i) in
-          let eps = 1e-6 *. (1.0 +. Float.abs cap) in
-          if x > cap +. eps then begin
-            if Obs.enabled () then
-              Obs.Registry.incr (Obs.Registry.counter "cluster.over_release");
-            invalid_arg
-              (Printf.sprintf "Cluster.release_server_task: over-release on server %d (dimension %d)"
-                 server i)
-          end
-          else if x > cap then avail.(i) <- cap)
-        avail;
-      Hire.Dirty.mark_server t.dirty server
+  let avail = ledger t server in
+  if avail == no_ledger then invalid_arg "Cluster.release_server_task: not a server";
+  Vec.add_into avail demand;
+  (* Defensive ledger check: a refund beyond capacity means a double
+     release (or a release with the wrong demand).  Fail loudly — the
+     fault-injection requeue path leans on this invariant — while
+     tolerating floating-point drift from charge/refund cycles. *)
+  Array.iteri
+    (fun i x ->
+      let cap = t.server_cap.(i) in
+      let eps = 1e-6 *. (1.0 +. Float.abs cap) in
+      if x > cap +. eps then begin
+        if Obs.enabled () then Obs.Registry.incr (Obs.Registry.counter "cluster.over_release");
+        invalid_arg
+          (Printf.sprintf "Cluster.release_server_task: over-release on server %d (dimension %d)"
+             server i)
+      end
+      else if x > cap then avail.(i) <- cap)
+    avail;
+  Hire.Dirty.mark_server t.dirty server
 
 let network_parts tg ~shared =
   match tg.Poly_req.kind with
@@ -205,18 +215,16 @@ let release_network_task t ~switch ~tg ~shared =
 let snapshot t =
   let module Enc = Prelude.Codec.Enc in
   let e = Enc.create () in
-  Enc.array e
-    (fun e s -> Enc.float_array e (Hashtbl.find t.server_avail s))
-    (Fat_tree.servers t.topo);
-  let dead =
-    Hashtbl.fold (fun n tm acc -> (n, tm) :: acc) t.dead []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
+  Enc.array e (fun e s -> Enc.float_array e t.server_avail.(s)) (Fat_tree.servers t.topo);
+  let dead = ref [] in
+  for n = Array.length t.failed_at - 1 downto 0 do
+    if not (is_alive t n) then dead := (n, t.failed_at.(n)) :: !dead
+  done;
   Enc.list e
     (fun e (n, tm) ->
       Enc.int e n;
       Enc.f64 e tm)
-    dead;
+    !dead;
   Sharing.encode_state t.sharing e;
   Enc.to_string e
 
@@ -233,14 +241,19 @@ let restore t blob =
   Array.iter
     (fun s ->
       let avail = Dec.float_array d in
-      let dst = Hashtbl.find t.server_avail s in
+      let dst = t.server_avail.(s) in
       if Array.length avail <> Array.length dst then
         raise (Prelude.Codec.Error "Cluster.restore: server dimension mismatch");
       Array.blit avail 0 dst 0 (Array.length avail))
     servers;
-  Hashtbl.reset t.dead;
+  Array.fill t.failed_at 0 (Array.length t.failed_at) Float.nan;
+  t.n_dead <- 0;
   List.iter
-    (fun (node, tm) -> Hashtbl.replace t.dead node tm)
+    (fun (node, tm) ->
+      if node < 0 || node >= Array.length t.failed_at || not (is_alive t node) then
+        raise (Prelude.Codec.Error "Cluster.restore: bad dead node in snapshot");
+      t.failed_at.(node) <- tm;
+      t.n_dead <- t.n_dead + 1)
     (Dec.list d (fun d ->
          let node = Dec.int d in
          let tm = Dec.f64 d in
@@ -251,16 +264,6 @@ let restore t blob =
   (* Everything may have moved: force the next network build to start
      from a clean rebuild rather than an incremental patch. *)
   Hire.Dirty.mark_structural t.dirty
-
-let server_utilization_avg t =
-  let acc = Vec.zero (Vec.dim t.server_cap) in
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ avail ->
-      Vec.add_into acc (Topology.Resource.utilization ~capacity:t.server_cap ~available:avail);
-      incr n)
-    t.server_avail;
-  if !n = 0 then acc else Vec.scale (1.0 /. float_of_int !n) acc
 
 let switch_used_total t = Sharing.total_used t.sharing
 

@@ -1,5 +1,7 @@
 (** Mutable cluster state: the fat-tree topology plus the resource
     ledgers for servers and (via {!Hire.Sharing}) for INC switches.
+    Server ledgers and node liveness are arrays indexed by node id, so
+    every read the schedulers make of them is an array read.
 
     Switch INC capabilities implement the paper's two setups (§6.2):
     homogeneous — every switch supports every CompStore service — and
@@ -44,7 +46,9 @@ val sharing : t -> Hire.Sharing.t
 val n_servers : t -> int
 val n_switches : t -> int
 
-(** The read view handed to schedulers (includes node liveness). *)
+(** The read view handed to schedulers (includes node liveness).  Its
+    [server_available] is the server's live ledger, not a copy, and
+    raises [Invalid_argument] for a node that is not a server. *)
 val view : t -> Hire.View.t
 
 (** {2 Liveness (fault injection)}
@@ -54,7 +58,7 @@ val view : t -> Hire.View.t
     total capacity is conserved across fail/recover cycles. *)
 
 (** [is_alive t node] — servers and switches; initially every node is
-    alive. *)
+    alive.  [node] must be a node id of the topology. *)
 val is_alive : t -> int -> bool
 
 (** Nodes currently down. *)
@@ -71,7 +75,10 @@ val fail_node : t -> time:float -> int -> unit
     @raise Invalid_argument if the node is up. *)
 val recover_node : t -> int -> float
 
+(** A copy of the server's ledger.
+    @raise Invalid_argument if the node is not a server. *)
 val server_available : t -> int -> Vec.t
+
 val server_capacity : t -> Vec.t
 
 (** [place_server_task t ~server ~demand] charges a server.
@@ -99,9 +106,6 @@ val place_network_task :
 val release_network_task :
   t -> switch:int -> tg:Hire.Poly_req.task_group -> shared:bool -> unit
 
-(** Mean per-dimension utilization across servers. *)
-val server_utilization_avg : t -> Vec.t
-
 (** Sum of used switch resources per dimension. *)
 val switch_used_total : t -> Vec.t
 
@@ -109,13 +113,15 @@ val switch_used_total : t -> Vec.t
 val switch_capacity_total : t -> Vec.t
 
 (** Journal-checkpoint serialization (docs/JOURNAL.md) of the dynamic
-    state only: server ledgers, dead set, switch-sharing ledgers.  The
+    state only: server ledgers (in [Fat_tree.servers] order), the dead
+    nodes with their failure times (by ascending id), and the
+    switch-sharing ledgers.  The
     static parts (topology, capacities, INC capability map) must come
     from rebuilding the cluster with the same seed; [restore] then
     overlays the snapshot in place and marks the dirty set structural so
     the next flow-network build starts clean.  Raises
     {!Prelude.Codec.Error} when the snapshot does not match the
-    cluster's shape. *)
+    cluster's shape, or lists a dead node twice or out of range. *)
 val snapshot : t -> string
 
 val restore : t -> string -> unit
