@@ -25,9 +25,10 @@ type spec = {
           simulator byte for byte. *)
   resilience : Hire.Hire_scheduler.resilience option;
       (** solver-resilience policy for flow-based schedulers
-          (docs/RESILIENCE.md); [None] (the default) keeps the legacy
-          single-unbounded-solve behaviour and the cell's pre-resilience
-          cache key *)
+          (docs/RESILIENCE.md); [None] (the default) runs
+          [Hire.Hire_scheduler.resilience ()], one unbounded solve per
+          round with no guard, and keeps the cell's pre-resilience cache
+          key *)
   incremental : bool;
       (** [true] (the default) lets HIRE variants patch a persistent
           flow network between rounds instead of rebuilding it

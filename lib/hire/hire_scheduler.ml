@@ -12,7 +12,7 @@ type config = {
   params : Cost_model.params;
   simple_flavor : bool;
   solver : Flow_network.solver;
-  resilience : resilience option;
+  resilience : resilience;
   incremental : bool;
   reopt : bool;
 }
@@ -22,7 +22,7 @@ let default_config =
     params = Cost_model.default_params;
     simple_flavor = false;
     solver = Flow_network.Ssp;
-    resilience = None;
+    resilience = resilience ();
     incremental = true;
     reopt = true;
   }
@@ -83,7 +83,7 @@ type round_outcome = {
   solver : Flow.Mcmf.result option;
   graph_nodes : int;
   graph_arcs : int;
-  resilience : round_resilience option;
+  resilience : round_resilience;
 }
 
 (* In simple-flavor mode a single decision fixes the whole job: every
@@ -233,10 +233,21 @@ let other_backend = function
   | Flow_network.Cost_scaling -> Flow_network.Ssp
 
 (* Build the round's network through the persistent builder (when
-   incremental mode is on) and publish the patch statistics. *)
+   incremental mode is on) and publish the build time and the patch
+   statistics. *)
 let build_network t ~jobs ~time ~params =
+  let build_t0 = if Obs.enabled () then Clock.now () else 0.0 in
   let net = Flow_network.build ?builder:t.builder t.view t.census ~jobs ~now:time ~params in
   if Obs.enabled () then begin
+    let build_s = Clock.now () -. build_t0 in
+    let nodes, arcs = Flow_network.size net in
+    Obs.Trace.emit "network_built"
+      [
+        ("nodes", Obs.Trace.Int nodes);
+        ("arcs", Obs.Trace.Int arcs);
+        ("build_s", Obs.Trace.Float build_s);
+      ];
+    Obs.Histogram.observe (Obs.Registry.histogram "hire.build_s") build_s;
     let st = Flow_network.stats net in
     Obs.Registry.incr
       (Obs.Registry.counter
@@ -258,7 +269,8 @@ let build_network t ~jobs ~time ~params =
    guard the live solution.
    [`Accept] carries the extracted outcome; [`Reject] advances the
    chain. *)
-let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
+let attempt_backend t ~jobs ~time ~params ~backend ~trips =
+  let r = t.config.resilience in
   let net = build_network t ~jobs ~time ~params in
   let size = Flow_network.size net in
   t.solves <- t.solves + 1;
@@ -376,11 +388,6 @@ let run_round t ~time =
     end;
     o
   in
-  let empty_resilience =
-    Option.map
-      (fun _ -> { degraded = false; fallback_depth = 0; guard_trips = 0; salvaged = 0 })
-      t.config.resilience
-  in
   let jobs = job_list t in
   if not (List.exists Pending.has_pending_work jobs) then begin
     cleanup t;
@@ -393,122 +400,84 @@ let run_round t ~time =
         solver = None;
         graph_nodes = 0;
         graph_arcs = 0;
-        resilience = empty_resilience;
+        resilience = { degraded = false; fallback_depth = 0; guard_trips = 0; salvaged = 0 };
       }
   end
   else begin
-    match t.config.resilience with
-    | None ->
-        (* Legacy path: one unbounded solve, no guard. *)
-        let net = build_network t ~jobs ~time ~params in
-        let nodes, arcs = Flow_network.size net in
-        if Obs.enabled () then begin
-          let build_s = Clock.now () -. round_t0 in
-          Obs.Trace.emit "network_built"
-            [
-              ("nodes", Obs.Trace.Int nodes);
-              ("arcs", Obs.Trace.Int arcs);
-              ("build_s", Obs.Trace.Float build_s);
-            ];
-          Obs.Histogram.observe (Obs.Registry.histogram "hire.build_s") build_s
-        end;
-        let outcome =
-          Flow_network.solve_and_extract ~solver:t.config.solver ?scratch:t.scratch net
-        in
-        let decisions = ref [] in
-        apply_flavor_picks t ~flavor_picks:outcome.Flow_network.flavor_picks ~cancelled
-          ~decisions;
-        let placements = apply_placements t outcome.Flow_network.placements in
-        cleanup t;
-        emit_round_end
-          {
-            placements;
-            cancelled = !cancelled;
-            fallbacks = !fallbacks;
-            flavor_decisions = List.rev !decisions;
-            solver = Some outcome.Flow_network.solver;
-            graph_nodes = nodes;
-            graph_arcs = arcs;
-            resilience = None;
-          }
-    | Some r ->
-        let trips = ref 0 in
-        let backends = [ t.config.solver; other_backend t.config.solver ] in
-        let rec chain depth last = function
-          | [] -> (`Greedy last, depth)
-          | backend :: rest -> (
-              match attempt_backend t ~jobs ~time ~params r ~backend ~trips with
-              | `Accept (outcome, solver, size) -> (`Flow (outcome, solver, size), depth)
-              | `Reject (solver, size) -> chain (depth + 1) (Some (solver, size)) rest)
-        in
-        let result, depth = chain 0 None backends in
-        let flavor_picks, raw_placements, solver_res, (nodes, arcs), used_greedy =
-          match result with
-          | `Flow (outcome, solver, size) ->
-              ( outcome.Flow_network.flavor_picks,
-                outcome.Flow_network.placements,
-                Some solver,
-                size,
-                false )
-          | `Greedy last ->
-              (* Terminal rung: every solver attempt was exhausted or
-                 quarantined.  [last] reports the final failed solve so
-                 callers still see its wall time and stats. *)
-              let raw = Greedy.place t.view ~jobs ~params in
-              let solver, size =
-                match last with Some (s, sz) -> (Some s, sz) | None -> (None, (0, 0))
-              in
-              ([], raw, solver, size, true)
-        in
-        let greedy_pool = if used_greedy then total_materialized_remaining jobs else 0 in
-        let decisions = ref [] in
-        apply_flavor_picks t ~flavor_picks ~cancelled ~decisions;
-        let placements = apply_placements t raw_placements in
-        let degraded =
-          used_greedy
-          || match solver_res with Some s -> s.Flow.Mcmf.degraded | None -> false
-        in
-        let salvaged = if degraded then List.length placements else 0 in
-        if Obs.enabled () then begin
-          if degraded then
-            Obs.Registry.incr (Obs.Registry.counter "hire.resilience.degraded_rounds");
-          if depth > 0 then
-            Obs.Registry.incr (Obs.Registry.counter "hire.resilience.fallback_rounds");
+    (* The fallback chain.  An unbounded solve is never degraded, so with
+       no budget and no guard the first rung always accepts. *)
+    let trips = ref 0 in
+    let backends = [ t.config.solver; other_backend t.config.solver ] in
+    let rec chain depth last = function
+      | [] -> (`Greedy last, depth)
+      | backend :: rest -> (
+          match attempt_backend t ~jobs ~time ~params ~backend ~trips with
+          | `Accept (outcome, solver, size) -> (`Flow (outcome, solver, size), depth)
+          | `Reject (solver, size) -> chain (depth + 1) (Some (solver, size)) rest)
+    in
+    let result, depth = chain 0 None backends in
+    let flavor_picks, raw_placements, solver_res, (nodes, arcs), used_greedy =
+      match result with
+      | `Flow (outcome, solver, size) ->
+          ( outcome.Flow_network.flavor_picks,
+            outcome.Flow_network.placements,
+            Some solver,
+            size,
+            false )
+      | `Greedy last ->
+          (* Terminal rung: every solver attempt was exhausted or
+             quarantined.  [last] reports the final failed solve so
+             callers still see its wall time and stats. *)
+          let raw = Greedy.place t.view ~jobs ~params in
+          let solver, size =
+            match last with Some (s, sz) -> (Some s, sz) | None -> (None, (0, 0))
+          in
+          ([], raw, solver, size, true)
+    in
+    let greedy_pool = if used_greedy then total_materialized_remaining jobs else 0 in
+    let decisions = ref [] in
+    apply_flavor_picks t ~flavor_picks ~cancelled ~decisions;
+    let placements = apply_placements t raw_placements in
+    let degraded =
+      used_greedy || match solver_res with Some s -> s.Flow.Mcmf.degraded | None -> false
+    in
+    let salvaged = if degraded then List.length placements else 0 in
+    if Obs.enabled () && (degraded || depth > 0) then begin
+      if degraded then
+        Obs.Registry.incr (Obs.Registry.counter "hire.resilience.degraded_rounds");
+      if depth > 0 then
+        Obs.Registry.incr (Obs.Registry.counter "hire.resilience.fallback_rounds");
+      if used_greedy then
+        Obs.Registry.incr (Obs.Registry.counter "hire.resilience.greedy_rounds");
+      Obs.Histogram.observe
+        (Obs.Registry.histogram "hire.resilience.fallback_depth")
+        (float_of_int depth);
+      if degraded then begin
+        let ratio =
           if used_greedy then
-            Obs.Registry.incr (Obs.Registry.counter "hire.resilience.greedy_rounds");
-          Obs.Histogram.observe
-            (Obs.Registry.histogram "hire.resilience.fallback_depth")
-            (float_of_int depth);
-          if degraded then begin
-            let ratio =
-              if used_greedy then
-                float_of_int (List.length placements)
-                /. float_of_int (max 1 greedy_pool)
-              else
-                match solver_res with
-                | Some s ->
-                    let total = s.Flow.Mcmf.shipped + s.Flow.Mcmf.unshipped in
-                    float_of_int s.Flow.Mcmf.shipped /. float_of_int (max 1 total)
-                | None -> 0.0
-            in
-            Obs.Histogram.observe
-              (Obs.Registry.histogram "hire.resilience.salvage_ratio")
-              ratio
-          end
-        end;
-        cleanup t;
-        emit_round_end
-          {
-            placements;
-            cancelled = !cancelled;
-            fallbacks = !fallbacks;
-            flavor_decisions = List.rev !decisions;
-            solver = solver_res;
-            graph_nodes = nodes;
-            graph_arcs = arcs;
-            resilience =
-              Some { degraded; fallback_depth = depth; guard_trips = !trips; salvaged };
-          }
+            float_of_int (List.length placements) /. float_of_int (max 1 greedy_pool)
+          else
+            match solver_res with
+            | Some s ->
+                let total = s.Flow.Mcmf.shipped + s.Flow.Mcmf.unshipped in
+                float_of_int s.Flow.Mcmf.shipped /. float_of_int (max 1 total)
+            | None -> 0.0
+        in
+        Obs.Histogram.observe (Obs.Registry.histogram "hire.resilience.salvage_ratio") ratio
+      end
+    end;
+    cleanup t;
+    emit_round_end
+      {
+        placements;
+        cancelled = !cancelled;
+        fallbacks = !fallbacks;
+        flavor_decisions = List.rev !decisions;
+        solver = solver_res;
+        graph_nodes = nodes;
+        graph_arcs = arcs;
+        resilience = { degraded; fallback_depth = depth; guard_trips = !trips; salvaged };
+      }
   end
 
 (* ------------------------------------------------------------------ *)

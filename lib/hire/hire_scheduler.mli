@@ -6,15 +6,16 @@
     flavors, the task census feeding the locality cost terms); resource
     ledgers are owned by the caller and read through {!View.t}. *)
 
-(** Solver-resilience policy (docs/RESILIENCE.md).  With a policy
-    installed, each round runs a fallback chain instead of a single
-    solve: the configured MCMF backend under [budget], then the other
-    backend under the same budget, then the {!Greedy} best-effort
-    placer — so a round always terminates with whatever progress was
-    affordable.  [guard_every] = n > 0 additionally runs the
-    {!Guard} invariant checks on every n-th solve's live solution
+(** Solver-resilience policy (docs/RESILIENCE.md).  Every round runs
+    a fallback chain: the configured MCMF backend under [budget], then
+    the other backend under the same budget, then the {!Greedy}
+    best-effort placer — so a round always terminates with whatever
+    progress was affordable.  [guard_every] = n > 0 additionally runs
+    the {!Guard} invariant checks on every n-th solve's live solution
     before it is applied; a violation quarantines the solution and the
-    chain advances to the next backend. *)
+    chain advances to the next backend.  With no budget and no guard
+    (the default, [resilience ()]) the first rung always accepts: one
+    unbounded solve per round. *)
 type resilience = {
   budget : Flow.Budget.t option;  (** per-solve-attempt budget; [None] = unbounded *)
   guard_every : int;  (** check every n-th solve; [<= 0] disables the guard *)
@@ -28,9 +29,7 @@ type config = {
       (** the paper's ablation (§6.3): decide once per job whether the
           whole PolyReq runs with INC or without *)
   solver : Flow_network.solver;  (** MCMF algorithm for the rounds *)
-  resilience : resilience option;
-      (** [None] (the default) preserves the exact legacy behaviour:
-          one unbounded solve per round, no guard *)
+  resilience : resilience;  (** the default is [resilience ()] *)
   incremental : bool;
       (** [true] (the default) keeps a persistent {!Flow_network.builder}
           and SSP scratch workspace across rounds: the topology part of
@@ -66,7 +65,9 @@ val pending_work : t -> bool
 (** Number of jobs currently tracked. *)
 val pending_jobs : t -> int
 
-(** Per-round resilience report, present iff a policy is installed. *)
+(** Per-round resilience report.  A round that had nothing to solve,
+    or whose first rung accepted an undegraded solve, reports all
+    zeros. *)
 type round_resilience = {
   degraded : bool;
       (** the applied result came from a budget-truncated solve or from
@@ -92,7 +93,7 @@ type round_outcome = {
   solver : Flow.Mcmf.result option;  (** [None] when there was nothing to do *)
   graph_nodes : int;
   graph_arcs : int;
-  resilience : round_resilience option;
+  resilience : round_resilience;
 }
 
 (** Execute one scheduling round at simulation time [time]. *)

@@ -4,8 +4,9 @@ module Hire_scheduler = Hire.Hire_scheduler
 let think_of ~nodes ~arcs = 0.0005 +. (3e-7 *. float_of_int (nodes + arcs))
 
 let create ?(simple_flavor = false) ?(params = Hire.Cost_model.default_params)
-    ?(solver = Hire.Flow_network.Ssp) ?(shared = true) ?resilience
-    ?(incremental = true) ?(reopt = true) ?name cluster =
+    ?(solver = Hire.Flow_network.Ssp) ?(shared = true)
+    ?(resilience = Hire_scheduler.resilience ()) ?(incremental = true) ?(reopt = true) ?name
+    cluster =
   let config =
     { Hire_scheduler.params; simple_flavor; solver; resilience; incremental; reopt }
   in
@@ -33,16 +34,7 @@ let create ?(simple_flavor = false) ?(params = Hire.Cost_model.default_params)
         (if o.graph_nodes = 0 then 0.0005
          else think_of ~nodes:o.graph_nodes ~arcs:o.graph_arcs);
       solver_wall = Option.map (fun (r : Flow.Mcmf.result) -> r.elapsed_s) o.solver;
-      resilience =
-        Option.map
-          (fun (r : Hire_scheduler.round_resilience) ->
-            {
-              Sim.Scheduler_intf.degraded = r.degraded;
-              fallback_depth = r.fallback_depth;
-              guard_trips = r.guard_trips;
-              salvaged = r.salvaged;
-            })
-          o.resilience;
+      resilience = Some o.resilience;
     }
   in
   {

@@ -9,8 +9,9 @@
 val names : string list
 
 (** [create name ~seed cluster] builds the scheduler.  [resilience]
-    installs a solver-resilience policy (docs/RESILIENCE.md) on the
-    flow-based HIRE variants; the baselines ignore it.  [incremental]
+    is the solver-resilience policy (docs/RESILIENCE.md) of the
+    flow-based HIRE variants, [Hire.Hire_scheduler.resilience ()] when
+    omitted; the baselines ignore it.  [incremental]
     (default [true]) enables the persistent flow-network builder and
     solver-scratch reuse on the HIRE variants — results are identical
     either way (docs/PERFORMANCE.md).

@@ -539,7 +539,8 @@ let pp_report fmt r =
   if r.node_fails > 0 then
     Format.fprintf fmt " faults=%d/%d killed=%d requeued=%d cancelled=%d" r.node_fails
       r.node_recoveries r.tasks_killed r.requeues r.fault_cancels;
-  (* Likewise, runs without a resilience policy keep the legacy format. *)
+  (* Likewise, runs that never degraded, fell back or tripped the guard
+     keep the format without resilience fields. *)
   if
     r.degraded_rounds > 0 || r.fallback_rounds > 0 || r.guard_trips > 0
     || r.salvaged_tasks > 0

@@ -54,8 +54,8 @@ val on_node_recover : t -> time:float -> downtime_s:float -> unit
 (** Record a measured MCMF solve (flow-based schedulers only). *)
 val on_solver_sample : t -> wall_s:float -> unit
 
-(** Count a scheduling round; [resilience] (if the scheduler runs a
-    solver-resilience policy) feeds the degraded/fallback/guard
+(** Count a scheduling round; [resilience] (reported by the flow-based
+    schedulers) feeds the degraded/fallback/guard
     aggregates. *)
 val on_round : ?resilience:Scheduler_intf.round_resilience -> t -> think_s:float -> unit
 

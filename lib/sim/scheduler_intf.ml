@@ -15,15 +15,9 @@ type placement = {
       (** switch-side demand charged (network groups only) *)
 }
 
-(** Per-round solver-resilience report (docs/RESILIENCE.md); mirrors
-    {!Hire.Hire_scheduler.round_resilience}.  Only schedulers running
-    with a resilience policy produce it. *)
-type round_resilience = {
-  degraded : bool;  (** budget-truncated solve or greedy placer applied *)
-  fallback_depth : int;  (** chain rungs abandoned before one was applied *)
-  guard_trips : int;  (** solutions quarantined by the invariant guard *)
-  salvaged : int;  (** tasks placed by a degraded rung *)
-}
+(** Per-round solver-resilience report (docs/RESILIENCE.md).  Only
+    the flow-based HIRE schedulers produce it, on every round. *)
+type round_resilience = Hire.Hire_scheduler.round_resilience
 
 type round_result = {
   placements : placement list;
@@ -31,7 +25,7 @@ type round_result = {
   think : float;  (** simulated decision time of this round, seconds *)
   solver_wall : float option;  (** measured MCMF wall time (flow-based only) *)
   resilience : round_resilience option;
-      (** [None] unless the scheduler runs a resilience policy *)
+      (** [None] for schedulers without a fallback chain *)
 }
 
 (** Optional checkpoint capability (docs/JOURNAL.md).  A scheduler that

@@ -11,6 +11,7 @@ type t = {
   agg : int array;
   tor : int array;
   server_ids : int array;
+  switch_ids : int array;  (* core ++ agg ++ tor *)
   parents_adj : int list array;
   children_adj : int list array;
   tor_of : int array;  (* server id -> tor id; -1 for non-servers *)
@@ -86,6 +87,7 @@ let create ~k =
     agg;
     tor;
     server_ids;
+    switch_ids = Array.concat [ core; agg; tor ];
     parents_adj;
     children_adj;
     tor_of;
@@ -140,6 +142,7 @@ let create_leaf_spine ~spines ~leafs ~servers_per_leaf =
     agg = [||];
     tor;
     server_ids;
+    switch_ids = Array.append core tor;
     parents_adj;
     children_adj;
     tor_of;
@@ -161,7 +164,7 @@ let is_server t id = kind t id = Server
 let is_switch t id = kind t id <> Server
 let servers t = t.server_ids
 
-let switches t = Array.concat [ t.core; t.agg; t.tor ]
+let switches t = t.switch_ids
 
 let core_switches t = t.core
 let agg_switches t = t.agg

@@ -41,10 +41,13 @@ val depth : t -> int -> int
 val is_server : t -> int -> bool
 val is_switch : t -> int -> bool
 
-(** All server node ids, in id order. *)
+(** All server node ids, in id order.  The array is shared by every
+    call and must not be mutated. *)
 val servers : t -> int array
 
-(** All switch node ids (core ++ agg ++ tor), in id order. *)
+(** All switch node ids (core ++ agg ++ tor), in id order.  The array
+    is built once by the constructor, shared by every call and must not
+    be mutated. *)
 val switches : t -> int array
 
 val core_switches : t -> int array

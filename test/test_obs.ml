@@ -303,6 +303,46 @@ let test_metrics_profile_agree () =
   reset_obs ();
   Obs.Trace.set_capacity 65536
 
+(* Every network build is timed.  [hire.build_s] gets one sample per
+   attempt of the fallback chain: one per round with pending work when
+   the first rung always accepts (no budget, no guard), and one per rung
+   tried when the guard quarantines solutions. *)
+let build_and_solve_counts ?resilience () =
+  reset_obs ();
+  Obs.set_enabled true;
+  let spec =
+    {
+      Harness.Experiment.default with
+      scheduler = "hire";
+      k = 4;
+      horizon = 60.0;
+      target_utilization = 2.0;
+      resilience;
+    }
+  in
+  let r = Harness.Experiment.run spec in
+  let builds = Obs.Histogram.count (Obs.Registry.histogram "hire.build_s") in
+  let solves = Obs.Registry.counter_value (Obs.Registry.counter "flow.solves") in
+  reset_obs ();
+  (r, builds, solves)
+
+let test_build_timed_per_attempt () =
+  Failpt.deactivate ();
+  let r, builds, solves = build_and_solve_counts () in
+  let rounds_with_work = Obs.Histogram.count r.Sim.Metrics.solver_wall in
+  Alcotest.(check bool) "rounds had work" true (rounds_with_work > 0);
+  Alcotest.(check int) "default: one build per round with work" rounds_with_work builds;
+  Alcotest.(check int) "default: one build per solve" solves builds;
+  Failpt.load "seed=3;flow.corrupt=50%trip";
+  Fun.protect ~finally:Failpt.deactivate (fun () ->
+      let resilience = Hire.Hire_scheduler.resilience ~guard_every:1 () in
+      let r, builds, solves = build_and_solve_counts ~resilience () in
+      let rounds_with_work = Obs.Histogram.count r.Sim.Metrics.solver_wall in
+      Alcotest.(check bool) "guard tripped" true (r.Sim.Metrics.guard_trips > 0);
+      Alcotest.(check int) "guarded: one build per attempt" solves builds;
+      Alcotest.(check bool) "guarded: more attempts than rounds with work" true
+        (builds > rounds_with_work))
+
 let () =
   Alcotest.run "obs"
     [
@@ -329,5 +369,6 @@ let () =
         [
           Alcotest.test_case "solver profile emitted" `Quick test_solver_profile_emitted;
           Alcotest.test_case "metrics agree with profiles" `Quick test_metrics_profile_agree;
+          Alcotest.test_case "build timed per attempt" `Quick test_build_timed_per_attempt;
         ] );
     ]

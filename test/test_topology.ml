@@ -32,6 +32,22 @@ let test_paper_scale () =
   Alcotest.(check int) "servers" 4394 (Array.length (Fat_tree.servers t26));
   Alcotest.(check int) "switches" 845 (Array.length (Fat_tree.switches t26))
 
+let test_switches_shared () =
+  (* Core, then aggregation, then ToR ids, built once: every call returns
+     the same array. *)
+  let expected =
+    Array.concat
+      [ Fat_tree.core_switches t4; Fat_tree.agg_switches t4; Fat_tree.tor_switches t4 ]
+  in
+  Alcotest.(check (array int)) "core @ agg @ tor" expected (Fat_tree.switches t4);
+  Alcotest.(check (array int)) "in id order" (Array.init 20 Fun.id) (Fat_tree.switches t4);
+  Alcotest.(check bool) "shared" true (Fat_tree.switches t4 == Fat_tree.switches t4);
+  let ls = Fat_tree.create_leaf_spine ~spines:2 ~leafs:3 ~servers_per_leaf:2 in
+  Alcotest.(check (array int)) "leaf-spine: spines @ leaves"
+    (Array.append (Fat_tree.core_switches ls) (Fat_tree.tor_switches ls))
+    (Fat_tree.switches ls);
+  Alcotest.(check bool) "leaf-spine shared" true (Fat_tree.switches ls == Fat_tree.switches ls)
+
 let test_create_rejects_odd_k () =
   Alcotest.(check bool) "odd k rejected" true
     (try
@@ -306,6 +322,7 @@ let () =
           Alcotest.test_case "counts k=4" `Quick test_counts;
           Alcotest.test_case "counts k=8" `Quick test_counts_k8;
           Alcotest.test_case "paper scale k=26" `Quick test_paper_scale;
+          Alcotest.test_case "switches shared" `Quick test_switches_shared;
           Alcotest.test_case "odd k rejected" `Quick test_create_rejects_odd_k;
           Alcotest.test_case "depths" `Quick test_depths;
         ] );
