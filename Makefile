@@ -36,7 +36,11 @@ test:
 # lib/hire/flow_network.ml must not mention Aux_inc or big_arcs: the
 # builder creates only the nodes a shortcut can reach, not the INC
 # shadow copy of the topology or the switch-switch arcs
-# (docs/PERFORMANCE.md, "Only reachable nodes").
+# (docs/PERFORMANCE.md, "Only reachable nodes").  In the same file,
+# only the memo lookup `shared_loc_ctx` may call `loc_ctx`, and only
+# `loc_ctx` may call Locality.Gain.compute or Locality.upsilon: a
+# group's locality context is staged once per related set and shared
+# (docs/PERFORMANCE.md, "Shared locality context").
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -56,6 +60,12 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (per-switch capability lookup in Sharing.iter_supporting above)"; exit 1; }
 	@! grep -nE 'Aux_inc|big_arcs' lib/hire/flow_network.ml \
 		|| { echo "lint-compare: FAIL (unreachable topology part in flow_network.ml above)"; exit 1; }
+	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "loc_ctx" && d != "shared_loc_ctx"' \
+		lib/hire/flow_network.ml | grep -nE '\bloc_ctx +[a-z(~]'; } \
+		|| { echo "lint-compare: FAIL (locality context computed outside the memo lookup above)"; exit 1; }
+	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "loc_ctx"' lib/hire/flow_network.ml \
+		| grep -nE 'Locality\.(Gain\.compute|upsilon)\b'; } \
+		|| { echo "lint-compare: FAIL (Υ or Γ staged outside loc_ctx above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags

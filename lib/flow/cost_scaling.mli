@@ -12,7 +12,22 @@
     are used only when the instance itself is infeasible.  The virtual
     node and arcs remain in the graph after solving (flow 0 on feasible
     instances) — harmless for {!Verify} but callers comparing node
-    counts should solve on a scratch copy. *)
+    counts should solve on a scratch copy.
+
+    Which optimum the solver returns among flows of equal cost depends
+    on the graph's node count, not only on its arcs: costs are scaled
+    by [n + 1] ([n] counts the virtual node), and the artificial arcs
+    cost [max|c| * (n0 + 2) + 1], where [n0] is the node count before
+    the virtual node.  Adding or dropping nodes that carry no flow
+    keeps the optimal cost, and leaves every {!Mcmf} result unchanged,
+    but can move the optimum picked here.  HIRE's [hire-scaling]
+    placements move with it: when the flow network stopped building
+    the topology nodes no shortcut reaches, [hire_sim -s hire-scaling
+    -k 8 --horizon 120 --util 1.5 --mu 0.7 --seeds 1,2] changed on
+    seed 1 from detour 0.094 and 744 rounds to detour 0.125 and 802
+    rounds, while the SSP schedulers' outputs stayed byte-identical.
+    Compare [hire-scaling] outputs only between networks of the same
+    node count. *)
 
 type result = {
   shipped : int;  (** supply routed to real demands *)

@@ -88,6 +88,26 @@ let compute_tor_agg (view : View.t) tor =
   done;
   if !n = 0 then None else Some { n_servers = !n; min_avail = !min_avail; max_avail = !max_avail }
 
+(* Locality context of one task group: inputs of Φloc.  Υ and Γ are
+   only read when a related task is placed, so a [Neutral] context
+   computes neither. *)
+type loc_ctx =
+  | Neutral
+  | Related of { server_weight : float; upsilon : int -> float; gain : Locality.Gain.t }
+
+(* The builder's locality memo is keyed on a group's related ids
+   ([tg_id :: connected]), sorted. *)
+module Ids_tbl = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash ids = List.fold_left (fun h id -> (h * 31) + id) 17 ids land max_int
+end)
+
+(* A memoized context, with each key id's census stamp when it was
+   computed, and the last build that used it. *)
+type loc_entry = { ctx : loc_ctx; stamps : (int * int) list; mutable used : int }
+
 (* ------------------------------------------------------------------ *)
 (* Persistent builder                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -134,6 +154,11 @@ type builder = {
   mutable sc_cap : int array;
   mutable sc_keys : int array;
   mutable sc_n : int;
+  (* Locality contexts by related ids ([shared_loc_ctx]), computed
+     from the one census the builder is used with. *)
+  loc_memo : loc_entry Ids_tbl.t;
+  mutable loc_computed : int;  (* contexts computed this build *)
+  mutable loc_reused : int;  (* contexts found in the memo this build *)
   (* Stats. *)
   mutable builds : int;
   mutable full_rebuilds : int;
@@ -175,6 +200,9 @@ let create_builder ?(reopt = false) () =
     sc_cap = [||];
     sc_keys = [||];
     sc_n = 0;
+    loc_memo = Ids_tbl.create 16;
+    loc_computed = 0;
+    loc_reused = 0;
     builds = 0;
     full_rebuilds = 0;
     last_full = true;
@@ -239,15 +267,9 @@ let stats t =
     full_rebuilds = t.b.full_rebuilds;
   }
 
-(* Locality context of one task group: inputs of Φloc.  Υ and Γ are
-   only read when a related task is placed, so a [Neutral] context
-   computes neither. *)
-type loc_ctx =
-  | Neutral
-  | Related of { server_weight : float; upsilon : int -> float; gain : Locality.Gain.t }
-
-let loc_ctx (view : View.t) census ~(params : Cost_model.params) (ts : Pending.tg_state) =
-  let related = ts.tg.Poly_req.tg_id :: ts.tg.Poly_req.connected in
+(* The locality context of a group whose related ids are [related].
+   Only [shared_loc_ctx] calls it. *)
+let loc_ctx (view : View.t) census ~(params : Cost_model.params) related =
   let on_servers, on_switches =
     List.fold_left
       (fun (sv, sw) tg_id ->
@@ -272,6 +294,27 @@ let loc_ctx (view : View.t) census ~(params : Cost_model.params) (ts : Pending.t
         gain = Locality.Gain.compute view.topo census ~related ~gamma:params.gamma ~xi:params.xi;
       }
   end
+
+(* The locality context of a task group, shared by every group with the
+   same related ids ([tg_id :: connected], sorted) in this build, and
+   reused by later builds while the census stamp of each of those ids is
+   unchanged (docs/PERFORMANCE.md, "Why the memo is exact"). *)
+let shared_loc_ctx b view census ~params (tg : Poly_req.task_group) =
+  let ids = List.sort Int.compare (tg.Poly_req.tg_id :: tg.Poly_req.connected) in
+  match Ids_tbl.find_opt b.loc_memo ids with
+  | Some e
+    when List.for_all
+           (fun (id, stamp) -> Int.equal (Locality.Task_census.stamp census ~tg_id:id) stamp)
+           e.stamps ->
+      e.used <- b.builds;
+      b.loc_reused <- b.loc_reused + 1;
+      e.ctx
+  | _ ->
+      let ctx = loc_ctx view census ~params ids in
+      let stamps = List.map (fun id -> (id, Locality.Task_census.stamp census ~tg_id:id)) ids in
+      Ids_tbl.replace b.loc_memo ids { ctx; stamps; used = b.builds };
+      b.loc_computed <- b.loc_computed + 1;
+      ctx
 
 (* Cost_model.phi_loc ignores Υ, Γ and the weight when nothing related
    is placed. *)
@@ -588,6 +631,8 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
   let topo = view.topo in
   let b = match builder with Some b -> b | None -> create_builder () in
   ensure_topology b (Fat_tree.node_count topo);
+  b.loc_computed <- 0;
+  b.loc_reused <- 0;
   let g = b.g in
   let mk r =
     let v = Graph.add_node g in
@@ -684,7 +729,7 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
           let tg = ts.tg in
           let gnode = mk (Group tg.Poly_req.tg_id) in
           let ctx =
-            if params.locality_aware then loc_ctx view census ~params ts else Neutral
+            if params.locality_aware then shared_loc_ctx b view census ~params tg else Neutral
           in
           let kept =
             match tg.Poly_req.kind with
@@ -804,6 +849,15 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
   Graph.set_supply g sink (-(total_supply + s_supply));
 
   (* --- bookkeeping --- *)
+  (* Keep only the contexts this build used: the memo holds the live
+     related sets, not every set ever seen. *)
+  Ids_tbl.filter_map_inplace
+    (fun _ e -> if Int.equal e.used b.builds then Some e else None)
+    b.loc_memo;
+  if Obs.enabled () then begin
+    Obs.Registry.incr ~by:b.loc_computed (Obs.Registry.counter "hire.loc_ctx.computed");
+    Obs.Registry.incr ~by:b.loc_reused (Obs.Registry.counter "hire.loc_ctx.reused")
+  end;
   b.valid_n <- Graph.node_count g;
   b.builds <- b.builds + 1;
   let total_arcs = Graph.arc_count g in

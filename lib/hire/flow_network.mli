@@ -57,10 +57,20 @@ type t
     them alive across rounds so that a build only patches what changed
     (per the {!View.t.dirty} set) instead of reallocating everything.
 
+    The builder also owns a memo of locality contexts (the Υ and Γ
+    that price Φloc), keyed on a group's related ids as a sorted list.
+    Groups with the same related ids share one context within a build,
+    and later builds reuse it while the {!Locality.Task_census.stamp}
+    of each of those ids is unchanged; a build drops the contexts it
+    did not use.  A fresh builder therefore still shares contexts
+    within its one build.
+
     A builder is bound to one cluster (one topology instance and one
-    parameter set): reuse it only across rounds of the same scheduler.
+    parameter set) and to one census: reuse it only across rounds of
+    the same scheduler.
     Incremental and full builds are {e bit-identical} — the patch path
-    reproduces exactly the arrays a fresh build would create, so solver
+    reproduces exactly the arrays a fresh build would create, and a
+    reused context is the one a fresh build would compute, so solver
     results (placements, objective values) never depend on which path
     ran. *)
 type builder

@@ -486,12 +486,15 @@ let run_round t ~time =
 
 (* The scheduling state proper is the pending queue (in submission
    order), the lifetime solve counter (it phases the guard sampling) and
-   the locality census.  The flow-network builder and solver scratch are
-   caches: a restored scheduler starts them empty and the first round
-   rebuilds from scratch, which is bit-identical to the incremental
-   path.  The census is serialized rather than re-derived because it
-   mirrors tasks *running* in the cluster, which the pending queue no
-   longer knows about. *)
+   the locality census.  The flow-network builder (with its memo of
+   locality contexts) and the solver scratch are caches: a restored
+   scheduler starts them empty and the first round rebuilds from
+   scratch, which is bit-identical to the incremental path.  Restoring
+   into a live scheduler instead moves the census stamps of every
+   decoded group, so its builder recomputes those contexts.  The census
+   is serialized rather than re-derived because it mirrors tasks
+   *running* in the cluster, which the pending queue no longer knows
+   about. *)
 let snapshot t =
   let module Enc = Prelude.Codec.Enc in
   let e = Enc.create () in

@@ -5,17 +5,20 @@ module Task_census = struct
   (* Per task group we keep counts by machine plus rollups by ToR and by
      pod, so [count_under] answers in O(1) for any node of the
      hierarchy.  A machine is tagged (tor, pod) as follows: servers and
-     ToRs by their own ToR; aggs by their pod only; cores by neither. *)
+     ToRs by their own ToR; aggs by their pod only; cores by neither.
+     Every change to a group stamps it with the next value of the
+     census-wide [clock], so equal stamps mean unchanged counts. *)
   type group_counts = {
     by_machine : int Int_tbl.t;
     by_tor : int Int_tbl.t;
     by_pod : int Int_tbl.t;
     mutable total : int;
+    mutable stamp : int;
   }
 
-  type t = { topo : Fat_tree.t; groups : group_counts Int_tbl.t }
+  type t = { topo : Fat_tree.t; groups : group_counts Int_tbl.t; mutable clock : int }
 
-  let create topo = { topo; groups = Int_tbl.create 64 }
+  let create topo = { topo; groups = Int_tbl.create 64; clock = 0 }
 
   let group t tg_id =
     match Int_tbl.find_opt t.groups tg_id with
@@ -27,6 +30,7 @@ module Task_census = struct
             by_tor = Int_tbl.create 8;
             by_pod = Int_tbl.create 8;
             total = 0;
+            stamp = 0;
           }
         in
         Int_tbl.replace t.groups tg_id g;
@@ -46,6 +50,8 @@ module Task_census = struct
 
   let adjust t ~tg_id ~machine delta =
     let g = group t tg_id in
+    t.clock <- t.clock + 1;
+    g.stamp <- t.clock;
     bump g.by_machine machine delta;
     let tor, pod = tags t machine in
     (match tor with Some x -> bump g.by_tor x delta | None -> ());
@@ -70,6 +76,9 @@ module Task_census = struct
   let total t ~tg_id =
     match Int_tbl.find_opt t.groups tg_id with None -> 0 | Some g -> g.total
 
+  let stamp t ~tg_id =
+    match Int_tbl.find_opt t.groups tg_id with None -> 0 | Some g -> g.stamp
+
   let machines t ~tg_id =
     match Int_tbl.find_opt t.groups tg_id with
     | None -> []
@@ -83,13 +92,17 @@ module Task_census = struct
       (fun (m, _) -> if Fat_tree.is_switch t.topo m then Some m else None)
       (machines t ~tg_id)
 
+  (* A removed group reads stamp 0, like one never seen; re-adding it
+     stamps it from the clock, above any stamp it had before. *)
   let clear_group t ~tg_id = Int_tbl.remove t.groups tg_id
 
   (* Checkpoint serialization (docs/JOURNAL.md).  Only the primary
      (machine, count) pairs are written — the ToR/pod rollups and totals
      are re-derived through [adjust] on restore, so a decoded census is
      structurally identical to one built live.  Groups and machines are
-     written in sorted order for canonical bytes. *)
+     written in sorted order for canonical bytes.  Decoding keeps the
+     clock running, so every decoded group gets a fresh stamp and every
+     dropped one reads 0. *)
   let encode_state t e =
     let module Enc = Prelude.Codec.Enc in
     let group_ids =
@@ -140,26 +153,28 @@ let upsilon topo census ~tg_ids ~group_size =
        switch-hosted tasks, so 0 is conservative): each of its server
        leaves is gs/gs = 1.0 exactly, and n copies of 1.0 summed and
        divided by n are 1.0 exactly, so answering 1.0 without the walk
-       gives the walk's bits.  Switch values are memoized, so a subtree
-       shared by many queried nodes is walked once. *)
+       gives the walk's bits.  Every value is memoized, servers too, so
+       a subtree shared by many queried nodes is walked once and a node
+       queried again costs one lookup instead of a census read per
+       related group. *)
     let rec go n =
-      let related = total_related n in
-      if related = 0 then 1.0
-      else if Fat_tree.is_server topo n then
-        float_of_int (max 0 (group_size - related)) /. gs
-      else
-        match Int_tbl.find_opt memo n with
-        | Some v -> v
-        | None ->
-            let v =
+      match Int_tbl.find_opt memo n with
+      | Some v -> v
+      | None ->
+          let related = total_related n in
+          let v =
+            if related = 0 then 1.0
+            else if Fat_tree.is_server topo n then
+              float_of_int (max 0 (group_size - related)) /. gs
+            else
               match Fat_tree.children topo n with
               | [] -> 1.0
               | kids ->
                   List.fold_left (fun acc kid -> acc +. go kid) 0.0 kids
                   /. float_of_int (List.length kids)
-            in
-            Int_tbl.replace memo n v;
-            v
+          in
+          Int_tbl.replace memo n v;
+          v
     in
     fun node -> Float.max 0.0 (Float.min 1.0 (go node))
   end

@@ -41,6 +41,14 @@ module Task_census : sig
 
   val clear_group : t -> tg_id:int -> unit
 
+  (** Change stamp of a group: 0 while the group is absent (never
+      added, cleared, or dropped by {!decode_state}); otherwise the
+      value of a census-wide counter at the group's last {!add},
+      {!remove} or decode.  The counter only grows, so a group whose
+      stamp reads the same as before has the same counts as before,
+      and one cleared and re-added reads a stamp it never had. *)
+  val stamp : t -> tg_id:int -> int
+
   (** Journal-checkpoint serialization (docs/JOURNAL.md): canonical
       encoding of the (machine, count) pairs per group; restore rebuilds
       the subtree rollups through {!add}, replacing the current
@@ -57,11 +65,16 @@ end
     a server node it degrades to the fraction of related tasks not on
     that server.
 
-    The closure reads [census] on demand and memoizes per-switch values,
-    so it must not outlive a change to the census.  A subtree holding no
-    related task is answered from the census rollup without a walk, so
-    one closure queried at many nodes costs in proportion to where the
-    related tasks are, not to the topology. *)
+    The closure reads [census] on demand and memoizes the value of
+    every node it computes, switches and servers alike.  Those values
+    depend only on the counts of [tg_ids], so the closure stays exact
+    while none of their {!Task_census.stamp}s moves, and may be shared
+    by every task group with the same related ids, in one build or
+    across builds ({!Flow_network.builder} does so).  After any of
+    those stamps moves it must not be queried again.  A subtree holding
+    no related task is answered from the census rollup without a walk,
+    so one closure queried at many nodes costs in proportion to where
+    the related tasks are, not to the topology. *)
 val upsilon :
   Fat_tree.t -> Task_census.t -> tg_ids:int list -> group_size:int -> int -> float
 

@@ -675,6 +675,68 @@ let test_census_switch_tasks () =
   Alcotest.(check int) "under itself" 1
     (Locality.Task_census.count_under census ~tg_id:2 ~node:tor)
 
+(* A group's change stamp moves on each [add], [remove] and decode of
+   that group and on no other group's; an absent group reads 0; a
+   cleared group reads 0 and, re-added, a stamp it never had. *)
+let test_census_stamps () =
+  let module C = Locality.Task_census in
+  let topo = Fat_tree.create ~k:4 in
+  let census = C.create topo in
+  let servers = Fat_tree.servers topo in
+  let tor = (Fat_tree.tor_switches topo).(0) in
+  let stamps () = List.map (fun tg_id -> C.stamp census ~tg_id) [ 1; 2; 3 ] in
+  let moved name ~only before =
+    List.iteri
+      (fun i (b, a) ->
+        let tg_id = i + 1 in
+        if List.mem tg_id only then
+          Alcotest.(check bool) (Printf.sprintf "%s: group %d moved" name tg_id) true (a <> b)
+        else Alcotest.(check int) (Printf.sprintf "%s: group %d kept" name tg_id) b a)
+      (List.combine before (stamps ()))
+  in
+  Alcotest.(check (list int)) "never seen reads 0" [ 0; 0; 0 ] (stamps ());
+  let s0 = stamps () in
+  C.add census ~tg_id:1 ~machine:servers.(0);
+  moved "add 1" ~only:[ 1 ] s0;
+  let s1 = stamps () in
+  C.add census ~tg_id:2 ~machine:tor;
+  moved "add 2" ~only:[ 2 ] s1;
+  let s2 = stamps () in
+  C.add census ~tg_id:1 ~machine:servers.(0);
+  moved "add 1 again" ~only:[ 1 ] s2;
+  let s3 = stamps () in
+  C.remove census ~tg_id:1 ~machine:servers.(0);
+  moved "remove 1" ~only:[ 1 ] s3;
+  let s4 = stamps () in
+  let seen = List.concat [ s1; s2; s3; s4 ] in
+  C.clear_group census ~tg_id:2;
+  moved "clear 2" ~only:[ 2 ] s4;
+  Alcotest.(check int) "cleared reads 0" 0 (C.stamp census ~tg_id:2);
+  C.clear_group census ~tg_id:3;
+  Alcotest.(check int) "clearing an absent group keeps 0" 0 (C.stamp census ~tg_id:3);
+  C.add census ~tg_id:2 ~machine:tor;
+  let readded = C.stamp census ~tg_id:2 in
+  Alcotest.(check bool) "re-added gets a new stamp" true
+    (readded > 0 && not (List.mem readded seen));
+  (* Decode into a census holding other groups: the decoded groups get
+     fresh stamps, a group the blob lacks reads 0. *)
+  let src = C.create topo in
+  C.add src ~tg_id:1 ~machine:servers.(3);
+  C.add src ~tg_id:3 ~machine:servers.(5);
+  let e = Prelude.Codec.Enc.create () in
+  C.encode_state src e;
+  let before = stamps () in
+  C.decode_state census (Prelude.Codec.Dec.of_string (Prelude.Codec.Enc.to_string e));
+  moved "decode" ~only:[ 1; 2; 3 ] before;
+  Alcotest.(check int) "dropped by decode reads 0" 0 (C.stamp census ~tg_id:2);
+  Alcotest.(check bool) "decoded stamps are new" true
+    (List.for_all
+       (fun tg_id ->
+         let st = C.stamp census ~tg_id in
+         st > 0 && not (List.mem st (readded :: seen)))
+       [ 1; 3 ]);
+  Alcotest.(check int) "decoded counts" 1 (C.count_under census ~tg_id:3 ~node:servers.(5))
+
 let test_upsilon_prefers_colocated_subtree () =
   let topo = Fat_tree.create ~k:4 in
   let census = Locality.Task_census.create topo in
@@ -1171,7 +1233,8 @@ let () =
           Alcotest.test_case "gain propagation" `Quick test_gain_propagates_and_decays;
           Alcotest.test_case "gain empty" `Quick test_gain_empty_sources;
         ]
-        @ qt [ prop_upsilon_matches_naive ] );
+        @ qt [ prop_upsilon_matches_naive ]
+        @ [ Alcotest.test_case "census stamps" `Quick test_census_stamps ] );
       ( "cost_model",
         [
           Alcotest.test_case "phi_pref" `Quick test_phi_pref_shape;

@@ -2,10 +2,12 @@
    the Graph in-place patching primitives (mark/release, set_cost,
    negative-cost tracking, flow reset), solver scratch exactness,
    builder-vs-fresh network identity under cost, structural, and
-   liveness churn at k=4 and k=8, and the end-to-end property that a
-   simulation run with [incremental = true] is placement-for-placement
-   identical to the full-rebuild path — with and without fault
-   injection, on random k=4 cells and one fixed k=8 cell. *)
+   liveness churn at k=4 and k=8, the builder's shared locality
+   contexts against fresh builds under census churn, and the
+   end-to-end property that a simulation run with
+   [incremental = true] is placement-for-placement identical to the
+   full-rebuild path — with and without fault injection, on random k=4
+   cells and one fixed k=8 cell. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
@@ -706,6 +708,183 @@ let test_build_leaves_ledgers () =
   Alcotest.(check bool) "patched build" false (round "patched")
 
 (* ------------------------------------------------------------------ *)
+(* Shared locality contexts                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* An INC composite wired to a server composite: the groups of both are
+   each other's related groups, so their contexts share one key. *)
+let linked_req ~service ~n ~cpu =
+  {
+    Comp_req.priority = Workload.Job.Batch;
+    composites =
+      [
+        {
+          Comp_req.comp_id = "c0";
+          template = Option.get (Comp_store.template_of_service store service);
+          base = { Comp_req.instances = n; cpu = 2.0; mem = 4.0; duration = 30.0 };
+          inc_alternatives = [ service ];
+        };
+        {
+          Comp_req.comp_id = "c1";
+          template = "server";
+          base = { Comp_req.instances = n; cpu; mem = 4.0; duration = 30.0 };
+          inc_alternatives = [];
+        };
+      ];
+    connections = [ ("c0", "c1") ];
+  }
+
+let all_tg_ids jobs =
+  List.concat_map
+    (fun (j : Pending.job_state) ->
+      List.map (fun (ts : Pending.tg_state) -> ts.tg.Poly_req.tg_id) (Array.to_list j.tg_states))
+    jobs
+
+let counter name = Obs.Registry.counter_value (Obs.Registry.counter name)
+
+(* A warm builder reuses a context while the census stamps of its ids
+   stay put, and recomputes it once one moves: a change to an unrelated
+   group is invisible to it. *)
+let test_loc_ctx_reuse () =
+  let cluster = make_cluster ~k:8 () in
+  let view = Sim.Cluster.view cluster in
+  let topo = view.Hire.View.topo in
+  let census = Hire.Locality.Task_census.create topo in
+  let ids = Transformer.Id_gen.create () in
+  let jobs =
+    [
+      Pending.of_poly
+        (Transformer.transform store ids (Rng.create 5) ~job_id:0 ~arrival:0.0
+           (linked_req ~service:"netchain" ~n:3 ~cpu:2.0));
+    ]
+  in
+  let tgs = all_tg_ids jobs in
+  let servers = Topology.Fat_tree.servers topo in
+  Hire.Locality.Task_census.add census ~tg_id:(List.hd tgs) ~machine:servers.(0);
+  let builder = Flow_network.create_builder () in
+  let params = Cost_model.default_params in
+  Obs.Registry.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.Registry.reset ())
+    (fun () ->
+      let build () =
+        let c0 = counter "hire.loc_ctx.computed" and r0 = counter "hire.loc_ctx.reused" in
+        ignore (Flow_network.build ~builder view census ~jobs ~now:10.0 ~params);
+        (counter "hire.loc_ctx.computed" - c0, counter "hire.loc_ctx.reused" - r0)
+      in
+      let n = List.length tgs in
+      Alcotest.(check bool) "several groups" true (n > 1);
+      Alcotest.(check (pair int int)) "cold: one context, shared" (1, n - 1) (build ());
+      Alcotest.(check (pair int int)) "warm: reused" (0, n) (build ());
+      Hire.Locality.Task_census.add census ~tg_id:999_999 ~machine:servers.(1);
+      Alcotest.(check (pair int int)) "unrelated change: reused" (0, n) (build ());
+      Hire.Locality.Task_census.add census ~tg_id:(List.nth tgs 1) ~machine:servers.(2);
+      Alcotest.(check (pair int int)) "related change: recomputed" (1, n - 1) (build ()))
+
+(* Random multi-round k=4/k=8 runs with one persistent builder.  Between
+   builds the census churns on related and unrelated groups (adds,
+   removals, cleared groups, an encode/decode round trip), and ledger
+   charges dirty servers and switches.  Every round, the persistent
+   builder's network must equal a fresh builder's arc for arc and
+   supply for supply, with the same placements and objective. *)
+let prop_shared_loc_ctx_exact =
+  QCheck.Test.make ~name:"shared locality contexts = fresh builds under census churn" ~count:40
+    QCheck.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, k8) ->
+      let k = if k8 then 8 else 4 in
+      let rng = Rng.create seed in
+      let services = Comp_store.service_names store in
+      let cluster =
+        Sim.Cluster.create
+          ~inc_capable_fraction:(Rng.float_in rng 0.5 1.0)
+          ~k ~setup:Sim.Cluster.Homogeneous ~services:(Array.to_list services) (Rng.split rng)
+      in
+      let topo = Sim.Cluster.topo cluster in
+      let view = Sim.Cluster.view cluster in
+      let census = Hire.Locality.Task_census.create topo in
+      let ids = Transformer.Id_gen.create () in
+      let jobs =
+        List.init (Rng.int_in rng 2 5) (fun i ->
+            let service = Rng.choose rng services and n = Rng.int_in rng 1 5 in
+            let req =
+              match Rng.int_in rng 0 2 with
+              | 0 -> linked_req ~service ~n ~cpu:(Rng.float_in rng 0.5 8.0)
+              | 1 -> inc_req ~service ~n ()
+              | _ -> server_only_req ~cpu:(Rng.float_in rng 0.5 8.0) n
+            in
+            Pending.of_poly
+              (Transformer.transform store ids (Rng.split rng) ~job_id:i
+                 ~arrival:(float_of_int i) req))
+      in
+      let groups = Array.of_list (all_tg_ids jobs @ [ 900_001; 900_002 ]) in
+      let machines =
+        Array.append (Topology.Fat_tree.servers topo) (Topology.Fat_tree.switches topo)
+      in
+      let servers = Topology.Fat_tree.servers topo in
+      let sws = Array.of_list (inc_switches cluster) in
+      let ntgs = Array.of_list (network_tgs jobs) in
+      let demand = Vec.scale 0.1 (Sim.Cluster.server_capacity cluster) in
+      let placed = ref [] in
+      let churn () =
+        for _ = 1 to Rng.int_in rng 0 3 do
+          match Rng.int_in rng 0 3 with
+          | 0 | 1 ->
+              let tg_id = Rng.choose rng groups and machine = Rng.choose rng machines in
+              Hire.Locality.Task_census.add census ~tg_id ~machine;
+              placed := (tg_id, machine) :: !placed
+          | 2 -> (
+              match !placed with
+              | [] -> ()
+              | l ->
+                  let i = Rng.int_in rng 0 (List.length l - 1) in
+                  let tg_id, machine = List.nth l i in
+                  Hire.Locality.Task_census.remove census ~tg_id ~machine;
+                  placed := List.filteri (fun j _ -> j <> i) l)
+          | _ ->
+              let tg_id = Rng.choose rng groups in
+              Hire.Locality.Task_census.clear_group census ~tg_id;
+              placed := List.filter (fun (t, _) -> t <> tg_id) !placed
+        done;
+        if Rng.bernoulli rng 0.5 then begin
+          let server = Rng.choose rng servers in
+          try Sim.Cluster.place_server_task cluster ~server ~demand with Invalid_argument _ -> ()
+        end;
+        if Array.length ntgs > 0 && Array.length sws > 0 && Rng.bernoulli rng 0.3 then
+          charge_switches cluster (Rng.choose rng ntgs) [ Rng.choose rng sws ];
+        if Rng.bernoulli rng 0.2 then begin
+          let e = Prelude.Codec.Enc.create () in
+          Hire.Locality.Task_census.encode_state census e;
+          Hire.Locality.Task_census.decode_state census
+            (Prelude.Codec.Dec.of_string (Prelude.Codec.Enc.to_string e))
+        end
+      in
+      let builder = Flow_network.create_builder () in
+      let params = Cost_model.default_params in
+      let rec rounds r =
+        r > 8
+        ||
+        let now = 10.0 +. float_of_int r in
+        churn ();
+        let ni = Flow_network.build ~builder view census ~jobs ~now ~params in
+        let nf = Flow_network.build view census ~jobs ~now ~params in
+        let gi = Flow_network.graph ni and gf = Flow_network.graph nf in
+        let supplies g = List.init (Graph.node_count g) (Graph.supply g) in
+        let oi = Flow_network.solve_and_extract ni and o_f = Flow_network.solve_and_extract nf in
+        let fail what = QCheck.Test.fail_reportf "%s differ (k=%d seed=%d round %d)" what k seed r in
+        if arcs_of gi <> arcs_of gf then fail "arcs"
+        else if supplies gi <> supplies gf then fail "supplies"
+        else if oi.Flow_network.placements <> o_f.Flow_network.placements then fail "placements"
+        else if
+          oi.Flow_network.solver.Mcmf.total_cost <> o_f.Flow_network.solver.Mcmf.total_cost
+        then fail "objectives"
+        else rounds (r + 1)
+      in
+      rounds 1)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end property: incremental == full rebuild                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -857,6 +1036,9 @@ let () =
             test_warm_build_alloc_flat;
         ] );
       ("reachable-only", qt [ prop_reachable_exact ]);
+      ( "shared-loc",
+        Alcotest.test_case "memo reused until a stamp moves" `Quick test_loc_ctx_reuse
+        :: qt [ prop_shared_loc_ctx_exact ] );
       ( "end-to-end",
         qt [ prop_incremental_identical ]
         @ [
