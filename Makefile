@@ -40,7 +40,13 @@ test:
 # only the memo lookup `shared_loc_ctx` may call `loc_ctx`, and only
 # `loc_ctx` may call Locality.Gain.compute or Locality.upsilon: a
 # group's locality context is staged once per related set and shared
-# (docs/PERFORMANCE.md, "Shared locality context").
+# (docs/PERFORMANCE.md, "Shared locality context").  In
+# lib/flow/mcmf.ml, `s.gen <- s.gen + 1` appears exactly once: one
+# search generation per augmentation, as a Dijkstra resumes the
+# zero-length search that missed instead of starting a new one; and
+# the body of `zero_path` must not mention Heap.Int_pair: every key of
+# that search is 0, so its frontier is a heap of node ids in the
+# scratch (docs/PERFORMANCE.md, "Zero-length augmenting paths").
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -66,6 +72,10 @@ lint-compare:
 	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "loc_ctx"' lib/hire/flow_network.ml \
 		| grep -nE 'Locality\.(Gain\.compute|upsilon)\b'; } \
 		|| { echo "lint-compare: FAIL (Υ or Γ staged outside loc_ctx above)"; exit 1; }
+	@test "$$(grep -c 's\.gen <- s\.gen + 1' lib/flow/mcmf.ml)" -eq 1 \
+		|| { echo "lint-compare: FAIL (mcmf.ml must bump s.gen in exactly one place)"; exit 1; }
+	@! { sed -n '/^let zero_path/,/^let /p' lib/flow/mcmf.ml | grep -n 'Heap\.Int_pair'; } \
+		|| { echo "lint-compare: FAIL (zero_path uses the keyed heap above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags

@@ -47,7 +47,11 @@ let bucket_cost_limit = 1 lsl 16
    next entry), so the lists cost memory in proportion to the twins a
    solve lifts, not to the arc count.  The fast Dijkstra scans a node's
    forward chain merged with its list instead of every residual arc
-   (see [dijkstra_fast_heap]). *)
+   (see [dijkstra_fast_heap]).
+
+   [frontier] is the zero-length search's queue, a binary min-heap of
+   node ids (see [zero_path]); a node enters it at most once per
+   search, so n slots suffice. *)
 type scratch = {
   mutable excess : int array;
   mutable pot : int array;
@@ -55,10 +59,11 @@ type scratch = {
   mutable parent : int array;
   mutable stamp : int array;
   mutable gen : int;
-  mutable settled : int array;  (* nodes settled by the current Dijkstra *)
+  mutable settled : int array;  (* nodes settled in this generation, in order *)
   mutable n_settled : int;
-  mutable sources : int array;  (* compact positive-excess node list *)
+  mutable sources : int array;  (* positive-excess nodes, ascending *)
   mutable n_sources : int;
+  mutable frontier : int array;  (* zero search's min-heap of node ids *)
   mutable live_head : int array;  (* per node: first entry of its list, -1 if none *)
   mutable live_arc : int array;   (* per entry: its twin's arc id *)
   mutable live_next : int array;  (* per entry: next entry, -1 at the end *)
@@ -79,6 +84,7 @@ let scratch () =
     n_settled = 0;
     sources = [||];
     n_sources = 0;
+    frontier = [||];
     live_head = [||];
     live_arc = [||];
     live_next = [||];
@@ -97,6 +103,7 @@ let ensure_scratch s n =
     s.stamp <- Array.make cap 0;
     s.settled <- Array.make cap 0;
     s.sources <- Array.make cap 0;
+    s.frontier <- Array.make cap 0;
     s.live_head <- Array.make cap (-1);
     (* Fresh stamps read as stale for any positive generation. *)
     s.gen <- max 1 s.gen
@@ -183,18 +190,20 @@ let dijkstra_classic g excess pot dist parent heap =
 (* ------------------------------------------------------------------ *)
 
 (* Drop positive-excess nodes that have been drained since the last
-   Dijkstra; the surviving order is irrelevant because both queues pop
-   sources in canonical (0, node) order regardless of push order. *)
+   search, keeping the survivors in order.  [solve] lists the sources
+   by ascending id and a solve never makes a new one, so the list stays
+   ascending: [zero_path] reads it as a sorted cursor instead of
+   pushing every source on its frontier. *)
 let compact_sources s =
-  let i = ref 0 in
-  while !i < s.n_sources do
-    let v = s.sources.(!i) in
-    if s.excess.(v) > 0 then incr i
-    else begin
-      s.n_sources <- s.n_sources - 1;
-      s.sources.(!i) <- s.sources.(s.n_sources)
+  let kept = ref 0 in
+  for i = 0 to s.n_sources - 1 do
+    let v = s.sources.(i) in
+    if s.excess.(v) > 0 then begin
+      s.sources.(!kept) <- v;
+      incr kept
     end
-  done
+  done;
+  s.n_sources <- !kept
 
 (* Live twins.  The pool grows by doubling and is reused across
    solves, so a warm solve takes entries without allocating. *)
@@ -257,6 +266,15 @@ let seed_live s g n =
    parent chain above it is final at that point.  [dist]/[parent] are
    stamped with [s.gen]; everything else in them is garbage.
 
+   It runs only after [zero_path] missed, in the same generation, and
+   resumes that search instead of starting over.  The missed search
+   settled every node at distance 0, in the order the full search
+   settles them, and stamped their distances and parents; the pass
+   replays their scans, in that order and with key 0, to seed its
+   queue with the positive-key relaxations they make, then goes on
+   popping and appends to [s.settled] (docs/PERFORMANCE.md, "Why the
+   resume is exact").
+
    A settled node's scan walks its forward chain merged, by decreasing
    arc id, with its listed twins: every arc leaving it that has residual
    capacity, in the order {!Graph.iter_out} would visit them, minus
@@ -269,31 +287,28 @@ let seed_live s g n =
    node) to avoid indirect calls in the innermost loop. *)
 let dijkstra_fast_heap g s =
   let excess = s.excess and pot = s.pot and dist = s.dist in
-  let parent = s.parent and stamp = s.stamp in
+  let parent = s.parent and stamp = s.stamp and settled = s.settled in
   let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
   let live = s.live_head and live_arc = s.live_arc and live_next = s.live_next in
   let dst = Graph.Raw.dst g and cap = Graph.Raw.cap g and cost = Graph.Raw.cost g in
   let gen = s.gen in
   let h = s.heap in
   Heap.Int_pair.clear h;
-  s.n_settled <- 0;
-  compact_sources s;
-  for i = 0 to s.n_sources - 1 do
-    let v = s.sources.(i) in
-    dist.(v) <- 0;
-    parent.(v) <- -1;
-    stamp.(v) <- gen;
-    Heap.Int_pair.push h 0 v
-  done;
+  (* [r]: the next settled node to replay. *)
+  let n_replay = s.n_settled and r = ref 0 in
   let target = ref (-1) in
-  while !target < 0 && not (Heap.Int_pair.is_empty h) do
-    let d = Heap.Int_pair.min_key h in
-    let v = Heap.Int_pair.pop h in
+  while !target < 0 && (!r < n_replay || not (Heap.Int_pair.is_empty h)) do
+    let replay = !r < n_replay in
+    let d = if replay then 0 else Heap.Int_pair.min_key h in
+    let v = if replay then settled.(!r) else Heap.Int_pair.pop h in
+    if replay then incr r;
     (* Stale-entry skip: a pop whose key exceeds the node's current
        distance was superseded by a later push (no decrease-key). *)
-    if d = dist.(v) && stamp.(v) = gen then begin
-      s.settled.(s.n_settled) <- v;
-      s.n_settled <- s.n_settled + 1;
+    if replay || (d = dist.(v) && stamp.(v) = gen) then begin
+      if not replay then begin
+        settled.(s.n_settled) <- v;
+        s.n_settled <- s.n_settled + 1
+      end;
       if excess.(v) < 0 then target := v
       else begin
         let pv = pot.(v) in
@@ -335,29 +350,26 @@ let dijkstra_fast_heap g s =
 
 let dijkstra_fast_bucket g s =
   let excess = s.excess and pot = s.pot and dist = s.dist in
-  let parent = s.parent and stamp = s.stamp in
+  let parent = s.parent and stamp = s.stamp and settled = s.settled in
   let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
   let live = s.live_head and live_arc = s.live_arc and live_next = s.live_next in
   let dst = Graph.Raw.dst g and cap = Graph.Raw.cap g and cost = Graph.Raw.cost g in
   let gen = s.gen in
   let q = s.bucket in
   Bucket_queue.clear q;
-  s.n_settled <- 0;
-  compact_sources s;
-  for i = 0 to s.n_sources - 1 do
-    let v = s.sources.(i) in
-    dist.(v) <- 0;
-    parent.(v) <- -1;
-    stamp.(v) <- gen;
-    Bucket_queue.push q 0 v
-  done;
+  (* [r]: the next settled node to replay. *)
+  let n_replay = s.n_settled and r = ref 0 in
   let target = ref (-1) in
-  while !target < 0 && not (Bucket_queue.is_empty q) do
-    let d = Bucket_queue.min_key q in
-    let v = Bucket_queue.pop q in
-    if d = dist.(v) && stamp.(v) = gen then begin
-      s.settled.(s.n_settled) <- v;
-      s.n_settled <- s.n_settled + 1;
+  while !target < 0 && (!r < n_replay || not (Bucket_queue.is_empty q)) do
+    let replay = !r < n_replay in
+    let d = if replay then 0 else Bucket_queue.min_key q in
+    let v = if replay then settled.(!r) else Bucket_queue.pop q in
+    if replay then incr r;
+    if replay || (d = dist.(v) && stamp.(v) = gen) then begin
+      if not replay then begin
+        settled.(s.n_settled) <- v;
+        s.n_settled <- s.n_settled + 1
+      end;
       if excess.(v) < 0 then target := v
       else begin
         let pv = pot.(v) in
@@ -397,11 +409,44 @@ let dijkstra_fast_bucket g s =
   done;
   !target
 
-(* The search for a zero-length augmenting path, run before each fast
-   Dijkstra.  It starts from the same sources, pops from [s.heap] with
-   every key 0, so in node order, relaxes only arcs with residual
-   capacity and a clamped reduced cost of 0, onto nodes not yet stamped
-   in this generation, and stops at the first settled deficit.
+(* The zero-length search's frontier, [fr.(0 .. size-1)]: a binary
+   min-heap of node ids.  Every key of that search is 0, so node order
+   is the canonical (key, node) order of the two Dijkstra queues. *)
+let frontier_push (fr : int array) size (u : int) =
+  let i = ref size in
+  while !i > 0 && fr.((!i - 1) / 2) > u do
+    let p = (!i - 1) / 2 in
+    fr.(!i) <- fr.(p);
+    i := p
+  done;
+  fr.(!i) <- u
+
+(* Removes and returns the least id of a heap that holds [size] + 1. *)
+let frontier_pop (fr : int array) size =
+  let top = fr.(0) and x = fr.(size) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    if l >= size then sifting := false
+    else begin
+      let c = if l + 1 < size && fr.(l + 1) < fr.(l) then l + 1 else l in
+      if fr.(c) < x then begin
+        fr.(!i) <- fr.(c);
+        i := c
+      end
+      else sifting := false
+    end
+  done;
+  fr.(!i) <- x;
+  top
+
+(* The search for a zero-length augmenting path, run first in every
+   generation.  It stamps the sources with distance 0, then pops the
+   least of the next source (from the ascending [s.sources]) and the
+   top of [s.frontier], so in node order.  It relaxes only arcs with
+   residual capacity and a clamped reduced cost of 0, onto nodes not
+   yet stamped in this generation, which it pushes on the frontier
+   (each at most once), and stops at the first settled deficit.
 
    When it finds one, the full search would have returned the same
    target with the same settled list, in the same order, and the same
@@ -410,32 +455,42 @@ let dijkstra_fast_bucket g s =
    pops before the key-0 nodes run out, and never changes a key-0
    node's parent, which is the first key-0 relaxation onto it in both
    searches.  Every settled node has distance 0, so the potential
-   update moves nothing.  When it finds none, the caller bumps the
-   generation and runs the full search (docs/PERFORMANCE.md,
-   "Zero-length augmenting paths"). *)
+   update moves nothing.  When it finds none, it has settled every
+   key-0 node, and the Dijkstra resumes from there in the same
+   generation (docs/PERFORMANCE.md, "Zero-length augmenting paths"). *)
 let zero_path g s =
   let excess = s.excess and pot = s.pot and dist = s.dist in
-  let parent = s.parent and stamp = s.stamp in
+  let parent = s.parent and stamp = s.stamp and settled = s.settled in
   let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
   let live = s.live_head and live_arc = s.live_arc and live_next = s.live_next in
   let dst = Graph.Raw.dst g and cap = Graph.Raw.cap g and cost = Graph.Raw.cost g in
   let gen = s.gen in
-  let h = s.heap in
-  Heap.Int_pair.clear h;
   s.n_settled <- 0;
   compact_sources s;
-  for i = 0 to s.n_sources - 1 do
-    let v = s.sources.(i) in
+  let sources = s.sources and n_sources = s.n_sources and fr = s.frontier in
+  for i = 0 to n_sources - 1 do
+    let v = sources.(i) in
     dist.(v) <- 0;
     parent.(v) <- -1;
-    stamp.(v) <- gen;
-    Heap.Int_pair.push h 0 v
+    stamp.(v) <- gen
   done;
+  (* [next_source]: the cursor into [sources]; [size]: the frontier's. *)
+  let next_source = ref 0 and size = ref 0 in
   let target = ref (-1) in
-  while !target < 0 && not (Heap.Int_pair.is_empty h) do
-    (* Each node is pushed once, so no entry is stale. *)
-    let v = Heap.Int_pair.pop h in
-    s.settled.(s.n_settled) <- v;
+  while !target < 0 && (!next_source < n_sources || !size > 0) do
+    (* A source is stamped up front, so it never enters the frontier. *)
+    let v =
+      if !size = 0 || (!next_source < n_sources && sources.(!next_source) < fr.(0)) then begin
+        let v = sources.(!next_source) in
+        incr next_source;
+        v
+      end
+      else begin
+        decr size;
+        frontier_pop fr !size
+      end
+    in
+    settled.(s.n_settled) <- v;
     s.n_settled <- s.n_settled + 1;
     if excess.(v) < 0 then target := v
     else begin
@@ -462,7 +517,8 @@ let zero_path g s =
             dist.(u) <- 0;
             parent.(u) <- arc;
             stamp.(u) <- gen;
-            Heap.Int_pair.push h 0 u
+            frontier_push fr !size u;
+            incr size
           end
         end
       done
@@ -568,10 +624,8 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
               incr zero_paths;
               t
             end
-            else begin
-              s.gen <- s.gen + 1;
-              if use_bucket then dijkstra_fast_bucket g s else dijkstra_fast_heap g s
-            end
+            else if use_bucket then dijkstra_fast_bucket g s
+            else dijkstra_fast_heap g s
           in
           stage_end t_dijkstra s0;
           if target < 0 then continue_ := false

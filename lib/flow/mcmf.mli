@@ -41,8 +41,9 @@ type result = {
 }
 
 (** Reusable solver workspace: excess/potential/distance/parent arrays,
-    the per-node lists of live residual twins, and the Dijkstra heap and
-    bucket queue.  It grows with the instance (never shrinks) and is
+    the per-node lists of live residual twins, the zero-length search's
+    frontier (a min-heap of node ids, one [int array] of n slots), and
+    the Dijkstra heap and bucket queue.  It grows with the instance (never shrinks) and is
     reused: a solve that reuses a large enough scratch allocates
     nothing sized by the node or arc count, except the SPFA bootstrap
     of a graph with negative costs.  Pass the same scratch to
@@ -73,6 +74,17 @@ val scratch : unit -> scratch
     the residual twins that have capacity, in {!Graph.iter_out} order;
     its relaxations are exactly those of a scan over every residual
     arc, so this never affects results either.
+
+    Each [Fast] augmentation first searches for a path of reduced
+    length 0, relaxing only arcs of reduced cost 0 and popping in node
+    order: the sources come from a list kept in ascending order, the
+    other nodes from a heap of node ids.  Such a path is exactly the
+    one the Dijkstra would return.  When there is none, the Dijkstra
+    resumes that search instead of starting over: it keeps its
+    distances, parents and settled nodes, replays their scans in settle
+    order to seed its queue, and goes on from there, so one search
+    generation serves each augmentation and the result is the same as
+    a Dijkstra from scratch.
 
     [Classic] is the historical full-settle implementation, retained as
     the reference implementation that the solver tests compare [Fast]

@@ -745,6 +745,11 @@ let same_as_reference ?scratch g =
   let shipped, augmentations = reference_solve ref_g in
   r.Mcmf.shipped = shipped && r.Mcmf.augmentations = augmentations && flows g = flows ref_g
 
+(* Costs scaled by this exceed the bucket queue's limit of 2^16 (the
+   solver compares the largest arc cost with it), so a graph that has
+   such a cost is solved on the binary heap. *)
+let heap_scale = 100_000
+
 (* Random multigraphs with parallel and antiparallel arcs.  [`Bucket]
    keeps costs small and non-negative; [`Large] pushes the cost bound
    past the bucket queue's limit and [`Negative] adds negative costs
@@ -767,7 +772,7 @@ let random_multigraph ?(g = Graph.create ()) rng kind =
     let c = max 0 (Prelude.Rng.int rng 4 - 2) in
     match kind with
     | `Bucket -> c
-    | `Large -> c * 40_000
+    | `Large -> c * heap_scale
     | `Negative -> c + phi.(u) - phi.(v)
   in
   for _ = 1 to n + Prelude.Rng.int rng (4 * n) do
@@ -825,7 +830,7 @@ let prop_fast_scan_patched =
             ignore
               (Graph.add_arc g ~src:(Prelude.Rng.int rng n) ~dst:(Prelude.Rng.int rng n)
                  ~cap:(1 + Prelude.Rng.int rng 3)
-                 ~cost:(match kind with `Large -> 40_000 | _ -> 5))
+                 ~cost:(match kind with `Large -> heap_scale | _ -> 5))
           done;
           same_as_reference ~scratch g)
         [ 1; 2; 3; 4 ])
@@ -971,7 +976,36 @@ let test_fast_scan_prefix_between_sources () =
       Alcotest.(check (list int)) "flows"
         [ 1; 1; 0; 0; 1; 1; 1 ]
         (List.map (Graph.flow g) [ s1_a; a_m1; a_m2; s2_m1; s2_m2; m1_k; m2_k ]))
-    [ 1; 40_000 ]
+    [ 1; heap_scale ]
+
+(* Sink K = 0, B = 1, X = 2, A = 3, source S = 4.  The zero-length
+   search settles S, then A (reached from S at key 0), then B, which
+   only A reaches at key 0, so A settles before B although B has the
+   smaller id.  It finds no deficit and misses; the Dijkstra resumes by
+   replaying the scans of S, A and B in that order.  A and B both reach
+   X at distance 1, and the strict relaxation keeps the first one, so
+   X's parent is A -> X even though B -> X was created first.  A replay
+   that scanned B before A would send the unit through B. *)
+let test_fast_scan_resume_keeps_settle_order () =
+  List.iter
+    (fun scale ->
+      let g = Graph.create () in
+      ignore (Graph.add_nodes g 5);
+      let arc src dst cost = Graph.add_arc g ~src ~dst ~cap:1 ~cost:(cost * scale) in
+      let b_x = arc 1 2 1 in
+      let a_x = arc 3 2 1 in
+      let s_a = arc 4 3 0 in
+      let a_b = arc 3 1 0 in
+      let x_k = arc 2 0 0 in
+      Graph.set_supply g 4 1;
+      Graph.set_supply g 0 (-1);
+      let z0 = !ref_zero and p0 = !ref_positive in
+      Alcotest.(check bool) "same flows" true (same_as_reference g);
+      Alcotest.(check (pair int int)) "one positive augmentation" (0, 1)
+        (!ref_zero - z0, !ref_positive - p0);
+      Alcotest.(check (list int)) "flows" [ 0; 1; 1; 0; 1 ]
+        (List.map (Graph.flow g) [ b_x; a_x; s_a; a_b; x_k ]))
+    [ 1; heap_scale ]
 
 (* Both creation orders of the tied pair, on both queues: with 2->1
    created first, the twin of 1->2 outranks it at node 2. *)
@@ -980,20 +1014,22 @@ let test_fast_scan_cycle_graph () =
     (fun (swap, scale) ->
       let g, _, _ = cycle_graph ~swap ~scale () in
       Alcotest.(check bool) "same flows" true (same_as_reference g))
-    [ (false, 1); (true, 1); (false, 40_000); (true, 40_000) ]
+    [ (false, 1); (true, 1); (false, heap_scale); (true, heap_scale) ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocation on the hot path                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* [k] unit paths s -> m_i -> t: [k] augmentations.  [scale] above the
-   bucket limit selects the heap. *)
-let fan k ~scale =
+(* [k] unit paths s -> m_i -> t: [k] augmentations.  The first [zero]
+   paths cost 0, so the zero-length search finds them; the others make
+   it miss and the Dijkstra resume.  [scale] above the bucket limit
+   selects the heap. *)
+let fan ?(zero = 0) k ~scale =
   let g = Graph.create () in
   let s = Graph.add_node g and t = Graph.add_node g in
   for i = 1 to k do
     let m = Graph.add_node g in
-    ignore (Graph.add_arc g ~src:s ~dst:m ~cap:1 ~cost:(i * scale));
+    ignore (Graph.add_arc g ~src:s ~dst:m ~cap:1 ~cost:(if i <= zero then 0 else i * scale));
     ignore (Graph.add_arc g ~src:m ~dst:t ~cap:1 ~cost:0)
   done;
   Graph.set_supply g s k;
@@ -1001,13 +1037,22 @@ let fan k ~scale =
   g
 
 (* With Obs disabled, a warm solve allocates only its fixed per-solve
-   records: the same minor words for 10 augmentations as for 200. *)
+   records: the same minor words for 10 augmentations as for 200, also
+   when half of them are zero-length and the others resume the search
+   (the reference run on a copy counts both kinds). *)
 let test_warm_solve_allocation () =
   Obs.set_enabled false;
   List.iter
-    (fun scale ->
+    (fun (scale, half) ->
       let scratch = Mcmf.scratch () in
-      let small = fan 10 ~scale and large = fan 200 ~scale in
+      let small = fan ~zero:(if half then 5 else 0) 10 ~scale in
+      let large = fan ~zero:(if half then 100 else 0) 200 ~scale in
+      if half then begin
+        let z0 = !ref_zero and p0 = !ref_positive in
+        ignore (reference_solve (Graph.copy large));
+        Alcotest.(check (pair int int)) "zero-length and resumed" (100, 100)
+          (!ref_zero - z0, !ref_positive - p0)
+      end;
       let solve g =
         Graph.reset_flows g;
         let before = Gc.minor_words () in
@@ -1021,7 +1066,7 @@ let test_warm_solve_allocation () =
       let aug_large, words_large = solve large in
       Alcotest.(check (pair int int)) "augmentations" (10, 200) (aug_small, aug_large);
       Alcotest.(check (float 0.0)) "same minor words" words_small words_large)
-    [ 1; 1000 ]
+    [ (1, false); (1000, false); (1, true); (1000, true) ]
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -1081,7 +1126,11 @@ let () =
                prop_fast_scan_patched;
                prop_fast_scan_sched;
                prop_fast_scan_sched_patched;
-             ] );
+             ]
+        @ [
+            Alcotest.test_case "resume keeps the settle order" `Quick
+              test_fast_scan_resume_keeps_settle_order;
+          ] );
       ( "properties",
         qt
           [
