@@ -20,8 +20,8 @@ test:
 # live_capacity, n_active and n_supported.  Nor may it call
 # Resource.utilization: Cost_model.ms_to_k and mn_to_k read the server
 # and switch ledgers in place instead of building a utilization vector.
-# In lib/flow/mcmf.ml, the fast SSP Dijkstra bodies and the zero-length
-# search before them (from `let dijkstra_fast_heap` up to `let solve`)
+# In lib/flow/mcmf.ml, the SSP Dijkstra and the zero-length search
+# before it (from `let dijkstra` up to `let solve`)
 # and `decompose` (to the end of the file) must not call Graph.iter_out
 # or Graph.fold_out: they walk the forward chains and the live twins
 # through Graph.Raw, without a closure and without visiting
@@ -47,6 +47,11 @@ test:
 # the body of `zero_path` must not mention Heap.Int_pair: every key of
 # that search is 0, so its frontier is a heap of node ids in the
 # scratch (docs/PERFORMANCE.md, "Zero-length augmenting paths").
+# lib/flow/mcmf.ml defines exactly one `let dijkstra` function, and
+# nothing in lib/ or bin/ mentions Classic, Bucket_queue, cost_ub or
+# flow.queue: the SSP has one search path, the zero-length search and
+# the heap Dijkstra that resumes it; the full-settle reference SSP lives
+# in test/ssp_reference.ml.
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -56,7 +61,7 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (copying or sorting Sharing accessor in flow_network.ml above)"; exit 1; }
 	@! grep -nE 'Resource\.utilization\b' lib/hire/flow_network.ml \
 		|| { echo "lint-compare: FAIL (utilization vector in flow_network.ml above)"; exit 1; }
-	@! { sed -n '/^let dijkstra_fast_heap/,/^let solve/p;/^let decompose/,$$p' lib/flow/mcmf.ml \
+	@! { sed -n '/^let dijkstra/,/^let solve/p;/^let decompose/,$$p' lib/flow/mcmf.ml \
 		| grep -nE 'Graph\.(iter_out|fold_out)'; } \
 		|| { echo "lint-compare: FAIL (full residual scan in the fast SSP or decompose above)"; exit 1; }
 	@! { sed -n '/^let push_shortcut/,/^(\* Build/p' lib/hire/flow_network.ml \
@@ -76,6 +81,10 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (mcmf.ml must bump s.gen in exactly one place)"; exit 1; }
 	@! { sed -n '/^let zero_path/,/^let /p' lib/flow/mcmf.ml | grep -n 'Heap\.Int_pair'; } \
 		|| { echo "lint-compare: FAIL (zero_path uses the keyed heap above)"; exit 1; }
+	@test "$$(grep -cE '^let (rec )?dijkstra' lib/flow/mcmf.ml)" -eq 1 \
+		|| { echo "lint-compare: FAIL (mcmf.ml must define exactly one Dijkstra)"; exit 1; }
+	@! grep -rnE 'Classic|Bucket_queue|cost_ub|flow\.queue' lib bin \
+		|| { echo "lint-compare: FAIL (second SSP search path above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags

@@ -40,7 +40,6 @@ type t = {
   mutable touched : int array;     (* recorded pair ids *)
   mutable n_touched : int;
   mutable tflag : Bytes.t;         (* pair id -> already recorded? *)
-  mutable cost_ub : int;           (* max forward cost since [clear] *)
 }
 
 let create ?(node_hint = 16) ?(arc_hint = 64) () =
@@ -61,7 +60,6 @@ let create ?(node_hint = 16) ?(arc_hint = 64) () =
     touched = [||];
     n_touched = 0;
     tflag = Bytes.empty;
-    cost_ub = 0;
   }
 
 let grow_int_array arr cap fill =
@@ -145,7 +143,6 @@ let add_arc t ~src ~dst ~cap ~cost =
   let fwd = add_half t ~src ~dst ~cap ~cost in
   let (_ : arc) = add_half t ~src:dst ~dst:src ~cap:0 ~cost:(-cost) in
   if cost < 0 then t.n_negative <- t.n_negative + 1;
-  if cost > t.cost_ub then t.cost_ub <- cost;
   fwd
 
 let set_supply t v s =
@@ -250,12 +247,9 @@ let set_cost t a c =
   if old <> c then begin
     if old < 0 then t.n_negative <- t.n_negative - 1;
     if c < 0 then t.n_negative <- t.n_negative + 1;
-    if c > t.cost_ub then t.cost_ub <- c;
     t.cost_arr.(a) <- c;
     t.cost_arr.(rev a) <- -c
   end
-
-let cost_ub t = t.cost_ub
 
 let retire_node t v =
   check_node t v "retire_node";
@@ -267,7 +261,6 @@ let clear t =
   t.n <- 0;
   t.m <- 0;
   t.n_negative <- 0;
-  t.cost_ub <- 0;
   clear_touched t
 
 type mark = {
@@ -327,7 +320,6 @@ let copy t =
     touched = [||];
     n_touched = 0;
     tflag = Bytes.empty;
-    cost_ub = t.cost_ub;
   }
 
 (* Merge of the two chains by decreasing id.  A forward and a twin id

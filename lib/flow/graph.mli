@@ -189,13 +189,6 @@ val set_flow_tracking : t -> bool -> unit
     off, returning {!arc_count}. *)
 val reset_touched_flows : t -> int
 
-(** Largest forward-arc cost seen since the last {!clear} — a monotone
-    upper envelope ({!set_cost} never lowers it), used by the MCMF
-    solver to decide whether the bucket-queue Dijkstra applies.  Purely
-    a selection heuristic: it may overestimate after costs decrease,
-    which only costs performance, never correctness. *)
-val cost_ub : t -> int
-
 (** Total cost of the current flow: sum over forward arcs of
     [flow * cost]. *)
 val flow_cost : t -> int

@@ -1,5 +1,4 @@
 module Heap = Prelude.Heap
-module Bucket_queue = Prelude.Bucket_queue
 module Clock = Prelude.Clock
 
 type result = {
@@ -12,23 +11,7 @@ type result = {
   profile : Obs.Solver_profile.t;
 }
 
-(* [Fast] is the production path: early-terminating Dijkstra with
-   generation-stamped arrays, settled-only potential updates and an
-   automatically selected bucket queue.  [Classic] is the historical
-   full-settle implementation, kept verbatim as the reference the solver
-   tests compare [Fast] against; both are exact and produce min-cost
-   flows, but they may break ties between equally-cheap paths
-   differently, so a run must use one algorithm throughout. *)
-type algo = Classic | Fast
-
 let infinity_dist = max_int / 4
-
-(* Keys in the bucket queue are reduced-cost path lengths, so its memory
-   is proportional to the longest shortest-path; only use it when arc
-   costs are small enough that this stays cheap.  Purely a performance
-   heuristic: both queues pop in the same canonical (key, node) order,
-   so the selection can never change results. *)
-let bucket_cost_limit = 1 lsl 16
 
 (* Reusable solver workspace.  Arrays are grown (never shrunk) to the
    instance size, so a scheduler that solves a similarly-sized network
@@ -36,7 +19,7 @@ let bucket_cost_limit = 1 lsl 16
 
    [dist]/[parent] entries are valid only where [stamp] holds the
    current [gen] — bumping [gen] invalidates both arrays in O(1),
-   replacing the per-Dijkstra O(n) fills of the classic path.
+   instead of an O(n) fill per Dijkstra.
 
    [live_head] lists, per node and in decreasing arc id, the residual
    twins (odd arc ids) leaving it that have had capacity at some point
@@ -45,9 +28,9 @@ let bucket_cost_limit = 1 lsl 16
    listed, and the scan rejects it as a full scan would.  List entries
    come from a pool ([live_arc] holds an entry's twin, [live_next] the
    next entry), so the lists cost memory in proportion to the twins a
-   solve lifts, not to the arc count.  The fast Dijkstra scans a node's
+   solve lifts, not to the arc count.  The Dijkstra scans a node's
    forward chain merged with its list instead of every residual arc
-   (see [dijkstra_fast_heap]).
+   (see [dijkstra]).
 
    [frontier] is the zero-length search's queue, a binary min-heap of
    node ids (see [zero_path]); a node enters it at most once per
@@ -69,7 +52,6 @@ type scratch = {
   mutable live_next : int array;  (* per entry: next entry, -1 at the end *)
   mutable live_used : int;        (* entries taken from the pool by this solve *)
   heap : Heap.Int_pair.t;
-  bucket : Bucket_queue.t;
 }
 
 let scratch () =
@@ -90,7 +72,6 @@ let scratch () =
     live_next = [||];
     live_used = 0;
     heap = Heap.Int_pair.create ();
-    bucket = Bucket_queue.create ();
   }
 
 let ensure_scratch s n =
@@ -142,51 +123,7 @@ let spfa g excess =
   dist
 
 (* ------------------------------------------------------------------ *)
-(* Classic full-settle Dijkstra (baseline algorithm)                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Multi-source Dijkstra on reduced costs.  Fills [dist]/[parent];
-   parent.(v) is the residual arc used to reach v, or -1.  Settles the
-   whole reachable graph before the caller scans for the nearest
-   deficit. *)
-let dijkstra_classic g excess pot dist parent heap =
-  let n = Graph.node_count g in
-  Array.fill dist 0 n infinity_dist;
-  Array.fill parent 0 n (-1);
-  Heap.Int_pair.clear heap;
-  for v = 0 to n - 1 do
-    if excess.(v) > 0 then begin
-      dist.(v) <- 0;
-      Heap.Int_pair.push heap 0 v
-    end
-  done;
-  while not (Heap.Int_pair.is_empty heap) do
-    let d = Heap.Int_pair.min_key heap in
-    let v = Heap.Int_pair.pop heap in
-    (* Stale entries — superseded by a later relaxation of [v] — carry
-       a key strictly above dist.(v) and are skipped without expansion.
-       No decrease-key exists (or is needed): Heap.Int_pair simply
-       accumulates one entry per improvement. *)
-    if d = dist.(v) then
-      Graph.iter_out g v (fun a ->
-          if Graph.residual_cap g a > 0 then begin
-            let u = Graph.dst g a in
-            let rc = Graph.cost g a + pot.(v) - pot.(u) in
-            (* Reduced costs are non-negative once potentials are valid;
-               clamp tiny negatives caused by unreachable-node potential
-               staleness. *)
-            let rc = if rc < 0 then 0 else rc in
-            let nd = d + rc in
-            if nd < dist.(u) then begin
-              dist.(u) <- nd;
-              parent.(u) <- a;
-              Heap.Int_pair.push heap nd u
-            end
-          end)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Fast early-terminating Dijkstra                                     *)
+(* Early-terminating Dijkstra                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Drop positive-excess nodes that have been drained since the last
@@ -262,9 +199,10 @@ let seed_live s g n =
    returns it (-1 when no deficit is reachable).  Because settling
    follows the canonical (dist, node) order, the returned target is
    exactly the minimum-(dist, node) reachable deficit — the same node
-   the classic path picks with its post-settle O(n) scan — and the
-   parent chain above it is final at that point.  [dist]/[parent] are
-   stamped with [s.gen]; everything else in them is garbage.
+   a full-settle Dijkstra would pick by scanning for the nearest
+   deficit — and the parent chain above it is final at that point.
+   [dist]/[parent] are stamped with [s.gen]; everything else in them
+   is garbage.
 
    It runs only after [zero_path] missed, in the same generation, and
    resumes that search instead of starting over.  The missed search
@@ -282,10 +220,9 @@ let seed_live s g n =
    are therefore exactly those of a full residual scan, in the same
    order (docs/PERFORMANCE.md, "Why the scan is exact").
 
-   The two bodies below are identical except for the queue type; they
-   are kept monomorphic (no first-class module, no closure per settled
-   node) to avoid indirect calls in the innermost loop. *)
-let dijkstra_fast_heap g s =
+   The body is monomorphic, with no closure per settled node, so the
+   innermost loop makes no indirect call. *)
+let dijkstra g s =
   let excess = s.excess and pot = s.pot and dist = s.dist in
   let parent = s.parent and stamp = s.stamp and settled = s.settled in
   let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
@@ -348,70 +285,9 @@ let dijkstra_fast_heap g s =
   done;
   !target
 
-let dijkstra_fast_bucket g s =
-  let excess = s.excess and pot = s.pot and dist = s.dist in
-  let parent = s.parent and stamp = s.stamp and settled = s.settled in
-  let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
-  let live = s.live_head and live_arc = s.live_arc and live_next = s.live_next in
-  let dst = Graph.Raw.dst g and cap = Graph.Raw.cap g and cost = Graph.Raw.cost g in
-  let gen = s.gen in
-  let q = s.bucket in
-  Bucket_queue.clear q;
-  (* [r]: the next settled node to replay. *)
-  let n_replay = s.n_settled and r = ref 0 in
-  let target = ref (-1) in
-  while !target < 0 && (!r < n_replay || not (Bucket_queue.is_empty q)) do
-    let replay = !r < n_replay in
-    let d = if replay then 0 else Bucket_queue.min_key q in
-    let v = if replay then settled.(!r) else Bucket_queue.pop q in
-    if replay then incr r;
-    if replay || (d = dist.(v) && stamp.(v) = gen) then begin
-      if not replay then begin
-        settled.(s.n_settled) <- v;
-        s.n_settled <- s.n_settled + 1
-      end;
-      if excess.(v) < 0 then target := v
-      else begin
-        let pv = pot.(v) in
-        (* [a]: next forward arc; [e]: next live-twin entry, whose
-           twin is [b] (-1 at the end of either). *)
-        let a = ref fwd.(v) and e = ref live.(v) in
-        let b = ref (if !e >= 0 then live_arc.(!e) else -1) in
-        while !a >= 0 || !b >= 0 do
-          let arc =
-            if !a > !b then begin
-              let x = !a in
-              a := next.(x);
-              x
-            end
-            else begin
-              let x = !b in
-              e := live_next.(!e);
-              b := if !e >= 0 then live_arc.(!e) else -1;
-              x
-            end
-          in
-          if cap.(arc) > 0 then begin
-            let u = dst.(arc) in
-            let rc = cost.(arc) + pv - pot.(u) in
-            let rc = if rc < 0 then 0 else rc in
-            let nd = d + rc in
-            if nd < (if stamp.(u) = gen then dist.(u) else infinity_dist) then begin
-              dist.(u) <- nd;
-              parent.(u) <- arc;
-              stamp.(u) <- gen;
-              Bucket_queue.push q nd u
-            end
-          end
-        done
-      end
-    end
-  done;
-  !target
-
 (* The zero-length search's frontier, [fr.(0 .. size-1)]: a binary
    min-heap of node ids.  Every key of that search is 0, so node order
-   is the canonical (key, node) order of the two Dijkstra queues. *)
+   is the canonical (key, node) order of the Dijkstra's heap. *)
 let frontier_push (fr : int array) size (u : int) =
   let i = ref size in
   while !i > 0 && fr.((!i - 1) / 2) > u do
@@ -451,7 +327,7 @@ let frontier_pop (fr : int array) size =
    When it finds one, the full search would have returned the same
    target with the same settled list, in the same order, and the same
    parents: the full search also pops every key-0 node before any
-   other, in node order on both queues; a positive-key relaxation never
+   other, in node order; a positive-key relaxation never
    pops before the key-0 nodes run out, and never changes a key-0
    node's parent, which is the first key-0 relaxation onto it in both
    searches.  Every settled node has distance 0, so the potential
@@ -526,7 +402,7 @@ let zero_path g s =
   done;
   !target
 
-let solve ?budget ?scratch:s ?(algo = Fast) g =
+let solve ?budget ?scratch:s g =
   let t0 = Clock.now () in
   let bstate = Budget.for_solve ?budget () in
   (* Read the obs flag exactly once, so a solve either reports all of
@@ -566,19 +442,8 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
       if bf.(v) < infinity_dist then pot.(v) <- bf.(v)
     done
   end;
-  (* Queue selection for the fast path: bucket Dijkstra when all costs
-     are non-negative and bounded (both always true for the HIRE cost
-     model, whose scaled terms top out at the 6×cost_scale sentinel),
-     binary heap otherwise.  Identical pop order either way. *)
-  let use_bucket =
-    algo = Fast && (not (Graph.has_negative_cost g)) && Graph.cost_ub g <= bucket_cost_limit
-  in
-  if instrument then begin
-    if scratch_reused then Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
-    if algo = Fast then
-      Obs.Registry.incr
-        (Obs.Registry.counter (if use_bucket then "flow.queue.bucket" else "flow.queue.heap"))
-  end;
+  if instrument && scratch_reused then
+    Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
   let shipped = ref 0 in
   let augmentations = ref 0 in
   let exhausted = ref None in
@@ -592,8 +457,7 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
             exhausted := Some reason;
             false)
   in
-  (* Residual positive supply, maintained incrementally (the classic
-     path rescans instead). *)
+  (* Residual positive supply, maintained incrementally. *)
   let remaining = ref 0 in
   s.n_sources <- 0;
   for v = 0 to n - 1 do
@@ -606,134 +470,74 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
   let continue_ = ref (!remaining > 0) in
   (* Augmentations whose path [zero_path] found. *)
   let zero_paths = ref 0 in
-  (match algo with
-  | Fast ->
-      seed_live s g n;
-      let cap = Graph.Raw.cap g and dst = Graph.Raw.dst g in
-      while !continue_ do
-        (* Budget checked at augmentation boundaries: an SSP prefix is a
-           valid min-cost flow for its value, so stopping here leaves a
-           salvageable partial solution on the graph. *)
-        if not (within_budget ()) then continue_ := false
-        else begin
-          s.gen <- s.gen + 1;
-          let s0 = stage_start () in
-          let target =
-            let t = zero_path g s in
-            if t >= 0 then begin
-              incr zero_paths;
-              t
-            end
-            else if use_bucket then dijkstra_fast_bucket g s
-            else dijkstra_fast_heap g s
-          in
-          stage_end t_dijkstra s0;
-          if target < 0 then continue_ := false
-          else begin
-            let s0 = stage_start () in
-            let d_target = dist.(target) in
-            (* Bottleneck along the path back to whichever source
-               started it; every node on it is settled, so the parent
-               chain is final. *)
-            let bottleneck = ref (-excess.(target)) in
-            let v = ref target in
-            while parent.(!v) >= 0 do
-              let a = parent.(!v) in
-              if cap.(a) < !bottleneck then bottleneck := cap.(a);
-              v := dst.(a lxor 1)
-            done;
-            let source = !v in
-            if excess.(source) < !bottleneck then bottleneck := excess.(source);
-            let amount = !bottleneck in
-            (* [amount] > 0, so a forward push lifts its twin from 0
-               exactly when the twin now holds [amount]. *)
-            let v = ref target in
-            while parent.(!v) >= 0 do
-              let a = parent.(!v) in
-              Graph.push g a amount;
-              if a land 1 = 0 && cap.(a + 1) = amount then live_insert s dst.(a) (a + 1);
-              v := dst.(a lxor 1)
-            done;
-            excess.(source) <- excess.(source) - amount;
-            excess.(target) <- excess.(target) + amount;
-            shipped := !shipped + amount;
-            remaining := !remaining - amount;
-            incr augmentations;
-            (match bstate with Some st -> Budget.spend st 1 | None -> ());
-            (* Settled-only Johnson update: π(u) += dist(u) − D keeps
-               every residual reduced cost non-negative (settled→settled
-               arcs are unchanged relative shifts; settled→unsettled
-               arcs gain dist(u) − D ≥ dist(w) − D ≥ 0 slack from the
-               relaxation at u's settle time; unsettled→settled arcs
-               gain D − dist(w) ≥ 0), while leaving unreached potentials
-               untouched. *)
-            for i = 0 to s.n_settled - 1 do
-              let u = s.settled.(i) in
-              pot.(u) <- pot.(u) + dist.(u) - d_target
-            done;
-            stage_end t_augment s0;
-            if !remaining = 0 then continue_ := false
-          end
+  seed_live s g n;
+  let cap = Graph.Raw.cap g and dst = Graph.Raw.dst g in
+  while !continue_ do
+    (* Budget checked at augmentation boundaries: an SSP prefix is a
+       valid min-cost flow for its value, so stopping here leaves a
+       salvageable partial solution on the graph. *)
+    if not (within_budget ()) then continue_ := false
+    else begin
+      s.gen <- s.gen + 1;
+      let s0 = stage_start () in
+      let target =
+        let t = zero_path g s in
+        if t >= 0 then begin
+          incr zero_paths;
+          t
         end
-      done
-  | Classic ->
-      let remaining_supply () =
-        let acc = ref 0 in
-        for v = 0 to n - 1 do
-          if excess.(v) > 0 then acc := !acc + excess.(v)
-        done;
-        !acc
+        else dijkstra g s
       in
-      while !continue_ do
-        if not (within_budget ()) then continue_ := false
-        else begin
-          let s0 = stage_start () in
-          dijkstra_classic g excess pot dist parent s.heap;
-          stage_end t_dijkstra s0;
-          (* Nearest reachable deficit node. *)
-          let best = ref (-1) in
-          for v = 0 to n - 1 do
-            if excess.(v) < 0 && dist.(v) < infinity_dist then
-              if !best < 0 || dist.(v) < dist.(!best) then best := v
-          done;
-          match !best with
-          | -1 -> continue_ := false
-          | target ->
-              let s0 = stage_start () in
-              let bottleneck = ref (-excess.(target)) in
-              let v = ref target in
-              while parent.(!v) >= 0 do
-                let a = parent.(!v) in
-                if Graph.residual_cap g a < !bottleneck then
-                  bottleneck := Graph.residual_cap g a;
-                v := Graph.src g a
-              done;
-              let source = !v in
-              if excess.(source) < !bottleneck then bottleneck := excess.(source);
-              let amount = !bottleneck in
-              let v = ref target in
-              while parent.(!v) >= 0 do
-                let a = parent.(!v) in
-                Graph.push g a amount;
-                v := Graph.src g a
-              done;
-              excess.(source) <- excess.(source) - amount;
-              excess.(target) <- excess.(target) + amount;
-              shipped := !shipped + amount;
-              remaining := !remaining - amount;
-              incr augmentations;
-              (match bstate with Some st -> Budget.spend st 1 | None -> ());
-              (* Johnson potential update keeps reduced costs
-                 non-negative. *)
-              for u = 0 to n - 1 do
-                if dist.(u) < infinity_dist then pot.(u) <- pot.(u) + dist.(u)
-              done;
-              stage_end t_augment s0;
-              if remaining_supply () = 0 then continue_ := false
-        end
-      done);
-  if instrument && algo = Fast then
-    Obs.Registry.incr ~by:!zero_paths (Obs.Registry.counter "flow.zero_paths");
+      stage_end t_dijkstra s0;
+      if target < 0 then continue_ := false
+      else begin
+        let s0 = stage_start () in
+        let d_target = dist.(target) in
+        (* Bottleneck along the path back to whichever source
+           started it; every node on it is settled, so the parent
+           chain is final. *)
+        let bottleneck = ref (-excess.(target)) in
+        let v = ref target in
+        while parent.(!v) >= 0 do
+          let a = parent.(!v) in
+          if cap.(a) < !bottleneck then bottleneck := cap.(a);
+          v := dst.(a lxor 1)
+        done;
+        let source = !v in
+        if excess.(source) < !bottleneck then bottleneck := excess.(source);
+        let amount = !bottleneck in
+        (* [amount] > 0, so a forward push lifts its twin from 0
+           exactly when the twin now holds [amount]. *)
+        let v = ref target in
+        while parent.(!v) >= 0 do
+          let a = parent.(!v) in
+          Graph.push g a amount;
+          if a land 1 = 0 && cap.(a + 1) = amount then live_insert s dst.(a) (a + 1);
+          v := dst.(a lxor 1)
+        done;
+        excess.(source) <- excess.(source) - amount;
+        excess.(target) <- excess.(target) + amount;
+        shipped := !shipped + amount;
+        remaining := !remaining - amount;
+        incr augmentations;
+        (match bstate with Some st -> Budget.spend st 1 | None -> ());
+        (* Settled-only Johnson update: π(u) += dist(u) − D keeps
+           every residual reduced cost non-negative (settled→settled
+           arcs are unchanged relative shifts; settled→unsettled
+           arcs gain dist(u) − D ≥ dist(w) − D ≥ 0 slack from the
+           relaxation at u's settle time; unsettled→settled arcs
+           gain D − dist(w) ≥ 0), while leaving unreached potentials
+           untouched. *)
+        for i = 0 to s.n_settled - 1 do
+          let u = s.settled.(i) in
+          pot.(u) <- pot.(u) + dist.(u) - d_target
+        done;
+        stage_end t_augment s0;
+        if !remaining = 0 then continue_ := false
+      end
+    end
+  done;
+  if instrument then Obs.Registry.incr ~by:!zero_paths (Obs.Registry.counter "flow.zero_paths");
   let degraded = !exhausted <> None in
   if degraded && instrument then begin
     Obs.Registry.incr (Obs.Registry.counter "flow.budget_exhausted");

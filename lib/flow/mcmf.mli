@@ -43,12 +43,12 @@ type result = {
 (** Reusable solver workspace: excess/potential/distance/parent arrays,
     the per-node lists of live residual twins, the zero-length search's
     frontier (a min-heap of node ids, one [int array] of n slots), and
-    the Dijkstra heap and bucket queue.  It grows with the instance (never shrinks) and is
-    reused: a solve that reuses a large enough scratch allocates
-    nothing sized by the node or arc count, except the SPFA bootstrap
-    of a graph with negative costs.  Pass the same scratch to
-    successive [Fast] solves of similarly-sized graphs and, after the
-    first round, a solve with {!Obs} disabled allocates only its fixed
+    the Dijkstra's binary heap.  It grows with the instance (never
+    shrinks) and is reused: a solve that reuses a large enough scratch
+    allocates nothing sized by the node or arc count, except the SPFA
+    bootstrap of a graph with negative costs.  Pass the same scratch to
+    successive solves of similarly-sized graphs and, after the first
+    round, a solve with {!Obs} disabled allocates only its fixed
     per-call values (result, profile, a few closures) — nothing per
     augmentation or per settled node.  Reusing scratch never changes
     results — the workspace is (re)initialised at every solve.
@@ -58,50 +58,38 @@ type scratch
 
 val scratch : unit -> scratch
 
-(** Which SSP implementation to run.  Both are exact (same shipped flow
-    and total cost); they may break ties between equally-cheap augmenting
-    paths differently, so outcomes are reproducible per algorithm but
-    not across algorithms — pick one per run.
-
-    [Fast] (the default) terminates each Dijkstra at the first settled
-    deficit node, invalidates its distance/parent arrays in O(1) with
-    generation stamps, updates only the settled nodes' potentials, and
-    automatically swaps the binary heap for a monotone bucket queue when
-    the graph has no negative costs and a small cost bound
-    ({!Graph.cost_ub}).  The heap and bucket queue pop in the same
-    canonical (distance, node) order, so queue selection never affects
-    results.  A settled node's scan walks only its forward arcs and
-    the residual twins that have capacity, in {!Graph.iter_out} order;
-    its relaxations are exactly those of a scan over every residual
-    arc, so this never affects results either.
-
-    Each [Fast] augmentation first searches for a path of reduced
-    length 0, relaxing only arcs of reduced cost 0 and popping in node
-    order: the sources come from a list kept in ascending order, the
-    other nodes from a heap of node ids.  Such a path is exactly the
-    one the Dijkstra would return.  When there is none, the Dijkstra
-    resumes that search instead of starting over: it keeps its
-    distances, parents and settled nodes, replays their scans in settle
-    order to seed its queue, and goes on from there, so one search
-    generation serves each augmentation and the result is the same as
-    a Dijkstra from scratch.
-
-    [Classic] is the historical full-settle implementation, retained as
-    the reference implementation that the solver tests compare [Fast]
-    against. *)
-type algo = Classic | Fast
-
-(** [solve ?budget ?scratch ?algo g] computes a min-cost max-flow
-    on [g], mutating arc flows in place.  Supplies/demands are read from
-    the graph's node supplies.  [budget] bounds the solve (checked
-    before every augmentation); without one the solve runs to
-    completion and [degraded] is always [false] — and no failpoint ever
-    touches the solve ({!Budget.for_solve}).
+(** [solve ?budget ?scratch g] computes a min-cost max-flow on [g],
+    mutating arc flows in place.  Supplies/demands are read from the
+    graph's node supplies.  [budget] bounds the solve (checked before
+    every augmentation); without one the solve runs to completion and
+    [degraded] is always [false] — and no failpoint ever touches the
+    solve ({!Budget.for_solve}).
 
     [scratch] provides a reusable workspace (exact; see {!scratch}).
 
-    [algo] (default [Fast]) selects the implementation; see {!algo}. *)
-val solve : ?budget:Budget.t -> ?scratch:scratch -> ?algo:algo -> Graph.t -> result
+    Each augmentation first searches for a path of reduced length 0,
+    relaxing only arcs of reduced cost 0 and popping in node order: the
+    sources come from a list kept in ascending order, the other nodes
+    from a heap of node ids.  Such a path is exactly the one the
+    Dijkstra would return.  When there is none, the Dijkstra resumes
+    that search instead of starting over: it keeps its distances,
+    parents and settled nodes, replays their scans in settle order to
+    seed its queue, and goes on from there, so one search generation
+    serves each augmentation and the result is the same as a Dijkstra
+    from scratch.
+
+    The Dijkstra pops in the canonical (distance, node) order of
+    {!Prelude.Heap.Int_pair}, terminates at the first settled deficit
+    node, invalidates its distance/parent arrays in O(1) with
+    generation stamps, and updates only the settled nodes' potentials.
+    A settled node's scan walks only its forward arcs and the residual
+    twins that have capacity, in {!Graph.iter_out} order; its
+    relaxations are exactly those of a scan over every residual arc, so
+    this never affects results.  The tests compare the solver with two
+    reference SSPs (test/ssp_reference.ml): a full-settle one on
+    objectives, and one that scans every residual arc on per-arc
+    flows. *)
+val solve : ?budget:Budget.t -> ?scratch:scratch -> Graph.t -> result
 
 (** A single decomposed flow path: node sequence from a supply node to a
     demand node, and the amount carried. *)

@@ -131,6 +131,10 @@ module Task_census = struct
               done)
             (Dec.list d (fun d ->
                  let m = Dec.int d in
+                 if m < 0 || m >= Fat_tree.node_count t.topo then
+                   raise
+                     (Prelude.Codec.Error
+                        (Printf.sprintf "Task_census: machine %d out of range" m));
                  let c = Dec.uint d in
                  (m, c))))
     in

@@ -55,6 +55,8 @@ module Task_census : sig
       contents. *)
   val encode_state : t -> Prelude.Codec.Enc.t -> unit
 
+  (** @raise Prelude.Codec.Error on malformed input, including a
+      machine id outside the topology. *)
   val decode_state : t -> Prelude.Codec.Dec.t -> unit
 end
 

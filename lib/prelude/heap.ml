@@ -60,11 +60,7 @@ let to_list t = Array.to_list (Array.sub t.data 0 t.size)
    tuple boxing, no polymorphic-compare dispatch.  Ordering is the
    canonical lexicographic (key, value) order — equal keys break ties
    toward the smaller value — so pop order is a total order independent
-   of insertion order.  This is the property that makes the heap
-   interchangeable with the monotone bucket queue (Bucket_queue) on the
-   Dijkstra hot path: both serve entries in exactly the same sequence,
-   so the solver's tie-breaking does not depend on which queue was
-   selected.
+   of insertion order, and the MCMF Dijkstra's tie-breaking with it.
 
    No decrease-key is needed (or provided): Dijkstra pushes a fresh
    entry on every distance improvement and lazily skips stale entries

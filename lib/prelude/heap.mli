@@ -32,9 +32,9 @@ val to_list : 'a t -> 'a list
     Dijkstra runs never reallocates once warmed up.
 
     Ordering is the canonical lexicographic (key, value) order: among
-    equal keys the smaller value pops first.  {!Bucket_queue} pops in
-    the same order, so the MCMF solver can select either queue per
-    solve without perturbing tie-breaking.  There is deliberately no
+    equal keys the smaller value pops first.  The MCMF solver's
+    Dijkstra breaks its ties between equally short paths by this order
+    (test_prelude pins it).  There is deliberately no
     decrease-key: Dijkstra pushes a new entry per improvement and skips
     stale ones at pop time, which keeps every operation O(log n) with
     zero bookkeeping. *)

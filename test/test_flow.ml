@@ -8,6 +8,7 @@
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
 module Verify = Flow.Verify
+module Ref = Ssp_reference
 
 (* ------------------------------------------------------------------ *)
 (* Graph representation                                               *)
@@ -624,137 +625,30 @@ let prop_decompose_cycles =
 (* Fast SSP identity against the full residual scan                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A copy of the fast SSP as it was when its Dijkstra scanned every
-   residual arc of a settled node through [Graph.iter_out], dead twins
-   included: same SPFA bootstrap, early-terminating Dijkstra over the
-   canonical (distance, node) order, bottleneck augmentation and
-   settled-only potential update.  The live-arc scan and the zero-length
-   search in front of it must reproduce its per-arc flows bit for bit.
-   It counts the augmentations whose path had reduced length 0 in
-   [ref_zero] and the others in [ref_positive]: the first kind is what
-   the zero-length search finds, the second what it hands on to the
-   full Dijkstra. *)
-let ref_zero = ref 0
-let ref_positive = ref 0
-
-let reference_solve g =
-  let n = Graph.node_count g in
-  let inf = max_int / 4 in
-  let excess = Array.init n (Graph.supply g) in
-  let pot = Array.make n 0 in
-  if Graph.has_negative_cost g then begin
-    let dist = Array.make n inf and in_queue = Array.make n false in
-    let q = Queue.create () in
-    for v = 0 to n - 1 do
-      if excess.(v) > 0 then begin
-        dist.(v) <- 0;
-        Queue.push v q;
-        in_queue.(v) <- true
-      end
-    done;
-    while not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      in_queue.(v) <- false;
-      Graph.iter_out g v (fun a ->
-          if Graph.residual_cap g a > 0 then begin
-            let u = Graph.dst g a in
-            let nd = dist.(v) + Graph.cost g a in
-            if nd < dist.(u) then begin
-              dist.(u) <- nd;
-              if not in_queue.(u) then begin
-                Queue.push u q;
-                in_queue.(u) <- true
-              end
-            end
-          end)
-    done;
-    Array.iteri (fun v d -> if d < inf then pot.(v) <- d) dist
-  end;
-  let dist = Array.make n inf and parent = Array.make n (-1) in
-  let h = Prelude.Heap.Int_pair.create () in
-  let shipped = ref 0 and augmentations = ref 0 in
-  let continue_ = ref (Array.exists (fun e -> e > 0) excess) in
-  while !continue_ do
-    Array.fill dist 0 n inf;
-    Prelude.Heap.Int_pair.clear h;
-    for v = 0 to n - 1 do
-      if excess.(v) > 0 then begin
-        dist.(v) <- 0;
-        parent.(v) <- -1;
-        Prelude.Heap.Int_pair.push h 0 v
-      end
-    done;
-    let settled = ref [] and target = ref (-1) in
-    while !target < 0 && not (Prelude.Heap.Int_pair.is_empty h) do
-      let d = Prelude.Heap.Int_pair.min_key h in
-      let v = Prelude.Heap.Int_pair.pop h in
-      if d = dist.(v) then begin
-        settled := v :: !settled;
-        if excess.(v) < 0 then target := v
-        else
-          Graph.iter_out g v (fun a ->
-              if Graph.residual_cap g a > 0 then begin
-                let u = Graph.dst g a in
-                let rc = Graph.cost g a + pot.(v) - pot.(u) in
-                let nd = d + if rc < 0 then 0 else rc in
-                if nd < dist.(u) then begin
-                  dist.(u) <- nd;
-                  parent.(u) <- a;
-                  Prelude.Heap.Int_pair.push h nd u
-                end
-              end)
-      end
-    done;
-    if !target < 0 then continue_ := false
-    else begin
-      let t = !target in
-      let bottleneck = ref (-excess.(t)) and v = ref t in
-      while parent.(!v) >= 0 do
-        bottleneck := min !bottleneck (Graph.residual_cap g parent.(!v));
-        v := Graph.src g parent.(!v)
-      done;
-      let source = !v in
-      let amount = min !bottleneck excess.(source) in
-      let v = ref t in
-      while parent.(!v) >= 0 do
-        Graph.push g parent.(!v) amount;
-        v := Graph.src g parent.(!v)
-      done;
-      excess.(source) <- excess.(source) - amount;
-      excess.(t) <- excess.(t) + amount;
-      shipped := !shipped + amount;
-      incr augmentations;
-      let d_target = dist.(t) in
-      incr (if d_target = 0 then ref_zero else ref_positive);
-      List.iter (fun u -> pot.(u) <- pot.(u) + dist.(u) - d_target) !settled;
-      if not (Array.exists (fun e -> e > 0) excess) then continue_ := false
-    end
-  done;
-  (!shipped, !augmentations)
-
 let flows g =
   let acc = ref [] in
   Graph.iter_arcs g (fun a -> acc := Graph.flow g a :: !acc);
   !acc
 
-(* Solve [g] with the production solver (on [g]) and the reference (on
-   a copy taken first); true iff results and per-arc flows agree. *)
+(* Solve [g] with the production solver (on [g]) and the full-scan
+   reference (test/ssp_reference.ml, on a copy taken first); true iff
+   results and per-arc flows agree. *)
 let same_as_reference ?scratch g =
   let ref_g = Graph.copy g in
   let r = Mcmf.solve ?scratch g in
-  let shipped, augmentations = reference_solve ref_g in
-  r.Mcmf.shipped = shipped && r.Mcmf.augmentations = augmentations && flows g = flows ref_g
+  let r_ref = Ref.full_scan ref_g in
+  r.Mcmf.shipped = r_ref.Ref.shipped
+  && r.Mcmf.augmentations = r_ref.Ref.augmentations
+  && flows g = flows ref_g
 
-(* Costs scaled by this exceed the bucket queue's limit of 2^16 (the
-   solver compares the largest arc cost with it), so a graph that has
-   such a cost is solved on the binary heap. *)
-let heap_scale = 100_000
+(* Costs scaled by this spread distances over a wide range of keys,
+   where the small-cost graphs tie on a few. *)
+let large_scale = 100_000
 
-(* Random multigraphs with parallel and antiparallel arcs.  [`Bucket]
-   keeps costs small and non-negative; [`Large] pushes the cost bound
-   past the bucket queue's limit and [`Negative] adds negative costs
-   (potential-shifted, so no negative cycle), both of which select the
-   binary heap. *)
+(* Random multigraphs with parallel and antiparallel arcs.  [`Small]
+   keeps costs small and non-negative; [`Large] scales them by
+   [large_scale] and [`Negative] adds negative costs
+   (potential-shifted, so no negative cycle). *)
 let random_multigraph ?(g = Graph.create ()) rng kind =
   let base = Graph.node_count g in
   let n = 2 + Prelude.Rng.int rng 9 in
@@ -771,8 +665,8 @@ let random_multigraph ?(g = Graph.create ()) rng kind =
   let cost u v =
     let c = max 0 (Prelude.Rng.int rng 4 - 2) in
     match kind with
-    | `Bucket -> c
-    | `Large -> c * heap_scale
+    | `Small -> c
+    | `Large -> c * large_scale
     | `Negative -> c + phi.(u) - phi.(v)
   in
   for _ = 1 to n + Prelude.Rng.int rng (4 * n) do
@@ -786,7 +680,7 @@ let random_multigraph ?(g = Graph.create ()) rng kind =
   done;
   g
 
-let kind_of seed = match seed mod 3 with 0 -> `Bucket | 1 -> `Large | _ -> `Negative
+let kind_of seed = match seed mod 3 with 0 -> `Small | 1 -> `Large | _ -> `Negative
 
 (* Some graphs start with flow on zero-cost arcs: the solver ignores it
    in its excesses but must scan the twins it left with capacity.  Only
@@ -830,7 +724,7 @@ let prop_fast_scan_patched =
             ignore
               (Graph.add_arc g ~src:(Prelude.Rng.int rng n) ~dst:(Prelude.Rng.int rng n)
                  ~cap:(1 + Prelude.Rng.int rng 3)
-                 ~cost:(match kind with `Large -> heap_scale | _ -> 5))
+                 ~cost:(match kind with `Large -> large_scale | _ -> 5))
           done;
           same_as_reference ~scratch g)
         [ 1; 2; 3; 4 ])
@@ -842,7 +736,7 @@ let prop_fast_scan_patched =
    shortcut arcs into the prefix and a costly arc to a postpone node.
    Most costs are 0, so most augmenting paths have reduced length 0 and
    ties are everywhere; once the cheap machines fill up, the paths turn
-   positive.  [scale] above the bucket limit selects the heap. *)
+   positive.  [scale] multiplies every cost. *)
 let sched_prefix ~scale rng =
   let g = Graph.create () in
   let sink = Graph.add_node g in
@@ -932,7 +826,7 @@ let test_fast_scan_sched_both_kinds () =
   Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
   Obs.set_enabled true;
   let zero_paths = Obs.Registry.counter "flow.zero_paths" in
-  let z0 = !ref_zero and p0 = !ref_positive in
+  let z0 = !Ref.zero_paths and p0 = !Ref.positive_paths in
   let c0 = Obs.Registry.counter_value zero_paths in
   for seed = 0 to 299 do
     Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true
@@ -940,7 +834,7 @@ let test_fast_scan_sched_both_kinds () =
     Alcotest.(check bool) (Printf.sprintf "seed %d, patched" seed) true
       (seed >= 60 || sched_patched seed)
   done;
-  let zero = !ref_zero - z0 and positive = !ref_positive - p0 in
+  let zero = !Ref.zero_paths - z0 and positive = !Ref.positive_paths - p0 in
   Alcotest.(check bool) "zero-length augmentations occur" true (zero > 0);
   Alcotest.(check bool) "positive-length augmentations occur" true (positive > 0);
   Alcotest.(check int) "flow.zero_paths counts the zero-length ones" zero
@@ -969,14 +863,14 @@ let test_fast_scan_prefix_between_sources () =
       Graph.set_supply g 4 1;
       Graph.set_supply g 5 1;
       Graph.set_supply g 0 (-2);
-      let z0 = !ref_zero and p0 = !ref_positive in
+      let z0 = !Ref.zero_paths and p0 = !Ref.positive_paths in
       Alcotest.(check bool) "same flows" true (same_as_reference g);
       Alcotest.(check (pair int int)) "one zero-length, one positive" (1, 1)
-        (!ref_zero - z0, !ref_positive - p0);
+        (!Ref.zero_paths - z0, !Ref.positive_paths - p0);
       Alcotest.(check (list int)) "flows"
         [ 1; 1; 0; 0; 1; 1; 1 ]
         (List.map (Graph.flow g) [ s1_a; a_m1; a_m2; s2_m1; s2_m2; m1_k; m2_k ]))
-    [ 1; heap_scale ]
+    [ 1; large_scale ]
 
 (* Sink K = 0, B = 1, X = 2, A = 3, source S = 4.  The zero-length
    search settles S, then A (reached from S at key 0), then B, which
@@ -999,22 +893,22 @@ let test_fast_scan_resume_keeps_settle_order () =
       let x_k = arc 2 0 0 in
       Graph.set_supply g 4 1;
       Graph.set_supply g 0 (-1);
-      let z0 = !ref_zero and p0 = !ref_positive in
+      let z0 = !Ref.zero_paths and p0 = !Ref.positive_paths in
       Alcotest.(check bool) "same flows" true (same_as_reference g);
       Alcotest.(check (pair int int)) "one positive augmentation" (0, 1)
-        (!ref_zero - z0, !ref_positive - p0);
+        (!Ref.zero_paths - z0, !Ref.positive_paths - p0);
       Alcotest.(check (list int)) "flows" [ 0; 1; 1; 0; 1 ]
         (List.map (Graph.flow g) [ b_x; a_x; s_a; a_b; x_k ]))
-    [ 1; heap_scale ]
+    [ 1; large_scale ]
 
-(* Both creation orders of the tied pair, on both queues: with 2->1
-   created first, the twin of 1->2 outranks it at node 2. *)
+(* Both creation orders of the tied pair, at both cost scales: with
+   2->1 created first, the twin of 1->2 outranks it at node 2. *)
 let test_fast_scan_cycle_graph () =
   List.iter
     (fun (swap, scale) ->
       let g, _, _ = cycle_graph ~swap ~scale () in
       Alcotest.(check bool) "same flows" true (same_as_reference g))
-    [ (false, 1); (true, 1); (false, heap_scale); (true, heap_scale) ]
+    [ (false, 1); (true, 1); (false, large_scale); (true, large_scale) ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocation on the hot path                                         *)
@@ -1022,8 +916,8 @@ let test_fast_scan_cycle_graph () =
 
 (* [k] unit paths s -> m_i -> t: [k] augmentations.  The first [zero]
    paths cost 0, so the zero-length search finds them; the others make
-   it miss and the Dijkstra resume.  [scale] above the bucket limit
-   selects the heap. *)
+   it miss and the Dijkstra resume.  [scale] multiplies the positive
+   costs. *)
 let fan ?(zero = 0) k ~scale =
   let g = Graph.create () in
   let s = Graph.add_node g and t = Graph.add_node g in
@@ -1048,10 +942,10 @@ let test_warm_solve_allocation () =
       let small = fan ~zero:(if half then 5 else 0) 10 ~scale in
       let large = fan ~zero:(if half then 100 else 0) 200 ~scale in
       if half then begin
-        let z0 = !ref_zero and p0 = !ref_positive in
-        ignore (reference_solve (Graph.copy large));
+        let z0 = !Ref.zero_paths and p0 = !Ref.positive_paths in
+        ignore (Ref.full_scan (Graph.copy large));
         Alcotest.(check (pair int int)) "zero-length and resumed" (100, 100)
-          (!ref_zero - z0, !ref_positive - p0)
+          (!Ref.zero_paths - z0, !Ref.positive_paths - p0)
       end;
       let solve g =
         Graph.reset_flows g;

@@ -618,16 +618,22 @@ let prop_reachable_exact =
     QCheck.(triple (int_range 0 1_000_000) bool bool)
     (fun (seed, k8, classic) ->
       let k = if k8 then 8 else 4 in
-      let algo = if classic then Mcmf.Classic else Mcmf.Fast in
+      let solve g =
+        if classic then
+          let r = Ssp_reference.classic g in
+          (r.total_cost, r.shipped)
+        else
+          let r = Mcmf.solve g in
+          (r.total_cost, r.shipped)
+      in
       let topo, net = random_round ~k ~seed in
       let g = Flow_network.graph net in
       let full = with_unreachable topo net in
-      let r = Mcmf.solve ~algo g and r_full = Mcmf.solve ~algo full in
+      let r = solve g and r_full = solve full in
       let same_flows = ref true in
       Graph.iter_arcs g (fun a -> if Graph.flow g a <> Graph.flow full a then same_flows := false);
       let same_paths = Mcmf.decompose g = Mcmf.decompose full in
-      if r.Mcmf.total_cost <> r_full.Mcmf.total_cost || r.Mcmf.shipped <> r_full.Mcmf.shipped
-      then QCheck.Test.fail_reportf "objective differs (k=%d seed=%d)" k seed
+      if r <> r_full then QCheck.Test.fail_reportf "objective differs (k=%d seed=%d)" k seed
       else if not !same_flows then QCheck.Test.fail_reportf "arc flows differ (k=%d seed=%d)" k seed
       else if not same_paths then QCheck.Test.fail_reportf "paths differ (k=%d seed=%d)" k seed
       else true)

@@ -508,6 +508,34 @@ let test_restore_rejects_garbage () =
     | exception Codec.Error _ -> true
     | _ -> false)
 
+(* A census blob that names a machine outside the topology fails
+   closed, as a restore promises, and not with the topology's
+   [Invalid_argument]. *)
+let test_census_rejects_bad_machine () =
+  let topo = Topology.Fat_tree.create ~k:4 in
+  List.iter
+    (fun machine ->
+      let e = Enc.create () in
+      Enc.list e
+        (fun e (tg_id, pairs) ->
+          Enc.int e tg_id;
+          Enc.list e
+            (fun e (m, c) ->
+              Enc.int e m;
+              Enc.uint e c)
+            pairs)
+        [ (7, [ (machine, 1) ]) ];
+      let census = Hire.Locality.Task_census.create topo in
+      Alcotest.(check bool)
+        (Printf.sprintf "machine %d fails closed" machine)
+        true
+        (match
+           Hire.Locality.Task_census.decode_state census (Dec.of_string (Enc.to_string e))
+         with
+        | exception Codec.Error _ -> true
+        | _ -> false))
+    [ Topology.Fat_tree.node_count topo; -1 ]
+
 (* ------------------------------------------------------------------ *)
 (* Service crash recovery                                              *)
 (* ------------------------------------------------------------------ *)
@@ -653,6 +681,7 @@ let () =
         [
           quick "restore equivalence" test_snapshot_restore_equivalence;
           quick "restore rejects garbage" test_restore_rejects_garbage;
+          quick "census rejects an out-of-range machine" test_census_rejects_bad_machine;
         ] );
       ( "recovery",
         [

@@ -157,6 +157,36 @@ let prop_heap_sorts =
       let out = List.init (List.length xs) (fun _ -> Heap.pop h) in
       out = List.sort compare xs)
 
+(* [Heap.Int_pair] pops in (key, value) order, ties to the smaller
+   value, whatever the push order: the MCMF Dijkstra's tie-breaking
+   between equally short paths rests on it.  Even rounds draw keys from
+   8 values, so most entries tie; values are distinct, so the expected
+   order is unambiguous. *)
+let test_int_pair_tie_order () =
+  let rng = Rng.create 42 in
+  let h = Heap.Int_pair.create () in
+  for round = 1 to 20 do
+    Heap.Int_pair.clear h;
+    let n = 50 + (round * 37) in
+    let key_range = if round mod 2 = 0 then 8 else 300 in
+    let entries =
+      List.init n (fun v -> (Rng.int_in rng 0 (key_range - 1), (v * 7919) mod 100003))
+    in
+    List.iter (fun (k, v) -> Heap.Int_pair.push h k v) entries;
+    let popped =
+      List.init n (fun _ ->
+          let k = Heap.Int_pair.min_key h in
+          (k, Heap.Int_pair.pop h))
+    in
+    let expected =
+      List.sort
+        (fun (k1, v1) (k2, v2) -> if k1 <> k2 then Int.compare k1 k2 else Int.compare v1 v2)
+        entries
+    in
+    Alcotest.(check (list (pair int int))) "pops in (key, value) order" expected popped;
+    Alcotest.(check bool) "drained" true (Heap.Int_pair.is_empty h)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -380,6 +410,7 @@ let () =
         Alcotest.test_case "basic" `Quick test_heap_basic
         :: Alcotest.test_case "empty pop" `Quick test_heap_empty_pop
         :: Alcotest.test_case "clear" `Quick test_heap_clear
+        :: Alcotest.test_case "int-pair tie order" `Quick test_int_pair_tie_order
         :: qt [ prop_heap_sorts ] );
       ( "stats",
         Alcotest.test_case "mean" `Quick test_stats_mean
