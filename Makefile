@@ -51,7 +51,10 @@ test:
 # nothing in lib/ or bin/ mentions Classic, Bucket_queue, cost_ub or
 # flow.queue: the SSP has one search path, the zero-length search and
 # the heap Dijkstra that resumes it; the full-settle reference SSP lives
-# in test/ssp_reference.ml.
+# in test/ssp_reference.ml.  Nothing in lib/flow or lib/hire mentions
+# set_flow_tracking, reset_touched, record_touch or reopt: a patched
+# build undoes the last solve's flow with the one full sweep,
+# Graph.reset_flows (docs/PERFORMANCE.md, "The sparse reset (deleted)").
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -85,6 +88,8 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (mcmf.ml must define exactly one Dijkstra)"; exit 1; }
 	@! grep -rnE 'Classic|Bucket_queue|cost_ub|flow\.queue' lib bin \
 		|| { echo "lint-compare: FAIL (second SSP search path above)"; exit 1; }
+	@! grep -rnE 'set_flow_tracking|reset_touched|record_touch|reopt' lib/flow lib/hire \
+		|| { echo "lint-compare: FAIL (second flow reset above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags

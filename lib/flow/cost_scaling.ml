@@ -21,8 +21,10 @@ type result = {
    the graph's flow (a mid-run pseudoflow is not salvageable). *)
 exception Exhausted of Budget.reason
 
-let solve ?(alpha = 8) ?budget g =
-  if alpha < 2 then invalid_arg "Cost_scaling.solve: alpha must be >= 2";
+(* Each phase divides ε by this factor. *)
+let alpha = 8
+
+let solve ?budget g =
   let t0 = Clock.now () in
   let bstate = Budget.for_solve ?budget () in
   let check_budget () =
@@ -151,7 +153,7 @@ let solve ?(alpha = 8) ?budget g =
      with Exhausted reason ->
        (* A mid-run pseudoflow violates conservation and is worthless to
           callers; abort cleanly to the zero flow. *)
-       Graph.reset_flow g;
+       Graph.reset_flows g;
        exhausted := Some reason);
     let degraded = !exhausted <> None in
     if degraded && instrument then begin

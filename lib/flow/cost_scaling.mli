@@ -47,11 +47,11 @@ type result = {
           when [Obs.enabled ()] held during the solve *)
 }
 
-(** [solve ?alpha ?budget g] runs cost scaling with scale factor
-    [alpha] (default 8).  Arc flows of [g] are left at the optimum.
+(** [solve ?budget g] runs cost scaling, dividing ε by 8 each
+    phase.  Arc flows of [g] are left at the optimum.
     [budget] bounds the solve (checked at phase and discharge
     boundaries; pushes and relabels are the step currency); on
     exhaustion the flow is reset to zero and the result is flagged
     [degraded].  Without a budget no failpoint ever touches the solve
     ({!Budget.for_solve}). *)
-val solve : ?alpha:int -> ?budget:Budget.t -> Graph.t -> result
+val solve : ?budget:Budget.t -> Graph.t -> result

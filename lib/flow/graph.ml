@@ -31,15 +31,6 @@ type t = {
   mutable cost_arr : int array;
   mutable orig_cap : int array;    (* initial capacity, for flow/reset *)
   mutable n_negative : int;        (* forward arcs with cost < 0 *)
-  (* Touched-pair tracking (re-optimizing solves, docs/PERFORMANCE.md):
-     when [track] is on, every flow mutation records its arc pair once
-     (deduped through [tflag], indexed by pair id = arc/2) so
-     [reset_touched_flows] can undo a solve in time proportional to the
-     arcs the solve actually moved flow on, not the arena size. *)
-  mutable track : bool;
-  mutable touched : int array;     (* recorded pair ids *)
-  mutable n_touched : int;
-  mutable tflag : Bytes.t;         (* pair id -> already recorded? *)
 }
 
 let create ?(node_hint = 16) ?(arc_hint = 64) () =
@@ -56,10 +47,6 @@ let create ?(node_hint = 16) ?(arc_hint = 64) () =
     cost_arr = Array.make arc_hint 0;
     orig_cap = Array.make arc_hint 0;
     n_negative = 0;
-    track = false;
-    touched = [||];
-    n_touched = 0;
-    tflag = Bytes.empty;
   }
 
 let grow_int_array arr cap fill =
@@ -167,48 +154,6 @@ let total_positive_supply t =
 let rev a = a lxor 1
 let is_forward a = a land 1 = 0
 
-(* ------------------------------------------------------------------ *)
-(* Touched-pair tracking                                               *)
-(* ------------------------------------------------------------------ *)
-
-let clear_touched t =
-  for i = 0 to t.n_touched - 1 do
-    Bytes.unsafe_set t.tflag t.touched.(i) '\000'
-  done;
-  t.n_touched <- 0
-
-let set_flow_tracking t on =
-  if on && not t.track then begin
-    t.track <- true;
-    t.n_touched <- 0
-  end
-  else if (not on) && t.track then begin
-    clear_touched t;
-    t.track <- false
-  end
-
-(* Record the pair of arc [a] as flow-carrying, once.  The dedup flag
-   bounds the list by the number of distinct pairs mutated since the
-   last reset, so a sparse reset never costs more than a full one. *)
-let record_touch t a =
-  let p = a lsr 1 in
-  if p >= Bytes.length t.tflag then begin
-    let cap = max (p + 1) (max 1024 (2 * Bytes.length t.tflag)) in
-    let nb = Bytes.make cap '\000' in
-    Bytes.blit t.tflag 0 nb 0 (Bytes.length t.tflag);
-    t.tflag <- nb
-  end;
-  if Bytes.unsafe_get t.tflag p = '\000' then begin
-    Bytes.unsafe_set t.tflag p '\001';
-    if t.n_touched = Array.length t.touched then begin
-      let cap = max 256 (2 * t.n_touched) in
-      let arr = Array.make cap 0 in
-      Array.blit t.touched 0 arr 0 t.n_touched;
-      t.touched <- arr
-    end;
-    t.touched.(t.n_touched) <- p;
-    t.n_touched <- t.n_touched + 1
-  end
 let dst t a = t.to_.(a)
 let src t a = t.to_.(rev a)
 let cost t a = t.cost_arr.(a)
@@ -224,13 +169,11 @@ let push t a amount =
     invalid_arg
       (Printf.sprintf "Graph.push: amount %d exceeds residual capacity %d on arc %d" amount
          t.cap.(a) a);
-  if t.track then record_touch t a;
   t.cap.(a) <- t.cap.(a) - amount;
   t.cap.(rev a) <- t.cap.(rev a) + amount
 
 let corrupt_flow t a delta =
   if not (is_forward a) then invalid_arg "Graph.corrupt_flow: not a forward arc";
-  if t.track then record_touch t a;
   t.cap.(a) <- t.cap.(a) - delta;
   t.cap.(rev a) <- t.cap.(rev a) + delta
 
@@ -260,8 +203,7 @@ let retire_node t v =
 let clear t =
   t.n <- 0;
   t.m <- 0;
-  t.n_negative <- 0;
-  clear_touched t
+  t.n_negative <- 0
 
 type mark = {
   mk_n : int;
@@ -314,12 +256,6 @@ let copy t =
     cost_arr = Array.sub t.cost_arr 0 t.m;
     orig_cap = Array.sub t.orig_cap 0 t.m;
     n_negative = t.n_negative;
-    (* Tracking is a property of the persistent arena, not of private
-       snapshots (which are solved and discarded). *)
-    track = false;
-    touched = [||];
-    n_touched = 0;
-    tflag = Bytes.empty;
   }
 
 (* Merge of the two chains by decreasing id.  A forward and a twin id
@@ -364,36 +300,7 @@ end
 let reset_flows t =
   for a = 0 to t.m - 1 do
     t.cap.(a) <- t.orig_cap.(a)
-  done;
-  (* A full reset leaves no flow anywhere; start the next recording
-     epoch empty so sparse resets stay exact. *)
-  clear_touched t
-
-let reset_flow = reset_flows
-
-let reset_touched_flows t =
-  if not t.track then begin
-    reset_flows t;
-    arc_count t
-  end
-  else begin
-    let restored = ref 0 in
-    for i = 0 to t.n_touched - 1 do
-      let p = t.touched.(i) in
-      Bytes.unsafe_set t.tflag p '\000';
-      let a = p * 2 in
-      (* Pairs recorded in a suffix that has since been released fall
-         beyond [m]; their slots are fully re-initialized by the next
-         [add_arc], so only the flag needs clearing. *)
-      if a < t.m then begin
-        t.cap.(a) <- t.orig_cap.(a);
-        t.cap.(a + 1) <- t.orig_cap.(a + 1);
-        incr restored
-      end
-    done;
-    t.n_touched <- 0;
-    !restored
-  end
+  done
 
 let flow_cost t =
   let acc = ref 0 in

@@ -4,7 +4,7 @@
     creates a forward arc with the given capacity and cost plus its paired
     residual (reverse) arc with capacity 0 and negated cost; the pair
     occupies consecutive ids so [rev a = a lxor 1].  Solvers mutate flow
-    in place; [reset_flow] restores the zero flow.
+    in place; [reset_flows] restores the zero flow.
 
     Supplies follow the usual min-cost-flow convention: positive supply
     means the node injects flow, negative means it absorbs flow.  A
@@ -161,33 +161,10 @@ end
 val iter_arcs : t -> (arc -> unit) -> unit
 
 (** Restore every arc to zero flow (capacities back to their original
-    values), undoing prior solves in place. *)
+    values), undoing prior solves and any {!corrupt_flow} in place.  The
+    persistent network builder (lib/hire/flow_network.ml) calls it
+    before every patched build. *)
 val reset_flows : t -> unit
-
-(** Alias for {!reset_flows} (historical name). *)
-val reset_flow : t -> unit
-
-(** {2 Touched-arc flow tracking (re-optimizing solves)}
-
-    With tracking enabled, every flow mutation ({!push},
-    {!corrupt_flow}) records its arc pair once, so undoing a solve
-    costs time proportional to the arcs the solve actually used instead
-    of the arena size.  The persistent network builder
-    (lib/hire/flow_network.ml) turns this on for its long-lived graph;
-    {!copy} snapshots never inherit it. *)
-
-(** [set_flow_tracking t on] enables or disables touched-pair
-    recording.  Disabling discards the pending record. *)
-val set_flow_tracking : t -> bool -> unit
-
-(** [reset_touched_flows t] restores exactly the arc pairs that carried
-    flow since the last reset to their original capacities and returns
-    how many pairs were restored.  Bit-identical in effect to
-    {!reset_flows} as long as every mutation since the previous reset
-    went through {!push}/{!corrupt_flow} (which the tracking
-    intercepts).  Falls back to a full {!reset_flows} when tracking is
-    off, returning {!arc_count}. *)
-val reset_touched_flows : t -> int
 
 (** Total cost of the current flow: sum over forward arcs of
     [flow * cost]. *)

@@ -63,7 +63,7 @@ let prepare ?config spec =
   let scenario = Sim.Scenario.build store scenario_rng ~mu:spec.mu jobs in
   let sched =
     Schedulers.Registry.create ?resilience:spec.resilience ~incremental:spec.incremental
-      ~reopt:spec.reopt ~portfolio:spec.portfolio spec.scheduler ~seed:spec.seed cluster
+      ~portfolio:spec.portfolio spec.scheduler ~seed:spec.seed cluster
   in
   let faults_plan =
     Option.map
@@ -287,7 +287,7 @@ let cell_key spec =
      the default (on) keeps the historical key; only the full-rebuild
      reference path gets its own cells. *)
   if not spec.incremental then addf "|incremental=off";
-  (* Same discipline for the re-optimizing solve path: bit-identical by
-     construction, so only the cold-reset reference path gets new cells. *)
+  (* [reopt] no longer selects anything; its segment stays so that
+     existing cached cells keep their keys. *)
   if not spec.reopt then addf "|reopt=off";
   Digest.to_hex (Digest.string (Buffer.contents b))

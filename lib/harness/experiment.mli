@@ -38,14 +38,13 @@ type spec = {
           the end-to-end identity properties (test/test_incremental.ml)
           and gets separate cells. *)
   reopt : bool;
-      (** [true] (the default) additionally makes the persistent builder
-          undo the previous round's flow sparsely, via touched-arc
-          tracking, instead of sweeping the whole arena
-          (docs/PERFORMANCE.md).  Bit-identical either way and ignored
-          without [incremental]; like [incremental], the default keeps
-          the historical cache key.  [false] (cold full resets) is the
-          reference path of the end-to-end identity properties
-          (test/test_reopt.ml) and gets separate cells. *)
+      (** exists only because [bench/perf] reads it; it goes with the
+          next change to the benchmark.  It selects nothing: the sparse
+          flow reset it selected was removed (docs/PERFORMANCE.md, "The
+          sparse reset (deleted)").  It stays in {!cell_key} (where
+          [false] still gets separate cells), {!describe} and the spec
+          blob, so existing caches and journals keep their keys and
+          bytes. *)
   portfolio : bool;
       (** exists only because [bench/perf] builds its cells through
           {!Schedulers.Registry.create} with it; it goes with the

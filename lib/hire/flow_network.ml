@@ -120,7 +120,6 @@ type prefix = { mark : Graph.mark; p_arcs : int (* forward-arc count at the mark
 
 type builder = {
   g : Graph.t;
-  reopt : bool;  (* sparse touched-arc flow resets on the patch path *)
   mutable roles : int array;  (* packed node roles, -1 = none *)
   mutable valid_n : int;  (* nodes with meaningful roles this round *)
   mutable prefix : prefix option;
@@ -165,18 +164,11 @@ type builder = {
   mutable last_full : bool;
   mutable last_touched : int;
   mutable last_total : int;
-  mutable last_reset : int;  (* arc pairs whose flow the pre-patch reset undid *)
 }
 
-let create_builder ?(reopt = false) () =
-  let g = Graph.create () in
-  (* With re-optimization on, the graph records which arc pairs each
-     solve moves flow on, so the next patch undoes only those instead of
-     sweeping the whole arena. *)
-  Graph.set_flow_tracking g reopt;
+let create_builder () =
   {
-    g;
-    reopt;
+    g = Graph.create ();
     roles = [||];
     valid_n = 0;
     prefix = None;
@@ -208,7 +200,6 @@ let create_builder ?(reopt = false) () =
     last_full = true;
     last_touched = 0;
     last_total = 0;
-    last_reset = 0;
   }
 
 let ensure_topology b node_count =
@@ -252,7 +243,6 @@ type build_stats = {
   full : bool;
   touched_arcs : int;
   total_arcs : int;
-  reset_arcs : int;
   builds : int;
   full_rebuilds : int;
 }
@@ -262,7 +252,6 @@ let stats t =
     full = t.b.last_full;
     touched_arcs = t.b.last_touched;
     total_arcs = t.b.last_total;
-    reset_arcs = t.b.last_reset;
     builds = t.b.builds;
     full_rebuilds = t.b.full_rebuilds;
   }
@@ -597,15 +586,8 @@ let patch_prefix b (view : View.t) p d ~(params : Cost_model.params) touched =
   let g = b.g in
   let topo = view.topo in
   Graph.release g p.mark;
-  (* Undo last round's flow (and any injected corruption) on prefix arcs:
-     sparsely via the graph's touched-pair record when re-optimizing,
-     otherwise a full arena sweep.  Bit-identical end state either
-     way (Graph.reset_touched_flows contract). *)
-  if b.reopt then b.last_reset <- Graph.reset_touched_flows g
-  else begin
-    Graph.reset_flows g;
-    b.last_reset <- Graph.arc_count g
-  end;
+  (* Undo last round's flow (and any injected corruption) on prefix arcs. *)
+  Graph.reset_flows g;
   Dirty.iter_servers d (fun s ->
       let a = b.ms_arc.(s) in
       if a >= 0 then begin
@@ -700,7 +682,6 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
         let sink = build_prefix b view ~params mk in
         b.last_full <- true;
         b.full_rebuilds <- b.full_rebuilds + 1;
-        b.last_reset <- 0;
         sink
   in
   (* The marks are folded in (or subsumed by a full rebuild); forget

@@ -75,27 +75,17 @@ type t
     ran. *)
 type builder
 
-(** [create_builder ?reopt ()] makes a fresh builder.  With [reopt]
-    (default [false]) the builder's graph records which arc pairs each
-    solve touches ({!Flow.Graph.set_flow_tracking}), so the patch path
-    undoes the previous round's flow in time proportional to the arcs
-    the solve actually used instead of the arena size.  The reset is
-    bit-identical to the full sweep, so [reopt] never changes
-    placements; without it the builder is the cold-reset reference path
-    of the end-to-end identity tests. *)
-val create_builder : ?reopt:bool -> unit -> builder
+(** [create_builder ()] makes a fresh builder.  A patched build first
+    undoes the previous round's flow with {!Flow.Graph.reset_flows}. *)
+val create_builder : unit -> builder
 
 (** Per-build patching statistics of the network a builder produced
     last: [touched_arcs] counts patched prefix arcs plus rebuilt suffix
-    arcs ([= total_arcs] on a full rebuild); [reset_arcs] counts the arc
-    pairs whose flow the pre-patch reset actually restored (the full
-    arc count without [reopt], 0 on a full rebuild where {!clear}
-    subsumes the reset). *)
+    arcs ([= total_arcs] on a full rebuild). *)
 type build_stats = {
   full : bool;
   touched_arcs : int;
   total_arcs : int;
-  reset_arcs : int;
   builds : int;
   full_rebuilds : int;
 }
@@ -141,8 +131,8 @@ type outcome = {
 
 (** Which exact MCMF algorithm solves the round (the paper's artifact
     races several solvers; all produce flows of identical cost).
-    [Ssp] runs the fast re-optimizing implementation
-    (docs/PERFORMANCE.md). *)
+    [Ssp] runs the fast implementation (docs/PERFORMANCE.md, "The SSP
+    solve"). *)
 type solver = Ssp | Cost_scaling
 
 val solver_name : solver -> string

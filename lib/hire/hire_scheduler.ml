@@ -14,7 +14,6 @@ type config = {
   solver : Flow_network.solver;
   resilience : resilience;
   incremental : bool;
-  reopt : bool;
 }
 
 let default_config =
@@ -24,7 +23,6 @@ let default_config =
     solver = Flow_network.Ssp;
     resilience = resilience ();
     incremental = true;
-    reopt = true;
   }
 
 type t = {
@@ -46,9 +44,7 @@ let create ?(config = default_config) view =
     census = Locality.Task_census.create view.View.topo;
     order = [];
     solves = 0;
-    builder =
-      (if config.incremental then Some (Flow_network.create_builder ~reopt:config.reopt ())
-       else None);
+    builder = (if config.incremental then Some (Flow_network.create_builder ()) else None);
     scratch = (if config.incremental then Some (Flow.Mcmf.scratch ()) else None);
   }
 

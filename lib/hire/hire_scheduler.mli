@@ -38,15 +38,6 @@ type config = {
           objective values are bit-identical either way; [false]
           rebuilds everything from scratch each round and is the
           reference path the end-to-end identity tests compare against. *)
-  reopt : bool;
-      (** [true] (the default) turns on the re-optimizing solve path:
-          the persistent builder's graph tracks which arc pairs each
-          solve moves flow on, and the next round's patch undoes only
-          those ({!Flow_network.create_builder}).  Requires
-          [incremental]; ignored without it.  The sparse reset is
-          bit-identical to the full sweep, so placements never depend on
-          this flag; [false] (cold full resets) is the reference path the
-          end-to-end identity tests compare against. *)
 }
 
 val default_config : config

@@ -98,11 +98,13 @@ module Task_census = struct
 
   (* Checkpoint serialization (docs/JOURNAL.md).  Only the primary
      (machine, count) pairs are written — the ToR/pod rollups and totals
-     are re-derived through [adjust] on restore, so a decoded census is
-     structurally identical to one built live.  Groups and machines are
-     written in sorted order for canonical bytes.  Decoding keeps the
-     clock running, so every decoded group gets a fresh stamp and every
-     dropped one reads 0. *)
+     are re-derived through one [adjust] per pair on restore, so a
+     decoded census is structurally identical to one built live.  Groups
+     and machines are written in sorted order for canonical bytes.  A
+     live census never holds a zero count, so decoding rejects one.
+     Decoding keeps the clock running (monotone, one tick per pair), so
+     every decoded group gets a stamp above any it had and every dropped
+     one reads 0. *)
   let encode_state t e =
     let module Enc = Prelude.Codec.Enc in
     let group_ids =
@@ -125,10 +127,7 @@ module Task_census = struct
       Dec.list d (fun d ->
           let tg_id = Dec.int d in
           List.iter
-            (fun (machine, c) ->
-              for _ = 1 to c do
-                add t ~tg_id ~machine
-              done)
+            (fun (machine, c) -> adjust t ~tg_id ~machine c)
             (Dec.list d (fun d ->
                  let m = Dec.int d in
                  if m < 0 || m >= Fat_tree.node_count t.topo then
@@ -136,6 +135,10 @@ module Task_census = struct
                      (Prelude.Codec.Error
                         (Printf.sprintf "Task_census: machine %d out of range" m));
                  let c = Dec.uint d in
+                 if c = 0 then
+                   raise
+                     (Prelude.Codec.Error
+                        (Printf.sprintf "Task_census: zero count on machine %d" m));
                  (m, c))))
     in
     ()

@@ -5,11 +5,9 @@ let think_of ~nodes ~arcs = 0.0005 +. (3e-7 *. float_of_int (nodes + arcs))
 
 let create ?(simple_flavor = false) ?(params = Hire.Cost_model.default_params)
     ?(solver = Hire.Flow_network.Ssp) ?(shared = true)
-    ?(resilience = Hire_scheduler.resilience ()) ?(incremental = true) ?(reopt = true) ?name
+    ?(resilience = Hire_scheduler.resilience ()) ?(incremental = true) ?name
     cluster =
-  let config =
-    { Hire_scheduler.params; simple_flavor; solver; resilience; incremental; reopt }
-  in
+  let config = { Hire_scheduler.params; simple_flavor; solver; resilience; incremental } in
   let sched = Hire_scheduler.create ~config (Sim.Cluster.view cluster) in
   let round ~time =
     let o = Hire_scheduler.run_round sched ~time in

@@ -11,7 +11,6 @@ val create :
   ?shared:bool ->
   ?resilience:Hire.Hire_scheduler.resilience ->
   ?incremental:bool ->
-  ?reopt:bool ->
   ?name:string ->
   Sim.Cluster.t ->
   Sim.Scheduler_intf.t

@@ -15,15 +15,14 @@ val names : string list
     (default [true]) enables the persistent flow-network builder and
     solver-scratch reuse on the HIRE variants — results are identical
     either way (docs/PERFORMANCE.md).
-    [reopt] (default [true]) additionally makes the persistent builder
-    undo the previous round's flow sparsely via touched-arc tracking —
-    again bit-identical either way, and ignored without [incremental].
-    [false] for either selects the reference path that the end-to-end
-    identity properties (test/test_incremental.ml, test/test_reopt.ml)
-    compare the default against.
-    [portfolio] exists only because [bench/perf] passes it; it goes
-    with the next change to the benchmark.  [false] (the default) is the only
-    accepted value: the solver race it selected was removed.
+    [false] selects the reference path that the end-to-end identity
+    properties (test/test_incremental.ml) compare the default against.
+    [reopt] and [portfolio] exist only because [bench/perf] passes
+    them; they go with the next change to the benchmark.  [reopt] is
+    accepted and ignored: the sparse flow reset it selected was
+    removed, and every patched build resets flows with a full sweep.
+    [false] (the default) is the only accepted value of [portfolio]:
+    the solver race it selected was removed.
     @raise Invalid_argument on unknown names and on [~portfolio:true]. *)
 val create :
   ?resilience:Hire.Hire_scheduler.resilience ->

@@ -67,7 +67,7 @@ let test_graph_reset_flow () =
   let a = Graph.add_node g and b = Graph.add_node g in
   let arc = Graph.add_arc g ~src:a ~dst:b ~cap:5 ~cost:1 in
   Graph.push g arc 4;
-  Graph.reset_flow g;
+  Graph.reset_flows g;
   Alcotest.(check int) "flow reset" 0 (Graph.flow g arc);
   Alcotest.(check int) "residual reset" 5 (Graph.residual_cap g arc)
 
@@ -350,19 +350,6 @@ let test_cost_scaling_negative_costs () =
   let r = Cost_scaling.solve g in
   Alcotest.(check int) "shipped" 2 r.Cost_scaling.shipped;
   Alcotest.(check int) "optimal cost" (-4) r.Cost_scaling.total_cost
-
-let test_cost_scaling_alpha_variants () =
-  (* The scale factor changes phase counts, never the optimum. *)
-  let costs = ref [] in
-  List.iter
-    (fun alpha ->
-      let g = random_instance 4242 in
-      let r = Cost_scaling.solve ~alpha g in
-      costs := r.Cost_scaling.total_cost :: !costs)
-    [ 2; 4; 8; 16 ];
-  match !costs with
-  | c :: rest -> List.iter (fun c' -> Alcotest.(check int) "same optimum" c c') rest
-  | [] -> Alcotest.fail "no runs"
 
 let test_cost_scaling_zero_supply () =
   let g = Graph.create () in
@@ -997,7 +984,6 @@ let () =
         Alcotest.test_case "simple" `Quick test_cost_scaling_simple
         :: Alcotest.test_case "infeasible" `Quick test_cost_scaling_infeasible
         :: Alcotest.test_case "negative costs" `Quick test_cost_scaling_negative_costs
-        :: Alcotest.test_case "alpha variants" `Quick test_cost_scaling_alpha_variants
         :: Alcotest.test_case "zero supply" `Quick test_cost_scaling_zero_supply
         :: qt [ prop_cost_scaling_matches_ssp; prop_cost_scaling_verified ] );
       ( "decompose",

@@ -1,10 +1,10 @@
 (* Tests for incremental flow-network maintenance (docs/PERFORMANCE.md):
    the Graph in-place patching primitives (mark/release, set_cost,
-   negative-cost tracking, flow reset), solver scratch exactness,
-   builder-vs-fresh network identity under cost, structural, and
-   liveness churn at k=4 and k=8, the builder's shared locality
-   contexts against fresh builds under census churn, and the
-   end-to-end property that a simulation run with
+   negative-cost tracking, the flow reset after solves and injected
+   corruption), solver scratch exactness, builder-vs-fresh network
+   identity under cost, structural, and liveness churn at k=4 and k=8,
+   the builder's shared locality contexts against fresh builds under
+   census churn, and the end-to-end property that a simulation run with
    [incremental = true] is placement-for-placement identical to the
    full-rebuild path — with and without fault injection, on random k=4
    cells and one fixed k=8 cell. *)
@@ -91,17 +91,38 @@ let test_set_cost_tracks_negative () =
   Graph.set_cost g arc 2;
   Alcotest.(check bool) "no-op set keeps counter" false (Graph.has_negative_cost g)
 
+(* One sweep undoes everything that moved flow since the last one: two
+   solves in a row (the second routes over the first's residual network
+   and cancels flow on a residual twin), then injected corruption. *)
 let test_reset_flows_restores_capacities () =
-  let g, _, _ = fan_graph 4 in
-  ignore (Mcmf.solve g);
-  let consumed = ref 0 in
-  Graph.iter_arcs g (fun a -> consumed := !consumed + Graph.flow g a);
-  Alcotest.(check bool) "solve consumed capacity" true (!consumed > 0);
+  let g = Graph.create () in
+  let s = Graph.add_nodes g 4 in
+  let a = s + 1 and b = s + 2 and t = s + 3 in
+  let arc src dst cost = Graph.add_arc g ~src ~dst ~cap:1 ~cost in
+  ignore (arc s a 1);
+  let ab = arc a b 1 in
+  ignore (arc b t 1);
+  ignore (arc s b 5);
+  let at = arc a t 5 in
+  Graph.set_supply g s 1;
+  Graph.set_supply g t (-1);
+  let check_zero_flow what =
+    Graph.iter_arcs g (fun x ->
+        Alcotest.(check int) (what ^ ": flow zero") 0 (Graph.flow g x);
+        Alcotest.(check int) (what ^ ": residual = original cap") (Graph.capacity g x)
+          (Graph.residual_cap g x))
+  in
+  Alcotest.(check int) "first solve ships" 1 (Mcmf.solve g).Mcmf.shipped;
+  Alcotest.(check int) "first solve takes the cheap path" 1 (Graph.flow g ab);
+  Alcotest.(check int) "second solve ships" 1 (Mcmf.solve g).Mcmf.shipped;
+  Alcotest.(check int) "second solve cancels a->b" 0 (Graph.flow g ab);
+  Alcotest.(check int) "second solve uses a->t" 1 (Graph.flow g at);
   Graph.reset_flows g;
-  Graph.iter_arcs g (fun a ->
-      Alcotest.(check int) "flow zero" 0 (Graph.flow g a);
-      Alcotest.(check int) "residual = original cap" (Graph.capacity g a)
-        (Graph.residual_cap g a))
+  check_zero_flow "after two solves";
+  Graph.corrupt_flow g at 3;
+  Alcotest.(check int) "corruption shows" 3 (Graph.flow g at);
+  Graph.reset_flows g;
+  check_zero_flow "after corruption"
 
 (* ------------------------------------------------------------------ *)
 (* Scratch reuse                                                       *)

@@ -508,6 +508,25 @@ let test_restore_rejects_garbage () =
     | exception Codec.Error _ -> true
     | _ -> false)
 
+(* A hand-encoded census blob for task group 7 on a k=4 topology,
+   decoded into a fresh census. *)
+let decode_census topo pairs =
+  let e = Enc.create () in
+  Enc.list e
+    (fun e (tg_id, pairs) ->
+      Enc.int e tg_id;
+      Enc.list e
+        (fun e (m, c) ->
+          Enc.int e m;
+          Enc.uint e c)
+        pairs)
+    [ (7, pairs) ];
+  let census = Hire.Locality.Task_census.create topo in
+  Hire.Locality.Task_census.decode_state census (Dec.of_string (Enc.to_string e));
+  census
+
+let fails_closed f = match f () with exception Codec.Error _ -> true | _ -> false
+
 (* A census blob that names a machine outside the topology fails
    closed, as a restore promises, and not with the topology's
    [Invalid_argument]. *)
@@ -515,26 +534,30 @@ let test_census_rejects_bad_machine () =
   let topo = Topology.Fat_tree.create ~k:4 in
   List.iter
     (fun machine ->
-      let e = Enc.create () in
-      Enc.list e
-        (fun e (tg_id, pairs) ->
-          Enc.int e tg_id;
-          Enc.list e
-            (fun e (m, c) ->
-              Enc.int e m;
-              Enc.uint e c)
-            pairs)
-        [ (7, [ (machine, 1) ]) ];
-      let census = Hire.Locality.Task_census.create topo in
       Alcotest.(check bool)
         (Printf.sprintf "machine %d fails closed" machine)
         true
-        (match
-           Hire.Locality.Task_census.decode_state census (Dec.of_string (Enc.to_string e))
-         with
-        | exception Codec.Error _ -> true
-        | _ -> false))
+        (fails_closed (fun () -> decode_census topo [ (machine, 1) ])))
     [ Topology.Fat_tree.node_count topo; -1 ]
+
+(* A live census holds no zero count, so a blob with one is corrupt. *)
+let test_census_rejects_zero_count () =
+  let topo = Topology.Fat_tree.create ~k:4 in
+  let server = (Topology.Fat_tree.servers topo).(0) in
+  Alcotest.(check bool) "zero count fails closed" true
+    (fails_closed (fun () -> decode_census topo [ (server, 2); (server + 1, 0) ]))
+
+(* A count is applied in one step, so a huge one (as a few corrupt
+   bytes can encode) costs no more to decode than a small one. *)
+let test_census_huge_count () =
+  let topo = Topology.Fat_tree.create ~k:4 in
+  let server = (Topology.Fat_tree.servers topo).(0) in
+  let census = decode_census topo [ (server, 1_000_000_000_000) ] in
+  Alcotest.(check int) "total" 1_000_000_000_000
+    (Hire.Locality.Task_census.total census ~tg_id:7);
+  Alcotest.(check int) "ToR rollup" 1_000_000_000_000
+    (Hire.Locality.Task_census.count_under census ~tg_id:7
+       ~node:(Topology.Fat_tree.tor_of_server topo server))
 
 (* ------------------------------------------------------------------ *)
 (* Service crash recovery                                              *)
@@ -682,6 +705,8 @@ let () =
           quick "restore equivalence" test_snapshot_restore_equivalence;
           quick "restore rejects garbage" test_restore_rejects_garbage;
           quick "census rejects an out-of-range machine" test_census_rejects_bad_machine;
+          quick "census rejects a zero count" test_census_rejects_zero_count;
+          quick "census decodes a huge count at once" test_census_huge_count;
         ] );
       ( "recovery",
         [
