@@ -55,6 +55,13 @@ test:
 # set_flow_tracking, reset_touched, record_touch or reopt: a patched
 # build undoes the last solve's flow with the one full sweep,
 # Graph.reset_flows (docs/PERFORMANCE.md, "The sparse reset (deleted)").
+# In bin/, the experiment-cell flags (--mtbf, --mttr, --max-retries,
+# --faults, --inc-capable, --util, --horizon, --solver-budget,
+# --solver-steps, --guard, --setup, --mu) are each named in one
+# `info [` only, and `Faults.Plan.default_config with`, the scheduler
+# check ("unknown scheduler %S") and the setup parser ("unknown setup
+# %S") appear once: hire_sim, hire_sweep and hire_service take them all
+# from bin/cell_flags.ml, which turns them into an Experiment.spec.
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -90,7 +97,18 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (second SSP search path above)"; exit 1; }
 	@! grep -rnE 'set_flow_tracking|reset_touched|record_touch|reopt' lib/flow lib/hire \
 		|| { echo "lint-compare: FAIL (second flow reset above)"; exit 1; }
+	@! { grep -rhoE 'info *\[[^]]*\]' bin | grep -oE '"[a-z-]+"' | sort | uniq -d \
+		| grep -xE '"(mtbf|mttr|max-retries|faults|inc-capable|util|horizon|solver-budget|solver-steps|guard|setup|mu)"'; } \
+		|| { echo "lint-compare: FAIL (cell flag above defined outside bin/cell_flags.ml)"; exit 1; }
+	@for pat in 'Faults\.Plan\.default_config with' 'unknown scheduler %S' 'unknown setup %S'; do \
+		test "$$(grep -rhoE "$$pat" bin | wc -l)" -le 1 \
+		|| { echo "lint-compare: FAIL ($$pat appears more than once in bin/)"; exit 1; }; \
+	done
 	@echo "lint-compare: OK"
+
+# The cell flags `make check` runs through all three CLIs, next to
+# yarn-concurrent, mu 0.5 and the heterogeneous setup.
+CHECK_CELL = -k 4 --horizon 40 --util 2.0 --inc-capable 0.5 --faults --mtbf 40 --mttr 5
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags
 # are wired into the CLI (docs/OBSERVABILITY.md, docs/FAULTS.md), that a
@@ -101,7 +119,10 @@ lint-compare:
 # under a failpoint schedule, and that a run with an exhausted solver
 # budget degrades along the fallback chain instead of wedging
 # (docs/RESILIENCE.md), that hire_sim's seeds on three forked worker
-# processes (--jobs 3) print byte-identical stdout to --jobs 1, that a
+# processes (--jobs 3) print byte-identical stdout to --jobs 1, that
+# one cell spelled with the shared cell flags (bin/cell_flags.ml) gives
+# byte-identical CSV rows through hire_sim, hire_sweep and hire_service
+# (CHECK_CELL: a scheduler with no solver, so no wall-clock column), that a
 # malformed HIRE_FAILPOINTS and a --jobs run with failpoints armed fail
 # fast with a one-line error,
 # and that a journaled run crashed mid-flight by the journal.crash
@@ -161,6 +182,23 @@ check: lint-compare
 	@cmp /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs3.txt || \
 		{ echo "check: FAIL (hire_sim --jobs 3 stdout differs from --jobs 1)"; exit 1; }
 	rm -f /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs3.txt
+	rm -rf /tmp/hire_check_cell && mkdir -p /tmp/hire_check_cell
+	dune exec bin/hire_sim.exe -- -s yarn-concurrent --mu 0.5 --setup heterogeneous \
+		$(CHECK_CELL) --seeds 1,2 --solver-steps 50 --guard 1 \
+		--csv /tmp/hire_check_cell/sim2.csv > /dev/null
+	dune exec bin/hire_sweep.exe -- --schedulers yarn-concurrent --mus 0.5 \
+		--setups heterogeneous $(CHECK_CELL) --seeds 1,2 --solver-steps 50 --guard 1 \
+		--no-cache --out /tmp/hire_check_cell/sweep2.csv --quiet > /dev/null
+	@cmp /tmp/hire_check_cell/sim2.csv /tmp/hire_check_cell/sweep2.csv || \
+		{ echo "check: FAIL (hire_sweep CSV differs from hire_sim's for one cell)"; exit 1; }
+	dune exec bin/hire_sim.exe -- -s yarn-concurrent --mu 0.5 --setup heterogeneous \
+		$(CHECK_CELL) --seeds 1 --csv /tmp/hire_check_cell/sim1.csv > /dev/null
+	dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_cell/service \
+		-s yarn-concurrent --mu 0.5 --setup heterogeneous $(CHECK_CELL) --seed 1 \
+		--csv /tmp/hire_check_cell/service1.csv > /dev/null
+	@cmp /tmp/hire_check_cell/sim1.csv /tmp/hire_check_cell/service1.csv || \
+		{ echo "check: FAIL (hire_service CSV differs from hire_sim's for one cell)"; exit 1; }
+	rm -rf /tmp/hire_check_cell
 	@if HIRE_FAILPOINTS='solve.exhaust=frobnicate' dune exec bin/hire_sweep.exe -- \
 		-k 4 --horizon 10 --schedulers hire --mus 0.5 --seeds 1 \
 		--cache-dir /tmp/hire_check_fp/cache --out /tmp/hire_check_fp/sweep.csv \

@@ -17,52 +17,12 @@ let journal_subdir = "journal"
    and wall time is the one nondeterministic input. *)
 let config = { Sim.Simulator.default_config with deterministic_wall = true }
 
-let run state_dir checkpoint_every recover scheduler mu k horizon seed setup util
-    fraction faults_on mtbf mttr max_retries csv obs_summary serve socket tcp
-    round_interval max_batch max_pending io_timeout =
+let run state_dir checkpoint_every recover scheduler mu setup base seed csv obs_summary serve
+    socket tcp round_interval max_batch max_pending io_timeout =
   if obs_summary then Obs.set_enabled true;
   Failpt.announce ();
   let dir = Filename.concat state_dir journal_subdir in
-  let setup =
-    match setup with
-    | "homogeneous" | "homog" -> Sim.Cluster.Homogeneous
-    | "heterogeneous" | "het" -> Sim.Cluster.Heterogeneous
-    | other -> failwith (Printf.sprintf "unknown setup %S (homogeneous|heterogeneous)" other)
-  in
-  if not (List.mem scheduler Schedulers.Registry.names) then
-    failwith
-      (Printf.sprintf "unknown scheduler %S (known: %s)" scheduler
-         (String.concat ", " Schedulers.Registry.names));
-  let faults =
-    if not faults_on then None
-    else
-      Some
-        {
-          Faults.plan =
-            {
-              Faults.Plan.default_config with
-              server_mtbf = mtbf;
-              switch_mtbf = mtbf;
-              server_mttr = mttr;
-              switch_mttr = mttr;
-            };
-          policy = Faults.Policy.create ~max_retries ();
-        }
-  in
-  let spec_of_flags =
-    {
-      Harness.Experiment.default with
-      scheduler;
-      mu;
-      setup;
-      k;
-      horizon;
-      seed;
-      target_utilization = util;
-      inc_capable_fraction = fraction;
-      faults;
-    }
-  in
+  let spec_of_flags = { (Cell_flags.cell base ~scheduler ~mu ~setup) with seed } in
   let result, csv_spec =
     if serve then begin
       (* Admission-server mode (docs/SERVER.md): the journaled world
@@ -210,53 +170,9 @@ let recover =
   in
   Arg.(value & flag & info [ "recover" ] ~doc)
 
-let scheduler =
-  let doc = "Scheduler to run: " ^ String.concat ", " Schedulers.Registry.names ^ "." in
-  Arg.(value & opt string "hire" & info [ "scheduler"; "s" ] ~docv:"NAME" ~doc)
-
-let mu =
-  let doc = "Target ratio of jobs requesting INC resources." in
-  Arg.(value & opt float 1.0 & info [ "mu" ] ~docv:"RATIO" ~doc)
-
-let k =
-  let doc = "Fat-tree arity." in
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
-
-let horizon =
-  let doc = "Trace length in simulated seconds." in
-  Arg.(value & opt float 400.0 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
-
 let seed =
   let doc = "Seed of the run (one journal = one cell; sweeps drive hire_sweep)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"INT" ~doc)
-
-let setup =
-  let doc = "Switch capability setup: homogeneous or heterogeneous." in
-  Arg.(value & opt string "homogeneous" & info [ "setup" ] ~docv:"SETUP" ~doc)
-
-let util =
-  let doc = "Offered CPU load of the generated trace." in
-  Arg.(value & opt float 0.8 & info [ "util" ] ~docv:"FRACTION" ~doc)
-
-let fraction =
-  let doc = "Fraction of switches that are INC-capable." in
-  Arg.(value & opt (some float) None & info [ "inc-capable" ] ~docv:"FRACTION" ~doc)
-
-let faults_flag =
-  let doc = "Enable deterministic fault injection (docs/FAULTS.md)." in
-  Arg.(value & flag & info [ "faults" ] ~doc)
-
-let mtbf =
-  let doc = "Mean time between failures per node, simulated seconds (with $(b,--faults))." in
-  Arg.(value & opt float 200.0 & info [ "mtbf" ] ~docv:"SECONDS" ~doc)
-
-let mttr =
-  let doc = "Mean time to repair per node, simulated seconds (with $(b,--faults))." in
-  Arg.(value & opt float 30.0 & info [ "mttr" ] ~docv:"SECONDS" ~doc)
-
-let max_retries =
-  let doc = "Requeue attempts per killed task group before cancellation." in
-  Arg.(value & opt int 3 & info [ "max-retries" ] ~docv:"N" ~doc)
 
 let csv =
   let doc = "Write the final metric row to $(docv)." in
@@ -337,10 +253,9 @@ let cmd =
   Cmd.v
     (Cmd.info "hire_service" ~version:"1.0" ~doc ~man)
     Term.(
-      const run $ state_dir $ checkpoint_every $ recover $ scheduler $ mu $ k
-      $ horizon $ seed $ setup $ util $ fraction $ faults_flag $ mtbf $ mttr $ max_retries
-      $ csv $ obs_summary $ serve $ socket $ tcp $ round_interval $ max_batch
-      $ max_pending $ io_timeout)
+      const run $ state_dir $ checkpoint_every $ recover $ Cell_flags.scheduler
+      $ Cell_flags.mu $ Cell_flags.setup $ Cell_flags.base $ seed $ csv $ obs_summary $ serve
+      $ socket $ tcp $ round_interval $ max_batch $ max_pending $ io_timeout)
 
 (* Error convention shared with hire_sim: one line on stderr, exit 1 —
    bad flags, unreadable state directories, and journal failures all

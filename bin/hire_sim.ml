@@ -3,9 +3,8 @@
    the artifact's runner tool.  Prints the metric summary the figures are
    built from; see bench/main.ml for the full sweep. *)
 
-let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max_retries
-    solver_budget solver_steps guard jobs verbose csv
-    trace obs_summary journal checkpoint_every =
+let run scheduler mu setup base resilience seeds jobs verbose csv trace obs_summary journal
+    checkpoint_every =
   Failpt.init_env ();
   (* Failpoint streams are process-global and never reset between runs:
      sequential seeds continue one stream, while forked seeds would each
@@ -23,63 +22,19 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
         Printf.eprintf "hire_sim: cannot open trace file: %s\n" msg;
         exit 1)
   | None -> ());
-  let setup =
-    match setup with
-    | "homogeneous" | "homog" -> Sim.Cluster.Homogeneous
-    | "heterogeneous" | "het" -> Sim.Cluster.Heterogeneous
-    | other -> failwith (Printf.sprintf "unknown setup %S (homogeneous|heterogeneous)" other)
-  in
-  if not (List.mem scheduler Schedulers.Registry.names) then
-    failwith
-      (Printf.sprintf "unknown scheduler %S (known: %s)" scheduler
-         (String.concat ", " Schedulers.Registry.names));
-  let faults =
-    if not faults_on then None
-    else
-      Some
-        {
-          Faults.plan =
-            {
-              Faults.Plan.default_config with
-              server_mtbf = mtbf;
-              switch_mtbf = mtbf;
-              server_mttr = mttr;
-              switch_mttr = mttr;
-            };
-          policy = Faults.Policy.create ~max_retries ();
-        }
-  in
-  let resilience =
-    if solver_budget = None && solver_steps = None && guard = 0 then None
-    else
-      let budget =
-        if solver_budget = None && solver_steps = None then None
-        else Some (Flow.Budget.make ?max_wall_s:solver_budget ?max_steps:solver_steps ())
-      in
-      Some (Hire.Hire_scheduler.resilience ?budget ~guard_every:guard ())
-  in
-  let spec =
-    {
-      Harness.Experiment.default with
-      scheduler;
-      mu;
-      setup;
-      k;
-      horizon;
-      seed = 1;
-      target_utilization = util;
-      inc_capable_fraction = fraction;
-      faults;
-      resilience;
-    }
-  in
+  let spec = { (Cell_flags.cell base ~scheduler ~mu ~setup) with resilience } in
+  let setup = spec.Harness.Experiment.setup in
   Printf.printf "scheduler=%s mu=%.2f k=%d horizon=%.0fs setup=%s util=%.2f seeds=[%s]\n%!"
-    scheduler mu k horizon
+    scheduler mu spec.k spec.horizon
     (Sim.Cluster.inc_setup_to_string setup)
-    util
+    spec.target_utilization
     (String.concat ";" (List.map string_of_int seeds));
-  if faults_on then
-    Printf.printf "faults: mtbf=%.0fs mttr=%.0fs max-retries=%d\n%!" mtbf mttr max_retries;
+  let faults_on = spec.faults <> None in
+  (match spec.faults with
+  | None -> ()
+  | Some f ->
+      Printf.printf "faults: mtbf=%.0fs mttr=%.0fs max-retries=%d\n%!" f.plan.server_mtbf
+        f.plan.server_mttr f.policy.max_retries);
   (match resilience with
   | None -> ()
   | Some r ->
@@ -197,90 +152,9 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
 
 open Cmdliner
 
-let scheduler =
-  let doc =
-    "Scheduler to run: " ^ String.concat ", " Schedulers.Registry.names ^ "."
-  in
-  Arg.(value & opt string "hire" & info [ "scheduler"; "s" ] ~docv:"NAME" ~doc)
-
-let mu =
-  let doc = "Target ratio of jobs requesting INC resources (the paper's sweep axis)." in
-  Arg.(value & opt float 1.0 & info [ "mu" ] ~docv:"RATIO" ~doc)
-
-let k =
-  let doc = "Fat-tree arity (k=26 is the paper's 4394-server testbed)." in
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
-
-let horizon =
-  let doc = "Trace length in simulated seconds." in
-  Arg.(value & opt float 400.0 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
-
 let seeds =
   let doc = "Seeds to run (the paper uses three per cell)." in
   Arg.(value & opt (list int) [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"INTS" ~doc)
-
-let setup =
-  let doc = "Switch capability setup: homogeneous or heterogeneous (2 services/switch)." in
-  Arg.(value & opt string "homogeneous" & info [ "setup" ] ~docv:"SETUP" ~doc)
-
-let util =
-  let doc = "Offered CPU load of the generated trace." in
-  Arg.(value & opt float 0.8 & info [ "util" ] ~docv:"FRACTION" ~doc)
-
-let fraction =
-  let doc =
-    "Fraction of switches that are INC-capable (default: k/26, keeping the paper's \
-     servers-per-INC-switch ratio)."
-  in
-  Arg.(value & opt (some float) None & info [ "inc-capable" ] ~docv:"FRACTION" ~doc)
-
-let faults_flag =
-  let doc =
-    "Enable deterministic fault injection: servers and switches fail and recover \
-     following seeded exponential MTBF/MTTR draws; killed task groups are requeued \
-     with exponential backoff.  Fault model and metrics: docs/FAULTS.md."
-  in
-  Arg.(value & flag & info [ "faults" ] ~doc)
-
-let mtbf =
-  let doc = "Mean time between failures per node, simulated seconds (with $(b,--faults))." in
-  Arg.(value & opt float 200.0 & info [ "mtbf" ] ~docv:"SECONDS" ~doc)
-
-let mttr =
-  let doc = "Mean time to repair per node, simulated seconds (with $(b,--faults))." in
-  Arg.(value & opt float 30.0 & info [ "mttr" ] ~docv:"SECONDS" ~doc)
-
-let max_retries =
-  let doc =
-    "Requeue attempts per task group hit by a failure before it is cancelled (with \
-     $(b,--faults))."
-  in
-  Arg.(value & opt int 3 & info [ "max-retries" ] ~docv:"N" ~doc)
-
-let solver_budget =
-  let doc =
-    "Cap each MCMF solve at $(docv) of monotonic wall clock.  An exhausted solve \
-     degrades gracefully: partial SSP flow is salvaged, and the round falls back \
-     along the solver chain down to a greedy placer (docs/RESILIENCE.md).  Only \
-     meaningful for flow-based schedulers."
-  in
-  Arg.(value & opt (some float) None & info [ "solver-budget" ] ~docv:"SECONDS" ~doc)
-
-let solver_steps =
-  let doc =
-    "Cap each MCMF solve at $(docv) solver steps (SSP augmentations; cost-scaling \
-     pushes+relabels), composable with $(b,--solver-budget)."
-  in
-  Arg.(value & opt (some int) None & info [ "solver-steps" ] ~docv:"N" ~doc)
-
-let guard =
-  let doc =
-    "Run the runtime invariant guard on every $(docv)-th solve: re-verify the live \
-     flow from first principles and cross-check extracted placements against the \
-     capacity ledgers; a violation quarantines the solution and re-runs the round on \
-     the next solver backend.  0 disables the guard."
-  in
-  Arg.(value & opt int 0 & info [ "guard" ] ~docv:"N" ~doc)
 
 let jobs =
   let doc =
@@ -345,10 +219,9 @@ let cmd =
   Cmd.v
     (Cmd.info "hire_sim" ~version:"1.0" ~doc ~man)
     Term.(
-      const run $ scheduler $ mu $ k $ horizon $ seeds $ setup $ util $ fraction
-      $ faults_flag $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard
-      $ jobs $ verbose $ csv $ trace
-      $ obs_summary $ journal $ checkpoint_every)
+      const run $ Cell_flags.scheduler $ Cell_flags.mu $ Cell_flags.setup $ Cell_flags.base
+      $ Cell_flags.resilience $ seeds $ jobs $ verbose $ csv $ trace $ obs_summary $ journal
+      $ checkpoint_every)
 
 (* [~catch:false] so bad flag values (unknown scheduler/setup) and
    unreadable/unwritable files exit 1 with a one-line error instead of

@@ -7,60 +7,14 @@
 
 module Experiment = Harness.Experiment
 
-let parse_setup = function
-  | "homogeneous" | "homog" -> Sim.Cluster.Homogeneous
-  | "heterogeneous" | "het" -> Sim.Cluster.Heterogeneous
-  | other -> failwith (Printf.sprintf "unknown setup %S (homogeneous|heterogeneous)" other)
-
-let sweep jobs resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
-    horizon util fraction faults_on mtbf mttr max_retries solver_budget solver_steps
-    guard out quiet =
+let sweep jobs resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds
+    base resilience out quiet =
   Failpt.init_env ();
-  List.iter
-    (fun s ->
-      if not (List.mem s Schedulers.Registry.names) then
-        failwith
-          (Printf.sprintf "unknown scheduler %S (known: %s)" s
-             (String.concat ", " Schedulers.Registry.names)))
-    schedulers;
-  let setups = List.map parse_setup setups in
-  let faults =
-    if not faults_on then None
-    else
-      Some
-        {
-          Faults.plan =
-            {
-              Faults.Plan.default_config with
-              server_mtbf = mtbf;
-              switch_mtbf = mtbf;
-              server_mttr = mttr;
-              switch_mttr = mttr;
-            };
-          policy = Faults.Policy.create ~max_retries ();
-        }
-  in
-  let resilience =
-    if solver_budget = None && solver_steps = None && guard = 0 then None
-    else
-      let budget =
-        if solver_budget = None && solver_steps = None then None
-        else Some (Flow.Budget.make ?max_wall_s:solver_budget ?max_steps:solver_steps ())
-      in
-      Some (Hire.Hire_scheduler.resilience ?budget ~guard_every:guard ())
-  in
+  List.iter Cell_flags.check_scheduler schedulers;
+  let setups = List.map Cell_flags.parse_setup setups in
   Failpt.announce ();
-  let base =
-    {
-      Experiment.default with
-      k;
-      horizon;
-      target_utilization = util;
-      inc_capable_fraction = fraction;
-      faults;
-      resilience;
-    }
-  in
+  let base = { base with Experiment.resilience } in
+  let faults_on = base.faults <> None in
   let specs = Experiment.sweep base ~schedulers ~mus ~setups ~seeds in
   (* One --state-dir convention (docs/RUNNER.md): the result cache lives
      in <state-dir>/cache unless --cache-dir overrides it, the same
@@ -185,56 +139,6 @@ let seeds =
   let doc = "Seeds per cell (the paper uses three)." in
   Arg.(value & opt (list int) [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"INTS" ~doc)
 
-let k =
-  let doc = "Fat-tree arity." in
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
-
-let horizon =
-  let doc = "Trace length in simulated seconds." in
-  Arg.(value & opt float 400.0 & info [ "horizon" ] ~docv:"SECONDS" ~doc)
-
-let util =
-  let doc = "Offered CPU load of the generated trace." in
-  Arg.(value & opt float 0.8 & info [ "util" ] ~docv:"FRACTION" ~doc)
-
-let fraction =
-  let doc = "Fraction of switches that are INC-capable." in
-  Arg.(value & opt (some float) None & info [ "inc-capable" ] ~docv:"FRACTION" ~doc)
-
-let faults_flag =
-  let doc = "Inject seeded node failures in every cell (docs/FAULTS.md)." in
-  Arg.(value & flag & info [ "faults" ] ~doc)
-
-let mtbf =
-  let doc = "Mean time between failures per node, simulated seconds (with $(b,--faults))." in
-  Arg.(value & opt float 200.0 & info [ "mtbf" ] ~docv:"SECONDS" ~doc)
-
-let mttr =
-  let doc = "Mean time to repair per node, simulated seconds (with $(b,--faults))." in
-  Arg.(value & opt float 30.0 & info [ "mttr" ] ~docv:"SECONDS" ~doc)
-
-let max_retries =
-  let doc = "Requeue attempts per failure-hit task group (with $(b,--faults))." in
-  Arg.(value & opt int 3 & info [ "max-retries" ] ~docv:"N" ~doc)
-
-let solver_budget =
-  let doc =
-    "Cap each MCMF solve at $(docv) of monotonic wall clock; exhausted solves degrade \
-     along the resilience fallback chain (docs/RESILIENCE.md).  Changes the cells' \
-     cache keys."
-  in
-  Arg.(value & opt (some float) None & info [ "solver-budget" ] ~docv:"SECONDS" ~doc)
-
-let solver_steps =
-  let doc = "Cap each MCMF solve at $(docv) solver steps." in
-  Arg.(value & opt (some int) None & info [ "solver-steps" ] ~docv:"N" ~doc)
-
-let guard =
-  let doc =
-    "Run the runtime invariant guard on every $(docv)-th solve (0 disables it)."
-  in
-  Arg.(value & opt int 0 & info [ "guard" ] ~docv:"N" ~doc)
-
 let out =
   let doc = "CSV output file (one row per cell, enumeration order)." in
   Arg.(value & opt string (Filename.concat "results" "sweep_results.csv")
@@ -264,9 +168,8 @@ let cmd =
     (Cmd.info "hire_sweep" ~version:"1.0" ~doc ~man)
     Term.(
       const sweep $ jobs $ resume $ no_cache $ state_dir $ cache_dir $ timeout $ retries
-      $ schedulers $ mus $ setups $ seeds $ k $ horizon $ util $ fraction $ faults_flag
-      $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard
-      $ out $ quiet)
+      $ schedulers $ mus $ setups $ seeds $ Cell_flags.base $ Cell_flags.resilience $ out
+      $ quiet)
 
 (* [~catch:false] so bad arguments surface as our one-line error + exit 1
    instead of cmdliner's "internal error" backtrace. *)

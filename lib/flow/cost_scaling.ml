@@ -5,18 +5,6 @@
 
 module Clock = Prelude.Clock
 
-type result = {
-  shipped : int;
-  unshipped : int;
-  total_cost : int;
-  phases : int;
-  pushes : int;
-  relabels : int;
-  elapsed_s : float;
-  degraded : bool;
-  profile : Obs.Solver_profile.t;
-}
-
 (* Raised internally when the budget fires mid-phase; the handler resets
    the graph's flow (a mid-run pseudoflow is not salvageable). *)
 exception Exhausted of Budget.reason
@@ -47,9 +35,8 @@ let solve ?budget g =
   in
   let n0 = Graph.node_count g in
   if n0 = 0 then
-    { shipped = 0; unshipped = 0; total_cost = 0; phases = 0; pushes = 0; relabels = 0;
-      elapsed_s = 0.0; degraded = false;
-      profile = Obs.Solver_profile.zero ~solver:"cost-scaling" }
+    { Mcmf.shipped = 0; unshipped = 0; total_cost = 0; augmentations = 0; elapsed_s = 0.0;
+      degraded = false; profile = Obs.Solver_profile.zero ~solver:"cost-scaling" }
   else begin
     (* Find the cost bound before adding artificial arcs. *)
     let max_abs_cost = ref 1 in
@@ -193,12 +180,10 @@ let solve ?budget g =
     in
     if instrument then Obs.Solver_profile.emit profile;
     {
-      shipped = total_supply - unshipped;
+      Mcmf.shipped = total_supply - unshipped;
       unshipped;
       total_cost = Graph.flow_cost g - artificial_cost;
-      phases = !phases;
-      pushes = !pushes;
-      relabels = !relabels;
+      augmentations = !pushes;
       elapsed_s;
       degraded;
       profile;

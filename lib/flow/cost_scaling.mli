@@ -29,29 +29,20 @@
     Compare [hire-scaling] outputs only between networks of the same
     node count. *)
 
-type result = {
-  shipped : int;  (** supply routed to real demands *)
-  unshipped : int;  (** supply that needed the artificial arcs *)
-  total_cost : int;  (** cost of the final flow, artificial arcs excluded *)
-  phases : int;  (** ε-scaling phases executed *)
-  pushes : int;
-  relabels : int;
-  elapsed_s : float;  (** monotonic wall-clock solve time ({!Prelude.Clock}) *)
-  degraded : bool;
-      (** the solve was stopped by its {!Budget} before completing.
-          Unlike SSP, a cost-scaling run holds only a pseudoflow mid-run
-          — nothing salvageable — so the abort resets the graph to the
-          zero flow and reports everything unshipped. *)
-  profile : Obs.Solver_profile.t;
-      (** structured solve profile; per-stage timings are populated only
-          when [Obs.enabled ()] held during the solve *)
-}
-
 (** [solve ?budget g] runs cost scaling, dividing ε by 8 each
     phase.  Arc flows of [g] are left at the optimum.
+
+    The result is the SSP's record, read the same way: [shipped] is the
+    supply routed to real demands, [unshipped] the supply that needed
+    the artificial arcs, and [total_cost] excludes the artificial arcs.
+    [augmentations] counts pushes; the phase, push and relabel counts
+    are in [profile].
+
     [budget] bounds the solve (checked at phase and discharge
-    boundaries; pushes and relabels are the step currency); on
-    exhaustion the flow is reset to zero and the result is flagged
-    [degraded].  Without a budget no failpoint ever touches the solve
+    boundaries; pushes and relabels are the step currency).  Unlike
+    SSP, a cost-scaling run holds only a pseudoflow mid-run — nothing
+    salvageable — so on exhaustion the flow is reset to zero, everything
+    is reported unshipped and the result is flagged [degraded].
+    Without a budget no failpoint ever touches the solve
     ({!Budget.for_solve}). *)
-val solve : ?budget:Budget.t -> Graph.t -> result
+val solve : ?budget:Budget.t -> Graph.t -> Mcmf.result

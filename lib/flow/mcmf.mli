@@ -8,15 +8,12 @@
     flow-based schedulers use the solver (an "unscheduled" node normally
     guarantees feasibility).
 
-    Note that this graceful-degradation semantics of [unshipped] is
-    specific to this backend.  The cost-scaling backend
-    ({!Cost_scaling}) is an exact method that requires a feasible
-    instance; it routes stranded supply over artificial
-    maximum-penalty arcs, and {!Flow_network.solve_and_extract} maps
-    that artificial flow back to a nonzero [unshipped] count here.
-    Equal [unshipped] values therefore mean the same thing across
-    backends, but only cost-scaling pays the artificial-arc cost in
-    [total_cost].
+    The cost-scaling backend ({!Cost_scaling}) is an exact method that
+    requires a feasible instance; it routes stranded supply over
+    artificial maximum-penalty arcs and returns this same record, with
+    the supply that took them counted in [unshipped] and their cost left
+    out of [total_cost].  Equal [unshipped] values therefore mean the
+    same thing across backends.
 
     Negative arc costs are supported: one Bellman–Ford (SPFA) pass
     bootstraps the potentials, after which Dijkstra on reduced costs runs

@@ -666,15 +666,11 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
 
   (* --- topology part: patch the persistent prefix or rebuild it --- *)
   let touched = ref 0 in
-  let dirt =
-    match view.View.dirty with
-    | Some d when not (Dirty.structural d) -> Some d
-    | _ -> None
-  in
+  let dirt = view.View.dirty in
   let sink =
-    match (b.prefix, dirt) with
-    | Some p, Some d ->
-        patch_prefix b view p d ~params touched;
+    match b.prefix with
+    | Some p when not (Dirty.structural dirt) ->
+        patch_prefix b view p dirt ~params touched;
         b.last_full <- false;
         0
     | _ ->
@@ -687,7 +683,7 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
   (* The marks are folded in (or subsumed by a full rebuild); forget
      them.  Safe within a round's resilience fallback chain because
      ledgers only change after the round returns. *)
-  (match view.View.dirty with Some d -> Dirty.clear d | None -> ());
+  Dirty.clear dirt;
 
   let max_waiting =
     List.fold_left
@@ -867,17 +863,7 @@ let solver_name = function Ssp -> "ssp" | Cost_scaling -> "cost-scaling"
 let solve_only ?(solver = Ssp) ?budget ?scratch t =
   match solver with
   | Ssp -> Mcmf.solve ?budget ?scratch t.b.g
-  | Cost_scaling ->
-      let r = Flow.Cost_scaling.solve ?budget t.b.g in
-      {
-        Mcmf.shipped = r.Flow.Cost_scaling.shipped;
-        unshipped = r.Flow.Cost_scaling.unshipped;
-        total_cost = r.Flow.Cost_scaling.total_cost;
-        augmentations = r.Flow.Cost_scaling.pushes;
-        elapsed_s = r.Flow.Cost_scaling.elapsed_s;
-        degraded = r.Flow.Cost_scaling.degraded;
-        profile = r.Flow.Cost_scaling.profile;
-      }
+  | Cost_scaling -> Flow.Cost_scaling.solve ?budget t.b.g
 
 let extract t ~solver =
   let extract_t0 = if Obs.enabled () then Prelude.Clock.now () else 0.0 in

@@ -108,7 +108,7 @@ val size : t -> int * int
     [params.max_queue_tgs] requesting task groups, as in §6.2).
 
     Without [builder] (or on a builder's first use, or whenever the
-    view's dirty set is absent or structural) the whole network is
+    view's dirty set is structural) the whole network is
     built from scratch.  With a warmed-up [builder] and a
     non-structural dirty set, the long-lived topology part is patched
     in place and only the per-round job part is rebuilt.  The view's

@@ -4,5 +4,5 @@ type t = {
   server_available : int -> Prelude.Vec.t;
   sharing : Sharing.t;
   alive : int -> bool;
-  dirty : Dirty.t option;
+  dirty : Dirty.t;
 }

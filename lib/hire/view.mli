@@ -16,8 +16,6 @@ type t = {
       (** node liveness under fault injection; dead servers must receive
           no flow-network arcs (switch liveness is already masked inside
           {!Sharing.supports}) *)
-  dirty : Dirty.t option;
-      (** which nodes' ledgers changed since the last network build;
-          [None] means the owner does not track dirt and incremental
-          builders must conservatively rebuild everything *)
+  dirty : Dirty.t;
+      (** which nodes' ledgers changed since the last network build *)
 }

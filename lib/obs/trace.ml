@@ -67,7 +67,8 @@ let buf_add_json_float b f =
   else begin
     let s = Printf.sprintf "%.17g" f in
     Buffer.add_string b s;
-    (* ensure the token parses back as a float, not an int *)
+    (* a Float always shows a fraction or an exponent, so a reader can
+       tell it from an Int *)
     if
       not
         (String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n' || c = 'i') s)
@@ -75,12 +76,6 @@ let buf_add_json_float b f =
   end
 
 let level_to_string = function Debug -> "debug" | Info -> "info" | Warn -> "warn"
-
-let level_of_string = function
-  | "debug" -> Debug
-  | "info" -> Info
-  | "warn" -> Warn
-  | s -> failwith ("Trace.of_json: unknown level " ^ s)
 
 let to_json r =
   let b = Buffer.create 256 in
@@ -108,166 +103,6 @@ let to_json r =
     r.fields;
   Buffer.add_string b "}}";
   Buffer.contents b
-
-(* --- minimal JSON parser (only the subset to_json produces) --- *)
-
-type token =
-  | TLbrace
-  | TRbrace
-  | TColon
-  | TComma
-  | TString of string
-  | TNumber of string
-  | TBool of bool
-  | TNull
-
-let tokenize s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    (match c with
-    | ' ' | '\t' | '\n' | '\r' -> incr i
-    | '{' ->
-        toks := TLbrace :: !toks;
-        incr i
-    | '}' ->
-        toks := TRbrace :: !toks;
-        incr i
-    | ':' ->
-        toks := TColon :: !toks;
-        incr i
-    | ',' ->
-        toks := TComma :: !toks;
-        incr i
-    | '"' ->
-        let b = Buffer.create 16 in
-        incr i;
-        let finished = ref false in
-        while not !finished do
-          if !i >= n then failwith "Trace.of_json: unterminated string";
-          let c = s.[!i] in
-          if c = '"' then begin
-            finished := true;
-            incr i
-          end
-          else if c = '\\' then begin
-            if !i + 1 >= n then failwith "Trace.of_json: bad escape";
-            (match s.[!i + 1] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-                if !i + 5 >= n then failwith "Trace.of_json: bad \\u escape";
-                let code = int_of_string ("0x" ^ String.sub s (!i + 2) 4) in
-                if code > 0xff then failwith "Trace.of_json: non-latin \\u escape"
-                else Buffer.add_char b (Char.chr code);
-                i := !i + 4
-            | c -> failwith (Printf.sprintf "Trace.of_json: bad escape \\%c" c));
-            i := !i + 2
-          end
-          else begin
-            Buffer.add_char b c;
-            incr i
-          end
-        done;
-        toks := TString (Buffer.contents b) :: !toks
-    | 't' when !i + 4 <= n && String.sub s !i 4 = "true" ->
-        toks := TBool true :: !toks;
-        i := !i + 4
-    | 'f' when !i + 5 <= n && String.sub s !i 5 = "false" ->
-        toks := TBool false :: !toks;
-        i := !i + 5
-    | 'n' when !i + 4 <= n && String.sub s !i 4 = "null" ->
-        toks := TNull :: !toks;
-        i := !i + 4
-    | '-' | '0' .. '9' ->
-        let j = ref !i in
-        while
-          !j < n
-          &&
-          match s.[!j] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        do
-          incr j
-        done;
-        toks := TNumber (String.sub s !i (!j - !i)) :: !toks;
-        i := !j
-    | c -> failwith (Printf.sprintf "Trace.of_json: unexpected character %c" c));
-  done;
-  List.rev !toks
-
-let of_json line =
-  let toks = tokenize line in
-  let expect t = function
-    | t' :: rest when t = t' -> rest
-    | _ -> failwith "Trace.of_json: malformed record"
-  in
-  let key = function
-    | TString k :: TColon :: rest -> (k, rest)
-    | _ -> failwith "Trace.of_json: expected key"
-  in
-  let num s = try float_of_string s with _ -> failwith "Trace.of_json: bad number" in
-  let rec fields acc = function
-    | TRbrace :: rest -> (List.rev acc, rest)
-    | TComma :: rest -> fields acc rest
-    | toks ->
-        let k, rest = key toks in
-        let v, rest =
-          match rest with
-          | TString s :: rest -> (Str s, rest)
-          | TBool b :: rest -> (Bool b, rest)
-          | TNull :: rest -> (Float Float.nan, rest)
-          | TNumber s :: rest ->
-              if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then (Float (num s), rest)
-              else (Int (int_of_string s), rest)
-          | _ -> failwith "Trace.of_json: bad field value"
-        in
-        fields ((k, v) :: acc) rest
-  in
-  let rec top seq t_sim t_wall level name flds = function
-    | [] -> (seq, t_sim, t_wall, level, name, flds)
-    | TRbrace :: rest -> top seq t_sim t_wall level name flds rest
-    | TComma :: rest -> top seq t_sim t_wall level name flds rest
-    | toks -> (
-        let k, rest = key toks in
-        match k with
-        | "seq" -> (
-            match rest with
-            | TNumber s :: rest -> top (int_of_string s) t_sim t_wall level name flds rest
-            | _ -> failwith "Trace.of_json: bad seq")
-        | "t_sim" -> (
-            match rest with
-            | TNumber s :: rest -> top seq (num s) t_wall level name flds rest
-            | TNull :: rest -> top seq Float.nan t_wall level name flds rest
-            | _ -> failwith "Trace.of_json: bad t_sim")
-        | "t_wall" -> (
-            match rest with
-            | TNumber s :: rest -> top seq t_sim (num s) level name flds rest
-            | TNull :: rest -> top seq t_sim Float.nan level name flds rest
-            | _ -> failwith "Trace.of_json: bad t_wall")
-        | "level" -> (
-            match rest with
-            | TString s :: rest -> top seq t_sim t_wall (level_of_string s) name flds rest
-            | _ -> failwith "Trace.of_json: bad level")
-        | "event" -> (
-            match rest with
-            | TString s :: rest -> top seq t_sim t_wall level s flds rest
-            | _ -> failwith "Trace.of_json: bad event")
-        | "fields" ->
-            let rest = expect TLbrace rest in
-            let fs, rest = fields [] rest in
-            top seq t_sim t_wall level name fs rest
-        | k -> failwith ("Trace.of_json: unknown key " ^ k))
-  in
-  let toks = expect TLbrace toks in
-  let seq, t_sim, t_wall, level, name, flds = top 0 0.0 0.0 Info "" [] toks in
-  { seq; t_sim; t_wall; level; name; fields = flds }
 
 (* --- emission --- *)
 

@@ -68,9 +68,5 @@ val close_jsonl : unit -> unit
     newline) — exactly what the JSONL sink writes. *)
 val to_json : record -> string
 
-(** [of_json line] parses a line produced by {!to_json}.
-    @raise Failure on malformed input. *)
-val of_json : string -> record
-
 (** [field r key] is the value of [key] in [r.fields], if present. *)
 val field : record -> string -> value option

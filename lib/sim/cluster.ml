@@ -141,7 +141,7 @@ let view t =
     server_available = server_ledger t;
     sharing = t.sharing;
     alive = (fun node -> is_alive t node);
-    dirty = Some t.dirty;
+    dirty = t.dirty;
   }
 
 let place_server_task t ~server ~demand =

@@ -323,10 +323,10 @@ let test_cost_scaling_simple () =
   let cheap = Graph.add_arc g ~src:s ~dst:t ~cap:6 ~cost:1 in
   let pricey = Graph.add_arc g ~src:s ~dst:t ~cap:10 ~cost:5 in
   let r = Cost_scaling.solve g in
-  Alcotest.(check int) "shipped" 10 r.Cost_scaling.shipped;
+  Alcotest.(check int) "shipped" 10 r.Mcmf.shipped;
   Alcotest.(check int) "cheap full" 6 (Graph.flow g cheap);
   Alcotest.(check int) "pricey partial" 4 (Graph.flow g pricey);
-  Alcotest.(check int) "cost" 26 r.Cost_scaling.total_cost
+  Alcotest.(check int) "cost" 26 r.Mcmf.total_cost
 
 let test_cost_scaling_infeasible () =
   let g = Graph.create () in
@@ -335,9 +335,9 @@ let test_cost_scaling_infeasible () =
   Graph.set_supply g t (-5);
   let _ = Graph.add_arc g ~src:s ~dst:t ~cap:2 ~cost:3 in
   let r = Cost_scaling.solve g in
-  Alcotest.(check int) "shipped" 2 r.Cost_scaling.shipped;
-  Alcotest.(check int) "unshipped" 3 r.Cost_scaling.unshipped;
-  Alcotest.(check int) "real cost only" 6 r.Cost_scaling.total_cost
+  Alcotest.(check int) "shipped" 2 r.Mcmf.shipped;
+  Alcotest.(check int) "unshipped" 3 r.Mcmf.unshipped;
+  Alcotest.(check int) "real cost only" 6 r.Mcmf.total_cost
 
 let test_cost_scaling_negative_costs () =
   let g = Graph.create () in
@@ -348,16 +348,16 @@ let test_cost_scaling_negative_costs () =
   let _ = Graph.add_arc g ~src:a ~dst:t ~cap:2 ~cost:1 in
   let _ = Graph.add_arc g ~src:s ~dst:t ~cap:2 ~cost:0 in
   let r = Cost_scaling.solve g in
-  Alcotest.(check int) "shipped" 2 r.Cost_scaling.shipped;
-  Alcotest.(check int) "optimal cost" (-4) r.Cost_scaling.total_cost
+  Alcotest.(check int) "shipped" 2 r.Mcmf.shipped;
+  Alcotest.(check int) "optimal cost" (-4) r.Mcmf.total_cost
 
 let test_cost_scaling_zero_supply () =
   let g = Graph.create () in
   let a = Graph.add_node g and b = Graph.add_node g in
   let _ = Graph.add_arc g ~src:a ~dst:b ~cap:3 ~cost:1 in
   let r = Cost_scaling.solve g in
-  Alcotest.(check int) "nothing to ship" 0 r.Cost_scaling.shipped;
-  Alcotest.(check int) "zero cost" 0 r.Cost_scaling.total_cost
+  Alcotest.(check int) "nothing to ship" 0 r.Mcmf.shipped;
+  Alcotest.(check int) "zero cost" 0 r.Mcmf.total_cost
 
 let prop_cost_scaling_matches_ssp =
   (* Both exact algorithms must agree on the optimal cost. *)
@@ -368,8 +368,8 @@ let prop_cost_scaling_matches_ssp =
       let g2 = random_instance seed in
       let r1 = Mcmf.solve g1 in
       let r2 = Cost_scaling.solve g2 in
-      r1.Mcmf.shipped = r2.Cost_scaling.shipped
-      && r1.Mcmf.total_cost = r2.Cost_scaling.total_cost)
+      r1.Mcmf.shipped = r2.Mcmf.shipped
+      && r1.Mcmf.total_cost = r2.Mcmf.total_cost)
 
 let prop_cost_scaling_verified =
   QCheck.Test.make ~name:"cost scaling passes the optimality verifier" ~count:40

@@ -167,6 +167,34 @@ let test_registry () =
 (* JSONL                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Trace lines are read back with the project's JSON parser,
+   Server.Json, which holds every number as a float: a record's line
+   must parse to exactly the object its fields spell. *)
+let json = Alcotest.testable (fun ppf j -> Format.pp_print_string ppf (Server.Json.to_string j)) ( = )
+
+let json_of_record (r : Obs.Trace.record) =
+  let value = function
+    | Obs.Trace.Int n -> Server.Json.Num (float_of_int n)
+    | Obs.Trace.Float f -> Server.Json.Num f
+    | Obs.Trace.Str s -> Server.Json.Str s
+    | Obs.Trace.Bool b -> Server.Json.Bool b
+  in
+  let level = match r.level with Debug -> "debug" | Info -> "info" | Warn -> "warn" in
+  Server.Json.Obj
+    [
+      ("seq", Num (float_of_int r.seq));
+      ("t_sim", Num r.t_sim);
+      ("t_wall", Num r.t_wall);
+      ("level", Str level);
+      ("event", Str r.name);
+      ("fields", Obj (List.map (fun (k, v) -> (k, value v)) r.fields));
+    ]
+
+let parse_line line =
+  match Server.Json.parse line with
+  | Ok j -> j
+  | Error msg -> Alcotest.failf "trace line %S does not parse: %s" line msg
+
 let test_json_roundtrip () =
   let r =
     {
@@ -179,6 +207,7 @@ let test_json_roundtrip () =
         [
           ("n", Obs.Trace.Int (-7));
           ("x", Obs.Trace.Float (-0.001));
+          ("whole", Obs.Trace.Float 3.0);
           ("big", Obs.Trace.Float 1e17);
           ("s", Obs.Trace.Str "tab\there, quote\" and back\\slash");
           ("flag", Obs.Trace.Bool true);
@@ -188,8 +217,15 @@ let test_json_roundtrip () =
   in
   let line = Obs.Trace.to_json r in
   Alcotest.(check bool) "single line" true (not (String.contains line '\n'));
-  let r' = Obs.Trace.of_json line in
-  Alcotest.(check bool) "round-trips" true (r = r')
+  Alcotest.check json "round-trips" (json_of_record r) (parse_line line);
+  (* The parsed numbers cannot tell Float 3.0 from Int 3; the line can. *)
+  let contains sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length line && (String.sub line i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "integral float keeps a fraction" true (contains {|"whole":3.0,|});
+  Alcotest.(check bool) "int has none" true (contains {|"n":-7,|})
 
 let test_jsonl_sink () =
   reset_obs ();
@@ -210,13 +246,16 @@ let test_jsonl_sink () =
      done
    with End_of_file -> close_in ic);
   let lines = List.rev !lines in
+  let records = Obs.Trace.records () in
   Alcotest.(check int) "two lines" 2 (List.length lines);
-  let parsed = List.map Obs.Trace.of_json lines in
   Alcotest.(check (list string)) "event names" [ "first"; "second" ]
-    (List.map (fun r -> r.Obs.Trace.name) parsed);
+    (List.map (fun r -> r.Obs.Trace.name) records);
   List.iter
     (fun r -> Alcotest.(check (float 1e-9)) "sim time stamped" 1.5 r.Obs.Trace.t_sim)
-    parsed;
+    records;
+  (* The sink writes each retained record, every field intact. *)
+  Alcotest.(check (list json)) "lines are the records" (List.map json_of_record records)
+    (List.map parse_line lines);
   Sys.remove path;
   reset_obs ()
 

@@ -122,9 +122,9 @@ let test_cost_scaling_abort_resets_flow () =
   Failpt.deactivate ();
   let g = fan_graph 8 in
   let r = Cost_scaling.solve ~budget:(Budget.make ~max_steps:1 ()) g in
-  Alcotest.(check bool) "degraded" true r.Cost_scaling.degraded;
-  Alcotest.(check int) "nothing shipped" 0 r.Cost_scaling.shipped;
-  Alcotest.(check int) "all unshipped" 8 r.Cost_scaling.unshipped;
+  Alcotest.(check bool) "degraded" true r.Mcmf.degraded;
+  Alcotest.(check int) "nothing shipped" 0 r.Mcmf.shipped;
+  Alcotest.(check int) "all unshipped" 8 r.Mcmf.unshipped;
   (* The abort resets to the zero flow: every real arc carries 0. *)
   for a = 0 to (2 * Graph.arc_count g) - 1 do
     if Graph.is_forward a then Alcotest.(check int) "arc flow" 0 (Graph.flow g a)
@@ -138,9 +138,9 @@ let test_cost_scaling_unlimited_budget_identical () =
   let g1 = fan_graph 6 and g2 = fan_graph 6 in
   let r1 = Cost_scaling.solve g1 in
   let r2 = Cost_scaling.solve ~budget:Budget.unlimited g2 in
-  Alcotest.(check bool) "not degraded" false r2.Cost_scaling.degraded;
-  Alcotest.(check int) "same shipped" r1.Cost_scaling.shipped r2.Cost_scaling.shipped;
-  Alcotest.(check int) "same cost" r1.Cost_scaling.total_cost r2.Cost_scaling.total_cost
+  Alcotest.(check bool) "not degraded" false r2.Mcmf.degraded;
+  Alcotest.(check int) "same shipped" r1.Mcmf.shipped r2.Mcmf.shipped;
+  Alcotest.(check int) "same cost" r1.Mcmf.total_cost r2.Mcmf.total_cost
 
 (* ------------------------------------------------------------------ *)
 (* Budget state machine                                                *)
