@@ -62,6 +62,11 @@ test:
 # check ("unknown scheduler %S") and the setup parser ("unknown setup
 # %S") appear once: hire_sim, hire_sweep and hire_service take them all
 # from bin/cell_flags.ml, which turns them into an Experiment.spec.
+# Each job has one tool: bin/hire_sim.ml runs one cell's seeds in its
+# own process and must not mention Runner., Sim.Service or Journal.
+# (the fork pool is hire_sweep's, journaling is hire_service's), and
+# nothing under bench/ mentions HIRE_BENCH_TRACE or HIRE_BENCH_OBS
+# (hire_sim --trace/--obs-summary instrument a cell).
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
@@ -104,6 +109,10 @@ lint-compare:
 		test "$$(grep -rhoE "$$pat" bin | wc -l)" -le 1 \
 		|| { echo "lint-compare: FAIL ($$pat appears more than once in bin/)"; exit 1; }; \
 	done
+	@! grep -nE 'Runner\.|Sim\.Service|Journal\.' bin/hire_sim.ml \
+		|| { echo "lint-compare: FAIL (hire_sim runs a pool or a journal above)"; exit 1; }
+	@! grep -rnE 'HIRE_BENCH_(TRACE|OBS)' bench \
+		|| { echo "lint-compare: FAIL (bench instrumentation knob above)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # The cell flags `make check` runs through all three CLIs, next to
@@ -118,17 +127,15 @@ CHECK_CELL = -k 4 --horizon 40 --util 2.0 --inc-capable 0.5 --faults --mtbf 40 -
 # resumes a tiny sweep but serves none of its cached cells to a re-run
 # under a failpoint schedule, and that a run with an exhausted solver
 # budget degrades along the fallback chain instead of wedging
-# (docs/RESILIENCE.md), that hire_sim's seeds on three forked worker
-# processes (--jobs 3) print byte-identical stdout to --jobs 1, that
-# one cell spelled with the shared cell flags (bin/cell_flags.ml) gives
-# byte-identical CSV rows through hire_sim, hire_sweep and hire_service
-# (CHECK_CELL: a scheduler with no solver, so no wall-clock column), that a
-# malformed HIRE_FAILPOINTS and a --jobs run with failpoints armed fail
-# fast with a one-line error,
-# and that a journaled run crashed mid-flight by the journal.crash
-# failpoint (docs/FAILPOINTS.md) with a corrupted WAL tail recovers — tear
-# truncated (journal.torn_tail), replayed, and finished byte-identical to
-# an uninterrupted run (docs/JOURNAL.md), and that the admission server
+# (docs/RESILIENCE.md), that one cell spelled with the shared cell
+# flags (bin/cell_flags.ml) gives byte-identical CSV rows through
+# hire_sim, hire_sweep and hire_service (CHECK_CELL: a scheduler with no
+# solver, so no wall-clock column), that a malformed HIRE_FAILPOINTS
+# fails fast with a one-line error, and that a journaled run crashed
+# mid-flight by the journal.crash failpoint (docs/FAILPOINTS.md) with a
+# corrupted WAL tail recovers — tear truncated (journal.torn_tail),
+# replayed, and finished byte-identical to an uninterrupted run
+# (docs/JOURNAL.md), and that the admission server
 # (docs/SERVER.md) serves a submit/drain/shutdown session over its Unix
 # socket and fails fast with a one-line error on an unusable state dir,
 # and that a serve session under an injected fsync failure
@@ -175,13 +182,6 @@ check: lint-compare
 	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
 		--solver-budget 0 --guard 1 \
 		| grep -E 'degraded-rounds=[1-9]' > /dev/null
-	dune exec bin/hire_sim.exe -- -s yarn-concurrent -k 4 --horizon 40 --util 2.0 \
-		--seeds 1,2,3 --jobs 1 > /tmp/hire_check_jobs1.txt
-	dune exec bin/hire_sim.exe -- -s yarn-concurrent -k 4 --horizon 40 --util 2.0 \
-		--seeds 1,2,3 --jobs 3 > /tmp/hire_check_jobs3.txt
-	@cmp /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs3.txt || \
-		{ echo "check: FAIL (hire_sim --jobs 3 stdout differs from --jobs 1)"; exit 1; }
-	rm -f /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs3.txt
 	rm -rf /tmp/hire_check_cell && mkdir -p /tmp/hire_check_cell
 	dune exec bin/hire_sim.exe -- -s yarn-concurrent --mu 0.5 --setup heterogeneous \
 		$(CHECK_CELL) --seeds 1,2 --solver-steps 50 --guard 1 \
@@ -208,16 +208,8 @@ check: lint-compare
 		{ echo "check: FAIL (expected a HIRE_FAILPOINTS error)"; cat /tmp/hire_fp_err.txt; exit 1; }
 	@test "$$(wc -l < /tmp/hire_fp_err.txt)" -eq 1 || \
 		{ echo "check: FAIL (error should be one line, got:)"; cat /tmp/hire_fp_err.txt; exit 1; }
-	@if HIRE_FAILPOINTS='seed=1;solve.exhaust=25%trip' dune exec bin/hire_sim.exe -- \
-		-s hire -k 4 --horizon 10 --seeds 1,2 --jobs 2 2>/tmp/hire_fp_err.txt >/dev/null; then \
-		echo "check: FAIL (--jobs with failpoints armed should exit non-zero)"; exit 1; fi
-	@grep -q '^hire_sim: --jobs cannot run with HIRE_FAILPOINTS' /tmp/hire_fp_err.txt || \
-		{ echo "check: FAIL (expected a --jobs/HIRE_FAILPOINTS error)"; cat /tmp/hire_fp_err.txt; exit 1; }
-	@test "$$(wc -l < /tmp/hire_fp_err.txt)" -eq 1 || \
-		{ echo "check: FAIL (error should be one line, got:)"; cat /tmp/hire_fp_err.txt; exit 1; }
 	rm -rf /tmp/hire_fp_err.txt /tmp/hire_check_fp
 	dune exec bin/hire_service.exe -- --help=plain | grep -q -- '--recover'
-	dune exec bin/hire_sim.exe -- --help=plain | grep -q -- '--journal'
 	rm -rf /tmp/hire_check_journal
 	dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/ref \
 		-k 8 --horizon 30 --seed 1 --faults --mtbf 40 --mttr 5 \

@@ -16,8 +16,7 @@
      HIRE_BENCH_FAST=1     smaller sweep (smoke-test the harness)
      HIRE_BENCH_SEEDS=n    number of seeds per cell (default 3, as in the paper)
      HIRE_BENCH_HORIZON=s  trace length in seconds (default 400)
-     HIRE_BENCH_TRACE=f    enable instrumentation, stream JSONL trace events to f
-     HIRE_BENCH_OBS=1      enable instrumentation, print the registry summary at exit
+     HIRE_BENCH_JOBS=n     forked worker processes of the sweep (default 1)
      HIRE_BENCH_FAULTS=1   also run the fault-injection cell (scheduling under churn) *)
 
 module Metrics = Sim.Metrics
@@ -77,13 +76,6 @@ let spec ~scheduler ~mu ~setup ~seed =
 (* ------------------------------------------------------------------ *)
 
 let jobs = env_knob "HIRE_BENCH_JOBS" ~what:"a positive integer" ~parse:positive_int ~default:1
-
-let trace_path = Sys.getenv_opt "HIRE_BENCH_TRACE"
-let obs_summary = Sys.getenv_opt "HIRE_BENCH_OBS" <> None
-
-(* Forked workers keep their obs registry/trace buffers to themselves,
-   so instrumented runs fall back to in-process execution. *)
-let isolate = trace_path = None && not obs_summary
 
 let faults_enabled = Sys.getenv_opt "HIRE_BENCH_FAULTS" <> None
 
@@ -161,7 +153,7 @@ let report_for s =
 
 let prime () =
   let outcomes, stats =
-    Runner.run ~jobs ~isolate ~key:Experiment.cell_key ~label:Experiment.describe
+    Runner.run ~jobs ~key:Experiment.cell_key ~label:Experiment.describe
       ~log:(fun line -> Printf.eprintf "  %s\n%!" line)
       ~f:Experiment.run all_specs
   in
@@ -434,14 +426,11 @@ let fault_bench () =
 let csv_path = Filename.concat "results" "bench_results.csv"
 
 let () =
-  if trace_path <> None || obs_summary then Obs.set_enabled true;
-  (match trace_path with Some f -> Obs.Trace.open_jsonl f | None -> ());
   Printf.printf "HIRE reproduction benchmark harness\n";
-  Printf.printf "seeds=%d horizon=%.0fs mus=[%s] fat-tree k=%d jobs=%d%s\n"
+  Printf.printf "seeds=%d horizon=%.0fs mus=[%s] fat-tree k=%d jobs=%d\n"
     (List.length seeds) horizon
     (String.concat "; " (List.map (Printf.sprintf "%.2f") mus))
-    Experiment.default.Experiment.k jobs
-    (if isolate then "" else " (instrumented: cells run in-process)");
+    Experiment.default.Experiment.k jobs;
   prime ();
   tab3 ();
   let homog = Sim.Cluster.Homogeneous and het = Sim.Cluster.Heterogeneous in
@@ -470,13 +459,4 @@ let () =
            (report_for s))
        csv_specs);
   Printf.printf "\nper-cell rows written to %s\n" csv_path;
-  if obs_summary then begin
-    Printf.printf "\n--- observability summary ---\n";
-    Format.printf "%a%!" Obs.Registry.pp_summary ()
-  end;
-  (match trace_path with
-  | Some f ->
-      Obs.Trace.close_jsonl ();
-      Printf.printf "\ntrace events written to %s\n" f
-  | None -> ());
   Printf.printf "\ndone.\n"

@@ -84,12 +84,18 @@ let run state_dir checkpoint_every recover scheduler mu setup base seed csv obs_
       (result, Server.Admission.spec engine)
     end
     else begin
-      let service =
+      (* The spec identity for the CSV row comes from the flags on a
+         fresh start; on recovery it is the spec decoded from the journal
+         header, so the row labels match the journaled run, not the
+         defaults. *)
+      let service, spec =
         if recover then begin
+          let journaled = ref spec_of_flags in
           let r =
             Sim.Service.recover ~dir ~checkpoint_every
               ~rebuild:(fun header ->
                 let spec = Harness.Experiment.spec_of_blob header in
+                journaled := spec;
                 Printf.printf "recovering: %s\n%!" (Harness.Experiment.describe spec);
                 Harness.Experiment.prepare ~config spec)
               ()
@@ -98,28 +104,18 @@ let run state_dir checkpoint_every recover scheduler mu setup base seed csv obs_
             (match r.Sim.Service.from_checkpoint with
             | None -> ", from genesis"
             | Some seq -> Printf.sprintf ", checkpoint covered seq < %d" seq);
-          r.Sim.Service.service
+          (r.Sim.Service.service, !journaled)
         end
         else begin
           let spec = spec_of_flags in
           Printf.printf "journaling %s into %s\n%!" (Harness.Experiment.describe spec) dir;
-          Sim.Service.start ~dir ~checkpoint_every
-            ~header:(Harness.Experiment.spec_to_blob spec)
-            (Harness.Experiment.prepare ~config spec)
+          ( Sim.Service.start ~dir ~checkpoint_every
+              ~header:(Harness.Experiment.spec_to_blob spec)
+              (Harness.Experiment.prepare ~config spec),
+            spec )
         end
       in
-      let result = Sim.Service.run service in
-      (* The spec identity for the CSV row comes from the flags on a
-         fresh start; on recovery re-read it from the journal header so
-         the row labels match the journaled run, not the defaults. *)
-      let csv_spec =
-        if recover then
-          match Journal.Source.load ~path:(Filename.concat dir "wal.bin") with
-          | Ok l -> Harness.Experiment.spec_of_blob l.Journal.Source.header
-          | Error e -> Journal.Error.raise_ e
-        else spec_of_flags
-      in
-      (result, csv_spec)
+      (Sim.Service.run service, spec)
     end
   in
   let report = result.Sim.Simulator.report in
@@ -258,7 +254,8 @@ let cmd =
       $ socket $ tcp $ round_interval $ max_batch $ max_pending $ io_timeout)
 
 (* Error convention shared with hire_sim: one line on stderr, exit 1 —
-   bad flags, unreadable state directories, and journal failures all
+   bad flags, unreadable state directories, undecodable journal contents
+   (a spec blob from another build, say) and journal failures all
    land the same way, so scripts can branch on the exit code alone. *)
 let () =
   try exit (Cmd.eval ~catch:false cmd) with
@@ -267,6 +264,9 @@ let () =
       exit 9
   | Journal.Error.Journal_error e ->
       Printf.eprintf "hire_service: %s\n" (Journal.Error.to_string e);
+      exit 1
+  | Prelude.Codec.Error msg ->
+      Printf.eprintf "hire_service: cannot decode the journal: %s\n" msg;
       exit 1
   | Unix.Unix_error (e, fn, arg) ->
       Printf.eprintf "hire_service: %s%s: %s\n" fn

@@ -3,16 +3,7 @@
    the artifact's runner tool.  Prints the metric summary the figures are
    built from; see bench/main.ml for the full sweep. *)
 
-let run scheduler mu setup base resilience seeds jobs verbose csv trace obs_summary journal
-    checkpoint_every =
-  Failpt.init_env ();
-  (* Failpoint streams are process-global and never reset between runs:
-     sequential seeds continue one stream, while forked seeds would each
-     restart it from the parent's state and so print different reports. *)
-  if jobs > 1 && Failpt.enabled () then
-    failwith
-      "--jobs cannot run with HIRE_FAILPOINTS set (sequential seeds share one failpoint \
-       stream; forked seeds would each restart it)";
+let run scheduler mu setup base resilience seeds verbose csv trace obs_summary =
   Failpt.announce ();
   if trace <> None || obs_summary then Obs.set_enabled true;
   (match trace with
@@ -43,57 +34,10 @@ let run scheduler mu setup base resilience seeds jobs verbose csv trace obs_summ
         | None -> "none"
         | Some b -> Format.asprintf "%a" Flow.Budget.pp b)
         r.Hire.Hire_scheduler.guard_every);
-  let reports =
-    let instrumented = trace <> None || obs_summary in
-    match journal with
-    | Some state_dir ->
-        (* Journaled runs are single-seed — one journal directory holds
-           one run — and deterministic-wall, so a crash/recovery replay
-           re-derives every WAL record byte for byte (docs/JOURNAL.md).
-           Layout follows the --state-dir convention: the WAL lives in
-           <state-dir>/journal; recovery is bin/hire_service --recover. *)
-        List.map
-          (fun seed ->
-            let spec = { spec with seed } in
-            let config =
-              { Sim.Simulator.default_config with deterministic_wall = true }
-            in
-            let service =
-              Sim.Service.start
-                ~dir:(Filename.concat state_dir "journal")
-                ~checkpoint_every
-                ~header:(Harness.Experiment.spec_to_blob spec)
-                (Harness.Experiment.prepare ~config spec)
-            in
-            (Sim.Service.run service).Sim.Simulator.report)
-          (match seeds with
-          | [ _ ] -> seeds
-          | _ -> failwith "--journal runs exactly one seed (pass --seeds N)")
-    | None ->
-    if jobs <= 1 || List.length seeds <= 1 then Harness.Experiment.run_seeds spec seeds
-    else if instrumented then begin
-      (* The obs registry and trace ring a forked child fills are lost
-         when it exits, so instrumented seeds run in this process. *)
-      Printf.eprintf
-        "hire_sim: --jobs ignored with --trace/--obs-summary (a forked worker's \
-         instrumentation would be lost)\n\
-         %!";
-      Harness.Experiment.run_seeds spec seeds
-    end
-    else
-      Runner.Pool.map ~jobs ~retries:0
-        ~label:(fun seed -> Printf.sprintf "seed %d" seed)
-        ~f:(fun seed -> Harness.Experiment.run { spec with seed })
-        seeds
-      |> List.map (fun (c : _ Runner.Pool.cell) ->
-             match c.result with
-             | Ok r -> r
-             | Error reason -> failwith (Runner.Pool.reason_to_string reason))
-  in
-  List.iteri
-    (fun i r ->
-      Printf.printf "seed %d: %s\n" (List.nth seeds i)
-        (Format.asprintf "%a" Sim.Metrics.pp_report r);
+  let reports = Harness.Experiment.run_seeds spec seeds in
+  List.iter2
+    (fun seed r ->
+      Printf.printf "seed %d: %s\n" seed (Format.asprintf "%a" Sim.Metrics.pp_report r);
       if verbose then begin
         let lats = r.Sim.Metrics.placement_latency in
         if Obs.Histogram.count lats > 0 then begin
@@ -108,7 +52,7 @@ let run scheduler mu setup base resilience seeds jobs verbose csv trace obs_summ
           Printf.printf "  solver: %d solves, median %.3f ms\n" (Obs.Histogram.count solver)
             (1000.0 *. Obs.Histogram.quantile solver 0.5)
       end)
-    reports;
+    seeds reports;
   (if resilience <> None then
      let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
      Printf.printf
@@ -156,16 +100,6 @@ let seeds =
   let doc = "Seeds to run (the paper uses three per cell)." in
   Arg.(value & opt (list int) [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"INTS" ~doc)
 
-let jobs =
-  let doc =
-    "Run up to $(docv) seeds concurrently on forked worker processes \
-     (docs/RUNNER.md).  Reports are still printed in seed order.  Ignored with \
-     $(b,--trace) or $(b,--obs-summary), whose instrumentation a forked worker \
-     would lose; rejected when HIRE_FAILPOINTS is set, since sequential seeds share \
-     one failpoint stream that forked seeds would each restart."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
 let verbose =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print per-seed latency and solver stats.")
 
@@ -187,23 +121,6 @@ let obs_summary =
   in
   Arg.(value & flag & info [ "obs-summary" ] ~doc)
 
-let journal =
-  let doc =
-    "Journal the run under state directory $(docv) (WAL in $(docv)/journal, \
-     docs/JOURNAL.md): every scheduling decision is write-ahead logged and every \
-     round commit fsynced, so a crashed run resumes with $(b,hire_service \
-     --recover --state-dir) $(docv).  Single-seed only; implies deterministic \
-     solver wall times in the report."
-  in
-  Arg.(value & opt (some string) None & info [ "journal"; "state-dir" ] ~docv:"DIR" ~doc)
-
-let checkpoint_every =
-  let doc =
-    "With $(b,--journal): write a full state checkpoint every $(docv) rounds (0 \
-     disables checkpoints; recovery then replays from genesis)."
-  in
-  Arg.(value & opt int 250 & info [ "checkpoint-every" ] ~docv:"ROUNDS" ~doc)
-
 let cmd =
   let doc = "run one HIRE-reproduction scheduling experiment" in
   let man =
@@ -220,8 +137,7 @@ let cmd =
     (Cmd.info "hire_sim" ~version:"1.0" ~doc ~man)
     Term.(
       const run $ Cell_flags.scheduler $ Cell_flags.mu $ Cell_flags.setup $ Cell_flags.base
-      $ Cell_flags.resilience $ seeds $ jobs $ verbose $ csv $ trace $ obs_summary $ journal
-      $ checkpoint_every)
+      $ Cell_flags.resilience $ seeds $ verbose $ csv $ trace $ obs_summary)
 
 (* [~catch:false] so bad flag values (unknown scheduler/setup) and
    unreadable/unwritable files exit 1 with a one-line error instead of
@@ -232,6 +148,3 @@ let () =
   | Failure msg | Sys_error msg | Invalid_argument msg ->
       Printf.eprintf "hire_sim: %s\n" msg;
       exit 1
-  | Journal.Sink.Crashed seq ->
-      Printf.eprintf "hire_sim: injected crash at WAL seq %d\n" seq;
-      exit 9

@@ -203,10 +203,6 @@ let resolve () =
 
 let init_env () = resolve ()
 
-let enabled () =
-  resolve ();
-  !current <> None
-
 let find name =
   resolve ();
   match !current with None -> None | Some t -> List.assoc_opt name t.sites

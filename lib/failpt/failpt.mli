@@ -53,8 +53,6 @@ val activate : seed:int -> unit
 (** Disarm every site; {!eval} returns [None] everywhere. *)
 val deactivate : unit -> unit
 
-val enabled : unit -> bool
-
 (** Parse a full [HIRE_FAILPOINTS]-shaped value into the registry.
     @raise Invalid_argument on an unparseable term, with the registry
     unchanged. *)

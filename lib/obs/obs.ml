@@ -2,8 +2,8 @@
     solver profiling.
 
     Everything is off by default; flip the switch with {!set_enabled}
-    (the CLI's [--trace]/[--obs-summary] flags and the bench harness's
-    [HIRE_BENCH_TRACE]/[HIRE_BENCH_OBS] knobs do).  Instrumented call
+    (the CLIs' [--trace]/[--obs-summary] flags and bench/perf's
+    [--trace 1] do).  Instrumented call
     sites follow one convention:
 
     {[

@@ -80,7 +80,9 @@ module Dec = struct
     d.pos <- d.pos + 1;
     c
 
-  let uint d =
+  (* Raw 63-bit varint, the inverse of [Enc.varint_bits]: a result with
+     the sign bit set is a legal zigzag pattern, not an error. *)
+  let varint_bits d =
     let rec go shift acc =
       if shift > 62 then fail "varint overflow at %d" d.pos;
       let b = byte d in
@@ -89,8 +91,16 @@ module Dec = struct
     in
     go 0 0
 
+  (* [Enc.uint] never writes a negative, so one here is corrupt input;
+     lengths and counts decode through this and may trust the sign. *)
+  let uint d =
+    let pos = d.pos in
+    let v = varint_bits d in
+    if v < 0 then fail "varint out of range at %d" pos;
+    v
+
   let int d =
-    let v = uint d in
+    let v = varint_bits d in
     (v lsr 1) lxor (-(v land 1))
 
   let bool d =

@@ -44,7 +44,11 @@ module Dec : sig
   val remaining : t -> int
   val at_end : t -> bool
   val byte : t -> int
+
+  (** @raise Error on a value above [max_int], which {!Enc.uint} cannot
+      have written. *)
   val uint : t -> int
+
   val int : t -> int
   val bool : t -> bool
   val f64 : t -> float

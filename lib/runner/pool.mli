@@ -37,8 +37,7 @@ type 'b cell = { result : ('b, reason) result; attempts : int; wall_s : float }
       other cells are unaffected.
     @param isolate [true] (the default) runs each cell in a forked
       child; [false] runs every cell sequentially in-process, the
-      reference path, used when per-process instrumentation must
-      accumulate in the caller.  Timeouts are not enforceable in-process
+      reference path the forked pool is tested against.  Timeouts are not enforceable in-process
       and are ignored; a raising [f] still yields {!Child_error}.
     @param label used in [log] lines (default: the item's index).
     @param log per-cell progress sink (default: silent); called from

@@ -3,10 +3,6 @@ module Flavor = Hire.Flavor
 module Pending = Hire.Pending
 module Flow_network = Hire.Flow_network
 
-(* Flow-based schedulers' think time scales with the network size (the
-   paper sets it "as a function of flow network statistics"). *)
-let think_of ~nodes ~arcs = 0.0005 +. (3e-7 *. float_of_int (nodes + arcs))
-
 let params =
   {
     Hire.Cost_model.default_params with
@@ -67,7 +63,7 @@ let create cluster =
       {
         Sim.Scheduler_intf.placements = [];
         cancelled = !cancelled;
-        think = 0.0005;
+        think = Sim.Scheduler_intf.idle_think;
         solver_wall = None;
         resilience = None;
       }
@@ -82,20 +78,12 @@ let create cluster =
             match Hashtbl.find_opt rt_of_tg tg_id with
             | None -> None
             | Some (job, rt) when rt.Modes.remaining > 0 ->
-                let charged =
-                  match rt.tg.Poly_req.kind with
-                  | Poly_req.Server_tg ->
-                      Sim.Cluster.place_server_task cluster ~server:machine
-                        ~demand:rt.tg.Poly_req.demand;
-                      None
-                  | Poly_req.Network_tg _ ->
-                      Some
-                        (Sim.Cluster.place_network_task cluster ~switch:machine ~tg:rt.tg
-                           ~shared:false)
+                let placement =
+                  Sim.Scheduler_intf.place cluster ~tg:rt.tg ~machine ~shared:false
                 in
                 let dropped = Modes.note_placement modes ~time job rt ~machine in
                 cancelled := !cancelled @ dropped;
-                Some { Sim.Scheduler_intf.tg = rt.tg; machine; shared = false; charged }
+                Some placement
             | Some _ -> None)
           outcome.placements
       in
@@ -111,7 +99,7 @@ let create cluster =
       {
         Sim.Scheduler_intf.placements;
         cancelled = !cancelled;
-        think = think_of ~nodes ~arcs;
+        think = Sim.Scheduler_intf.flow_think ~nodes ~arcs;
         solver_wall = Some outcome.solver.Flow.Mcmf.elapsed_s;
         resilience = None;
       }

@@ -1,8 +1,6 @@
 module Poly_req = Hire.Poly_req
 module Hire_scheduler = Hire.Hire_scheduler
 
-let think_of ~nodes ~arcs = 0.0005 +. (3e-7 *. float_of_int (nodes + arcs))
-
 let create ?(simple_flavor = false) ?(params = Hire.Cost_model.default_params)
     ?(solver = Hire.Flow_network.Ssp) ?(shared = true)
     ?(resilience = Hire_scheduler.resilience ()) ?(incremental = true) ?name
@@ -13,24 +11,15 @@ let create ?(simple_flavor = false) ?(params = Hire.Cost_model.default_params)
     let o = Hire_scheduler.run_round sched ~time in
     let placements =
       List.map
-        (fun ((tg : Poly_req.task_group), machine) ->
-          let charged =
-            match tg.kind with
-            | Poly_req.Server_tg ->
-                Sim.Cluster.place_server_task cluster ~server:machine ~demand:tg.demand;
-                None
-            | Poly_req.Network_tg _ ->
-                Some (Sim.Cluster.place_network_task cluster ~switch:machine ~tg ~shared)
-          in
-          { Sim.Scheduler_intf.tg; machine; shared; charged })
+        (fun (tg, machine) -> Sim.Scheduler_intf.place cluster ~tg ~machine ~shared)
         o.placements
     in
     {
       Sim.Scheduler_intf.placements;
       cancelled = o.cancelled;
       think =
-        (if o.graph_nodes = 0 then 0.0005
-         else think_of ~nodes:o.graph_nodes ~arcs:o.graph_arcs);
+        (if o.graph_nodes = 0 then Sim.Scheduler_intf.idle_think
+         else Sim.Scheduler_intf.flow_think ~nodes:o.graph_nodes ~arcs:o.graph_arcs);
       solver_wall = Option.map (fun (r : Flow.Mcmf.result) -> r.elapsed_s) o.solver;
       resilience = Some o.resilience;
     }

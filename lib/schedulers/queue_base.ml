@@ -1,5 +1,3 @@
-module Poly_req = Hire.Poly_req
-
 type pick = time:float -> Modes.mjob -> Modes.tg_rt -> int option
 
 let make ~name ~think_per_alloc ?(max_allocs_per_round = 200) ?(order_jobs = fun x -> x)
@@ -10,14 +8,6 @@ let make ~name ~think_per_alloc ?(max_allocs_per_round = 200) ?(order_jobs = fun
   let c_retries = Obs.Registry.counter ("sched." ^ name ^ ".pick_retries") in
   let g_depth = Obs.Registry.gauge ("sched." ^ name ^ ".queue_depth") in
   let submit ~time poly = Modes.submit modes ~time poly in
-  let charge rt machine =
-    match (rt : Modes.tg_rt).tg.Poly_req.kind with
-    | Poly_req.Server_tg ->
-        Sim.Cluster.place_server_task cluster ~server:machine ~demand:rt.tg.Poly_req.demand;
-        None
-    | Poly_req.Network_tg _ ->
-        Some (Sim.Cluster.place_network_task cluster ~switch:machine ~tg:rt.tg ~shared:false)
-  in
   let round ~time =
     let cancelled = ref (Modes.tick modes ~time) in
     let placements = ref [] in
@@ -37,12 +27,12 @@ let make ~name ~think_per_alloc ?(max_allocs_per_round = 200) ?(order_jobs = fun
                   if Obs.enabled () then Obs.Registry.incr c_retries;
                   stop := true
               | Some machine ->
-                  let charged = charge rt machine in
+                  let placement =
+                    Sim.Scheduler_intf.place cluster ~tg:rt.tg ~machine ~shared:false
+                  in
                   let dropped = Modes.note_placement modes ~time job rt ~machine in
                   cancelled := !cancelled @ dropped;
-                  placements :=
-                    { Sim.Scheduler_intf.tg = rt.tg; machine; shared = false; charged }
-                    :: !placements;
+                  placements := placement :: !placements;
                   incr allocs
             done)
           (Modes.active_tgs modes job))

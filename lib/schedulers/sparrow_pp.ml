@@ -111,22 +111,12 @@ let create ~mode ~seed cluster =
             if feasible machine rt then begin
               ignore (Queue.pop q);
               st.outstanding <- max 0 (st.outstanding - 1);
-              let charged =
-                match rt.tg.Poly_req.kind with
-                | Poly_req.Server_tg ->
-                    Sim.Cluster.place_server_task cluster ~server:machine
-                      ~demand:rt.tg.Poly_req.demand;
-                    None
-                | Poly_req.Network_tg _ ->
-                    Some
-                      (Sim.Cluster.place_network_task cluster ~switch:machine ~tg:rt.tg
-                         ~shared:false)
+              let placement =
+                Sim.Scheduler_intf.place cluster ~tg:rt.tg ~machine ~shared:false
               in
               let dropped = Modes.note_placement modes ~time stub.s_job rt ~machine in
               cancelled := !cancelled @ dropped;
-              placements :=
-                { Sim.Scheduler_intf.tg = rt.tg; machine; shared = false; charged }
-                :: !placements
+              placements := placement :: !placements
             end
             else begin
               if Obs.enabled () then Obs.Registry.incr c_blocked;

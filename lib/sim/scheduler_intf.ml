@@ -15,6 +15,31 @@ type placement = {
       (** switch-side demand charged (network groups only) *)
 }
 
+(** [place cluster ~tg ~machine ~shared] charges [machine] for one task
+    of [tg] (a server's ledger for a server group, a switch's for a
+    network group, see {!Cluster.place_network_task} for [shared]) and
+    returns the placement to report.
+    @raise Invalid_argument if the task does not fit or the machine is
+    of the wrong kind. *)
+let place cluster ~(tg : Hire.Poly_req.task_group) ~machine ~shared =
+  let charged =
+    match tg.kind with
+    | Hire.Poly_req.Server_tg ->
+        Cluster.place_server_task cluster ~server:machine ~demand:tg.demand;
+        None
+    | Hire.Poly_req.Network_tg _ ->
+        Some (Cluster.place_network_task cluster ~switch:machine ~tg ~shared)
+  in
+  { tg; machine; shared; charged }
+
+(** Simulated decision time of a flow-based round (HIRE, CoCo++), in
+    seconds: the paper sets it "as a function of flow network
+    statistics" (§6.2), here linear in the network's nodes and arcs.  A
+    round that builds no network thinks for [idle_think]. *)
+let idle_think = 0.0005
+
+let flow_think ~nodes ~arcs = idle_think +. (3e-7 *. float_of_int (nodes + arcs))
+
 (** Per-round solver-resilience report (docs/RESILIENCE.md).  Only
     the flow-based HIRE schedulers produce it, on every round. *)
 type round_resilience = Hire.Hire_scheduler.round_resilience

@@ -528,7 +528,7 @@ let test_golden_role_digests () =
     (golden_cases ())
 
 (* [Flow_network.size] is the only input of the simulated think time
-   (Hire_adapter.think_of, Coco_pp.think_of), so it must read the same
+   (Sim.Scheduler_intf.flow_think), so it must read the same
    (nodes, arcs) whatever the builder leaves out of the graph.  The
    expected sizes are the graph sizes of the full Fig. 6 layout. *)
 let golden_sizes =

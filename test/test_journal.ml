@@ -111,6 +111,19 @@ let test_codec_fails_closed () =
   Alcotest.(check bool) "decode_string is an Error" true
     (Result.is_error (Codec.decode_string truncated (fun d -> Dec.string d)))
 
+(* A length or count that decodes negative is corrupt: the WAL and
+   spec-blob decoders fail closed on it with [Codec.Error], not with
+   [String.sub]'s [Invalid_argument] or a record that [Wal.encode]
+   rejects.  test_prelude's "codec" group checks the [Dec] primitives. *)
+let test_codec_negative_length_fails_closed () =
+  let all_ones = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  let fails_closed f = match f () with exception Codec.Error _ -> true | _ -> false in
+  Alcotest.(check bool) "Wal.decode commit" true
+    (fails_closed (fun () -> Sim.Wal.decode ("\x03" ^ all_ones)));
+  let version = String.sub (Experiment.spec_to_blob Experiment.default) 0 1 in
+  Alcotest.(check bool) "spec blob scheduler name" true
+    (fails_closed (fun () -> Experiment.spec_of_blob (version ^ all_ones ^ "hire")))
+
 let prop_codec_int_roundtrip =
   QCheck.Test.make ~name:"codec: zigzag int round-trips" ~count:500 QCheck.int (fun i ->
       let e = Enc.create () in
@@ -681,6 +694,7 @@ let () =
         [
           quick "round-trip" test_codec_roundtrip;
           quick "fails closed" test_codec_fails_closed;
+          quick "negative length fails closed" test_codec_negative_length_fails_closed;
         ]
         @ qt [ prop_codec_int_roundtrip ] );
       ( "framing",

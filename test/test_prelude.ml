@@ -1,5 +1,5 @@
 (* Unit and property tests for the prelude library: RNG, heap, stats,
-   vectors. *)
+   vectors, cost sort, codec. *)
 
 open Prelude
 
@@ -384,6 +384,28 @@ let prop_cost_sort_matches_array_sort =
     (QCheck.make ~print gen)
     (fun costs -> reference_order costs = cost_sort_order costs)
 
+(* ------------------------------------------------------------------ *)
+(* Codec                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Nine varint bytes whose 63 payload bits are all set: -1 as raw bits,
+   a value [Enc.uint] never writes (but [Enc.int min_int] does, which
+   test_journal's codec round-trip covers). *)
+let all_ones_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+let fails_closed decode =
+  match decode (Codec.Dec.of_string all_ones_varint) with
+  | exception Codec.Error _ -> true
+  | _ -> false
+
+let test_codec_uint_out_of_range () =
+  Alcotest.(check bool) "uint" true (fails_closed Codec.Dec.uint);
+  Alcotest.(check bool) "string length" true (fails_closed Codec.Dec.string);
+  Alcotest.(check bool) "array length" true
+    (fails_closed (fun d -> Codec.Dec.array d Codec.Dec.byte));
+  Alcotest.(check bool) "list length" true
+    (fails_closed (fun d -> Codec.Dec.list d Codec.Dec.byte))
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "prelude"
@@ -439,4 +461,6 @@ let () =
         :: Alcotest.test_case "pack bounds" `Quick test_cost_sort_bounds
         :: Alcotest.test_case "no allocation" `Quick test_cost_sort_no_alloc
         :: qt [ prop_cost_sort_matches_array_sort ] );
+      ( "codec",
+        [ Alcotest.test_case "uint out of range" `Quick test_codec_uint_out_of_range ] );
     ]
