@@ -40,7 +40,11 @@ test:
 # only the memo lookup `shared_loc_ctx` may call `loc_ctx`, and only
 # `loc_ctx` may call Locality.Gain.compute or Locality.upsilon: a
 # group's locality context is staged once per related set and shared
-# (docs/PERFORMANCE.md, "Shared locality context").  In
+# (docs/PERFORMANCE.md, "Shared locality context").  Likewise only the
+# shortcut memo lookup `memo_shortcuts` may call `server_shortcuts` or
+# `network_shortcuts`: a patched build prices a group's candidates only
+# where its memo entry cannot vouch for them (docs/PERFORMANCE.md,
+# "Shortcut memo").  In
 # lib/flow/mcmf.ml, `s.gen <- s.gen + 1` appears exactly once: one
 # search generation per augmentation, as a Dijkstra resumes the
 # zero-length search that missed instead of starting a new one; and
@@ -92,6 +96,10 @@ lint-compare:
 	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "loc_ctx"' lib/hire/flow_network.ml \
 		| grep -nE 'Locality\.(Gain\.compute|upsilon)\b'; } \
 		|| { echo "lint-compare: FAIL (Υ or Γ staged outside loc_ctx above)"; exit 1; }
+	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "memo_shortcuts" && !/^let (server|network)_shortcuts /' \
+		lib/hire/flow_network.ml \
+		| grep -nE '\b(server|network)_shortcuts +[a-z(~]'; } \
+		|| { echo "lint-compare: FAIL (shortcuts priced outside the memo lookup above)"; exit 1; }
 	@test "$$(grep -c 's\.gen <- s\.gen + 1' lib/flow/mcmf.ml)" -eq 1 \
 		|| { echo "lint-compare: FAIL (mcmf.ml must bump s.gen in exactly one place)"; exit 1; }
 	@! { sed -n '/^let zero_path/,/^let /p' lib/flow/mcmf.ml | grep -n 'Heap\.Int_pair'; } \

@@ -105,8 +105,53 @@ module Ids_tbl = Hashtbl.Make (struct
 end)
 
 (* A memoized context, with each key id's census stamp when it was
-   computed, and the last build that used it. *)
+   computed, and the last build that used it (or found it valid). *)
 type loc_entry = { ctx : loc_ctx; stamps : (int * int) list; mutable used : int }
+
+(* A task group's shortcut candidates: the buffer in generation order,
+   cut into one segment per scanned ToR (server groups) or supporting
+   switch (INC groups), and the sort keys [select_shortcuts] leaves,
+   the [kept] cheapest first.  The builder prices into its scratch
+   [cands]; each shortcut memo entry keeps a copy with only the kept
+   keys. *)
+type cands = {
+  mutable cost : int array;
+  mutable dst : int array;  (* graph node *)
+  mutable cap : int array;  (* the arc gets [min remaining cap] *)
+  mutable keys : int array;
+  mutable n : int;
+  mutable kept : int;
+  mutable seg_id : int array;  (* the ToR or switch segment [j] scanned *)
+  mutable seg_end : int array;  (* [end lsl 1 lor mixed]: buffer end, mixed-ToR flag *)
+  mutable n_seg : int;
+  mutable segmented : bool;  (* whether segments are recorded; a full build needs none *)
+}
+
+let empty_cands () =
+  {
+    cost = [||];
+    dst = [||];
+    cap = [||];
+    keys = [||];
+    n = 0;
+    kept = 0;
+    seg_id = [||];
+    seg_end = [||];
+    n_seg = 0;
+    segmented = true;
+  }
+
+(* A group's shortcut memo entry ([memo_shortcuts]): its candidates as
+   priced at build [priced_at], with the inputs the entry is dropped on
+   when they differ. *)
+type sc_entry = {
+  c : cands;
+  mutable loc : loc_entry option;  (* the group's locality context; [None]: Neutral *)
+  mutable placed_on : int list;
+  mutable phi_prio : float;
+  mutable priced_at : int;
+  mutable seen : int;  (* last build that looked it up *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* Persistent builder                                                 *)
@@ -131,7 +176,13 @@ type builder = {
   mutable mn_arc : int array;  (* Mn -> K arc, patched on switch dirt *)
   mutable tor_aggs : tor_agg option array;  (* by ToR switch id *)
   mutable tor_stamp : int array;  (* dedupe per-round ToR recomputes *)
-  mutable stamp : int;
+  (* The last build that patched a machine's ledger in (by server or
+     switch id), or changed a ToR's aggregate (by ToR id); -1 = none
+     since the arrays were made ([patch_prefix]).  [last_change] is
+     their maximum. *)
+  mutable changed_at : int array;
+  mutable agg_changed_at : int array;
+  mutable last_change : int;
   (* Bounds on the prefix's nodes and forward arcs, its server and
      INC-capable switch counts, and its switch-switch links, counted
      once per topology ([count_prefix]); [prefix_nodes] is -1 until
@@ -145,19 +196,19 @@ type builder = {
      and the last full build left out ([build_prefix]). *)
   mutable omitted_nodes : int;
   mutable omitted_arcs : int;
-  (* Shortcut candidates of the task group being built, in generation
-     order, and their packed sort keys (see [select_shortcuts]).  Reused
-     across groups and rounds. *)
-  mutable sc_cost : int array;
-  mutable sc_dst : int array;  (* graph node *)
-  mutable sc_cap : int array;
-  mutable sc_keys : int array;
-  mutable sc_n : int;
+  (* Shortcut candidates of the task group being priced; a memo entry
+     keeps a copy. *)
+  sc : cands;
+  (* Shortcut memo by tg id ([memo_shortcuts]); empty after a full
+     rebuild, which records nothing. *)
+  groups : sc_entry Int_tbl.t;
+  mutable sc_priced : int;  (* groups priced this build, in full or in part *)
+  mutable sc_reused : int;  (* groups re-emitted unpriced this build *)
   (* Locality contexts by related ids ([shared_loc_ctx]), computed
      from the one census the builder is used with. *)
   loc_memo : loc_entry Ids_tbl.t;
   mutable loc_computed : int;  (* contexts computed this build *)
-  mutable loc_reused : int;  (* contexts found in the memo this build *)
+  mutable loc_reused : int;  (* contexts found in a memo this build *)
   (* Stats. *)
   mutable builds : int;
   mutable full_rebuilds : int;
@@ -179,7 +230,9 @@ let create_builder () =
     mn_arc = [||];
     tor_aggs = [||];
     tor_stamp = [||];
-    stamp = 0;
+    changed_at = [||];
+    agg_changed_at = [||];
+    last_change = -1;
     prefix_nodes = -1;
     prefix_arcs = -1;
     n_machine_servers = 0;
@@ -187,11 +240,10 @@ let create_builder () =
     switch_links = 0;
     omitted_nodes = 0;
     omitted_arcs = 0;
-    sc_cost = [||];
-    sc_dst = [||];
-    sc_cap = [||];
-    sc_keys = [||];
-    sc_n = 0;
+    sc = empty_cands ();
+    groups = Int_tbl.create 64;
+    sc_priced = 0;
+    sc_reused = 0;
     loc_memo = Ids_tbl.create 16;
     loc_computed = 0;
     loc_reused = 0;
@@ -297,13 +349,29 @@ let shared_loc_ctx b view census ~params (tg : Poly_req.task_group) =
            e.stamps ->
       e.used <- b.builds;
       b.loc_reused <- b.loc_reused + 1;
-      e.ctx
+      e
   | _ ->
       let ctx = loc_ctx view census ~params ids in
       let stamps = List.map (fun id -> (id, Locality.Task_census.stamp census ~tg_id:id)) ids in
-      Ids_tbl.replace b.loc_memo ids { ctx; stamps; used = b.builds };
+      let e = { ctx; stamps; used = b.builds } in
+      Ids_tbl.replace b.loc_memo ids e;
       b.loc_computed <- b.loc_computed + 1;
-      ctx
+      e
+
+(* A group's locality context without sorting or hashing its related
+   ids: the entry the group used last build while it is still valid,
+   which one stamp walk per build settles for every group sharing it;
+   otherwise [shared_loc_ctx]. *)
+let group_loc (b : builder) view census ~params tg = function
+  | Some e
+    when e.used = b.builds
+         || List.for_all
+              (fun (id, stamp) -> Int.equal (Locality.Task_census.stamp census ~tg_id:id) stamp)
+              e.stamps ->
+      e.used <- b.builds;
+      b.loc_reused <- b.loc_reused + 1;
+      e
+  | _ -> shared_loc_ctx b view census ~params tg
 
 (* Cost_model.phi_loc ignores Υ, Γ and the weight when nothing related
    is placed. *)
@@ -322,7 +390,7 @@ let phi_loc_at ctx node =
 (* Shortcut candidates                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A group's candidates are appended to the builder's buffer, then
+(* A group's candidates are appended to a [cands] buffer, then
    [select_shortcuts] keeps the [max_shortcuts] cheapest.  The order of
    equal costs is observable (arc order sets SSP tie-breaks, and the cut
    decides which candidates survive), so it is fixed, and pinned by the
@@ -330,79 +398,126 @@ let phi_loc_at ctx node =
    reverse generation order.  Sort key [i] packs the cost of candidate
    [n-1-i] with that index, and Prelude.Cost_sort permutes the keys as
    [Array.sort] does (docs/PERFORMANCE.md, "Why the order is exact"). *)
-let push_shortcut b ~dst ~cap ~cost =
-  if b.sc_n = Array.length b.sc_cost then begin
-    let len = max 64 (2 * b.sc_n) in
+let push_shortcut c ~dst ~cap ~cost =
+  if c.n = Array.length c.cost then begin
+    let len = max 64 (2 * c.n) in
     let grow a =
       let a' = Array.make len 0 in
-      Array.blit a 0 a' 0 b.sc_n;
+      Array.blit a 0 a' 0 c.n;
       a'
     in
-    b.sc_cost <- grow b.sc_cost;
-    b.sc_dst <- grow b.sc_dst;
-    b.sc_cap <- grow b.sc_cap;
-    b.sc_keys <- Array.make len 0
+    c.cost <- grow c.cost;
+    c.dst <- grow c.dst;
+    c.cap <- grow c.cap;
+    c.keys <- Array.make len 0
   end;
-  let i = b.sc_n in
-  b.sc_cost.(i) <- cost;
-  b.sc_dst.(i) <- dst;
-  b.sc_cap.(i) <- cap;
-  b.sc_n <- i + 1
+  let i = c.n in
+  c.cost.(i) <- cost;
+  c.dst.(i) <- dst;
+  c.cap.(i) <- cap;
+  c.n <- i + 1
 
-(* Sorts the buffered candidates and returns how many of the cheapest
-   are kept; [Cost_sort.index b.sc_keys.(j)] is the buffer slot of the
-   [j]-th kept one. *)
-let select_shortcuts b ~(params : Cost_model.params) =
-  let n = b.sc_n in
-  for i = 0 to n - 1 do
-    let c = n - 1 - i in
-    b.sc_keys.(i) <- Prelude.Cost_sort.pack ~cost:b.sc_cost.(c) ~index:c
+(* Closes a segment: the candidates pushed since the previous one came
+   from scanning [id]; [mixed] marks a ToR priced server by server. *)
+let end_segment c id ~mixed =
+  if c.segmented then begin
+    if c.n_seg = Array.length c.seg_id then begin
+      let len = max 16 (2 * c.n_seg) in
+      let grow a =
+        let a' = Array.make len 0 in
+        Array.blit a 0 a' 0 c.n_seg;
+        a'
+      in
+      c.seg_id <- grow c.seg_id;
+      c.seg_end <- grow c.seg_end
+    end;
+    c.seg_id.(c.n_seg) <- id;
+    c.seg_end.(c.n_seg) <- (c.n lsl 1) lor Bool.to_int mixed;
+    c.n_seg <- c.n_seg + 1
+  end
+
+let seg_mixed c j = c.seg_end.(j) land 1 = 1
+
+(* Appends segment [j] of [src] to [c] unchanged. *)
+let copy_segment c src j =
+  for i = (if j = 0 then 0 else src.seg_end.(j - 1) lsr 1) to (src.seg_end.(j) lsr 1) - 1 do
+    push_shortcut c ~dst:src.dst.(i) ~cap:src.cap.(i) ~cost:src.cost.(i)
   done;
-  Prelude.Cost_sort.sort b.sc_keys n;
-  min n params.max_shortcuts
+  end_segment c src.seg_id.(j) ~mixed:(seg_mixed src j)
 
-let server_shortcuts b (view : View.t) ~params ~ctx ~phi_prio (ts : Pending.tg_state) =
-  let topo = view.topo in
+(* Sorts the buffered candidates and records how many of the cheapest
+   are kept; [Cost_sort.index c.keys.(j)] is the buffer slot of the
+   [j]-th kept one. *)
+let select_shortcuts c ~(params : Cost_model.params) =
+  let n = c.n in
+  for i = 0 to n - 1 do
+    let k = n - 1 - i in
+    c.keys.(i) <- Prelude.Cost_sort.pack ~cost:c.cost.(k) ~index:k
+  done;
+  Prelude.Cost_sort.sort c.keys n;
+  c.kept <- min n params.max_shortcuts
+
+let clear_cands c =
+  c.n <- 0;
+  c.n_seg <- 0
+
+(* The segment of ToR [tor] for a server group: one aggregate edge when
+   every server under it fits, else, when some might (a mixed ToR),
+   direct edges to the servers that do. *)
+let price_tor b (view : View.t) c ~params ~ctx ~phi_prio ~demand tor =
+  let mixed =
+    match b.tor_aggs.(tor) with
+    | None -> false
+    | Some agg ->
+        if Vec.fits ~demand ~available:agg.min_avail then begin
+          let cost =
+            Cost_model.gs_shortcut ~demand ~available:agg.max_avail ~phi_loc:(phi_loc_at ctx tor)
+              ~phi_prio params
+          in
+          push_shortcut c ~dst:b.ns_node.(tor) ~cap:agg.n_servers ~cost;
+          false
+        end
+        else if Vec.fits ~demand ~available:agg.max_avail then begin
+          let servers = Fat_tree.servers_under view.topo tor in
+          for j = 0 to Array.length servers - 1 do
+            let s = servers.(j) in
+            let available = view.server_available s in
+            if view.View.alive s && Vec.fits ~demand ~available then begin
+              let cost =
+                Cost_model.gs_shortcut ~demand ~available ~phi_loc:(phi_loc_at ctx s) ~phi_prio
+                  params
+              in
+              push_shortcut c ~dst:b.ms_node.(s) ~cap:1 ~cost
+            end
+          done;
+          true
+        end
+        else false
+  in
+  end_segment c tor ~mixed
+
+let server_shortcuts b (view : View.t) c ~params ~ctx ~phi_prio (ts : Pending.tg_state) =
   let demand = ts.tg.Poly_req.demand in
-  b.sc_n <- 0;
-  Array.iter
-    (fun tor ->
-      match b.tor_aggs.(tor) with
-      | None -> ()
-      | Some agg ->
-          if Vec.fits ~demand ~available:agg.min_avail then begin
-            (* Every server under this ToR fits: one aggregate edge. *)
-            let cost =
-              Cost_model.gs_shortcut ~demand ~available:agg.max_avail
-                ~phi_loc:(phi_loc_at ctx tor)
-                ~phi_prio params
-            in
-            push_shortcut b ~dst:b.ns_node.(tor) ~cap:(min ts.remaining agg.n_servers) ~cost
-          end
-          else if Vec.fits ~demand ~available:agg.max_avail then
-            (* Mixed ToR: direct edges to the servers that do fit. *)
-            Array.iter
-              (fun s ->
-                let available = view.server_available s in
-                if view.View.alive s && Vec.fits ~demand ~available then begin
-                  let cost =
-                    Cost_model.gs_shortcut ~demand ~available
-                      ~phi_loc:(phi_loc_at ctx s)
-                      ~phi_prio params
-                  in
-                  push_shortcut b ~dst:b.ms_node.(s) ~cap:1 ~cost
-                end)
-              (Fat_tree.servers_under topo tor))
-    (Fat_tree.tor_switches topo);
-  select_shortcuts b ~params
+  let tors = Fat_tree.tor_switches view.topo in
+  clear_cands c;
+  for j = 0 to Array.length tors - 1 do
+    price_tor b view c ~params ~ctx ~phi_prio ~demand tors.(j)
+  done;
+  select_shortcuts c ~params
 
 let rec mem_int x = function [] -> false | y :: l -> Int.equal x y || mem_int x l
 
-let network_shortcuts b (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_prio
-    (ts : Pending.tg_state) (ninfo : Poly_req.network_info) =
-  let topo = view.topo in
-  let sharing = view.sharing in
-  let service = ninfo.Poly_req.service in
+(* What pricing a switch for an INC group reads of the group. *)
+type inc_group = {
+  service : string;
+  per_instance : Vec.t;
+  fresh : Vec.t;  (* [per_instance] plus the registration (Sharing.effective_demand) *)
+  single_tor : bool;
+  placed_on : int list;
+}
+
+let inc_group ~(params : Cost_model.params) (ts : Pending.tg_state) (ninfo : Poly_req.network_info)
+    =
   (* A sharing-unaware scheduler (CoCo++ retrofit) folds the shared
      registration into every instance: no reuse benefit. *)
   let per_switch, per_instance =
@@ -411,37 +526,187 @@ let network_shortcuts b (view : View.t) ~(params : Cost_model.params) ~ctx ~phi_
       ( Vec.zero (Vec.dim ts.tg.Poly_req.demand),
         Vec.add ninfo.Poly_req.per_switch ts.tg.Poly_req.demand )
   in
-  (* The demand a switch is charged: [per_instance] where the service
-     is already registered, [fresh] where the registration comes too
-     (Sharing.effective_demand). *)
-  let fresh = Vec.add per_switch per_instance in
-  let single_tor =
-    match ninfo.Poly_req.shape with
-    | Comp_store.Single_tor -> true
-    | Comp_store.Single | Comp_store.Chain | Comp_store.Tree | Comp_store.Spine_leaf -> false
-  in
-  b.sc_n <- 0;
-  Sharing.iter_supporting sharing ~service
+  {
+    service = ninfo.Poly_req.service;
+    per_instance;
+    fresh = Vec.add per_switch per_instance;
+    single_tor =
+      (match ninfo.Poly_req.shape with
+      | Comp_store.Single_tor -> true
+      | Comp_store.Single | Comp_store.Chain | Comp_store.Tree | Comp_store.Spine_leaf -> false);
+    placed_on = ts.placed_on;
+  }
+
+(* The segment of switch [s] for an INC group: at most one edge. *)
+let price_switch b (view : View.t) c ~(params : Cost_model.params) ~ctx ~phi_prio g s ~avail
+    ~capacity ~active ~n_active ~n_supported =
+  let demand = if active then g.per_instance else g.fresh in
+  if
+    ((not g.single_tor) || Fat_tree.kind view.topo s = Fat_tree.Tor)
+    && (not (mem_int s g.placed_on))
+    && Vec.fits ~demand ~available:avail
+  then begin
+    let phi_new =
+      if params.sharing_aware then
+        Cost_model.phi_new ~service_active:active ~n_active ~max_possible:n_supported
+      else 0.5
+    in
+    let cost =
+      Cost_model.gn_shortcut ~demand ~available:avail ~capacity ~phi_loc:(phi_loc_at ctx s)
+        ~phi_new ~phi_prio params
+    in
+    push_shortcut c ~dst:b.mn_node.(s) ~cap:1 ~cost
+  end;
+  end_segment c s ~mixed:false
+
+(* [price_switch] with the arguments [Sharing.iter_supporting] passes. *)
+let reprice_switch b (view : View.t) c ~params ~ctx ~phi_prio g s =
+  let sharing = view.sharing in
+  let n_active = Sharing.n_active sharing s in
+  price_switch b view c ~params ~ctx ~phi_prio g s
+    ~avail:(Sharing.live_available sharing s)
+    ~capacity:(Sharing.live_capacity sharing)
+    ~active:(n_active > 0 && Sharing.instances sharing ~switch:s ~service:g.service > 0)
+    ~n_active
+    ~n_supported:(Sharing.n_supported sharing s)
+
+let network_shortcuts b (view : View.t) c ~params ~ctx ~phi_prio g =
+  clear_cands c;
+  Sharing.iter_supporting view.sharing ~service:g.service
     (fun s ~avail ~capacity ~active ~n_active ~n_supported ->
-      let demand = if active then per_instance else fresh in
-      if
-        ((not single_tor) || Fat_tree.kind topo s = Fat_tree.Tor)
-        && (not (mem_int s ts.placed_on))
-        && Vec.fits ~demand ~available:avail
-      then begin
-        let phi_new =
-          if params.sharing_aware then
-            Cost_model.phi_new ~service_active:active ~n_active ~max_possible:n_supported
-          else 0.5
+      price_switch b view c ~params ~ctx ~phi_prio g s ~avail ~capacity ~active ~n_active
+        ~n_supported);
+  select_shortcuts c ~params
+
+(* Whether segment [j] of [c], priced at build [p], may price
+   differently now.  A ToR segment of a server group reads the ToR's
+   aggregate and, when mixed, the ledgers of the servers under it; a
+   switch segment reads that switch's ledger and sharing state. *)
+let stale_segment b topo ~server c j p =
+  let id = c.seg_id.(j) in
+  if server then
+    b.agg_changed_at.(id) > p
+    || seg_mixed c j
+       &&
+       let servers = Fat_tree.servers_under topo id in
+       let rec any i =
+         i < Array.length servers && (b.changed_at.(servers.(i)) > p || any (i + 1))
+       in
+       any 0
+  else b.changed_at.(id) > p
+
+let ctx_of = function Some l -> l.ctx | None -> Neutral
+
+(* Copies the candidates of [src] into [dst], with the kept keys only,
+   reusing [dst]'s arrays when they are long enough. *)
+let store_cands dst src =
+  let fit a n = if Array.length a >= n then a else Array.make n 0 in
+  dst.cost <- fit dst.cost src.n;
+  dst.dst <- fit dst.dst src.n;
+  dst.cap <- fit dst.cap src.n;
+  dst.keys <- fit dst.keys src.kept;
+  dst.seg_id <- fit dst.seg_id src.n_seg;
+  dst.seg_end <- fit dst.seg_end src.n_seg;
+  Array.blit src.cost 0 dst.cost 0 src.n;
+  Array.blit src.dst 0 dst.dst 0 src.n;
+  Array.blit src.cap 0 dst.cap 0 src.n;
+  Array.blit src.keys 0 dst.keys 0 src.kept;
+  Array.blit src.seg_id 0 dst.seg_id 0 src.n_seg;
+  Array.blit src.seg_end 0 dst.seg_end 0 src.n_seg;
+  dst.n <- src.n;
+  dst.kept <- src.kept;
+  dst.n_seg <- src.n_seg
+
+(* The shortcut candidates of one pending group (docs/PERFORMANCE.md,
+   "Shortcut memo").  A full rebuild prices every group into the
+   scratch and records nothing.  A patched build keeps each group's
+   candidates in the memo: while its locality context, [placed_on] and
+   Φprio are the ones it was priced with, it re-prices only the
+   segments whose machines changed since, copies the others, and
+   re-sorts; with no such segment it returns them as they are. *)
+let memo_shortcuts b (view : View.t) census ~(params : Cost_model.params) ~phi_prio
+    (ts : Pending.tg_state) =
+  let tg = ts.tg in
+  let price c ctx =
+    match tg.Poly_req.kind with
+    | Poly_req.Server_tg -> server_shortcuts b view c ~params ~ctx ~phi_prio ts
+    | Poly_req.Network_tg ninfo ->
+        network_shortcuts b view c ~params ~ctx ~phi_prio (inc_group ~params ts ninfo)
+  in
+  b.sc.segmented <- not b.last_full;
+  if b.last_full then begin
+    b.sc_priced <- b.sc_priced + 1;
+    price b.sc
+      (if params.locality_aware then (shared_loc_ctx b view census ~params tg).ctx else Neutral);
+    b.sc
+  end
+  else begin
+    let found = Int_tbl.find_opt b.groups tg.Poly_req.tg_id in
+    let loc =
+      if params.locality_aware then
+        Some
+          (group_loc b view census ~params tg
+             (match found with Some e -> e.loc | None -> None))
+      else None
+    in
+    let ctx = ctx_of loc in
+    match found with
+    | Some e
+      when ctx_of e.loc == ctx
+           && ts.placed_on == e.placed_on
+           && Float.equal phi_prio e.phi_prio ->
+        e.seen <- b.builds;
+        let p = e.priced_at and old = e.c in
+        let server = not (Poly_req.is_network tg) in
+        let rec stale j =
+          j < old.n_seg && (stale_segment b view.topo ~server old j p || stale (j + 1))
         in
-        let cost =
-          Cost_model.gn_shortcut ~demand ~available:avail ~capacity
-            ~phi_loc:(phi_loc_at ctx s)
-            ~phi_new ~phi_prio params
-        in
-        push_shortcut b ~dst:b.mn_node.(s) ~cap:1 ~cost
-      end);
-  select_shortcuts b ~params
+        if b.last_change > p && stale 0 then begin
+          let c = b.sc in
+          let reprice =
+            match tg.Poly_req.kind with
+            | Poly_req.Server_tg ->
+                price_tor b view c ~params ~ctx ~phi_prio ~demand:tg.Poly_req.demand
+            | Poly_req.Network_tg ninfo ->
+                reprice_switch b view c ~params ~ctx ~phi_prio (inc_group ~params ts ninfo)
+          in
+          clear_cands c;
+          for j = 0 to old.n_seg - 1 do
+            if stale_segment b view.topo ~server old j p then reprice old.seg_id.(j)
+            else copy_segment c old j
+          done;
+          select_shortcuts c ~params;
+          store_cands old c;
+          e.priced_at <- b.builds;
+          b.sc_priced <- b.sc_priced + 1
+        end
+        else b.sc_reused <- b.sc_reused + 1;
+        e.c
+    | _ ->
+        price b.sc ctx;
+        b.sc_priced <- b.sc_priced + 1;
+        (match found with
+        | Some e ->
+            store_cands e.c b.sc;
+            e.loc <- loc;
+            e.placed_on <- ts.placed_on;
+            e.phi_prio <- phi_prio;
+            e.priced_at <- b.builds;
+            e.seen <- b.builds
+        | None ->
+            let c = empty_cands () in
+            store_cands c b.sc;
+            Int_tbl.replace b.groups tg.Poly_req.tg_id
+              {
+                c;
+                loc;
+                placed_on = ts.placed_on;
+                phi_prio;
+                priced_at = b.builds;
+                seen = b.builds;
+              });
+        b.sc
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Build                                                              *)
@@ -576,37 +841,69 @@ let build_prefix b (view : View.t) ~(params : Cost_model.params) mk =
   b.prefix <- Some { mark = Graph.mark g; p_arcs = Graph.arc_count g };
   sink
 
+(* Whether two ToR aggregates price every shortcut alike: same server
+   count and bit-identical bounds. *)
+let same_agg a b =
+  let same_vec (x : Vec.t) (y : Vec.t) =
+    let rec go i =
+      i = Array.length x
+      || Int64.equal (Int64.bits_of_float x.(i)) (Int64.bits_of_float y.(i)) && go (i + 1)
+    in
+    Array.length x = Array.length y && go 0
+  in
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      a.n_servers = b.n_servers && same_vec a.min_avail b.min_avail
+      && same_vec a.max_avail b.max_avail
+  | None, Some _ | Some _, None -> false
+
 (* Rewind the graph to the topology prefix and patch only the arcs whose
    inputs changed: Ms→K / Mn→K costs of dirty nodes and the ToR
-   aggregates of dirty servers.
+   aggregates of dirty servers.  The same pass stamps what the shortcut
+   memo reads: every dirty server and switch, and every ToR whose
+   aggregate moved.
    The resulting arrays are element-for-element identical to what
    [build_prefix] would produce from the same cluster state, which is
    what makes incremental solves bit-identical to full rebuilds. *)
 let patch_prefix b (view : View.t) p d ~(params : Cost_model.params) touched =
   let g = b.g in
   let topo = view.topo in
+  let now = b.builds in
+  (* The stamp arrays are made by the first patch for a topology: a cold
+     round, which never patches, does without them. *)
+  let node_count = Fat_tree.node_count topo in
+  if Array.length b.changed_at <> node_count then begin
+    b.changed_at <- Array.make node_count (-1);
+    b.agg_changed_at <- Array.make node_count (-1)
+  end;
   Graph.release g p.mark;
   (* Undo last round's flow (and any injected corruption) on prefix arcs. *)
   Graph.reset_flows g;
   Dirty.iter_servers d (fun s ->
+      b.changed_at.(s) <- now;
+      b.last_change <- now;
       let a = b.ms_arc.(s) in
       if a >= 0 then begin
         Graph.set_cost g a (ms_cost view s params);
         incr touched
       end);
   Dirty.iter_switches d (fun s ->
+      b.changed_at.(s) <- now;
+      b.last_change <- now;
       let a = b.mn_arc.(s) in
       if a >= 0 then begin
         Graph.set_cost g a (mn_cost view s params);
         incr touched
       end);
   (* Re-aggregate only the ToRs owning a dirty server (deduped). *)
-  b.stamp <- b.stamp + 1;
   Dirty.iter_servers d (fun s ->
       let tor = Fat_tree.tor_of_server topo s in
-      if b.tor_stamp.(tor) <> b.stamp then begin
-        b.tor_stamp.(tor) <- b.stamp;
-        b.tor_aggs.(tor) <- compute_tor_agg view tor
+      if b.tor_stamp.(tor) <> now then begin
+        b.tor_stamp.(tor) <- now;
+        let agg = compute_tor_agg view tor in
+        if not (same_agg b.tor_aggs.(tor) agg) then b.agg_changed_at.(tor) <- now;
+        b.tor_aggs.(tor) <- agg
       end)
 
 let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.params) =
@@ -615,6 +912,8 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
   ensure_topology b (Fat_tree.node_count topo);
   b.loc_computed <- 0;
   b.loc_reused <- 0;
+  b.sc_priced <- 0;
+  b.sc_reused <- 0;
   let g = b.g in
   let mk r =
     let v = Graph.add_node g in
@@ -705,22 +1004,15 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
         (fun (ts : Pending.tg_state) ->
           let tg = ts.tg in
           let gnode = mk (Group tg.Poly_req.tg_id) in
-          let ctx =
-            if params.locality_aware then shared_loc_ctx b view census ~params tg else Neutral
-          in
-          let kept =
-            match tg.Poly_req.kind with
-            | Poly_req.Server_tg -> server_shortcuts b view ~params ~ctx ~phi_prio ts
-            | Poly_req.Network_tg ninfo -> network_shortcuts b view ~params ~ctx ~phi_prio ts ninfo
-          in
-          if kept > 0 then
+          let c = memo_shortcuts b view census ~params ~phi_prio ts in
+          if c.kept > 0 then
             Int_tbl.replace cheapest_shortcut tg.Poly_req.tg_id
-              (Prelude.Cost_sort.cost b.sc_keys.(0));
-          for j = 0 to kept - 1 do
-            let c = Prelude.Cost_sort.index b.sc_keys.(j) in
+              (Prelude.Cost_sort.cost c.keys.(0));
+          for j = 0 to c.kept - 1 do
+            let i = Prelude.Cost_sort.index c.keys.(j) in
             ignore
-              (Graph.add_arc g ~src:gnode ~dst:b.sc_dst.(c) ~cap:b.sc_cap.(c)
-                 ~cost:b.sc_cost.(c))
+              (Graph.add_arc g ~src:gnode ~dst:c.dst.(i) ~cap:(Int.min ts.remaining c.cap.(i))
+                 ~cost:c.cost.(i))
           done;
           match Pending.status job ts with
           | Flavor.Materialized ->
@@ -831,9 +1123,17 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
   Ids_tbl.filter_map_inplace
     (fun _ e -> if Int.equal e.used b.builds then Some e else None)
     b.loc_memo;
+  (* And only the shortcut entries of the groups this build looked up.
+     A full rebuild looks up none, so it empties the memo: node ids and
+     every ledger may have moved under the entries. *)
+  Int_tbl.filter_map_inplace
+    (fun _ e -> if Int.equal e.seen b.builds then Some e else None)
+    b.groups;
   if Obs.enabled () then begin
     Obs.Registry.incr ~by:b.loc_computed (Obs.Registry.counter "hire.loc_ctx.computed");
-    Obs.Registry.incr ~by:b.loc_reused (Obs.Registry.counter "hire.loc_ctx.reused")
+    Obs.Registry.incr ~by:b.loc_reused (Obs.Registry.counter "hire.loc_ctx.reused");
+    Obs.Registry.incr ~by:b.sc_priced (Obs.Registry.counter "hire.shortcuts.priced");
+    Obs.Registry.incr ~by:b.sc_reused (Obs.Registry.counter "hire.shortcuts.reused")
   end;
   b.valid_n <- Graph.node_count g;
   b.builds <- b.builds + 1;

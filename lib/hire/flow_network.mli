@@ -63,16 +63,31 @@ type t
     and later builds reuse it while the {!Locality.Task_census.stamp}
     of each of those ids is unchanged; a build drops the contexts it
     did not use.  A fresh builder therefore still shares contexts
-    within its one build.
+    within its one build.  A patched build finds a group's context
+    through the entry the group used last build, without sorting or
+    hashing its related ids.
+
+    And it owns a shortcut memo by task-group id: a group's shortcut
+    candidates in generation order, one segment per ToR (server groups)
+    or supporting switch (INC groups), and the cheapest it kept.  A
+    patched build stamps every dirty server and switch, and every ToR
+    whose aggregate moved; a group none of whose scanned machines was
+    stamped since it was priced re-emits its kept arcs unpriced, and
+    one with stamped machines re-prices just those segments and
+    re-sorts.  An entry is dropped when the group's locality context,
+    [placed_on] or Φprio is not the one it was priced with, and a full
+    rebuild drops them all and records none, so a cold build costs what
+    it did without the memo.
 
     A builder is bound to one cluster (one topology instance and one
     parameter set) and to one census: reuse it only across rounds of
     the same scheduler.
     Incremental and full builds are {e bit-identical} — the patch path
-    reproduces exactly the arrays a fresh build would create, and a
-    reused context is the one a fresh build would compute, so solver
-    results (placements, objective values) never depend on which path
-    ran. *)
+    reproduces exactly the arrays a fresh build would create, a reused
+    context is the one a fresh build would compute, and a memoized
+    group emits the arcs a fresh pricing would (docs/PERFORMANCE.md,
+    "Why the shortcut memo is exact"), so solver results (placements,
+    objective values) never depend on which path ran. *)
 type builder
 
 (** [create_builder ()] makes a fresh builder.  A patched build first

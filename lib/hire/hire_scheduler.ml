@@ -150,8 +150,11 @@ let inc_still_feasible t (job : Pending.job_state) =
                    then incr eligible);
              !eligible >= ts.remaining)
 
+(* Pushes the groups of [dropped] onto [acc], a newest-first list. *)
+let push_dropped acc dropped = List.fold_left (fun acc ts -> ts.Pending.tg :: acc) acc dropped
+
 (* Apply the round's flavor picks so the picked groups materialize;
-   records decisions and dropped groups. *)
+   records decisions and pushes dropped groups onto [cancelled]. *)
 let apply_flavor_picks t ~flavor_picks ~cancelled ~decisions =
   List.iter
     (fun (job_id, tg_id) ->
@@ -170,10 +173,10 @@ let apply_flavor_picks t ~flavor_picks ~cancelled ~decisions =
                       ("inc", Obs.Trace.Bool (Poly_req.is_network ts.tg));
                     ];
                 let dropped = Pending.decide job ts in
-                cancelled := !cancelled @ List.map (fun d -> d.Pending.tg) dropped;
+                cancelled := push_dropped !cancelled dropped;
                 if t.config.simple_flavor then begin
                   let dropped' = propagate_simple job (Poly_req.is_network ts.tg) in
-                  cancelled := !cancelled @ List.map (fun d -> d.Pending.tg) dropped'
+                  cancelled := push_dropped !cancelled dropped'
                 end
               end))
     flavor_picks
@@ -344,7 +347,7 @@ let run_round t ~time =
     Obs.Registry.incr (Obs.Registry.counter "hire.rounds")
   end;
   let params = t.config.params in
-  let cancelled = ref [] in
+  let cancelled = ref [] (* newest first *) in
   let fallbacks = ref 0 in
   (* Flavor timeout (Φpref upper bound): preempt the flavor decision "in
      case of congested resources" — jobs whose INC parts have become
@@ -360,7 +363,7 @@ let run_round t ~time =
       then begin
         let dropped = Pending.force_server_fallback job in
         incr fallbacks;
-        cancelled := !cancelled @ List.map (fun ts -> ts.Pending.tg) dropped
+        cancelled := push_dropped !cancelled dropped
       end)
     (job_list t);
   let emit_round_end (o : round_outcome) =
@@ -390,7 +393,7 @@ let run_round t ~time =
     emit_round_end
       {
         placements = [];
-        cancelled = !cancelled;
+        cancelled = List.rev !cancelled;
         fallbacks = !fallbacks;
         flavor_decisions = [];
         solver = None;
@@ -466,7 +469,7 @@ let run_round t ~time =
     emit_round_end
       {
         placements;
-        cancelled = !cancelled;
+        cancelled = List.rev !cancelled;
         fallbacks = !fallbacks;
         flavor_decisions = List.rev !decisions;
         solver = solver_res;

@@ -81,13 +81,18 @@ module Dec = struct
     c
 
   (* Raw 63-bit varint, the inverse of [Enc.varint_bits]: a result with
-     the sign bit set is a legal zigzag pattern, not an error. *)
+     the sign bit set is a legal zigzag pattern, not an error.  Only the
+     encoder's own form decodes: a final 0x00 after a continuation byte
+     pads the value with a zero group [Enc.varint_bits] never writes, so
+     it is corrupt input, and every value has one encoding. *)
   let varint_bits d =
     let rec go shift acc =
       if shift > 62 then fail "varint overflow at %d" d.pos;
       let b = byte d in
       let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+      if b land 0x80 <> 0 then go (shift + 7) acc
+      else if b = 0 && shift > 0 then fail "overlong varint at %d" (d.pos - 1)
+      else acc
     in
     go 0 0
 

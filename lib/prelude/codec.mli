@@ -46,7 +46,10 @@ module Dec : sig
   val byte : t -> int
 
   (** @raise Error on a value above [max_int], which {!Enc.uint} cannot
-      have written. *)
+      have written.  Like {!int}, it accepts only the encoder's own
+      varint: a final 0x00 after a continuation byte (an overlong
+      encoding) raises [Error], so each value decodes from one byte
+      string only. *)
   val uint : t -> int
 
   val int : t -> int

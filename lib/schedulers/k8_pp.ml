@@ -28,17 +28,20 @@ let create ~mode cluster =
         if Poly_req.is_network rt.tg then Policy_util.switch_feasible cluster ~switch:m rt
         else Policy_util.server_fits cluster ~server:m ~demand:rt.tg.Poly_req.demand
       in
-      let candidates = ref [] in
+      let candidates = ref [] and n_candidates = ref 0 in
       let scanned = ref 0 in
       (* Resume the round-robin scan where the previous request stopped;
          keep scanning past the sample budget only while empty-handed. *)
       while
         !scanned < n
-        && (List.length !candidates < want
-           && (!scanned < sample_budget || !candidates = []))
+        && !n_candidates < want
+        && (!scanned < sample_budget || !n_candidates = 0)
       do
         let m = pool.((!cursor + !scanned) mod n) in
-        if feasible m then candidates := m :: !candidates;
+        if feasible m then begin
+          candidates := m :: !candidates;
+          incr n_candidates
+        end;
         incr scanned
       done;
       cursor := (!cursor + !scanned) mod n;

@@ -9,7 +9,8 @@ let make ~name ~think_per_alloc ?(max_allocs_per_round = 200) ?(order_jobs = fun
   let g_depth = Obs.Registry.gauge ("sched." ^ name ^ ".queue_depth") in
   let submit ~time poly = Modes.submit modes ~time poly in
   let round ~time =
-    let cancelled = ref (Modes.tick modes ~time) in
+    (* Newest first; reversed once below. *)
+    let cancelled = ref (List.rev (Modes.tick modes ~time)) in
     let placements = ref [] in
     let attempts = ref 0 in
     let allocs = ref 0 in
@@ -31,7 +32,7 @@ let make ~name ~think_per_alloc ?(max_allocs_per_round = 200) ?(order_jobs = fun
                     Sim.Scheduler_intf.place cluster ~tg:rt.tg ~machine ~shared:false
                   in
                   let dropped = Modes.note_placement modes ~time job rt ~machine in
-                  cancelled := !cancelled @ dropped;
+                  cancelled := List.rev_append dropped !cancelled;
                   placements := placement :: !placements;
                   incr allocs
             done)
@@ -44,7 +45,7 @@ let make ~name ~think_per_alloc ?(max_allocs_per_round = 200) ?(order_jobs = fun
     end;
     {
       Sim.Scheduler_intf.placements = List.rev !placements;
-      cancelled = !cancelled;
+      cancelled = List.rev !cancelled;
       think = think_per_alloc *. float_of_int (max 1 !attempts);
       solver_wall = None;
       resilience = None;

@@ -71,7 +71,8 @@ let create ~mode ~seed cluster =
   in
   let submit ~time poly = Modes.submit modes ~time poly in
   let round ~time =
-    let cancelled = ref (Modes.tick modes ~time) in
+    (* Newest first; reversed once below. *)
+    let cancelled = ref (List.rev (Modes.tick modes ~time)) in
     let attempts = ref 0 in
     (* Sampling pass: fresh groups, and re-checks for starved groups. *)
     List.iter
@@ -115,7 +116,7 @@ let create ~mode ~seed cluster =
                 Sim.Scheduler_intf.place cluster ~tg:rt.tg ~machine ~shared:false
               in
               let dropped = Modes.note_placement modes ~time stub.s_job rt ~machine in
-              cancelled := !cancelled @ dropped;
+              cancelled := List.rev_append dropped !cancelled;
               placements := placement :: !placements
             end
             else begin
@@ -133,7 +134,7 @@ let create ~mode ~seed cluster =
     end;
     {
       Sim.Scheduler_intf.placements = List.rev !placements;
-      cancelled = !cancelled;
+      cancelled = List.rev !cancelled;
       think = think_per_alloc *. float_of_int (max 1 !attempts);
       solver_wall = None;
       resilience = None;

@@ -1,4 +1,5 @@
 module Vec = Prelude.Vec
+module Int_tbl = Prelude.Int_tbl
 
 type kind = Core | Agg | Tor | Server
 
@@ -15,8 +16,8 @@ type t = {
   parents_adj : int list array;
   children_adj : int list array;
   tor_of : int array;  (* server id -> tor id; -1 for non-servers *)
-  servers_under_cache : (int, int array) Hashtbl.t;
-  switches_under_cache : (int, int array) Hashtbl.t;
+  servers_under_cache : int array Int_tbl.t;
+  switches_under_cache : int array Int_tbl.t;
 }
 
 let create ~k =
@@ -91,8 +92,8 @@ let create ~k =
     parents_adj;
     children_adj;
     tor_of;
-    servers_under_cache = Hashtbl.create 64;
-    switches_under_cache = Hashtbl.create 64;
+    servers_under_cache = Int_tbl.create 64;
+    switches_under_cache = Int_tbl.create 64;
   }
 
 let create_leaf_spine ~spines ~leafs ~servers_per_leaf =
@@ -146,8 +147,8 @@ let create_leaf_spine ~spines ~leafs ~servers_per_leaf =
     parents_adj;
     children_adj;
     tor_of;
-    servers_under_cache = Hashtbl.create 64;
-    switches_under_cache = Hashtbl.create 64;
+    servers_under_cache = Int_tbl.create 64;
+    switches_under_cache = Int_tbl.create 64;
   }
 
 let k t = t.k
@@ -180,7 +181,7 @@ let neighbors t id = parents t id @ children t id
 
 let servers_under t id =
   ignore (node t id);
-  match Hashtbl.find_opt t.servers_under_cache id with
+  match Int_tbl.find_opt t.servers_under_cache id with
   | Some arr -> arr
   | None ->
       let acc = ref [] in
@@ -190,12 +191,12 @@ let servers_under t id =
       in
       go id;
       let arr = Array.of_list (List.sort_uniq Int.compare !acc) in
-      Hashtbl.replace t.servers_under_cache id arr;
+      Int_tbl.replace t.servers_under_cache id arr;
       arr
 
 let switches_under t id =
   if not (is_switch t id) then invalid_arg "Fat_tree.switches_under: not a switch";
-  match Hashtbl.find_opt t.switches_under_cache id with
+  match Int_tbl.find_opt t.switches_under_cache id with
   | Some arr -> arr
   | None ->
       let seen = Hashtbl.create 16 in
@@ -207,7 +208,7 @@ let switches_under t id =
       in
       go id;
       let arr = Array.of_list (List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])) in
-      Hashtbl.replace t.switches_under_cache id arr;
+      Int_tbl.replace t.switches_under_cache id arr;
       arr
 
 (* The ToR "address" of a node when it has one: servers and ToRs map to a

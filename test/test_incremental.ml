@@ -663,7 +663,9 @@ let prop_reachable_exact =
    reused buffers, so its allocation does not depend on how many
    candidates there are: a server group that fits under all 32 ToRs of
    a k=8 cluster allocates exactly what one that fits under a single
-   ToR does. *)
+   ToR does.  The measured build re-prices the group (its [placed_on]
+   moved, so its memo entry cannot vouch for it) into arrays of the
+   sizes it had. *)
 let test_warm_build_alloc_flat () =
   let warm_build_words ~fitting_tors =
     let cluster = make_cluster ~k:8 () in
@@ -691,6 +693,8 @@ let test_warm_build_alloc_flat () =
     let build () = Flow_network.build ~builder view census ~jobs ~now:10.0 ~params in
     ignore (build ());
     ignore (build ());
+    let job = List.hd jobs in
+    Pending.place job job.Pending.tg_states.(0) ~machine:(Topology.Fat_tree.servers topo).(0);
     let before = Gc.minor_words () in
     let net = build () in
     let words = Gc.minor_words () -. before in
@@ -701,6 +705,48 @@ let test_warm_build_alloc_flat () =
   let arcs_one, words_one = warm_build_words ~fitting_tors:1 in
   Alcotest.(check int) "31 more shortcut arcs" 31 (arcs_all - arcs_one);
   Alcotest.(check (float 0.0)) "same minor words" words_one words_all
+
+(* The shortcut memo re-prices a group only where [Hire.Dirty] says a
+   machine changed, or after a structural mark forces a full rebuild.
+   So every [Sim.Cluster] mutation must leave one of the two: the
+   changed server or switch in the dirty set, or [structural]. *)
+let test_every_mutation_marks () =
+  let cluster = make_cluster ~k:4 () in
+  let view = Sim.Cluster.view cluster in
+  let dirty = view.Hire.View.dirty in
+  let topo = view.Hire.View.topo in
+  let server = (Topology.Fat_tree.servers topo).(2) in
+  let switch = List.hd (inc_switches cluster) in
+  let ts = List.hd (network_tgs (golden_jobs ())) in
+  let demand = Vec.scale 0.1 (Sim.Cluster.server_capacity cluster) in
+  let marked name ~servers ~switches ~structural f =
+    Hire.Dirty.clear dirty;
+    f ();
+    let got_servers = ref [] and got_switches = ref [] in
+    Hire.Dirty.iter_servers dirty (fun s -> got_servers := s :: !got_servers);
+    Hire.Dirty.iter_switches dirty (fun s -> got_switches := s :: !got_switches);
+    Alcotest.(check (list int)) (name ^ ": dirty servers") servers !got_servers;
+    Alcotest.(check (list int)) (name ^ ": dirty switches") switches !got_switches;
+    Alcotest.(check bool) (name ^ ": structural") structural (Hire.Dirty.structural dirty)
+  in
+  let before = Sim.Cluster.snapshot cluster in
+  marked "server place" ~servers:[ server ] ~switches:[] ~structural:false (fun () ->
+      Sim.Cluster.place_server_task cluster ~server ~demand);
+  marked "server release" ~servers:[ server ] ~switches:[] ~structural:false (fun () ->
+      Sim.Cluster.release_server_task cluster ~server ~demand);
+  marked "network place" ~servers:[] ~switches:[ switch ] ~structural:false (fun () ->
+      ignore (Sim.Cluster.place_network_task cluster ~switch ~tg:ts.tg ~shared:true));
+  marked "network release" ~servers:[] ~switches:[ switch ] ~structural:false (fun () ->
+      Sim.Cluster.release_network_task cluster ~switch ~tg:ts.tg ~shared:true);
+  List.iter
+    (fun node ->
+      marked "fail_node" ~servers:[] ~switches:[] ~structural:true (fun () ->
+          Sim.Cluster.fail_node cluster ~time:1.0 node);
+      marked "recover_node" ~servers:[] ~switches:[] ~structural:true (fun () ->
+          ignore (Sim.Cluster.recover_node cluster node)))
+    [ server; switch ];
+  marked "restore" ~servers:[] ~switches:[] ~structural:true (fun () ->
+      Sim.Cluster.restore cluster before)
 
 (* [View.server_available] hands the builder the live server ledgers,
    and Mn→K pricing reads the live switch ledgers: building, solving
@@ -912,6 +958,212 @@ let prop_shared_loc_ctx_exact =
       rounds 1)
 
 (* ------------------------------------------------------------------ *)
+(* Shortcut memo                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Random multi-round k=4/k=8 runs with one persistent builder, driven
+   the way the scheduler drives it: each round's flavor picks decide
+   jobs, and some of its placements charge the ledgers and grow the
+   groups' [placed_on] and the census (leaving the rest pending keeps
+   groups alive across rounds, so their memo entries get reused and
+   re-priced in part).  Between rounds running tasks finish, other
+   load comes and goes on the servers, the census churns on unrelated
+   groups, nodes fail and recover, jobs arrive, and now and then the
+   cluster is restored from a snapshot.  The servers start unevenly
+   loaded, so many ToRs are mixed.  The cut, locality and sharing
+   awareness and the INC setup vary per case.  Every round the
+   persistent builder's network must equal a fresh builder's arc for
+   arc and supply for supply, with the same placements and objective. *)
+let prop_shortcut_memo_exact =
+  QCheck.Test.make ~name:"memoized shortcuts = fresh builds over multi-round runs" ~count:60
+    QCheck.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, k8) ->
+      let k = if k8 then 8 else 4 in
+      let rng = Rng.create seed in
+      let services = Comp_store.service_names store in
+      let setup = if Rng.bool rng then Sim.Cluster.Homogeneous else Sim.Cluster.Heterogeneous in
+      let cluster =
+        Sim.Cluster.create
+          ~inc_capable_fraction:(Rng.float_in rng 0.5 1.0)
+          ~k ~setup ~services:(Array.to_list services) (Rng.split rng)
+      in
+      let topo = Sim.Cluster.topo cluster in
+      let view = Sim.Cluster.view cluster in
+      let census = Hire.Locality.Task_census.create topo in
+      let params =
+        {
+          Cost_model.default_params with
+          max_shortcuts = Rng.choose rng [| 2; 5; 50 |];
+          locality_aware = Rng.bernoulli rng 0.8;
+          sharing_aware = Rng.bernoulli rng 0.8;
+        }
+      in
+      let servers = Topology.Fat_tree.servers topo in
+      let capacity = Sim.Cluster.server_capacity cluster in
+      let load () = Array.map (fun c -> c *. Rng.float_in rng 0.0 0.9) capacity in
+      Array.iter
+        (fun server ->
+          if Rng.bernoulli rng 0.7 then
+            Sim.Cluster.place_server_task cluster ~server ~demand:(load ()))
+        servers;
+      let ids = Transformer.Id_gen.create () in
+      let n_jobs = ref 0 and n_clones = ref 0 in
+      let new_job () =
+        let i = !n_jobs in
+        incr n_jobs;
+        let service = Rng.choose rng services and n = Rng.int_in rng 1 10 in
+        let cpu = Rng.float_in rng 1.0 40.0 in
+        let req =
+          match Rng.int_in rng 0 2 with
+          | 0 -> linked_req ~service ~n ~cpu
+          | 1 -> inc_req ~service ~n ()
+          | _ -> server_only_req ~cpu n
+        in
+        Pending.of_poly
+          (Transformer.transform store ids (Rng.split rng) ~job_id:i ~arrival:(float_of_int i) req)
+      in
+      let jobs = ref (List.init (Rng.int_in rng 2 5) (fun _ -> new_job ())) in
+      let nodes = Array.append (Topology.Fat_tree.servers topo) (Topology.Fat_tree.switches topo) in
+      (* Tasks the rounds placed, and other server load, still charged
+         to the ledgers. *)
+      let running = ref [] and other = ref [] in
+      let saved = ref None in
+      let charge (ts : Pending.tg_state) machine =
+        if Poly_req.is_network ts.tg then
+          ignore
+            (Sim.Cluster.place_network_task cluster ~switch:machine ~tg:ts.tg
+               ~shared:params.sharing_aware)
+        else Sim.Cluster.place_server_task cluster ~server:machine ~demand:ts.tg.Poly_req.demand
+      in
+      let release ((ts : Pending.tg_state), machine) =
+        if Poly_req.is_network ts.tg then
+          Sim.Cluster.release_network_task cluster ~switch:machine ~tg:ts.tg
+            ~shared:params.sharing_aware
+        else Sim.Cluster.release_server_task cluster ~server:machine ~demand:ts.tg.Poly_req.demand;
+        Hire.Locality.Task_census.remove census ~tg_id:ts.tg.Poly_req.tg_id ~machine
+      in
+      let find_tg tg_id =
+        List.find_map
+          (fun job -> Option.map (fun ts -> (job, ts)) (Pending.find_tg job tg_id))
+          !jobs
+      in
+      let apply (o : Flow_network.outcome) =
+        List.iter
+          (fun (_, tg_id) ->
+            match find_tg tg_id with
+            | Some (job, ts) when Pending.status job ts = Hire.Flavor.Undecided ->
+                ignore (Pending.decide job ts)
+            | _ -> ())
+          o.Flow_network.flavor_picks;
+        List.iter
+          (fun (tg_id, machine) ->
+            match find_tg tg_id with
+            | Some (job, ts) when ts.Pending.remaining > 0 && Rng.bernoulli rng 0.4 ->
+                charge ts machine;
+                Pending.place job ts ~machine;
+                Hire.Locality.Task_census.add census ~tg_id ~machine;
+                running := (ts, machine) :: !running
+            | _ -> ())
+          o.Flow_network.placements
+      in
+      let between ~now =
+        let finished, still = List.partition (fun _ -> Rng.bernoulli rng 0.2) !running in
+        List.iter release finished;
+        running := still;
+        let finished, still = List.partition (fun _ -> Rng.bernoulli rng 0.3) !other in
+        List.iter
+          (fun (server, demand) -> Sim.Cluster.release_server_task cluster ~server ~demand)
+          finished;
+        other := still;
+        if Rng.bernoulli rng 0.5 then begin
+          let server = Rng.choose rng servers and demand = Vec.scale 0.2 (load ()) in
+          match Sim.Cluster.place_server_task cluster ~server ~demand with
+          | () -> other := (server, demand) :: !other
+          | exception Invalid_argument _ -> ()
+        end;
+        (* Census churn on a group with no running task here. *)
+        if Rng.bernoulli rng 0.3 then
+          Hire.Locality.Task_census.add census
+            ~tg_id:(Rng.choose rng [| 900_001; 900_002 |])
+            ~machine:(Rng.choose rng nodes);
+        if Rng.bernoulli rng 0.1 then Hire.Locality.Task_census.clear_group census ~tg_id:900_001;
+        if Rng.bernoulli rng 0.05 then begin
+          let node = Rng.choose rng nodes in
+          if Sim.Cluster.is_alive cluster node then Sim.Cluster.fail_node cluster ~time:0.0 node
+          else ignore (Sim.Cluster.recover_node cluster node)
+        end;
+        if Rng.bernoulli rng 0.3 then jobs := !jobs @ [ new_job () ];
+        (* A requeue clone, as the simulator makes one for lost tasks:
+           the same group under another job id, with its own remaining
+           count, [placed_on] and, here, priority. *)
+        (if Rng.bernoulli rng 0.15 then
+           match List.concat_map (fun j -> Array.to_list j.Pending.tg_states) !jobs with
+           | [] -> ()
+           | tss ->
+               let ts = Rng.choose rng (Array.of_list tss) in
+               let tg =
+                 {
+                   ts.Pending.tg with
+                   Poly_req.count = Rng.int_in rng 1 3;
+                   flavor = Hire.Flavor.all_x 0;
+                 }
+               in
+               let priority = if Rng.bool rng then Workload.Job.Batch else Workload.Job.Service in
+               incr n_clones;
+               jobs :=
+                 !jobs
+                 @ [
+                     Pending.of_poly
+                       {
+                         Poly_req.job_id = - !n_clones;
+                         priority;
+                         arrival = now;
+                         flavor_len = 0;
+                         task_groups = [ tg ];
+                       };
+                   ]);
+        if Rng.bernoulli rng 0.08 then
+          match !saved with
+          | None -> saved := Some (Sim.Cluster.snapshot cluster, !running, !other)
+          | Some (blob, was_running, was_other) ->
+              (* Back to the saved ledgers: what was charged since then
+                 no longer is. *)
+              Sim.Cluster.restore cluster blob;
+              running := List.filter (fun r -> List.memq r was_running) !running;
+              other := List.filter (fun r -> List.memq r was_other) !other;
+              saved := None
+      in
+      let builder = Flow_network.create_builder () in
+      let rec rounds r =
+        r > 15
+        ||
+        let now = 10.0 +. float_of_int r in
+        let jobs = !jobs in
+        (* A fallback rung rebuilds the round from the same state: all
+           from the memo. *)
+        if Rng.bernoulli rng 0.3 then
+          ignore (Flow_network.build ~builder view census ~jobs ~now ~params);
+        let ni = Flow_network.build ~builder view census ~jobs ~now ~params in
+        let nf = Flow_network.build view census ~jobs ~now ~params in
+        let gi = Flow_network.graph ni and gf = Flow_network.graph nf in
+        let supplies g = List.init (Graph.node_count g) (Graph.supply g) in
+        let oi = Flow_network.solve_and_extract ni and o_f = Flow_network.solve_and_extract nf in
+        let fail what = QCheck.Test.fail_reportf "%s differ (k=%d seed=%d round %d)" what k seed r in
+        if arcs_of gi <> arcs_of gf then fail "arcs"
+        else if supplies gi <> supplies gf then fail "supplies"
+        else if oi.Flow_network.placements <> o_f.Flow_network.placements then fail "placements"
+        else if
+          oi.Flow_network.solver.Mcmf.total_cost <> o_f.Flow_network.solver.Mcmf.total_cost
+        then fail "objectives"
+        else begin
+          apply oi;
+          between ~now;
+          rounds (r + 1)
+        end
+      in
+      rounds 1)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end property: incremental == full rebuild                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1053,6 +1305,8 @@ let () =
       ( "builder",
         [
           Alcotest.test_case "identity under churn" `Quick test_builder_identity_under_churn;
+          Alcotest.test_case "every cluster mutation marks the dirty set" `Quick
+            test_every_mutation_marks;
           Alcotest.test_case "golden network digests" `Quick test_golden_network_digests;
           Alcotest.test_case "golden flow digests" `Quick test_golden_flow_digests;
           Alcotest.test_case "golden role digests" `Quick test_golden_role_digests;
@@ -1066,6 +1320,7 @@ let () =
       ( "shared-loc",
         Alcotest.test_case "memo reused until a stamp moves" `Quick test_loc_ctx_reuse
         :: qt [ prop_shared_loc_ctx_exact ] );
+      ("shortcut-memo", qt [ prop_shortcut_memo_exact ]);
       ( "end-to-end",
         qt [ prop_incremental_identical ]
         @ [

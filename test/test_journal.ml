@@ -124,6 +124,25 @@ let test_codec_negative_length_fails_closed () =
   Alcotest.(check bool) "spec blob scheduler name" true
     (fails_closed (fun () -> Experiment.spec_of_blob (version ^ all_ones ^ "hire")))
 
+(* An overlong varint (a zero group after a continuation byte) decodes
+   to the same value as the encoder's form, so a record or spec blob
+   holding one would not re-encode to its own bytes: both decoders fail
+   closed on it instead. *)
+let test_codec_overlong_fails_closed () =
+  let fails_closed f = match f () with exception Codec.Error _ -> true | _ -> false in
+  Alcotest.(check bool) "Wal.decode commit, round 0 in two bytes" true
+    (fails_closed (fun () -> Sim.Wal.decode "\x03\x80\x00"));
+  let blob = Experiment.spec_to_blob Experiment.default in
+  let version = Char.code blob.[0] in
+  Alcotest.(check bool) "version is one byte" true (version < 0x80);
+  let overlong =
+    String.make 1 (Char.chr (0x80 lor version))
+    ^ "\x00"
+    ^ String.sub blob 1 (String.length blob - 1)
+  in
+  Alcotest.(check bool) "spec blob, version in two bytes" true
+    (fails_closed (fun () -> Experiment.spec_of_blob overlong))
+
 let prop_codec_int_roundtrip =
   QCheck.Test.make ~name:"codec: zigzag int round-trips" ~count:500 QCheck.int (fun i ->
       let e = Enc.create () in
@@ -695,6 +714,7 @@ let () =
           quick "round-trip" test_codec_roundtrip;
           quick "fails closed" test_codec_fails_closed;
           quick "negative length fails closed" test_codec_negative_length_fails_closed;
+          quick "overlong varint fails closed" test_codec_overlong_fails_closed;
         ]
         @ qt [ prop_codec_int_roundtrip ] );
       ( "framing",

@@ -406,6 +406,43 @@ let test_codec_uint_out_of_range () =
   Alcotest.(check bool) "list length" true
     (fails_closed (fun d -> Codec.Dec.list d Codec.Dec.byte))
 
+(* A varint padded with a zero group decodes to the same value as the
+   encoder's shorter form, so the decoder rejects it: each value has one
+   encoding.  A lone 0x00 is the encoding of 0 and stays legal. *)
+let test_codec_overlong_varint () =
+  let decodes s f =
+    match f (Codec.Dec.of_string s) with exception Codec.Error _ -> false | _ -> true
+  in
+  Alcotest.(check bool) "0 as one byte" true (decodes "\x00" Codec.Dec.uint);
+  Alcotest.(check bool) "0 padded" false (decodes "\x80\x00" Codec.Dec.uint);
+  Alcotest.(check bool) "1 padded" false (decodes "\x81\x00" Codec.Dec.uint);
+  Alcotest.(check bool) "128 as two bytes" true (decodes "\x80\x01" Codec.Dec.uint);
+  Alcotest.(check bool) "128 padded" false (decodes "\x80\x81\x00" Codec.Dec.uint);
+  Alcotest.(check bool) "zigzag int padded" false (decodes "\x82\x00" Codec.Dec.int);
+  Alcotest.(check bool) "string length padded" false (decodes "\x81\x00x" Codec.Dec.string)
+
+let prop_codec_varint_canonical =
+  QCheck.Test.make ~name:"codec: a varint decodes only from its own encoding" ~count:300
+    QCheck.(pair int (int_range 1 8))
+    (fun (v, pad) ->
+      let e = Codec.Enc.create () in
+      Codec.Enc.int e v;
+      let s = Codec.Enc.to_string e in
+      (* [s] with [pad] zero groups appended: same value, longer bytes. *)
+      let last = String.length s - 1 in
+      let padded =
+        String.sub s 0 last
+        ^ String.make 1 (Char.chr (Char.code s.[last] lor 0x80))
+        ^ String.make (pad - 1) '\x80'
+        ^ "\x00"
+      in
+      let d = Codec.Dec.of_string s in
+      Codec.Dec.int d = v
+      && Codec.Dec.at_end d
+      && match Codec.Dec.int (Codec.Dec.of_string padded) with
+         | exception Codec.Error _ -> true
+         | _ -> false)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "prelude"
@@ -462,5 +499,9 @@ let () =
         :: Alcotest.test_case "no allocation" `Quick test_cost_sort_no_alloc
         :: qt [ prop_cost_sort_matches_array_sort ] );
       ( "codec",
-        [ Alcotest.test_case "uint out of range" `Quick test_codec_uint_out_of_range ] );
+        [
+          Alcotest.test_case "uint out of range" `Quick test_codec_uint_out_of_range;
+          Alcotest.test_case "overlong varint" `Quick test_codec_overlong_varint;
+        ]
+        @ qt [ prop_codec_varint_canonical ] );
     ]
