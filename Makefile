@@ -14,16 +14,16 @@ test:
 # they walk values structurally and allocate.  Use Int.compare /
 # Float.compare / String.compare and Prelude.Int_tbl instead
 # (docs/PERFORMANCE.md).  lib/hire/flow_network.ml must also not call
-# the Sharing accessors that copy or sort (supported_services,
-# active_services, Sharing.available, Sharing.capacity): it prices
+# the Sharing accessors that copy or sort (active_services,
+# Sharing.available, Sharing.capacity): it prices
 # switches through Sharing.iter_supporting, live_available,
 # live_capacity, n_active and n_supported.  Nor may it call
 # Resource.utilization: Cost_model.ms_to_k and mn_to_k read the server
 # and switch ledgers in place instead of building a utilization vector.
 # In lib/flow/mcmf.ml, the SSP Dijkstra and the zero-length search
 # before it (from `let dijkstra` up to `let solve`)
-# and `decompose` (to the end of the file) must not call Graph.iter_out
-# or Graph.fold_out: they walk the forward chains and the live twins
+# and `decompose` (to the end of the file) must not call Graph.iter_out:
+# they walk the forward chains and the live twins
 # through Graph.Raw, without a closure and without visiting
 # zero-capacity twins.  The shortcut
 # section of lib/hire/flow_network.ml (from `let push_shortcut` up to
@@ -58,7 +58,7 @@ test:
 # in test/ssp_reference.ml.  Nothing in lib/flow or lib/hire mentions
 # set_flow_tracking, reset_touched, record_touch or reopt: a patched
 # build undoes the last solve's flow with the one full sweep,
-# Graph.reset_flows (docs/PERFORMANCE.md, "The sparse reset (deleted)").
+# Graph.reset_flows (commit 31a3279 deleted the sparse reset).
 # In bin/, the experiment-cell flags (--mtbf, --mttr, --max-retries,
 # --faults, --inc-capable, --util, --horizon, --solver-budget,
 # --solver-steps, --guard, --setup, --mu) are each named in one
@@ -70,18 +70,21 @@ test:
 # own process and must not mention Runner., Sim.Service or Journal.
 # (the fork pool is hire_sweep's, journaling is hire_service's), and
 # nothing under bench/ mentions HIRE_BENCH_TRACE or HIRE_BENCH_OBS
-# (hire_sim --trace/--obs-summary instrument a cell).
+# (hire_sim --trace/--obs-summary instrument a cell).  Every `val` in a
+# lib/ interface is used outside its own module, or is on the commented
+# allowlist of scripts/unused_exports.sh: an interface lists what its
+# callers need.
 lint-compare:
 	@! grep -rnE '(List\.sort|List\.sort_uniq|Array\.sort)[ (]+compare' lib/flow lib/hire lib/prelude lib/topology \
 		|| { echo "lint-compare: FAIL (polymorphic compare in a sort above)"; exit 1; }
 	@! { grep -rn 'Hashtbl\.hash' lib/flow lib/hire lib/prelude lib/topology | grep -v '\[Hashtbl\.hash\]'; } \
 		|| { echo "lint-compare: FAIL (polymorphic Hashtbl.hash above)"; exit 1; }
-	@! grep -nE '(supported_services|active_services|Sharing\.available|Sharing\.capacity)\b' lib/hire/flow_network.ml \
+	@! grep -nE '(active_services|Sharing\.available|Sharing\.capacity)\b' lib/hire/flow_network.ml \
 		|| { echo "lint-compare: FAIL (copying or sorting Sharing accessor in flow_network.ml above)"; exit 1; }
 	@! grep -nE 'Resource\.utilization\b' lib/hire/flow_network.ml \
 		|| { echo "lint-compare: FAIL (utilization vector in flow_network.ml above)"; exit 1; }
 	@! { sed -n '/^let dijkstra/,/^let solve/p;/^let decompose/,$$p' lib/flow/mcmf.ml \
-		| grep -nE 'Graph\.(iter_out|fold_out)'; } \
+		| grep -n 'Graph\.iter_out'; } \
 		|| { echo "lint-compare: FAIL (full residual scan in the fast SSP or decompose above)"; exit 1; }
 	@! { sed -n '/^let push_shortcut/,/^(\* Build/p' lib/hire/flow_network.ml \
 		| grep -nE '(Array\.sort|List\.sort|Array\.of_list|Array\.to_list|List\.mem)\b'; } \
@@ -121,14 +124,21 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (hire_sim runs a pool or a journal above)"; exit 1; }
 	@! grep -rnE 'HIRE_BENCH_(TRACE|OBS)' bench \
 		|| { echo "lint-compare: FAIL (bench instrumentation knob above)"; exit 1; }
+	@sh scripts/unused_exports.sh \
+		|| { echo "lint-compare: FAIL (export above used nowhere outside its module)"; exit 1; }
 	@echo "lint-compare: OK"
 
 # The cell flags `make check` runs through all three CLIs, next to
 # yarn-concurrent, mu 0.5 and the heterogeneous setup.
 CHECK_CELL = -k 4 --horizon 40 --util 2.0 --inc-capable 0.5 --faults --mtbf 40 --mttr 5
 
-# Tier-1 gate plus smoke-checks that the observability and fault flags
-# are wired into the CLI (docs/OBSERVABILITY.md, docs/FAULTS.md), that a
+# The examples are the only callers outside the tests of the leaf-spine
+# fabric, Hire.Api, Workload.Trace_io, Comp_store.register_custom_p4 and
+# gang scheduling; `make check` runs each and requires exit status 0.
+EXAMPLES = quickstart web_application ml_training scheduler_comparison custom_deployment
+
+# Tier-1 gate plus a run of every example (EXAMPLES), and smoke-checks
+# that the observability and fault flags are wired into the CLI (docs/OBSERVABILITY.md, docs/FAULTS.md), that a
 # small deterministic fault-injected run completes, that bad flags and
 # a malformed bench/main.exe environment knob fail fast with a one-line
 # error, that the parallel sweep runner (docs/RUNNER.md) executes and
@@ -152,6 +162,10 @@ CHECK_CELL = -k 4 --horizon 40 --util 2.0 --inc-capable 0.5 --faults --mtbf 40 -
 check: lint-compare
 	dune build
 	dune runtest
+	@for ex in $(EXAMPLES); do \
+		./_build/default/examples/$$ex.exe > /dev/null \
+		|| { echo "check: FAIL (examples/$$ex.ml exited non-zero)"; exit 1; }; \
+	done
 	dune exec bin/hire_sim.exe -- --help=plain | grep -q -- '--trace'
 	dune exec bin/hire_sim.exe -- --help=plain | grep -q -- '--obs-summary'
 	dune exec bin/hire_sim.exe -- --help=plain | grep -q -- '--faults'

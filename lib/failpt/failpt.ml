@@ -233,16 +233,6 @@ let eval name =
 
 let stream name = Option.map (fun s -> s.rng) (find name)
 
-let armed_sites () =
-  resolve ();
-  match !current with
-  | None -> []
-  | Some t ->
-      List.filter_map
-        (fun (n, s) -> if List.exists (fun tm -> tm.left <> 0) s.terms then Some n else None)
-        t.sites
-      |> List.sort String.compare
-
 let describe () =
   resolve ();
   match !current with

@@ -50,7 +50,10 @@ type outcome =
 (** Arm the registry programmatically (clears every site). *)
 val activate : seed:int -> unit
 
-(** Disarm every site; {!eval} returns [None] everywhere. *)
+(** Disarm every site; {!eval} returns [None] everywhere.  Test hook:
+    the binaries arm the registry once, from the environment, and never
+    disarm it; the tests disarm it after every case so that no schedule
+    leaks into the next one. *)
 val deactivate : unit -> unit
 
 (** Parse a full [HIRE_FAILPOINTS]-shaped value into the registry.
@@ -92,6 +95,3 @@ val stream : string -> Prelude.Rng.t option
 (** One-line description of the armed registry for startup logs:
     ["seed=42 journal.fsync=1*eio ..."]; [""] when disarmed. *)
 val describe : unit -> string
-
-(** Sites currently armed (some term not used up), sorted by name. *)
-val armed_sites : unit -> string list

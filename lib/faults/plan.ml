@@ -25,9 +25,6 @@ let default_config =
 
 let kind_to_string = function Fail -> "fail" | Recover -> "recover"
 
-let pp_event fmt e =
-  Format.fprintf fmt "%.3fs node=%d %s" e.time e.node (kind_to_string e.kind)
-
 (* Cross-node ties break on (node, kind) so a plan is a deterministic
    function of its event multiset; Fail sorts before Recover only via
    per-node alternation (a node never fails and recovers at the same
@@ -68,7 +65,6 @@ let scripted events = { events = validate (List.sort order events) }
 let events t = t.events
 let is_empty t = t.events = []
 let length t = List.length t.events
-let fail_count t = List.length (List.filter (fun e -> e.kind = Fail) t.events)
 
 (* Lower bound on repair time: zero-length outages would make a fail and
    its recover coincide, where event order stops being meaningful. *)

@@ -50,7 +50,9 @@ val generate :
   horizon:float ->
   t
 
-(** [scripted events] sorts and validates an explicit plan (tests).
+(** [scripted events] sorts and validates an explicit plan.  Test hook:
+    the tools draw every plan with {!generate}; a test scripts exact
+    failure and recovery times, which no seed can be picked to give.
     @raise Invalid_argument unless per-node events strictly alternate
     Fail/Recover at strictly increasing, finite, non-negative times. *)
 val scripted : event list -> t
@@ -60,6 +62,3 @@ val events : t -> event list
 
 val is_empty : t -> bool
 val length : t -> int
-val fail_count : t -> int
-val kind_to_string : kind -> string
-val pp_event : Format.formatter -> event -> unit

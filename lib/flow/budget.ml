@@ -4,7 +4,6 @@ type t = { max_wall_s : float option; max_steps : int option }
 
 let unlimited = { max_wall_s = None; max_steps = None }
 let make ?max_wall_s ?max_steps () = { max_wall_s; max_steps }
-let is_unlimited b = b.max_wall_s = None && b.max_steps = None
 
 let pp fmt b =
   match (b.max_wall_s, b.max_steps) with
@@ -36,12 +35,12 @@ let start budget =
 
 let spend st n = st.steps <- st.steps + n
 let steps st = st.steps
-let inject_delay st s = st.handicap_s <- st.handicap_s +. s
-let force_exhaustion st = st.forced <- true
 
 let inject st =
-  (match Failpt.eval "solve.exhaust" with Some Failpt.Trip -> force_exhaustion st | _ -> ());
-  match Failpt.eval "solve.delay" with Some (Failpt.Delay s) -> inject_delay st s | _ -> ()
+  (match Failpt.eval "solve.exhaust" with Some Failpt.Trip -> st.forced <- true | _ -> ());
+  match Failpt.eval "solve.delay" with
+  | Some (Failpt.Delay s) -> st.handicap_s <- st.handicap_s +. s
+  | _ -> ()
 
 let for_solve ?budget () =
   Option.map

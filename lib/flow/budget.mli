@@ -29,7 +29,6 @@ type t = {
 val unlimited : t
 
 val make : ?max_wall_s:float -> ?max_steps:int -> unit -> t
-val is_unlimited : t -> bool
 val pp : Format.formatter -> t -> unit
 
 (** Why a budgeted solve was stopped. *)
@@ -53,19 +52,13 @@ val spend : state -> int -> unit
 (** Steps recorded so far. *)
 val steps : state -> int
 
-(** Age the wall clock by [s] seconds (the solve appears to have run
-    that much longer). *)
-val inject_delay : state -> float -> unit
-
-(** The next {!check} reports {!Injected}. *)
-val force_exhaustion : state -> unit
-
 (** [for_solve ?budget ()] is the state a backend solves under: [None]
     without a budget — an unbudgeted solve has no degraded path to
     absorb a fault, so it is never perturbed — else a fresh state for
     [budget] after the solver failpoints are evaluated, in this order:
-    [solve.exhaust] ([trip]: {!force_exhaustion}), then [solve.delay]
-    ([delay(s)]: {!inject_delay} — the clock is aged, the solve never
+    [solve.exhaust] ([trip]: the next {!check} reports {!Injected}),
+    then [solve.delay] ([delay(s)]: the wall clock is aged by [s]
+    seconds, as if the solve had run that much longer; it never
     sleeps). *)
 val for_solve : ?budget:t -> unit -> state option
 

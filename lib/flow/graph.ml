@@ -91,14 +91,6 @@ let add_node t =
   t.n <- t.n + 1;
   id
 
-let add_nodes t count =
-  if count <= 0 then invalid_arg "Graph.add_nodes: count must be positive";
-  let first = add_node t in
-  for _ = 2 to count do
-    ignore (add_node t)
-  done;
-  first
-
 let node_count t = t.n
 let arc_count t = t.m / 2
 
@@ -135,10 +127,6 @@ let add_arc t ~src ~dst ~cap ~cost =
 let set_supply t v s =
   check_node t v "set_supply";
   t.supply_arr.(v) <- s
-
-let add_supply t v s =
-  check_node t v "add_supply";
-  t.supply_arr.(v) <- t.supply_arr.(v) + s
 
 let supply t v =
   check_node t v "supply";
@@ -193,12 +181,6 @@ let set_cost t a c =
     t.cost_arr.(a) <- c;
     t.cost_arr.(rev a) <- -c
   end
-
-let retire_node t v =
-  check_node t v "retire_node";
-  t.supply_arr.(v) <- 0;
-  t.head.(v) <- -1;
-  t.in_head.(v) <- -1
 
 let clear t =
   t.n <- 0;
@@ -276,11 +258,6 @@ let iter_out t v f =
       f x
     end
   done
-
-let fold_out t v init f =
-  let acc = ref init in
-  iter_out t v (fun a -> acc := f !acc a);
-  !acc
 
 let iter_arcs t f =
   let a = ref 0 in

@@ -24,9 +24,6 @@ val reserve : t -> nodes:int -> arcs:int -> unit
 (** [add_node t] allocates a fresh node and returns its id. *)
 val add_node : t -> int
 
-(** [add_nodes t n] allocates [n] fresh nodes, returning the first id. *)
-val add_nodes : t -> int -> int
-
 val node_count : t -> int
 
 (** Number of forward arcs (residual pairs are not counted). *)
@@ -37,7 +34,6 @@ val arc_count : t -> int
 val add_arc : t -> src:int -> dst:int -> cap:int -> cost:int -> arc
 
 val set_supply : t -> int -> int -> unit
-val add_supply : t -> int -> int -> unit
 val supply : t -> int -> int
 val total_positive_supply : t -> int
 
@@ -57,9 +53,6 @@ val residual_cap : t -> arc -> int
 
 (** [rev a] is the paired reverse arc. *)
 val rev : arc -> arc
-
-(** [is_forward a] iff [a] is a user-created forward arc. *)
-val is_forward : arc -> bool
 
 (** [push t a amount] sends [amount] units along arc [a] in the residual
     network, updating the pair.
@@ -100,12 +93,6 @@ val has_negative_cost : t -> bool
     @raise Invalid_argument if [a] is not a live forward arc. *)
 val set_cost : t -> arc -> int -> unit
 
-(** [retire_node t v] detaches node [v]: zero supply, empty adjacency
-    list.  Arcs {e into} [v] are untouched — callers must also zero the
-    capacities of incoming arcs (or only retire nodes whose incoming
-    arcs live in a suffix about to be {!release}d). *)
-val retire_node : t -> int -> unit
-
 (** Empty the graph, keeping the backing arrays for reuse. *)
 val clear : t -> unit
 
@@ -127,15 +114,11 @@ val release : t -> mark -> unit
 
 (** [iter_out t v f] applies [f] to every residual arc (forward and
     reverse) leaving [v], in {e decreasing arc id}.  The set is every
-    arc whose source is [v], created since [v] was added or last
-    {!retire_node}d (as restored by {!release}).  The order is a
-    contract: solvers break ties between equally cheap arcs by scan
-    order, so their flows depend on it. *)
+    arc whose source is [v], created since [v] was added (as restored
+    by {!release}).  The order is a contract: solvers break ties
+    between equally cheap arcs by scan order, so their flows depend on
+    it. *)
 val iter_out : t -> int -> (arc -> unit) -> unit
-
-(** [fold_out t v init f] folds over residual arcs leaving [v], in the
-    order of {!iter_out}. *)
-val fold_out : t -> int -> 'a -> ('a -> arc -> 'a) -> 'a
 
 (** {2 Raw adjacency (internal to lib/flow)}
 

@@ -15,8 +15,6 @@ type t = {
 
 let composite t id = List.find_opt (fun c -> c.comp_id = id) t.composites
 
-let wants_inc t = List.exists (fun c -> c.inc_alternatives <> []) t.composites
-
 let validate store t =
   let ( let* ) r f = Result.bind r f in
   let* () =
@@ -80,18 +78,6 @@ let of_job (job : Workload.Job.t) =
     chain composites
   in
   { priority = job.priority; composites; connections }
-
-let with_inc_alternative t ~comp_id ~service =
-  {
-    t with
-    composites =
-      List.map
-        (fun c ->
-          if c.comp_id = comp_id && not (List.mem service c.inc_alternatives) then
-            { c with inc_alternatives = c.inc_alternatives @ [ service ] }
-          else c)
-        t.composites;
-  }
 
 let pp fmt t =
   Format.fprintf fmt "CompReq (%a): " Workload.Job.pp_priority t.priority;

@@ -39,17 +39,9 @@ val validate : Comp_store.t -> t -> (unit, string) result
 (** [composite t id] finds a composite by id. *)
 val composite : t -> string -> composite option
 
-(** True iff some composite lists at least one INC alternative. *)
-val wants_inc : t -> bool
-
 (** [of_job store job] lifts a raw workload job into a server-only
     CompReq (one composite per task group, connected in a chain — the
     groups of a job communicate). *)
 val of_job : Workload.Job.t -> t
-
-(** [with_inc_alternative t ~comp_id ~service] adds an INC alternative to
-    one composite; used by the experiment harness to reach a target INC
-    ratio μ. *)
-val with_inc_alternative : t -> comp_id:string -> service:string -> t
 
 val pp : Format.formatter -> t -> unit

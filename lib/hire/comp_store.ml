@@ -33,8 +33,6 @@ let draw_instance_demand svc rng ~group_size =
   let lo, hi = svc.per_instance_range ~group_size in
   Array.mapi (fun i l -> Prelude.Rng.float_in rng l (Float.max l hi.(i))) lo
 
-let sharable_dims svc = Array.map (fun x -> x > 0.0) svc.per_switch
-
 type template = { tpl_name : string; inc_impls : string list; has_server_impl : bool }
 
 type t = {
@@ -57,7 +55,6 @@ let add_template t tpl =
 let find_service t name = Hashtbl.find_opt t.service_tbl name
 let service_exn t name = Hashtbl.find t.service_tbl name
 let find_template t name = Hashtbl.find_opt t.template_tbl name
-let template_exn t name = Hashtbl.find t.template_tbl name
 
 let services t = List.rev_map (Hashtbl.find t.service_tbl) t.service_order
 let service_names t = Array.of_list (List.map (fun s -> s.name) (services t))

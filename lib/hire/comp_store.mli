@@ -9,8 +9,9 @@
     The default store ships the paper's evaluation catalogue (Tab. 3):
     SHArP, IncBricks, NetCache, DistCache, NetChain, Harmonia,
     HovercRaft, and R2P2, with demand ranges as reported there.  Users
-    can register additional services and templates ([add_service],
-    [add_template]), mirroring the paper's extensibility story (§4.5). *)
+    can register additional services under the custom-P4 template
+    ({!register_custom_p4}), mirroring the paper's extensibility story
+    (§4.5). *)
 
 module Vec = Prelude.Vec
 
@@ -47,10 +48,6 @@ type inc_service = {
     per-instance demand uniformly within the service's range. *)
 val draw_instance_demand : inc_service -> Prelude.Rng.t -> group_size:int -> Vec.t
 
-(** [sharable_dims svc] marks the dimensions carrying a shared per-switch
-    registration (the "(sharable)" label of Fig. 4c). *)
-val sharable_dims : inc_service -> bool array
-
 type template = {
   tpl_name : string;
   inc_impls : string list;  (** names of candidate INC services *)
@@ -63,15 +60,12 @@ type t
     templates of Fig. 4a. *)
 val default : unit -> t
 
-val add_service : t -> inc_service -> unit
-val add_template : t -> template -> unit
 val find_service : t -> string -> inc_service option
 
 (** @raise Not_found on unknown service. *)
 val service_exn : t -> string -> inc_service
 
 val find_template : t -> string -> template option
-val template_exn : t -> string -> template
 val services : t -> inc_service list
 val service_names : t -> string array
 val templates : t -> template list

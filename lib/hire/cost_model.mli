@@ -45,7 +45,9 @@ val default_params : params
 
 (** [flatten ?weights components ~penalty params] averages the σ⃗
     components (uniform weights by default), adds the penalty, and scales
-    to a non-negative integer. *)
+    to a non-negative integer.  Test hook: only the edge prices of this
+    module call it; the tests pin its clamp and scaling, and check the
+    loop-form shortcut and to-sink costs bit for bit against it. *)
 val flatten : ?weights:float array -> float list -> penalty:float -> params -> int
 
 (* ------------------------------------------------------------------ *)

@@ -2,7 +2,6 @@ type bit = Zero | One | X
 type t = bit array
 
 let all_x n = Array.make n X
-let of_bits = Array.of_list
 let length = Array.length
 
 type status = Materialized | Undecided | Dropped

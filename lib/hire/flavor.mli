@@ -15,7 +15,6 @@ type bit = Zero | One | X
 type t = bit array
 
 val all_x : int -> t
-val of_bits : bit list -> t
 val length : t -> int
 
 (** Relation of a task group's flavor to a job's active flavor. *)

@@ -14,16 +14,6 @@ type node_role =
   | Machine_inc of int
   | Sink
 
-let pp_role fmt = function
-  | Super -> Format.pp_print_string fmt "S"
-  | Flavor_sel j -> Format.fprintf fmt "F(job %d)" j
-  | Group tg -> Format.fprintf fmt "G(tg %d)" tg
-  | Postpone j -> Format.fprintf fmt "P(job %d)" j
-  | Aux_server s -> Format.fprintf fmt "Ns(%d)" s
-  | Machine_server s -> Format.fprintf fmt "Ms(%d)" s
-  | Machine_inc s -> Format.fprintf fmt "Mn(%d)" s
-  | Sink -> Format.pp_print_string fmt "K"
-
 (* Roles live in a flat int array rather than a hashtable: tag in the
    low 4 bits, payload id shifted above.  -1 means "no role"; entries at
    or beyond [valid_n] are stale leftovers from a previous (larger)

@@ -48,8 +48,6 @@ type node_role =
   | Machine_inc of int  (** switch id *)
   | Sink
 
-val pp_role : Format.formatter -> node_role -> unit
-
 type t
 
 (** Persistent network builder.  A builder owns the graph arena, the

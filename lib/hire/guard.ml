@@ -71,8 +71,3 @@ let check_placements (view : View.t) ~(params : Cost_model.params) ~placements =
       placements;
     Ok ()
   with Bad v -> Error v
-
-let check_round view ~params ~graph ~placements =
-  match check_flow graph with
-  | Error _ as e -> e
-  | Ok () -> check_placements view ~params ~placements

@@ -50,11 +50,3 @@ val check_placements :
   params:Cost_model.params ->
   placements:(Pending.tg_state * int) list ->
   (unit, violation) result
-
-(** Both checks, flow first. *)
-val check_round :
-  View.t ->
-  params:Cost_model.params ->
-  graph:Flow.Graph.t ->
-  placements:(Pending.tg_state * int) list ->
-  (unit, violation) result

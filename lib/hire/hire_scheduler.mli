@@ -53,9 +53,6 @@ val submit : t -> time:float -> Poly_req.t -> unit
 (** Some submitted task group still has tasks to place. *)
 val pending_work : t -> bool
 
-(** Number of jobs currently tracked. *)
-val pending_jobs : t -> int
-
 (** Per-round resilience report.  A round that had nothing to solve,
     or whose first rung accepted an undegraded solve, reports all
     zeros. *)

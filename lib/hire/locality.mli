@@ -28,7 +28,9 @@ module Task_census : sig
 
   val remove : t -> tg_id:int -> machine:int -> unit
 
-  (** Tasks of the group running inside the subtree rooted at [node]. *)
+  (** Tasks of the group running inside the subtree rooted at [node].
+      Test hook: outside this module only the tests read the ToR, pod
+      and core roll-ups, which Υ and Γ consume but do not show. *)
   val count_under : t -> tg_id:int -> node:int -> int
 
   val total : t -> tg_id:int -> int
@@ -39,6 +41,10 @@ module Task_census : sig
   (** Switches among [machines]. *)
   val switches : t -> tg_id:int -> int list
 
+  (** Drop a group, as a checkpoint restore ({!decode_state}) drops one
+      the snapshot lacks.  Test hook: the scheduler never drops a
+      group; tests drop one directly to take its {!stamp} back to 0
+      mid-run. *)
   val clear_group : t -> tg_id:int -> unit
 
   (** Change stamp of a group: 0 while the group is absent (never

@@ -7,12 +7,6 @@
     through their IEEE-754 bits — and raises {!Prelude.Codec.Error} on
     malformed input. *)
 
-val enc_vec : Prelude.Codec.Enc.t -> Prelude.Vec.t -> unit
-val dec_vec : Prelude.Codec.Dec.t -> Prelude.Vec.t
-val enc_flavor : Prelude.Codec.Enc.t -> Flavor.t -> unit
-val dec_flavor : Prelude.Codec.Dec.t -> Flavor.t
-val enc_shape : Prelude.Codec.Enc.t -> Comp_store.shape -> unit
-val dec_shape : Prelude.Codec.Dec.t -> Comp_store.shape
 val enc_priority : Prelude.Codec.Enc.t -> Workload.Job.priority -> unit
 val dec_priority : Prelude.Codec.Dec.t -> Workload.Job.priority
 val enc_task_group : Prelude.Codec.Enc.t -> Poly_req.task_group -> unit

@@ -32,9 +32,7 @@ type t = {
 let is_network tg = match tg.kind with Network_tg _ -> true | Server_tg -> false
 let service_of tg = match tg.kind with Network_tg n -> Some n.service | Server_tg -> None
 let network_groups t = List.filter is_network t.task_groups
-let server_groups t = List.filter (fun tg -> not (is_network tg)) t.task_groups
 let has_inc t = network_groups t <> []
-let find_group t tg_id = List.find_opt (fun tg -> tg.tg_id = tg_id) t.task_groups
 let total_tasks t = List.fold_left (fun acc tg -> acc + tg.count) 0 t.task_groups
 
 let pp fmt t =

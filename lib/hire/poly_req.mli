@@ -46,8 +46,6 @@ val service_of : task_group -> string option
 (** Task groups that request INC resources. *)
 val network_groups : t -> task_group list
 
-val server_groups : t -> task_group list
 val has_inc : t -> bool
-val find_group : t -> int -> task_group option
 val total_tasks : t -> int
 val pp : Format.formatter -> t -> unit

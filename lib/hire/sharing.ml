@@ -63,15 +63,11 @@ let set_alive t switch alive = (state t switch).alive <- alive
 
 (* Liveness masks capability: schedulers route every placement decision
    through [supports]/[can_place], so a dead switch offers no service.
-   [supported_services] stays the static capability set — counting
+   [n_supported] counts the static capability set — counting
    INC-capable hardware must not fluctuate with the fault plan. *)
 let supports t ~switch ~service =
   let st = state t switch in
   st.alive && Hashtbl.mem st.supported service
-
-let supported_services t switch =
-  Hashtbl.fold (fun k () acc -> k :: acc) (state t switch).supported []
-  |> List.sort String.compare
 
 let active_services t switch =
   Hashtbl.fold (fun k c acc -> if c > 0 then k :: acc else acc) (state t switch).counts []

@@ -42,10 +42,6 @@ val live_capacity : t -> Vec.t
     switch dead masks it everywhere. *)
 val supports : t -> switch:int -> service:string -> bool
 
-(** Static capability set — {e not} masked by liveness, so hardware
-    inventories stay stable under fault injection. *)
-val supported_services : t -> int -> string list
-
 (** Fault injection: liveness flag of a switch (default alive). *)
 val is_alive : t -> int -> bool
 
@@ -56,8 +52,9 @@ val active_services : t -> int -> string list
     [List.length (active_services t switch)], from a counter. *)
 val n_active : t -> int -> int
 
-(** Size of the static capability set: [List.length (supported_services
-    t switch)] without building the list. *)
+(** Number of services the switch is capable of: the static capability
+    set, {e not} masked by liveness, so hardware inventories stay stable
+    under fault injection. *)
 val n_supported : t -> int -> int
 
 (** Number of instances of one service on the switch. *)

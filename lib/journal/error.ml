@@ -4,7 +4,6 @@ type t =
   | Bad_magic of { path : string }
   | Bad_version of { path : string; version : int }
   | Truncated_header of { path : string }
-  | Torn_tail of { path : string; offset : int }
   | Corrupt_record of { path : string; seq : int; offset : int; reason : string }
   | Duplicate_seq of { path : string; seq : int; offset : int }
   | Divergence of { seq : int; detail : string }
@@ -21,8 +20,6 @@ let pp fmt = function
       Format.fprintf fmt "journal: %s has unsupported version %d" path version
   | Truncated_header { path } ->
       Format.fprintf fmt "journal: %s is truncated inside the file header" path
-  | Torn_tail { path; offset } ->
-      Format.fprintf fmt "journal: %s has a torn tail at byte %d" path offset
   | Corrupt_record { path; seq; offset; reason } ->
       Format.fprintf fmt "journal: %s record %d at byte %d is corrupt (%s)" path seq
         offset reason

@@ -2,9 +2,10 @@
 
     Every failure mode of opening, scanning, or replaying a journal is
     one of these constructors — the journal never partially loads a
-    damaged file silently.  A {!Torn_tail} is special: it is the
-    expected signature of a crash mid-append, and recovery (alone) may
-    elect to truncate it away; every other error fails closed. *)
+    damaged file silently.  A torn tail is not among them: it is the
+    expected signature of a crash mid-append, so [Source.load] reports
+    it in its result and recovery (alone) truncates it away; every
+    error here fails closed. *)
 
 type t =
   | Missing of { path : string }
@@ -13,9 +14,6 @@ type t =
   | Bad_version of { path : string; version : int }
   | Truncated_header of { path : string }
       (** the fixed preamble or the spec header record is incomplete *)
-  | Torn_tail of { path : string; offset : int }
-      (** the final record frame is an incomplete prefix — a crash
-          mid-append; [offset] is the end of the last whole record *)
   | Corrupt_record of { path : string; seq : int; offset : int; reason : string }
       (** a complete frame whose checksum or structure is wrong —
           corruption, not a crash artefact; never truncated away *)

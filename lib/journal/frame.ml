@@ -9,6 +9,7 @@
 
 module Crc32 = Prelude.Crc32
 
+(* Frames above this payload length are rejected as corrupt. *)
 let max_len = 1 lsl 30
 
 let put_u32 buf v =

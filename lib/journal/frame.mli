@@ -4,9 +4,6 @@
     record payloads are [varint seq ++ length-prefixed body].  Exposed
     mainly so the adversarial-input tests can craft damaged frames. *)
 
-(** Frames above this payload length are rejected as corrupt. *)
-val max_len : int
-
 val put_u32 : Buffer.t -> int -> unit
 
 (** Little-endian u32 at [pos]; the caller guarantees 4 bytes. *)

@@ -66,7 +66,6 @@ let open_append ?(fsync_interval_s = 0.0) ~path ~valid_end ~next_seq () =
     synced_end = valid_end; closed = false }
 
 let next_seq t = t.next_seq
-let durable_end t = t.synced_end
 
 (* A failed write or fsync leaves the on-disk suffix unknown: fall all
    the way back to the last durable frame boundary and keep the frames

@@ -25,8 +25,8 @@
     {e and} the fsync both return; on any failure — ENOSPC, EIO, a
     short write, a failed fsync, real or injected through the
     [journal.write]/[journal.fsync] failpoints (docs/FAILPOINTS.md) —
-    the file is truncated back to {!durable_end} (the last durable
-    frame boundary), the frames are kept, and {!Error.Io} is raised.
+    the file is truncated back to the last durable frame boundary,
+    the frames are kept, and {!Error.Io} is raised.
     Nothing is ever acknowledged off the back of a failed fsync, and a
     later {!barrier} retries the whole buffer in order, so a healed
     journal is byte-identical to one that never failed. *)
@@ -76,11 +76,6 @@ val commit : t -> unit
 val barrier : t -> unit
 
 val next_seq : t -> int
-
-(** Byte offset of the last durable frame boundary: everything below
-    it has survived an fsync, everything at or past it is still
-    buffered. *)
-val durable_end : t -> int
 
 val close : t -> unit
 

@@ -67,10 +67,3 @@ let scan ~path s =
 let load ~path =
   if not (Sys.file_exists path) then Result.Error (Error.Missing { path })
   else scan ~path (read_file path)
-
-(* Fail-closed variant: a torn tail is an error too.  Adversarial-input
-   tests and non-recovery readers use this. *)
-let load_strict ~path =
-  match load ~path with
-  | Ok { tail = Torn { offset }; _ } -> Result.Error (Error.Torn_tail { path; offset })
-  | other -> other

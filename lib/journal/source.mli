@@ -21,10 +21,6 @@ type loaded = {
     sequence numbers, empty file) fails closed. *)
 val load : path:string -> (loaded, Error.t) result
 
-(** Like {!load} but a torn tail is also an error ({!Error.Torn_tail}):
-    for readers that must not tolerate any damage. *)
-val load_strict : path:string -> (loaded, Error.t) result
-
 (**/**)
 
 val read_file : string -> string

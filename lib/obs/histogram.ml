@@ -43,7 +43,6 @@ let observe t v =
 let count t = t.count
 let sum t = t.sum
 let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
-let min_value t = t.vmin
 let max_value t = t.vmax
 
 let bucket_repr t i = t.lo *. Float.exp (t.log_gamma *. (float_of_int i +. 0.5))

@@ -35,15 +35,13 @@ val sum : t -> float
 (** Exact arithmetic mean; [0.] when empty. *)
 val mean : t -> float
 
-(** Exact minimum; [infinity] when empty. *)
-val min_value : t -> float
-
 (** Exact maximum; [neg_infinity] when empty. *)
 val max_value : t -> float
 
 (** [quantile t q] estimates the [q]-quantile ([q] in [\[0,1\]],
     clamped).  Returns the bucket's geometric midpoint clamped into
-    [\[min_value, max_value\]]; [0.] when the histogram is empty. *)
+    the exact range of the observed values; [0.] when the histogram is
+    empty. *)
 val quantile : t -> float -> float
 
 (** [merge_into dst src] adds [src]'s samples to [dst].

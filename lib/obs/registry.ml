@@ -14,7 +14,6 @@ let counter name =
       c
 
 let incr ?(by = 1) c = c.c <- c.c + by
-let counter_value c = c.c
 
 let gauge name =
   match Hashtbl.find_opt gauges_tbl name with
@@ -25,7 +24,6 @@ let gauge name =
       g
 
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 let histogram name =
   match Hashtbl.find_opt histograms_tbl name with

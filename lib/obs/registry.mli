@@ -23,18 +23,12 @@ val counter : string -> counter
 (** [incr ?by c] adds [by] (default 1) to [c]. *)
 val incr : ?by:int -> counter -> unit
 
-(** Current value of a counter. *)
-val counter_value : counter -> int
-
 (** [gauge name] is the gauge registered under [name], created on first
     use. *)
 val gauge : string -> gauge
 
 (** [set g v] records the latest value of [g]. *)
 val set : gauge -> float -> unit
-
-(** Current value of a gauge ([0.] before the first {!set}). *)
-val gauge_value : gauge -> float
 
 (** [histogram name] is the (default-layout) histogram registered under
     [name], created on first use. *)

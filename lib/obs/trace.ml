@@ -21,7 +21,6 @@ let sim_clock = ref 0.0
 let sink : out_channel option ref = ref None
 
 let set_sim_time t = sim_clock := t
-let sim_time () = !sim_clock
 let length () = !stored
 
 let set_capacity n =

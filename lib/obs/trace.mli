@@ -35,9 +35,6 @@ type record = {
     subsequent records. *)
 val set_sim_time : float -> unit
 
-(** Current simulation clock ([0.] before the first {!set_sim_time}). *)
-val sim_time : unit -> float
-
 (** [emit ?level name fields] appends a record (default level
     {!Info}) and streams it to the JSONL sink when one is open. *)
 val emit : ?level:level -> string -> (string * value) list -> unit
@@ -49,7 +46,9 @@ val records : unit -> record list
 val length : unit -> int
 
 (** [set_capacity n] empties the ring and resizes it to [n] records
-    (default capacity 65536).
+    (default capacity 65536).  Test hook: the tools keep the default;
+    a test shrinks the ring to see it wrap, or grows it to keep every
+    record of a run.
     @raise Invalid_argument when [n <= 0]. *)
 val set_capacity : int -> unit
 
@@ -65,7 +64,10 @@ val open_jsonl : string -> unit
 val close_jsonl : unit -> unit
 
 (** [to_json r] is the single-line JSON rendering of [r] (no trailing
-    newline) — exactly what the JSONL sink writes. *)
+    newline) — exactly what the JSONL sink writes.  Test hook: the sink
+    is its only caller; a test renders a record it builds by hand,
+    with a sequence number and clocks that {!emit} cannot be made to
+    stamp. *)
 val to_json : record -> string
 
 (** [field r key] is the value of [key] in [r.fields], if present. *)

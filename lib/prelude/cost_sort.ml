@@ -1,3 +1,4 @@
+(* Bits of index below the cost, so at most 2^21 entries. *)
 let index_bits = 21
 let index_mask = (1 lsl index_bits) - 1
 let cost_limit = 1 lsl 40

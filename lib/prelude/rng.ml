@@ -63,21 +63,9 @@ let normal t ~mu ~sigma =
 
 let log_normal t ~mu ~sigma = exp (normal t ~mu ~sigma)
 
-let pareto t ~scale ~shape =
-  let u = 1.0 -. float t 1.0 in
-  scale /. (u ** (1.0 /. shape))
-
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 let sample_without_replacement t ~n arr =
   let len = Array.length arr in

@@ -50,15 +50,8 @@ val log_normal : t -> mu:float -> sigma:float -> float
     (Box–Muller). *)
 val normal : t -> mu:float -> sigma:float -> float
 
-(** [pareto t ~scale ~shape] draws from a Pareto distribution with the
-    given minimum value [scale] and tail index [shape]. *)
-val pareto : t -> scale:float -> shape:float -> float
-
 (** [choose t arr] picks a uniform element of a non-empty array. *)
 val choose : t -> 'a array -> 'a
-
-(** [shuffle t arr] shuffles [arr] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit
 
 (** [sample_without_replacement t ~n arr] returns [min n (length arr)]
     distinct elements drawn uniformly from [arr]. *)

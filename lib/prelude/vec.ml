@@ -53,7 +53,6 @@ let fits ~demand ~available = le demand available
 
 let avg v = Stats.mean_arr v
 let stddev v = Stats.stddev_arr v
-let max_coord v = Array.fold_left Float.max neg_infinity v
 
 let dot a b =
   check_dims a b "dot";

@@ -34,16 +34,13 @@ val add_into : t -> t -> unit
 
 val sub_into : t -> t -> unit
 
-(** [le a b] iff every coordinate of [a] is <= the matching coordinate of
-    [b] (with a small epsilon tolerance for float accumulation drift). *)
-val le : t -> t -> bool
-
-(** [fits ~demand ~available] = [le demand available]. *)
+(** [fits ~demand ~available] iff every coordinate of [demand] is <=
+    the matching coordinate of [available] (with a small epsilon
+    tolerance for float accumulation drift). *)
 val fits : demand:t -> available:t -> bool
 
 val avg : t -> float
 val stddev : t -> float
-val max_coord : t -> float
 val dot : t -> t -> float
 
 (** [is_zero v] iff every coordinate is (nearly) zero. *)

@@ -47,12 +47,6 @@ type config = {
 
 val default_config : config
 
-(** Admitted job ids are offset into a reserved band so they can never
-    collide with trace jobs or fault-retry clones:
-    [job_id = id_base + admit_id], task-group ids from
-    [id_base + admit_id * 64]. *)
-val id_base : int
-
 type t
 
 val service : t -> Sim.Service.t

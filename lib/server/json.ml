@@ -305,5 +305,4 @@ let to_int = function
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function Arr items -> Some items | _ -> None

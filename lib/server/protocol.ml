@@ -19,7 +19,7 @@ type request = Submit of job_spec | Status of int | Stats | Drain | Shutdown
    is buffered whole.  64 KiB comfortably fits max_groups groups. *)
 let max_line_bytes = 65536
 let max_groups = 8
-let max_count = 4096
+let max_count = 4096 (* tasks per group *)
 
 (* Resource bounds: generous relative to any node flavor, tight enough
    that a single submission cannot degenerate the solver. *)

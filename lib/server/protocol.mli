@@ -48,8 +48,6 @@ val max_line_bytes : int
 
 val max_groups : int  (** per submission; matches the trace generator's cap *)
 
-val max_count : int  (** tasks per group *)
-
 (** Parse and validate one request line.  [Error] messages are
     single-line and safe to echo back to the client. *)
 val parse_request : string -> (request, string) result

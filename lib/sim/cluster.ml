@@ -16,7 +16,6 @@ type t = {
   server_avail : Vec.t array;  (* by node id; [no_ledger] for switches *)
   sharing : Sharing.t;
   failed_at : float array;  (* by node id; nan while the node is up *)
-  mutable n_dead : int;
   dirty : Hire.Dirty.t;  (* ledger changes since the last network build *)
 }
 
@@ -73,7 +72,6 @@ let create ?server_capacity ?switch_capacity ?inc_capable_fraction ?topology ~k 
     server_avail;
     sharing;
     failed_at = Array.make node_count Float.nan;
-    n_dead = 0;
     dirty = Hire.Dirty.create ~node_count;
   }
 
@@ -85,7 +83,6 @@ let sharing t = t.sharing
 (* ------------------------------------------------------------------ *)
 
 let is_alive t node = Float.is_nan t.failed_at.(node)
-let n_dead t = t.n_dead
 
 let fail_node t ~time node =
   if not (is_alive t node) then
@@ -95,14 +92,12 @@ let fail_node t ~time node =
      outage (a recovered node comes back with exactly its capacity). *)
   if not (Fat_tree.is_server t.topo node) then Sharing.set_alive t.sharing node false;
   Hire.Dirty.mark_structural t.dirty;
-  t.failed_at.(node) <- time;
-  t.n_dead <- t.n_dead + 1
+  t.failed_at.(node) <- time
 
 let recover_node t node =
   if is_alive t node then invalid_arg (Printf.sprintf "Cluster.recover_node: node %d is up" node);
   let failed_at = t.failed_at.(node) in
   t.failed_at.(node) <- Float.nan;
-  t.n_dead <- t.n_dead - 1;
   if not (Fat_tree.is_server t.topo node) then Sharing.set_alive t.sharing node true;
   Hire.Dirty.mark_structural t.dirty;
   failed_at
@@ -247,13 +242,11 @@ let restore t blob =
       Array.blit avail 0 dst 0 (Array.length avail))
     servers;
   Array.fill t.failed_at 0 (Array.length t.failed_at) Float.nan;
-  t.n_dead <- 0;
   List.iter
     (fun (node, tm) ->
       if node < 0 || node >= Array.length t.failed_at || not (is_alive t node) then
         raise (Prelude.Codec.Error "Cluster.restore: bad dead node in snapshot");
-      t.failed_at.(node) <- tm;
-      t.n_dead <- t.n_dead + 1)
+      t.failed_at.(node) <- tm)
     (Dec.list d (fun d ->
          let node = Dec.int d in
          let tm = Dec.f64 d in
@@ -266,6 +259,3 @@ let restore t blob =
   Hire.Dirty.mark_structural t.dirty
 
 let switch_used_total t = Sharing.total_used t.sharing
-
-let switch_capacity_total t =
-  Vec.scale (float_of_int (n_switches t)) t.switch_cap

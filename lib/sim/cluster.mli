@@ -61,9 +61,6 @@ val view : t -> Hire.View.t
     alive.  [node] must be a node id of the topology. *)
 val is_alive : t -> int -> bool
 
-(** Nodes currently down. *)
-val n_dead : t -> int
-
 (** [fail_node t ~time node] marks a node down ([time] is remembered for
     downtime accounting) and masks it from {!Hire.Sharing} placement
     checks when it is a switch.
@@ -108,9 +105,6 @@ val release_network_task :
 
 (** Sum of used switch resources per dimension. *)
 val switch_used_total : t -> Vec.t
-
-(** Total switch capacity per dimension (all switches). *)
-val switch_capacity_total : t -> Vec.t
 
 (** Journal-checkpoint serialization (docs/JOURNAL.md) of the dynamic
     state only: server ledgers (in [Fat_tree.servers] order), the dead

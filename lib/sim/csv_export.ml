@@ -35,8 +35,6 @@ let fault_columns =
     "downtime_p50_s";
   ]
 
-let header_with_faults = header ^ "," ^ String.concat "," fault_columns
-
 let resilience_columns =
   [
     "degraded_rounds"; "fallback_rounds"; "fallback_depth_max"; "guard_trips";

@@ -4,15 +4,6 @@
 
 val header : string
 
-(** {!header} plus the fault-injection columns (node_fails …
-    downtime_p50_s). *)
-val header_with_faults : string
-
-(** Header with the selected optional column groups appended, in fixed
-    order: fault columns, then solver-resilience columns
-    (degraded_rounds … salvaged_tasks). *)
-val full_header : ?faults:bool -> ?resilience:bool -> unit -> string
-
 (** [row ~scheduler ~mu ~setup ~seed report] renders one CSV line (no
     trailing newline).  [faults] appends the fault columns and
     [resilience] the solver-resilience columns; without them the row
@@ -28,6 +19,8 @@ val row :
   string
 
 (** [write_file path rows] writes header + rows ([faults]/[resilience]
-    select the extended header — pass rows rendered with the same
+    append, in this order, the fault columns (node_fails …
+    downtime_p50_s) and the solver-resilience columns (degraded_rounds
+    … salvaged_tasks) to {!header} — pass rows rendered with the same
     flags). *)
 val write_file : ?faults:bool -> ?resilience:bool -> string -> string list -> unit

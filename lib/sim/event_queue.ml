@@ -22,7 +22,6 @@ let pop q =
     Some (e.time, e.payload)
   end
 
-let peek_time q = if Heap.is_empty q.heap then None else Some (Heap.peek q.heap).time
 let is_empty q = Heap.is_empty q.heap
 let size q = Heap.size q.heap
 

@@ -12,9 +12,6 @@ val push : 'a t -> time:float -> 'a -> unit
 (** Earliest event with its timestamp, removing it. *)
 val pop : 'a t -> (float * 'a) option
 
-(** Earliest timestamp without removing. *)
-val peek_time : 'a t -> float option
-
 val is_empty : 'a t -> bool
 val size : 'a t -> int
 

@@ -28,6 +28,11 @@ let sim t = t.sim
 let set_observer t f = t.observer <- f
 let wal_seq t = Journal.Sink.next_seq t.sink
 
+(* Checkpoint generations kept on disk: the newest, plus one to fall
+   back on if the newest is torn.  The WAL is never truncated, so
+   genesis replay stays available behind both. *)
+let checkpoints_kept = 2
+
 let write_checkpoint t =
   match Simulator.snapshot t.sim with
   | None -> ()  (* scheduler has no persist capability: genesis replay only *)
@@ -47,7 +52,9 @@ let write_checkpoint t =
           ~upto_seq:(Journal.Sink.next_seq t.sink)
           blob
       with
-      | () -> t.next_gen <- t.next_gen + 1
+      | () ->
+          t.next_gen <- t.next_gen + 1;
+          Journal.Checkpoint.prune ~dir:t.dir ~keep:checkpoints_kept
       | exception Journal.Error.Journal_error (Journal.Error.Io _) -> ())
 
 (* The WAL protocol: append every record as it is emitted (buffered,

@@ -9,7 +9,8 @@
     fsync-per-round — see {!Journal.Sink}); and every
     [checkpoint_every]-th round a full {!Simulator.snapshot} is written
     as a generation-numbered checkpoint behind a {!Journal.Sink.barrier},
-    so a checkpoint never subsumes records that could still be lost.
+    so a checkpoint never subsumes records that could still be lost;
+    after each one, all but the newest two generations are deleted.
 
     Recovery ({!recover}) rebuilds a fresh world from the spec blob
     stored in the WAL header, overlays the newest usable checkpoint

@@ -1,22 +1,18 @@
 module Poly_req = Hire.Poly_req
 module Vec = Prelude.Vec
 
-type config = {
-  drain : float;
-  min_round_interval : float;
-  no_progress_backoff : float;
-  gang : bool;
-  deterministic_wall : bool;
-}
+type config = { gang : bool; deterministic_wall : bool }
 
-let default_config =
-  {
-    drain = 300.0;
-    min_round_interval = 0.001;
-    no_progress_backoff = 0.25;
-    gang = false;
-    deterministic_wall = false;
-  }
+let default_config = { gang = false; deterministic_wall = false }
+
+(* Seconds past the last arrival during which scheduling continues. *)
+let drain = 300.0
+
+(* Lower bound between rounds, seconds. *)
+let min_round_interval = 0.001
+
+(* Retry delay when a round placed nothing, seconds. *)
+let no_progress_backoff = 0.25
 
 type event =
   | Arrival of Poly_req.t
@@ -92,7 +88,7 @@ let init ?(config = default_config) ?faults ?fault_policy cluster
   let queue = Event_queue.create () in
   let metrics = Metrics.create (Cluster.topo cluster) in
   let last_arrival = List.fold_left (fun acc (t, _) -> Float.max acc t) 0.0 arrivals in
-  let hard_end = last_arrival +. config.drain in
+  let hard_end = last_arrival +. drain in
   List.iter (fun (t, poly) -> Event_queue.push queue ~time:t (Arrival poly)) arrivals;
   (match faults with
   | None -> ()
@@ -144,7 +140,7 @@ let arm_round t ~time delay =
   if (not t.round_armed) && time +. delay <= t.hard_end then begin
     t.round_armed <- true;
     Event_queue.push t.queue
-      ~time:(time +. Float.max delay t.config.min_round_interval)
+      ~time:(time +. Float.max delay min_round_interval)
       Round
   end
 
@@ -449,7 +445,7 @@ let step ?(emit = no_emit) t =
           (if t.sched.pending () then begin
              let delay =
                if res.placements <> [] || res.cancelled <> [] then res.think
-               else Float.max res.think t.config.no_progress_backoff
+               else Float.max res.think no_progress_backoff
              in
              arm_round t ~time delay
            end);
@@ -472,7 +468,7 @@ let step ?(emit = no_emit) t =
               end;
               Metrics.on_task_complete t.metrics ~time ~tg ~released:r.r_charged;
               t.sched.on_task_complete ~time ~tg ~machine;
-              if t.sched.pending () then arm_round t ~time t.config.min_round_interval)
+              if t.sched.pending () then arm_round t ~time min_round_interval)
       | Node_fail node ->
           if Cluster.is_alive t.cluster node then begin
             let killed = kill_tasks_on t ~time node in
@@ -514,7 +510,7 @@ let step ?(emit = no_emit) t =
                 ]
             end;
             (* Fresh capacity may unblock pending work. *)
-            if t.sched.pending () then arm_round t ~time t.config.min_round_interval
+            if t.sched.pending () then arm_round t ~time min_round_interval
           end);
       true
 
@@ -548,7 +544,7 @@ let quiescent t = Event_queue.is_empty t.queue
 let inject t ~time poly =
   if not (Float.is_finite time) then invalid_arg "Simulator.inject: non-finite time";
   if time < t.now then invalid_arg "Simulator.inject: time precedes simulated now";
-  t.hard_end <- Float.max t.hard_end (time +. t.config.drain);
+  t.hard_end <- Float.max t.hard_end (time +. drain);
   Event_queue.push t.queue ~time
     (Arrival { poly with Poly_req.arrival = time })
 

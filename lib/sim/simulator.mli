@@ -18,11 +18,10 @@
     to the policy's retry budget, then cancelled.  A [Node_recover]
     restores the liveness mask and re-arms a round. *)
 
+(** Scheduling continues for 300 s past the last arrival; rounds are at
+    least 1 ms apart, and a round that placed nothing is retried after
+    0.25 s. *)
 type config = {
-  drain : float;
-      (** seconds past the last arrival during which scheduling continues *)
-  min_round_interval : float;  (** lower bound between rounds, seconds *)
-  no_progress_backoff : float;  (** retry delay when a round placed nothing *)
   gang : bool;
       (** gang semantics (§5.1, no partial scheduling): tasks of a group
           hold resources from placement but start running — and complete —

@@ -20,13 +20,11 @@ type record =
   | Admit of { admit_id : int; client : string; poly : Hire.Poly_req.t }
   | Inject of { time : float; admit_ids : int list }
 
-(* Input records carry external submissions into the simulation; replay
-   applies them rather than re-deriving them (docs/SERVER.md). *)
-let is_input = function Admit _ | Inject _ -> true | _ -> false
-
 let admit_tag = 9
 let inject_tag = 10
 
+(* Input records carry external submissions into the simulation; replay
+   applies them rather than re-deriving them (docs/SERVER.md). *)
 let is_input_encoded body =
   String.length body > 0
   &&

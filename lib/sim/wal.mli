@@ -47,13 +47,12 @@ type record =
           [time].  Admitted ids that appear in no [Inject] record are
           the accepted-but-unplaced queue a crashed server recovers. *)
 
-(** Input records ([Admit]/[Inject]) carry external submissions {e into}
-    the simulation; recovery applies them instead of validating them
-    against re-execution (every other record is an output the replayed
-    simulator must re-derive byte for byte). *)
-val is_input : record -> bool
-
-(** {!is_input} on an encoded record without decoding it. *)
+(** [is_input_encoded body] iff the encoded record is an input record
+    ([Admit]/[Inject]), read without decoding it.  Input records carry
+    external submissions {e into} the simulation; recovery applies them
+    instead of validating them against re-execution (every other record
+    is an output the replayed simulator must re-derive byte for
+    byte). *)
 val is_input_encoded : string -> bool
 
 (** Canonical binary encoding of one record. *)

@@ -17,7 +17,6 @@ type t = {
   children_adj : int list array;
   tor_of : int array;  (* server id -> tor id; -1 for non-servers *)
   servers_under_cache : int array Int_tbl.t;
-  switches_under_cache : int array Int_tbl.t;
 }
 
 let create ~k =
@@ -93,7 +92,6 @@ let create ~k =
     children_adj;
     tor_of;
     servers_under_cache = Int_tbl.create 64;
-    switches_under_cache = Int_tbl.create 64;
   }
 
 let create_leaf_spine ~spines ~leafs ~servers_per_leaf =
@@ -148,7 +146,6 @@ let create_leaf_spine ~spines ~leafs ~servers_per_leaf =
     children_adj;
     tor_of;
     servers_under_cache = Int_tbl.create 64;
-    switches_under_cache = Int_tbl.create 64;
   }
 
 let k t = t.k
@@ -167,8 +164,6 @@ let servers t = t.server_ids
 
 let switches t = t.switch_ids
 
-let core_switches t = t.core
-let agg_switches t = t.agg
 let tor_switches t = t.tor
 
 let tor_of_server t id =
@@ -192,23 +187,6 @@ let servers_under t id =
       go id;
       let arr = Array.of_list (List.sort_uniq Int.compare !acc) in
       Int_tbl.replace t.servers_under_cache id arr;
-      arr
-
-let switches_under t id =
-  if not (is_switch t id) then invalid_arg "Fat_tree.switches_under: not a switch";
-  match Int_tbl.find_opt t.switches_under_cache id with
-  | Some arr -> arr
-  | None ->
-      let seen = Hashtbl.create 16 in
-      let rec go v =
-        if is_switch t v && not (Hashtbl.mem seen v) then begin
-          Hashtbl.replace seen v ();
-          List.iter go t.children_adj.(v)
-        end
-      in
-      go id;
-      let arr = Array.of_list (List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])) in
-      Int_tbl.replace t.switches_under_cache id arr;
       arr
 
 (* The ToR "address" of a node when it has one: servers and ToRs map to a
@@ -259,21 +237,6 @@ let detour t ~servers ~switches =
       let ds = cover_depth t servers in
       let dall = cover_depth t (servers @ switches) in
       max 0 (ds - dall)
-
-let hop_distance t a b =
-  if a = b then 0
-  else begin
-    let l = lca_depth t a b in
-    (* Covering subtree root sits at depth [l]; climbing to it costs
-       depth - l hops on each side, except that when one endpoint *is*
-       the subtree root (e.g. a ToR and its server) its climb is 0. *)
-    let da = depth t a and db = depth t b in
-    let climb_a = max 0 (da - l) and climb_b = max 0 (db - l) in
-    (* If one node is an ancestor-equivalent of the other (lca depth
-       equals its own depth and they share the subtree), distance is just
-       the other's climb. *)
-    if da = l then climb_b else if db = l then climb_a else climb_a + climb_b
-  end
 
 let pp fmt t =
   if Array.length t.agg = 0 then

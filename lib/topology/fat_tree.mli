@@ -50,8 +50,6 @@ val servers : t -> int array
     be mutated. *)
 val switches : t -> int array
 
-val core_switches : t -> int array
-val agg_switches : t -> int array
 val tor_switches : t -> int array
 
 (** The ToR switch a server is cabled to. *)
@@ -71,17 +69,11 @@ val children : t -> int -> int list
     server).  Cached after first computation. *)
 val servers_under : t -> int -> int array
 
-(** Switches reachable downward from a switch, including itself. *)
-val switches_under : t -> int -> int array
-
-(** [lca_depth t a b] is the depth of the shallowest subtree containing
-    both nodes: 2 for same ToR, 1 for same pod, 0 otherwise; for equal
-    nodes it is the node's own depth. *)
-val lca_depth : t -> int -> int -> int
-
 (** [cover_depth t nodes] is the depth of the shallowest subtree covering
-    all given nodes (the minimum pairwise [lca_depth]); the depth of the
-    node itself for a singleton.  Raises [Invalid_argument] on []. *)
+    all given nodes: for two distinct nodes, 2 under the same ToR, 1 in
+    the same pod, 0 otherwise; for more, the minimum over the pairs; for
+    a singleton, the depth of the node itself.  Raises
+    [Invalid_argument] on []. *)
 val cover_depth : t -> int list -> int
 
 (** Switch-detour metric of the paper (§6.2): number of additional levels
@@ -89,8 +81,5 @@ val cover_depth : t -> int list -> int
     beyond the levels needed to cover the servers alone.  Zero when
     [switches] is empty. *)
 val detour : t -> servers:int list -> switches:int list -> int
-
-(** Hop distance in the canonical hierarchy (up to the LCA and down). *)
-val hop_distance : t -> int -> int -> int
 
 val pp : Format.formatter -> t -> unit

@@ -11,8 +11,6 @@
     [job_id], [arrival_s], and [priority]; jobs are emitted sorted by
     arrival. *)
 
-val csv_header : string
-
 (** [to_csv jobs] renders a trace (header + rows). *)
 val to_csv : Job.t list -> string
 

@@ -95,13 +95,16 @@ let small_config =
     inc_weight = 1.0;
   }
 
+let fail_count plan =
+  List.length (List.filter (fun (e : Plan.event) -> e.kind = Plan.Fail) (Plan.events plan))
+
 let test_plan_deterministic () =
   let servers = Array.init 10 (fun i -> i) and switches = Array.init 5 (fun i -> 100 + i) in
   let gen seed =
     Plan.generate small_config (Rng.create seed) ~servers ~switches ~horizon:100.0
   in
   Alcotest.(check bool) "same seed, same plan" true (Plan.events (gen 42) = Plan.events (gen 42));
-  Alcotest.(check bool) "plan is non-trivial" true (Plan.fail_count (gen 42) > 0)
+  Alcotest.(check bool) "plan is non-trivial" true (fail_count (gen 42) > 0)
 
 let test_plan_alternates () =
   let servers = Array.init 10 (fun i -> i) and switches = Array.init 5 (fun i -> 100 + i) in
@@ -119,9 +122,7 @@ let test_plan_alternates () =
       ignore
         (List.fold_left
            (fun (expect, last_t) (e : Plan.event) ->
-             Alcotest.(check string)
-               "strict Fail/Recover alternation" (Plan.kind_to_string expect)
-               (Plan.kind_to_string e.kind);
+             Alcotest.(check bool) "strict Fail/Recover alternation" true (e.kind = expect);
              Alcotest.(check bool) "strictly increasing times" true (e.time > last_t);
              if e.kind = Plan.Fail then
                Alcotest.(check bool) "failures at or before horizon" true (e.time <= 100.0);
@@ -148,7 +149,7 @@ let test_plan_inc_weight () =
       ~inc_capable:(fun n -> n mod 2 = 0)
       config (Rng.create 3) ~servers ~switches ~horizon:200.0
   in
-  Alcotest.(check bool) "weighted switches do fail" true (Plan.fail_count plan > 0);
+  Alcotest.(check bool) "weighted switches do fail" true (fail_count plan > 0);
   List.iter
     (fun (e : Plan.event) ->
       Alcotest.(check bool) "only INC-capable switches affected" true
@@ -162,7 +163,7 @@ let test_plan_scripted_validates () =
     Plan.scripted [ ev 3.0 1 Plan.Fail; ev 1.0 1 Plan.Fail; ev 2.0 1 Plan.Recover ]
   in
   Alcotest.(check int) "length" 3 (Plan.length p);
-  Alcotest.(check int) "fail count" 2 (Plan.fail_count p);
+  Alcotest.(check int) "fail count" 2 (fail_count p);
   Alcotest.(check (list (float 1e-9))) "sorted" [ 1.0; 2.0; 3.0 ]
     (List.map (fun (e : Plan.event) -> e.Plan.time) (Plan.events p));
   expect_invalid "recover before fail" (fun () -> Plan.scripted [ ev 1.0 1 Plan.Recover ]);
@@ -197,7 +198,12 @@ let test_cluster_fail_recover () =
   Alcotest.(check bool) "initially alive" true (Sim.Cluster.is_alive c s);
   Sim.Cluster.fail_node c ~time:5.0 s;
   Alcotest.(check bool) "dead after fail" false (Sim.Cluster.is_alive c s);
-  Alcotest.(check int) "one dead node" 1 (Sim.Cluster.n_dead c);
+  let topo = Sim.Cluster.topo c in
+  Alcotest.(check int) "one dead node" 1
+    (List.length
+       (List.filter
+          (fun v -> not (Sim.Cluster.is_alive c v))
+          (List.init (Topology.Fat_tree.node_count topo) Fun.id)));
   expect_invalid "double fail rejected" (fun () -> Sim.Cluster.fail_node c ~time:6.0 s);
   expect_invalid "placement on a dead server rejected" (fun () ->
       Sim.Cluster.place_server_task c ~server:s ~demand:(Vec.of_list [ 1.0; 1.0 ]));
@@ -217,7 +223,7 @@ let test_switch_liveness_masks_sharing () =
   Alcotest.(check bool) "dead switch supports nothing" false
     (Hire.Sharing.supports sharing ~switch:sw ~service:"netchain");
   Alcotest.(check bool) "static capability survives the outage" true
-    (Hire.Sharing.supported_services sharing sw <> []);
+    (Hire.Sharing.n_supported sharing sw > 0);
   ignore (Sim.Cluster.recover_node c sw);
   Alcotest.(check bool) "supports again after recovery" true
     (Hire.Sharing.supports sharing ~switch:sw ~service:"netchain")

@@ -24,29 +24,29 @@ let store = Comp_store.default ()
 
 let test_flavor_status () =
   let open Flavor in
-  let f = of_bits [ One; Zero; X ] in
+  let f = Array.of_list [ One; Zero; X ] in
   Alcotest.(check bool) "undecided vs all-x" true (status ~active:(all_x 3) f = Undecided);
-  let active = of_bits [ One; Zero; X ] in
+  let active = Array.of_list [ One; Zero; X ] in
   Alcotest.(check bool) "materialized" true (status ~active f = Materialized);
-  let active = of_bits [ Zero; One; X ] in
+  let active = Array.of_list [ Zero; One; X ] in
   Alcotest.(check bool) "dropped" true (status ~active f = Dropped)
 
 let test_flavor_apply () =
   let open Flavor in
-  let active = apply ~active:(all_x 3) (of_bits [ One; Zero; X ]) in
-  Alcotest.(check bool) "applied" true (equal active (of_bits [ One; Zero; X ]));
+  let active = apply ~active:(all_x 3) (Array.of_list [ One; Zero; X ]) in
+  Alcotest.(check bool) "applied" true (equal active (Array.of_list [ One; Zero; X ]));
   Alcotest.(check bool) "contradiction raises" true
     (try
-       ignore (apply ~active (of_bits [ Zero; X; X ]));
+       ignore (apply ~active (Array.of_list [ Zero; X; X ]));
        false
      with Invalid_argument _ -> true)
 
 let test_flavor_compatible () =
   let open Flavor in
   Alcotest.(check bool) "compatible" true
-    (compatible (of_bits [ One; X ]) (of_bits [ X; Zero ]));
+    (compatible (Array.of_list [ One; X ]) (Array.of_list [ X; Zero ]));
   Alcotest.(check bool) "incompatible" false
-    (compatible (of_bits [ One; X ]) (of_bits [ Zero; X ]))
+    (compatible (Array.of_list [ One; X ]) (Array.of_list [ Zero; X ]))
 
 let test_flavor_builder () =
   let open Flavor in
@@ -54,8 +54,8 @@ let test_flavor_builder () =
   let frags = Builder.alternatives b 2 in
   Alcotest.(check int) "two coordinates" 2 (Builder.size b);
   let f0 = Builder.finalize b frags.(0) and f1 = Builder.finalize b frags.(1) in
-  Alcotest.(check bool) "one-hot 0" true (equal f0 (of_bits [ One; Zero ]));
-  Alcotest.(check bool) "one-hot 1" true (equal f1 (of_bits [ Zero; One ]));
+  Alcotest.(check bool) "one-hot 0" true (equal f0 (Array.of_list [ One; Zero ]));
+  Alcotest.(check bool) "one-hot 1" true (equal f1 (Array.of_list [ Zero; One ]));
   Alcotest.(check bool) "variants exclusive" false (compatible f0 f1)
 
 let prop_flavor_apply_monotone =
@@ -64,7 +64,7 @@ let prop_flavor_apply_monotone =
     QCheck.(list_of_size (Gen.return 6) (int_range 0 2))
     (fun bits ->
       let of_int = function 0 -> Flavor.Zero | 1 -> Flavor.One | _ -> Flavor.X in
-      let f = Flavor.of_bits (List.map of_int bits) in
+      let f = Array.of_list (List.map of_int bits) in
       let active = Flavor.all_x 6 in
       let applied = Flavor.apply ~active f in
       Flavor.status ~active:applied f = Flavor.Materialized)
@@ -99,9 +99,8 @@ let test_store_netcache_registration () =
   let nc = Comp_store.service_exn store "netcache" in
   Alcotest.(check (float 1e-9)) "8 stages" 8.0
     nc.per_switch.(Topology.Resource.Switch.stages);
-  let sh = Comp_store.sharable_dims nc in
-  Alcotest.(check bool) "stages sharable" true sh.(Topology.Resource.Switch.stages);
-  Alcotest.(check bool) "sram not sharable" false sh.(Topology.Resource.Switch.sram)
+  Alcotest.(check (float 0.0)) "no per-switch sram" 0.0
+    nc.per_switch.(Topology.Resource.Switch.sram)
 
 let test_store_demand_draw_in_range () =
   let rng = Rng.create 5 in
@@ -122,7 +121,7 @@ let test_store_demand_draw_in_range () =
 
 let test_store_templates () =
   Alcotest.(check bool) "coordinator has netchain" true
-    (List.mem "netchain" (Comp_store.template_exn store "coordinator").inc_impls);
+    (List.mem "netchain" (Option.get (Comp_store.find_template store "coordinator")).inc_impls);
   Alcotest.(check (option string)) "template of sharp" (Some "aggregator")
     (Comp_store.template_of_service store "sharp");
   Alcotest.(check (option string)) "unknown service" None
@@ -177,16 +176,20 @@ let test_store_extensible () =
       duration_saving = 0.05;
     }
   in
-  Comp_store.add_service s custom;
-  Comp_store.add_template s
-    { Comp_store.tpl_name = "custom-tpl"; inc_impls = [ "custom-agg" ]; has_server_impl = true };
+  Comp_store.register_custom_p4 s custom;
   Alcotest.(check bool) "registered" true (Comp_store.find_service s "custom-agg" <> None);
-  Alcotest.(check (option string)) "template found" (Some "custom-tpl")
-    (Comp_store.template_of_service s "custom-agg")
+  Alcotest.(check (option string)) "template found" (Some "custom-p4")
+    (Comp_store.template_of_service s "custom-agg");
+  Alcotest.(check int) "catalogue extended, not replaced"
+    (List.length (Comp_store.services store) + 1)
+    (List.length (Comp_store.services s))
 
 (* ------------------------------------------------------------------ *)
 (* CompReq                                                            *)
 (* ------------------------------------------------------------------ *)
+
+let wants_inc (req : Comp_req.t) =
+  List.exists (fun (c : Comp_req.composite) -> c.inc_alternatives <> []) req.composites
 
 let server_spec n = { Comp_req.instances = n; cpu = 2.0; mem = 4.0; duration = 60.0 }
 
@@ -264,16 +267,7 @@ let test_comp_req_of_job () =
   Alcotest.(check int) "two composites" 2 (List.length req.composites);
   Alcotest.(check int) "chained" 1 (List.length req.connections);
   Alcotest.(check bool) "validates" true (Result.is_ok (Comp_req.validate store req));
-  Alcotest.(check bool) "no inc yet" false (Comp_req.wants_inc req)
-
-let test_comp_req_with_inc_alternative () =
-  let req = simple_req () in
-  let req = Comp_req.with_inc_alternative req ~comp_id:"coord" ~service:"netchain" in
-  Alcotest.(check bool) "wants inc" true (Comp_req.wants_inc req);
-  (* Idempotent. *)
-  let req2 = Comp_req.with_inc_alternative req ~comp_id:"coord" ~service:"netchain" in
-  let coord = Option.get (Comp_req.composite req2 "coord") in
-  Alcotest.(check int) "no duplicate" 1 (List.length coord.inc_alternatives)
+  Alcotest.(check bool) "no inc yet" false (wants_inc req)
 
 (* ------------------------------------------------------------------ *)
 (* Transformer                                                        *)
@@ -404,7 +398,7 @@ let test_api_listing1 () =
     |> with_alternative store ~service:"netchain"
   in
   let req = request_exn store ~priority:Service [ c4; c5 ] ~connections:[ connect c4 c5 ] in
-  Alcotest.(check bool) "wants inc" true (Comp_req.wants_inc req);
+  Alcotest.(check bool) "wants inc" true (wants_inc req);
   Alcotest.(check string) "template rewritten" "coordinator"
     (Option.get (Comp_req.composite req "c5")).Comp_req.template;
   Alcotest.(check bool) "validates" true (Result.is_ok (Comp_req.validate store req))
@@ -537,7 +531,7 @@ let test_sharing_non_switch_rejected () =
      with Invalid_argument _ -> true)
 
 (* The counters and the supporting-switch pass against the list
-   accessors they replace, over random ledger histories: places,
+   accessor and the capability map, over random ledger histories: places,
    releases, liveness flips and checkpoint round trips into a fresh
    ledger with the same capability map. *)
 type sharing_op =
@@ -570,12 +564,12 @@ let sharing_op_print = function
   | Set_alive (sw, b) -> Printf.sprintf "alive(%d,%b)" sw b
   | Roundtrip -> "roundtrip"
 
-let sharing_counters_consistent sh =
+let sharing_counters_consistent sh ~supported =
   let ids = Sharing.switch_ids sh in
   Array.for_all
     (fun sw ->
       Sharing.n_active sh sw = List.length (Sharing.active_services sh sw)
-      && Sharing.n_supported sh sw = List.length (Sharing.supported_services sh sw))
+      && Sharing.n_supported sh sw = List.length (supported sw))
     ids
   && Array.for_all
        (fun service ->
@@ -644,7 +638,7 @@ let prop_sharing_counters =
               Sharing.decode_state restored
                 (Prelude.Codec.Dec.of_string (Prelude.Codec.Enc.to_string e));
               sh := restored);
-          sharing_counters_consistent !sh)
+          sharing_counters_consistent !sh ~supported:(Int_tbl.find caps))
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -661,7 +655,8 @@ let test_census_counts () =
   Alcotest.(check int) "total" 2 (Locality.Task_census.total census ~tg_id:1);
   Alcotest.(check int) "under server" 2 (Locality.Task_census.count_under census ~tg_id:1 ~node:s0);
   Alcotest.(check int) "under tor" 2 (Locality.Task_census.count_under census ~tg_id:1 ~node:tor);
-  let core = (Fat_tree.core_switches topo).(0) in
+  (* [switches] lists the cores first. *)
+  let core = (Fat_tree.switches topo).(0) in
   Alcotest.(check int) "under core" 2 (Locality.Task_census.count_under census ~tg_id:1 ~node:core);
   Locality.Task_census.remove census ~tg_id:1 ~machine:s0;
   Alcotest.(check int) "after remove" 1 (Locality.Task_census.total census ~tg_id:1)
@@ -902,9 +897,10 @@ let test_phi_tor () =
   Alcotest.(check (float 1e-9)) "tor 0" 0.0
     (Cost_model.phi_tor topo ~switch:(Fat_tree.tor_switches topo).(0));
   Alcotest.(check (float 1e-9)) "agg 0.5" 0.5
-    (Cost_model.phi_tor topo ~switch:(Fat_tree.agg_switches topo).(0));
+    (Cost_model.phi_tor topo
+       ~switch:(List.hd (Fat_tree.parents topo (Fat_tree.tor_switches topo).(0))));
   Alcotest.(check (float 1e-9)) "core 1" 1.0
-    (Cost_model.phi_tor topo ~switch:(Fat_tree.core_switches topo).(0))
+    (Cost_model.phi_tor topo ~switch:(Fat_tree.switches topo).(0))
 
 (* Callers skip computing Υ and Γ when nothing related is placed; that
    is only sound while Φloc ignores them (and the weight) there. *)
@@ -1193,7 +1189,6 @@ let () =
           Alcotest.test_case "validate ok" `Quick test_comp_req_validate_ok;
           Alcotest.test_case "validate catches" `Quick test_comp_req_validate_catches;
           Alcotest.test_case "of_job" `Quick test_comp_req_of_job;
-          Alcotest.test_case "with_inc_alternative" `Quick test_comp_req_with_inc_alternative;
         ] );
       ( "transformer",
         [

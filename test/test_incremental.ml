@@ -42,21 +42,25 @@ let fan_graph n =
 let test_mark_release_roundtrip () =
   let g, s, t = fan_graph 3 in
   let n0 = Graph.node_count g and m0 = Graph.arc_count g in
-  let out0 = Graph.fold_out g s 0 (fun acc _ -> acc + 1) in
+  let out_degree v =
+    let n = ref 0 in
+    Graph.iter_out g v (fun _ -> incr n);
+    !n
+  in
+  let out0 = out_degree s in
   let mk = Graph.mark g in
   (* Suffix: a node with arcs into *prefix* nodes, so the prefix head
      lists and supplies are disturbed and must be restored. *)
   let v = Graph.add_node g in
   ignore (Graph.add_arc g ~src:v ~dst:s ~cap:5 ~cost:7);
   ignore (Graph.add_arc g ~src:v ~dst:t ~cap:5 ~cost:(-2));
-  Graph.add_supply g s 10;
+  Graph.set_supply g s (Graph.supply g s + 10);
   Alcotest.(check bool) "suffix went negative" true (Graph.has_negative_cost g);
   Graph.release g mk;
   Alcotest.(check int) "node count restored" n0 (Graph.node_count g);
   Alcotest.(check int) "arc count restored" m0 (Graph.arc_count g);
   Alcotest.(check int) "supply restored" 3 (Graph.supply g s);
-  Alcotest.(check int) "head list restored" out0
-    (Graph.fold_out g s 0 (fun acc _ -> acc + 1));
+  Alcotest.(check int) "head list restored" out0 (out_degree s);
   Alcotest.(check bool) "negative-cost counter restored" false (Graph.has_negative_cost g);
   (* The graph is usable after release: the solve sees only the prefix. *)
   let r = Mcmf.solve g in
@@ -96,8 +100,10 @@ let test_set_cost_tracks_negative () =
    and cancels flow on a residual twin), then injected corruption. *)
 let test_reset_flows_restores_capacities () =
   let g = Graph.create () in
-  let s = Graph.add_nodes g 4 in
-  let a = s + 1 and b = s + 2 and t = s + 3 in
+  let s = Graph.add_node g in
+  let a = Graph.add_node g in
+  let b = Graph.add_node g in
+  let t = Graph.add_node g in
   let arc src dst cost = Graph.add_arc g ~src ~dst ~cap:1 ~cost in
   ignore (arc s a 1);
   let ab = arc a b 1 in
@@ -300,7 +306,7 @@ let server_tgs jobs =
 let inc_switches cluster =
   let sharing = Sim.Cluster.sharing cluster in
   List.filter
-    (fun s -> Hire.Sharing.supported_services sharing s <> [])
+    (fun s -> Hire.Sharing.n_supported sharing s > 0)
     (Array.to_list (Topology.Fat_tree.switches (Sim.Cluster.topo cluster)))
 
 (* Charge one instance of [ts]'s service on each of [switches] where it
@@ -467,9 +473,19 @@ let test_golden_flow_digests () =
    The expected values were recorded from the builder that still built
    Fig. 6's whole topology part, with its Nn copy, the Ns of aggregation
    and core switches and every arc touching them skipped. *)
+let role_name : Flow_network.node_role -> string = function
+  | Super -> "S"
+  | Flavor_sel j -> Printf.sprintf "F(job %d)" j
+  | Group tg -> Printf.sprintf "G(tg %d)" tg
+  | Postpone j -> Printf.sprintf "P(job %d)" j
+  | Aux_server s -> Printf.sprintf "Ns(%d)" s
+  | Machine_server s -> Printf.sprintf "Ms(%d)" s
+  | Machine_inc s -> Printf.sprintf "Mn(%d)" s
+  | Sink -> "K"
+
 let role_digests net =
   let g = Flow_network.graph net in
-  let name v = Format.asprintf "%a" Flow_network.pp_role (Flow_network.role net v) in
+  let name v = role_name (Flow_network.role net v) in
   let arcs = Buffer.create 4096 in
   Graph.iter_arcs g (fun a ->
       Printf.bprintf arcs "%s,%s,%d,%d;" (name (Graph.src g a)) (name (Graph.dst g a))
@@ -813,7 +829,7 @@ let all_tg_ids jobs =
       List.map (fun (ts : Pending.tg_state) -> ts.tg.Poly_req.tg_id) (Array.to_list j.tg_states))
     jobs
 
-let counter name = Obs.Registry.counter_value (Obs.Registry.counter name)
+let counter name = Option.value (List.assoc_opt name (Obs.Registry.counters ())) ~default:0
 
 (* A warm builder reuses a context while the census stamps of its ids
    stay put, and recomputes it once one moves: a change to an unrelated
@@ -1217,7 +1233,7 @@ let run_cell ~incremental ~k ~seed ~mu ~faults_on ~horizon =
         Faults.Plan.generate
           { Faults.Plan.default_config with server_mtbf = 80.0; switch_mtbf = 80.0 }
           fault_rng
-          ~inc_capable:(fun s -> Hire.Sharing.supported_services sharing s <> [])
+          ~inc_capable:(fun s -> Hire.Sharing.n_supported sharing s > 0)
           ~servers:(Topology.Fat_tree.servers topo)
           ~switches:(Topology.Fat_tree.switches topo)
           ~horizon

@@ -90,21 +90,6 @@ let test_rng_bernoulli () =
   let frac = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "p near 0.3" true (frac > 0.28 && frac < 0.32)
 
-let test_rng_pareto_scale () =
-  let r = Rng.create 11 in
-  for _ = 1 to 1_000 do
-    let v = Rng.pareto r ~scale:1.5 ~shape:2.0 in
-    Alcotest.(check bool) ">= scale" true (v >= 1.5)
-  done
-
-let test_rng_shuffle_permutes () =
-  let r = Rng.create 12 in
-  let arr = Array.init 50 (fun i -> i) in
-  Rng.shuffle r arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "same multiset" (Array.init 50 (fun i -> i)) sorted
-
 let test_rng_sample_without_replacement () =
   let r = Rng.create 13 in
   let arr = Array.init 20 (fun i -> i) in
@@ -282,7 +267,6 @@ let test_vec_hadamard_div () =
 
 let test_vec_le_fits () =
   let d = Vec.of_list [ 1.0; 2.0 ] and r = Vec.of_list [ 1.0; 3.0 ] in
-  Alcotest.(check bool) "le" true (Vec.le d r);
   Alcotest.(check bool) "fits" true (Vec.fits ~demand:d ~available:r);
   Alcotest.(check bool) "not fits" false (Vec.fits ~demand:r ~available:d)
 
@@ -297,7 +281,6 @@ let test_vec_mutation () =
 let test_vec_summary () =
   let v = Vec.of_list [ 1.0; 2.0; 3.0 ] in
   check_float "avg" 2.0 (Vec.avg v);
-  check_float "max" 3.0 (Vec.max_coord v);
   check_float "dot" 14.0 (Vec.dot v v);
   Alcotest.(check bool) "not zero" false (Vec.is_zero v);
   Alcotest.(check bool) "zero" true (Vec.is_zero (Vec.zero 3))
@@ -352,7 +335,7 @@ let test_cost_sort_equal_keys () =
     [ 0; 1; 2; 3; 4; 338; 845 ]
 
 let test_cost_sort_bounds () =
-  let max_cost = (1 lsl 40) - 1 and max_index = (1 lsl Cost_sort.index_bits) - 1 in
+  let max_cost = (1 lsl 40) - 1 and max_index = (1 lsl 21) - 1 in
   let x = Cost_sort.pack ~cost:max_cost ~index:max_index in
   Alcotest.(check (pair int int)) "round trip" (max_cost, max_index)
     (Cost_sort.cost x, Cost_sort.index x);
@@ -459,8 +442,6 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
-          Alcotest.test_case "pareto scale" `Quick test_rng_pareto_scale;
-          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "sample w/o replacement" `Quick
             test_rng_sample_without_replacement;
           Alcotest.test_case "weighted choice" `Quick test_rng_weighted_choice;

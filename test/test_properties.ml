@@ -67,7 +67,9 @@ let prop_sharing_conserves =
         Array.iter
           (fun sw ->
             let a = Sharing.available sh sw in
-            if not (Vec.le a capacity && Vec.le (Vec.zero (Vec.dim a)) a) then ok := false)
+            let zero = Vec.zero (Vec.dim a) in
+            if not (Vec.fits ~demand:a ~available:capacity && Vec.fits ~demand:zero ~available:a)
+            then ok := false)
           switches
       done;
       (* Releasing everything restores full capacity. *)
@@ -305,8 +307,10 @@ let prop_fat_tree_identities =
       servers = k * k * k / 4
       && switches = 5 * k * k / 4
       && Array.for_all
-           (fun core -> Array.length (Fat_tree.servers_under t core) = servers)
-           (Fat_tree.core_switches t)
+           (fun sw ->
+             Fat_tree.kind t sw <> Fat_tree.Core
+             || Array.length (Fat_tree.servers_under t sw) = servers)
+           (Fat_tree.switches t)
       && Array.for_all
            (fun tor -> Array.length (Fat_tree.servers_under t tor) = k / 2)
            (Fat_tree.tor_switches t))

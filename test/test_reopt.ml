@@ -22,7 +22,10 @@ let store = Comp_store.default ()
    the SPFA bootstrap. *)
 let random_instance rng ~n ~extra_arcs ~cost_lo ~cost_hi =
   let g = Graph.create () in
-  let first = Graph.add_nodes g n in
+  let first = Graph.node_count g in
+  for _ = 1 to n do
+    ignore (Graph.add_node g)
+  done;
   (* A random spanning chain keeps most of the supply routable. *)
   for v = first + 1 to first + n - 1 do
     ignore
@@ -47,10 +50,10 @@ let random_instance rng ~n ~extra_arcs ~cost_lo ~cost_hi =
   for _ = 1 to max 1 (n / 3) do
     let s = Rng.int_in rng 0 (n / 2) in
     let amt = Rng.int_in rng 1 4 in
-    Graph.add_supply g s amt;
+    Graph.set_supply g s (Graph.supply g s + amt);
     total := !total + amt
   done;
-  Graph.add_supply g (n - 1) (- !total);
+  Graph.set_supply g (n - 1) (Graph.supply g (n - 1) - !total);
   g
 
 let check_same_objective (rc : Ssp_reference.outcome) rf =

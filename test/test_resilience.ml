@@ -126,9 +126,7 @@ let test_cost_scaling_abort_resets_flow () =
   Alcotest.(check int) "nothing shipped" 0 r.Mcmf.shipped;
   Alcotest.(check int) "all unshipped" 8 r.Mcmf.unshipped;
   (* The abort resets to the zero flow: every real arc carries 0. *)
-  for a = 0 to (2 * Graph.arc_count g) - 1 do
-    if Graph.is_forward a then Alcotest.(check int) "arc flow" 0 (Graph.flow g a)
-  done;
+  Graph.iter_arcs g (fun a -> Alcotest.(check int) "arc flow" 0 (Graph.flow g a));
   match Verify.check g with
   | Ok () -> ()
   | Error v -> Alcotest.failf "reset flow invalid: %a" Verify.pp_violation v
@@ -150,7 +148,9 @@ let test_budget_forced_exhaustion_sticky () =
   Failpt.deactivate ();
   let st = Budget.start Budget.unlimited in
   Alcotest.(check bool) "unlimited never fires" true (Budget.check st = None);
-  Budget.force_exhaustion st;
+  Failpt.load "solve.exhaust=trip";
+  Fun.protect ~finally:Failpt.deactivate @@ fun () ->
+  let st = Option.get (Budget.for_solve ~budget:Budget.unlimited ()) in
   (match Budget.check st with
   | Some Budget.Injected -> ()
   | _ -> Alcotest.fail "forced exhaustion should report Injected");
@@ -159,10 +159,11 @@ let test_budget_forced_exhaustion_sticky () =
 
 let test_budget_injected_delay_ages_wall () =
   Failpt.deactivate ();
-  let st = Budget.start (Budget.make ~max_wall_s:10.0 ()) in
-  Alcotest.(check bool) "fresh budget ok" true (Budget.check st = None);
-  Budget.inject_delay st 11.0;
-  match Budget.check st with
+  let budget = Budget.make ~max_wall_s:10.0 () in
+  Alcotest.(check bool) "fresh budget ok" true (Budget.check (Budget.start budget) = None);
+  Failpt.load "solve.delay=delay(11)";
+  Fun.protect ~finally:Failpt.deactivate @@ fun () ->
+  match Budget.check (Option.get (Budget.for_solve ~budget ())) with
   | Some (Budget.Wall_clock _) -> ()
   | _ -> Alcotest.fail "injected delay should exhaust the wall budget"
 

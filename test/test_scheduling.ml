@@ -99,7 +99,7 @@ let test_cluster_heterogeneous_two_services () =
   let c = make_cluster ~setup:Sim.Cluster.Heterogeneous () in
   Array.iter
     (fun s ->
-      let n = List.length (Hire.Sharing.supported_services (Sim.Cluster.sharing c) s) in
+      let n = Hire.Sharing.n_supported (Sim.Cluster.sharing c) s in
       Alcotest.(check int) "two services" 2 n)
     (Topology.Fat_tree.switches (Sim.Cluster.topo c))
 

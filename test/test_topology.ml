@@ -8,14 +8,24 @@ module Vec = Prelude.Vec
 let t4 = Fat_tree.create ~k:4
 let t8 = Fat_tree.create ~k:8
 
+let switches_of_kind t kind =
+  Array.of_list
+    (List.filter (fun s -> Fat_tree.kind t s = kind) (Array.to_list (Fat_tree.switches t)))
+
+let cores t = switches_of_kind t Fat_tree.Core
+let aggs t = switches_of_kind t Fat_tree.Agg
+
+(* The depth of the shallowest subtree holding both nodes. *)
+let lca_depth t a b = Fat_tree.cover_depth t [ a; b ]
+
 (* ------------------------------------------------------------------ *)
 (* Structure                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_counts () =
   (* k=4: 4 cores, 8 aggs, 8 tors, 16 servers. *)
-  Alcotest.(check int) "cores" 4 (Array.length (Fat_tree.core_switches t4));
-  Alcotest.(check int) "aggs" 8 (Array.length (Fat_tree.agg_switches t4));
+  Alcotest.(check int) "cores" 4 (Array.length (cores t4));
+  Alcotest.(check int) "aggs" 8 (Array.length (aggs t4));
   Alcotest.(check int) "tors" 8 (Array.length (Fat_tree.tor_switches t4));
   Alcotest.(check int) "servers" 16 (Array.length (Fat_tree.servers t4));
   Alcotest.(check int) "switches" 20 (Array.length (Fat_tree.switches t4));
@@ -23,7 +33,7 @@ let test_counts () =
 
 let test_counts_k8 () =
   (* k=8: 16 cores, 32 aggs, 32 tors, 128 servers. *)
-  Alcotest.(check int) "cores" 16 (Array.length (Fat_tree.core_switches t8));
+  Alcotest.(check int) "cores" 16 (Array.length (cores t8));
   Alcotest.(check int) "servers" 128 (Array.length (Fat_tree.servers t8))
 
 let test_paper_scale () =
@@ -37,14 +47,14 @@ let test_switches_shared () =
      the same array. *)
   let expected =
     Array.concat
-      [ Fat_tree.core_switches t4; Fat_tree.agg_switches t4; Fat_tree.tor_switches t4 ]
+      [ cores t4; aggs t4; Fat_tree.tor_switches t4 ]
   in
   Alcotest.(check (array int)) "core @ agg @ tor" expected (Fat_tree.switches t4);
   Alcotest.(check (array int)) "in id order" (Array.init 20 Fun.id) (Fat_tree.switches t4);
   Alcotest.(check bool) "shared" true (Fat_tree.switches t4 == Fat_tree.switches t4);
   let ls = Fat_tree.create_leaf_spine ~spines:2 ~leafs:3 ~servers_per_leaf:2 in
   Alcotest.(check (array int)) "leaf-spine: spines @ leaves"
-    (Array.append (Fat_tree.core_switches ls) (Fat_tree.tor_switches ls))
+    (Array.append (cores ls) (Fat_tree.tor_switches ls))
     (Fat_tree.switches ls);
   Alcotest.(check bool) "leaf-spine shared" true (Fat_tree.switches ls == Fat_tree.switches ls)
 
@@ -57,9 +67,9 @@ let test_create_rejects_odd_k () =
 
 let test_depths () =
   Array.iter (fun c -> Alcotest.(check int) "core depth" 0 (Fat_tree.depth t4 c))
-    (Fat_tree.core_switches t4);
+    (cores t4);
   Array.iter (fun a -> Alcotest.(check int) "agg depth" 1 (Fat_tree.depth t4 a))
-    (Fat_tree.agg_switches t4);
+    (aggs t4);
   Array.iter (fun x -> Alcotest.(check int) "tor depth" 2 (Fat_tree.depth t4 x))
     (Fat_tree.tor_switches t4);
   Array.iter (fun s -> Alcotest.(check int) "server depth" 3 (Fat_tree.depth t4 s))
@@ -97,12 +107,12 @@ let test_agg_core_links () =
     (fun agg ->
       let ups = Fat_tree.parents t4 agg in
       Alcotest.(check int) "agg has k/2 core parents" 2 (List.length ups))
-    (Fat_tree.agg_switches t4);
+    (aggs t4);
   Array.iter
     (fun core ->
       Alcotest.(check int) "core has k agg children" 4
         (List.length (Fat_tree.children t4 core)))
-    (Fat_tree.core_switches t4)
+    (cores t4)
 
 let test_neighbors_symmetric () =
   for v = 0 to Fat_tree.node_count t4 - 1 do
@@ -123,20 +133,12 @@ let test_servers_under () =
   let tor = (Fat_tree.tor_switches t4).(0) in
   Alcotest.(check int) "tor covers k/2 servers" 2
     (Array.length (Fat_tree.servers_under t4 tor));
-  let agg = (Fat_tree.agg_switches t4).(0) in
+  let agg = (aggs t4).(0) in
   Alcotest.(check int) "agg covers pod servers" 4
     (Array.length (Fat_tree.servers_under t4 agg));
-  let core = (Fat_tree.core_switches t4).(0) in
+  let core = (cores t4).(0) in
   Alcotest.(check int) "core covers all servers" 16
     (Array.length (Fat_tree.servers_under t4 core))
-
-let test_switches_under () =
-  let tor = (Fat_tree.tor_switches t4).(0) in
-  Alcotest.(check (list int)) "tor subtree is itself" [ tor ]
-    (Array.to_list (Fat_tree.switches_under t4 tor));
-  let agg = (Fat_tree.agg_switches t4).(0) in
-  (* agg + both tors of the pod. *)
-  Alcotest.(check int) "agg subtree" 3 (Array.length (Fat_tree.switches_under t4 agg))
 
 (* ------------------------------------------------------------------ *)
 (* LCA / cover / detour                                               *)
@@ -153,22 +155,22 @@ let server_in_pod t pod idx =
 let test_lca_servers () =
   let s0 = server_in_pod t4 0 0 and s1 = server_in_pod t4 0 1 in
   (* Same ToR (first two servers of pod 0 share tor 0). *)
-  Alcotest.(check int) "same tor" 2 (Fat_tree.lca_depth t4 s0 s1);
+  Alcotest.(check int) "same tor" 2 (lca_depth t4 s0 s1);
   let s2 = server_in_pod t4 0 2 in
-  Alcotest.(check int) "same pod, diff tor" 1 (Fat_tree.lca_depth t4 s0 s2);
+  Alcotest.(check int) "same pod, diff tor" 1 (lca_depth t4 s0 s2);
   let s_other = server_in_pod t4 1 0 in
-  Alcotest.(check int) "diff pod" 0 (Fat_tree.lca_depth t4 s0 s_other)
+  Alcotest.(check int) "diff pod" 0 (lca_depth t4 s0 s_other)
 
 let test_lca_server_switch () =
   let s0 = server_in_pod t4 0 0 in
   let tor = Fat_tree.tor_of_server t4 s0 in
-  Alcotest.(check int) "server with its tor" 2 (Fat_tree.lca_depth t4 s0 tor);
-  let core = (Fat_tree.core_switches t4).(0) in
-  Alcotest.(check int) "server with a core" 0 (Fat_tree.lca_depth t4 s0 core)
+  Alcotest.(check int) "server with its tor" 2 (lca_depth t4 s0 tor);
+  let core = (cores t4).(0) in
+  Alcotest.(check int) "server with a core" 0 (lca_depth t4 s0 core)
 
 let test_lca_self () =
   let s0 = server_in_pod t4 0 0 in
-  Alcotest.(check int) "self lca is own depth" 3 (Fat_tree.lca_depth t4 s0 s0)
+  Alcotest.(check int) "self lca is own depth" 3 (lca_depth t4 s0 s0)
 
 let test_cover_depth () =
   let s0 = server_in_pod t4 0 0 and s1 = server_in_pod t4 0 1 in
@@ -187,7 +189,7 @@ let test_detour_positive_for_remote_switch () =
   let s0 = server_in_pod t4 0 0 and s1 = server_in_pod t4 0 1 in
   (* Servers covered at ToR level (depth 2); a core switch forces the
      cover to depth 0 -> detour 2. *)
-  let core = (Fat_tree.core_switches t4).(0) in
+  let core = (cores t4).(0) in
   Alcotest.(check int) "core detour" 2
     (Fat_tree.detour t4 ~servers:[ s0; s1 ] ~switches:[ core ]);
   (* An agg of the same pod costs one level. *)
@@ -199,17 +201,10 @@ let test_detour_no_switches () =
   let s0 = server_in_pod t4 0 0 in
   Alcotest.(check int) "no switches" 0 (Fat_tree.detour t4 ~servers:[ s0 ] ~switches:[])
 
-let test_hop_distance () =
-  let s0 = server_in_pod t4 0 0 and s1 = server_in_pod t4 0 1 in
-  Alcotest.(check int) "same tor servers" 2 (Fat_tree.hop_distance t4 s0 s1);
-  Alcotest.(check int) "self" 0 (Fat_tree.hop_distance t4 s0 s0);
-  let tor = Fat_tree.tor_of_server t4 s0 in
-  Alcotest.(check int) "server to its tor" 1 (Fat_tree.hop_distance t4 s0 tor)
-
 let prop_lca_symmetric =
   QCheck.Test.make ~name:"lca_depth is symmetric" ~count:300
     QCheck.(pair (int_range 0 35) (int_range 0 35))
-    (fun (a, b) -> Fat_tree.lca_depth t4 a b = Fat_tree.lca_depth t4 b a)
+    (fun (a, b) -> lca_depth t4 a b = lca_depth t4 b a)
 
 let prop_detour_nonnegative =
   let gen = QCheck.(pair (list_of_size Gen.(int_range 1 5) (int_range 20 35))
@@ -226,8 +221,8 @@ let prop_detour_nonnegative =
 let ls = Fat_tree.create_leaf_spine ~spines:4 ~leafs:8 ~servers_per_leaf:6
 
 let test_leaf_spine_counts () =
-  Alcotest.(check int) "spines" 4 (Array.length (Fat_tree.core_switches ls));
-  Alcotest.(check int) "no aggregation tier" 0 (Array.length (Fat_tree.agg_switches ls));
+  Alcotest.(check int) "spines" 4 (Array.length (cores ls));
+  Alcotest.(check int) "no aggregation tier" 0 (Array.length (aggs ls));
   Alcotest.(check int) "leafs" 8 (Array.length (Fat_tree.tor_switches ls));
   Alcotest.(check int) "servers" 48 (Array.length (Fat_tree.servers ls));
   Alcotest.(check int) "switches" 12 (Array.length (Fat_tree.switches ls))
@@ -245,16 +240,16 @@ let test_leaf_spine_adjacency () =
         (List.length (Fat_tree.children ls spine));
       Alcotest.(check int) "spine subtree covers all servers" 48
         (Array.length (Fat_tree.servers_under ls spine)))
-    (Fat_tree.core_switches ls)
+    (cores ls)
 
 let test_leaf_spine_locality () =
   let servers = Fat_tree.servers ls in
   let s0 = servers.(0) and s1 = servers.(1) and s_far = servers.(47) in
-  Alcotest.(check int) "same leaf" 2 (Fat_tree.lca_depth ls s0 s1);
-  Alcotest.(check int) "cross leaf goes via spine" 0 (Fat_tree.lca_depth ls s0 s_far);
+  Alcotest.(check int) "same leaf" 2 (lca_depth ls s0 s1);
+  Alcotest.(check int) "cross leaf goes via spine" 0 (lca_depth ls s0 s_far);
   let leaf = Fat_tree.tor_of_server ls s0 in
   Alcotest.(check int) "leaf on path" 0 (Fat_tree.detour ls ~servers:[ s0; s1 ] ~switches:[ leaf ]);
-  let spine = (Fat_tree.core_switches ls).(0) in
+  let spine = (cores ls).(0) in
   Alcotest.(check int) "spine detour" 2
     (Fat_tree.detour ls ~servers:[ s0; s1 ] ~switches:[ spine ])
 
@@ -336,7 +331,6 @@ let () =
       ( "subtrees",
         [
           Alcotest.test_case "servers under" `Quick test_servers_under;
-          Alcotest.test_case "switches under" `Quick test_switches_under;
         ] );
       ( "locality",
         Alcotest.test_case "lca servers" `Quick test_lca_servers
@@ -346,7 +340,6 @@ let () =
         :: Alcotest.test_case "detour on-path" `Quick test_detour_zero_when_switch_on_path
         :: Alcotest.test_case "detour remote" `Quick test_detour_positive_for_remote_switch
         :: Alcotest.test_case "detour no switches" `Quick test_detour_no_switches
-        :: Alcotest.test_case "hop distance" `Quick test_hop_distance
         :: qt [ prop_lca_symmetric; prop_detour_nonnegative ] );
       ( "leaf_spine",
         [

@@ -168,7 +168,9 @@ let test_trace_io_roundtrip () =
 let test_trace_io_rejects_garbage () =
   let bad header_ok body =
     let text =
-      (if header_ok then Workload.Trace_io.csv_header else "nope") ^ "\n" ^ body
+      (if header_ok then "job_id,arrival_s,priority,tg_index,count,cpu,mem,duration_s"
+       else "nope")
+      ^ "\n" ^ body
     in
     Result.is_error (Workload.Trace_io.of_csv text)
   in
