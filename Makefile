@@ -49,8 +49,14 @@ test:
 # search generation per augmentation, as a Dijkstra resumes the
 # zero-length search that missed instead of starting a new one; and
 # the body of `zero_path` must not mention Heap.Int_pair: every key of
-# that search is 0, so its frontier is a heap of node ids in the
-# scratch (docs/PERFORMANCE.md, "Zero-length augmenting paths").
+# that search is 0, so its frontier is a bitset of node ids in the
+# scratch (docs/PERFORMANCE.md, "Zero-length augmenting paths"), and
+# the old id heap's frontier_push/frontier_pop must not come back.
+# Only `zero_path` writes entries of the scratch's `blocked` array, and
+# `epoch` is written only by `s.epoch <- s.epoch + 1`, exactly twice,
+# both inside `solve`: once per solve and once before each Dijkstra,
+# the two events that end a blocked mark's validity (docs/PERFORMANCE.md,
+# "Why the skip is exact").
 # lib/flow/mcmf.ml defines exactly one `let dijkstra` function, and
 # nothing in lib/ or bin/ mentions Classic, Bucket_queue, cost_ub or
 # flow.queue: the SSP has one search path, the zero-length search and
@@ -107,6 +113,14 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (mcmf.ml must bump s.gen in exactly one place)"; exit 1; }
 	@! { sed -n '/^let zero_path/,/^let /p' lib/flow/mcmf.ml | grep -n 'Heap\.Int_pair'; } \
 		|| { echo "lint-compare: FAIL (zero_path uses the keyed heap above)"; exit 1; }
+	@! grep -rnE 'frontier_(push|pop)' lib \
+		|| { echo "lint-compare: FAIL (id-heap frontier above)"; exit 1; }
+	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "zero_path"' lib/flow/mcmf.ml \
+		| grep -nE 'blocked\.\([^)]*\) *<-|Array\.(fill|blit) +(s\.)?blocked'; } \
+		|| { echo "lint-compare: FAIL (blocked written outside zero_path above)"; exit 1; }
+	@test "$$(grep -c 'epoch <-' lib/flow/mcmf.ml)" -eq 2 \
+		&& test "$$(sed -n '/^let solve/,/^let /p' lib/flow/mcmf.ml | grep -c 's\.epoch <- s\.epoch + 1')" -eq 2 \
+		|| { echo "lint-compare: FAIL (mcmf.ml must bump s.epoch exactly twice, both in solve)"; exit 1; }
 	@test "$$(grep -cE '^let (rec )?dijkstra' lib/flow/mcmf.ml)" -eq 1 \
 		|| { echo "lint-compare: FAIL (mcmf.ml must define exactly one Dijkstra)"; exit 1; }
 	@! grep -rnE 'Classic|Bucket_queue|cost_ub|flow\.queue' lib bin \

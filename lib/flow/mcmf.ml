@@ -32,9 +32,13 @@ let infinity_dist = max_int / 4
    forward chain merged with its list instead of every residual arc
    (see [dijkstra]).
 
-   [frontier] is the zero-length search's queue, a binary min-heap of
-   node ids (see [zero_path]); a node enters it at most once per
-   search, so n slots suffice. *)
+   [bits] and [summary] are the zero-length search's frontier, a
+   two-level bitset over node ids, all zero between searches: bit
+   [v land 31] of [bits.(v lsr 5)] holds node [v], and bit [w land 31]
+   of [summary.(w lsr 5)] is set while [bits.(w)] is not 0.
+   [blocked.(v) = epoch] marks a node that search found with no
+   admissible arc (see [zero_path]); [solve] bumps [epoch] at its start
+   and before each Dijkstra, whose augmentation moves the potentials. *)
 type scratch = {
   mutable excess : int array;
   mutable pot : int array;
@@ -44,9 +48,13 @@ type scratch = {
   mutable gen : int;
   mutable settled : int array;  (* nodes settled in this generation, in order *)
   mutable n_settled : int;
-  mutable sources : int array;  (* positive-excess nodes, ascending *)
+  mutable sources : int array;  (* positive-excess nodes *)
   mutable n_sources : int;
-  mutable frontier : int array;  (* zero search's min-heap of node ids *)
+  mutable bits : int array;
+  mutable summary : int array;
+  mutable blocked : int array;
+  mutable epoch : int;
+  mutable zero_blocked : int;  (* scans skipped by this solve *)
   mutable live_head : int array;  (* per node: first entry of its list, -1 if none *)
   mutable live_arc : int array;   (* per entry: its twin's arc id *)
   mutable live_next : int array;  (* per entry: next entry, -1 at the end *)
@@ -66,7 +74,11 @@ let scratch () =
     n_settled = 0;
     sources = [||];
     n_sources = 0;
-    frontier = [||];
+    bits = [||];
+    summary = [||];
+    blocked = [||];
+    epoch = 0;
+    zero_blocked = 0;
     live_head = [||];
     live_arc = [||];
     live_next = [||];
@@ -84,7 +96,9 @@ let ensure_scratch s n =
     s.stamp <- Array.make cap 0;
     s.settled <- Array.make cap 0;
     s.sources <- Array.make cap 0;
-    s.frontier <- Array.make cap 0;
+    s.bits <- Array.make ((cap lsr 5) + 1) 0;
+    s.summary <- Array.make ((cap lsr 10) + 1) 0;
+    s.blocked <- Array.make cap 0;
     s.live_head <- Array.make cap (-1);
     (* Fresh stamps read as stale for any positive generation. *)
     s.gen <- max 1 s.gen
@@ -125,22 +139,6 @@ let spfa g excess =
 (* ------------------------------------------------------------------ *)
 (* Early-terminating Dijkstra                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* Drop positive-excess nodes that have been drained since the last
-   search, keeping the survivors in order.  [solve] lists the sources
-   by ascending id and a solve never makes a new one, so the list stays
-   ascending: [zero_path] reads it as a sorted cursor instead of
-   pushing every source on its frontier. *)
-let compact_sources s =
-  let kept = ref 0 in
-  for i = 0 to s.n_sources - 1 do
-    let v = s.sources.(i) in
-    if s.excess.(v) > 0 then begin
-      s.sources.(!kept) <- v;
-      incr kept
-    end
-  done;
-  s.n_sources <- !kept
 
 (* Live twins.  The pool grows by doubling and is reused across
    solves, so a warm solve takes entries without allocating. *)
@@ -285,44 +283,30 @@ let dijkstra g s =
   done;
   !target
 
-(* The zero-length search's frontier, [fr.(0 .. size-1)]: a binary
-   min-heap of node ids.  Every key of that search is 0, so node order
-   is the canonical (key, node) order of the Dijkstra's heap. *)
-let frontier_push (fr : int array) size (u : int) =
-  let i = ref size in
-  while !i > 0 && fr.((!i - 1) / 2) > u do
-    let p = (!i - 1) / 2 in
-    fr.(!i) <- fr.(p);
-    i := p
-  done;
-  fr.(!i) <- u
+(* Index of the lowest set bit of a non-zero 32-bit word, by de
+   Bruijn multiplication: [x land (-x)] isolates the bit, and the
+   product's top five bits are distinct for each of the 32 powers. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
-(* Removes and returns the least id of a heap that holds [size] + 1. *)
-let frontier_pop (fr : int array) size =
-  let top = fr.(0) and x = fr.(size) in
-  let i = ref 0 and sifting = ref true in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    if l >= size then sifting := false
-    else begin
-      let c = if l + 1 < size && fr.(l + 1) < fr.(l) then l + 1 else l in
-      if fr.(c) < x then begin
-        fr.(!i) <- fr.(c);
-        i := c
-      end
-      else sifting := false
-    end
-  done;
-  fr.(!i) <- x;
-  top
+let lowest_bit x = debruijn.((((x land (-x)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* Adds node [u] to the frontier bitset. *)
+let bit_set bits summary u =
+  let w = u lsr 5 in
+  let x = bits.(w) in
+  if x = 0 then summary.(w lsr 5) <- summary.(w lsr 5) lor (1 lsl (w land 31));
+  bits.(w) <- x lor (1 lsl (u land 31))
 
 (* The search for a zero-length augmenting path, run first in every
-   generation.  It stamps the sources with distance 0, then pops the
-   least of the next source (from the ascending [s.sources]) and the
-   top of [s.frontier], so in node order.  It relaxes only arcs with
-   residual capacity and a clamped reduced cost of 0, onto nodes not
-   yet stamped in this generation, which it pushes on the frontier
-   (each at most once), and stops at the first settled deficit.
+   generation.  It stamps the sources with distance 0 and sets their
+   bits in the frontier, then pops the least id it holds.  It relaxes
+   only arcs with residual capacity and a clamped reduced cost of 0,
+   onto nodes not yet stamped in this generation, whose bits it sets
+   (each at most once), and stops at the first settled deficit.  Every
+   key of this search is 0, so popping the least id is the canonical
+   (key, node) order of the Dijkstra's heap.
 
    When it finds one, the full search would have returned the same
    target with the same settled list, in the same order, and the same
@@ -333,44 +317,57 @@ let frontier_pop (fr : int array) size =
    searches.  Every settled node has distance 0, so the potential
    update moves nothing.  When it finds none, it has settled every
    key-0 node, and the Dijkstra resumes from there in the same
-   generation (docs/PERFORMANCE.md, "Zero-length augmenting paths"). *)
+   generation (docs/PERFORMANCE.md, "Zero-length augmenting paths").
+
+   A node it scans that has no arc of residual capacity and clamped
+   reduced cost 0 is marked blocked for the epoch; a blocked node is
+   still settled, but its scan, which would relax nothing, is skipped
+   (docs/PERFORMANCE.md, "Why the skip is exact"). *)
 let zero_path g s =
   let excess = s.excess and pot = s.pot and dist = s.dist in
   let parent = s.parent and stamp = s.stamp and settled = s.settled in
   let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
   let live = s.live_head and live_arc = s.live_arc and live_next = s.live_next in
   let dst = Graph.Raw.dst g and cap = Graph.Raw.cap g and cost = Graph.Raw.cost g in
-  let gen = s.gen in
+  let gen = s.gen and epoch = s.epoch and blocked = s.blocked in
+  let bits = s.bits and summary = s.summary in
   s.n_settled <- 0;
-  compact_sources s;
-  let sources = s.sources and n_sources = s.n_sources and fr = s.frontier in
-  for i = 0 to n_sources - 1 do
-    let v = sources.(i) in
-    dist.(v) <- 0;
-    parent.(v) <- -1;
-    stamp.(v) <- gen
+  (* [low]: no summary word below it is set; [size]: bits set.  Sources
+     drained since the last search leave the list (a solve makes no new
+     one). *)
+  let low = ref max_int and size = ref 0 and skipped = ref 0 in
+  for i = 0 to s.n_sources - 1 do
+    let v = s.sources.(i) in
+    if excess.(v) > 0 then begin
+      s.sources.(!size) <- v;
+      incr size;
+      dist.(v) <- 0;
+      parent.(v) <- -1;
+      stamp.(v) <- gen;
+      bit_set bits summary v;
+      if v lsr 10 < !low then low := v lsr 10
+    end
   done;
-  (* [next_source]: the cursor into [sources]; [size]: the frontier's. *)
-  let next_source = ref 0 and size = ref 0 in
+  s.n_sources <- !size;
   let target = ref (-1) in
-  while !target < 0 && (!next_source < n_sources || !size > 0) do
-    (* A source is stamped up front, so it never enters the frontier. *)
-    let v =
-      if !size = 0 || (!next_source < n_sources && sources.(!next_source) < fr.(0)) then begin
-        let v = sources.(!next_source) in
-        incr next_source;
-        v
-      end
-      else begin
-        decr size;
-        frontier_pop fr !size
-      end
-    in
+  while !target < 0 && !size > 0 do
+    while summary.(!low) = 0 do
+      incr low
+    done;
+    let sw = summary.(!low) in
+    let w = (!low lsl 5) lor lowest_bit sw in
+    let x = bits.(w) in
+    let v = (w lsl 5) lor lowest_bit x in
+    let x = x land (x - 1) in
+    bits.(w) <- x;
+    if x = 0 then summary.(!low) <- sw land (sw - 1);
+    decr size;
     settled.(s.n_settled) <- v;
     s.n_settled <- s.n_settled + 1;
     if excess.(v) < 0 then target := v
+    else if blocked.(v) = epoch then incr skipped
     else begin
-      let pv = pot.(v) in
+      let pv = pot.(v) and admissible = ref false in
       let a = ref fwd.(v) and e = ref live.(v) in
       let b = ref (if !e >= 0 then live_arc.(!e) else -1) in
       while !a >= 0 || !b >= 0 do
@@ -389,17 +386,33 @@ let zero_path g s =
         in
         if cap.(arc) > 0 then begin
           let u = dst.(arc) in
-          if stamp.(u) <> gen && cost.(arc) + pv - pot.(u) <= 0 then begin
-            dist.(u) <- 0;
-            parent.(u) <- arc;
-            stamp.(u) <- gen;
-            frontier_push fr !size u;
-            incr size
+          if cost.(arc) + pv - pot.(u) <= 0 then begin
+            admissible := true;
+            if stamp.(u) <> gen then begin
+              dist.(u) <- 0;
+              parent.(u) <- arc;
+              stamp.(u) <- gen;
+              bit_set bits summary u;
+              if u lsr 10 < !low then low := u lsr 10;
+              incr size
+            end
           end
         end
-      done
+      done;
+      if not !admissible then blocked.(v) <- epoch
     end
   done;
+  (* Leave the frontier empty for the next search. *)
+  if !size > 0 then
+    for j = !low to (Graph.node_count g - 1) lsr 10 do
+      let sw = ref summary.(j) in
+      while !sw <> 0 do
+        bits.((j lsl 5) lor lowest_bit !sw) <- 0;
+        sw := !sw land (!sw - 1)
+      done;
+      summary.(j) <- 0
+    done;
+  s.zero_blocked <- s.zero_blocked + !skipped;
   !target
 
 let solve ?budget ?scratch:s g =
@@ -426,6 +439,8 @@ let solve ?budget ?scratch:s g =
         ensure_scratch s n;
         (s, false)
   in
+  s.epoch <- s.epoch + 1;
+  s.zero_blocked <- 0;
   let excess = s.excess and pot = s.pot and dist = s.dist and parent = s.parent in
   for v = 0 to n - 1 do
     excess.(v) <- Graph.supply g v
@@ -486,7 +501,10 @@ let solve ?budget ?scratch:s g =
           incr zero_paths;
           t
         end
-        else dijkstra g s
+        else begin
+          s.epoch <- s.epoch + 1;
+          dijkstra g s
+        end
       in
       stage_end t_dijkstra s0;
       if target < 0 then continue_ := false
@@ -538,6 +556,7 @@ let solve ?budget ?scratch:s g =
     end
   done;
   if instrument then Obs.Registry.incr ~by:!zero_paths (Obs.Registry.counter "flow.zero_paths");
+  if instrument then Obs.Registry.incr ~by:s.zero_blocked (Obs.Registry.counter "flow.zero_blocked");
   let degraded = !exhausted <> None in
   if degraded && instrument then begin
     Obs.Registry.incr (Obs.Registry.counter "flow.budget_exhausted");

@@ -39,8 +39,8 @@ type result = {
 
 (** Reusable solver workspace: excess/potential/distance/parent arrays,
     the per-node lists of live residual twins, the zero-length search's
-    frontier (a min-heap of node ids, one [int array] of n slots), and
-    the Dijkstra's binary heap.  It grows with the instance (never
+    frontier (a bitset over node ids) and blocked-node marks, and the
+    Dijkstra's binary heap.  It grows with the instance (never
     shrinks) and is reused: a solve that reuses a large enough scratch
     allocates nothing sized by the node or arc count, except the SPFA
     bootstrap of a graph with negative costs.  Pass the same scratch to
@@ -65,10 +65,10 @@ val scratch : unit -> scratch
     [scratch] provides a reusable workspace (exact; see {!scratch}).
 
     Each augmentation first searches for a path of reduced length 0,
-    relaxing only arcs of reduced cost 0 and popping in node order: the
-    sources come from a list kept in ascending order, the other nodes
-    from a heap of node ids.  Such a path is exactly the one the
-    Dijkstra would return.  When there is none, the Dijkstra resumes
+    relaxing only arcs of reduced cost 0 and popping in node order from
+    a bitset of node ids.  It skips the scans of nodes an earlier search
+    found with no such arc, while no potential has moved since.  Such a
+    path is exactly the one the Dijkstra would return.  When there is none, the Dijkstra resumes
     that search instead of starting over: it keeps its distances,
     parents and settled nodes, replays their scans in settle order to
     seed its queue, and goes on from there, so one search generation

@@ -44,25 +44,9 @@ let[@inline] scaled ~avg ~penalty params =
   let v = (clamp01 avg +. nonneg penalty) *. float_of_int params.cost_scale in
   int_of_float (Float.round v)
 
-let flatten ?weights components ~penalty params =
-  let components = Array.of_list components in
-  let n = Array.length components in
-  let avg =
-    if n = 0 then 0.0
-    else begin
-      match weights with
-      | None -> Array.fold_left ( +. ) 0.0 components /. float_of_int n
-      | Some w ->
-          if Array.length w <> n then invalid_arg "Cost_model.flatten: weight mismatch";
-          let total_w = Array.fold_left ( +. ) 0.0 w in
-          if total_w <= 0.0 then 0.0
-          else begin
-            let acc = ref 0.0 in
-            Array.iteri (fun i c -> acc := !acc +. (w.(i) *. c)) components;
-            !acc /. total_w
-          end
-    end
-  in
+let flatten components ~penalty params =
+  let n = List.length components in
+  let avg = if n = 0 then 0.0 else List.fold_left ( +. ) 0.0 components /. float_of_int n in
   scaled ~avg ~penalty params
 
 (* ------------------------------------------------------------------ *)

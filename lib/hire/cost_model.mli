@@ -3,7 +3,7 @@
     Every edge of the flow network carries a multi-dimensional cost
     vector σ⃗ whose components (utilization, multiplexing, locality,
     interference, priority) are produced by the Φ functions below, each
-    in [\[0,1\]].  Before the MCMF solve, σ⃗ is flattened by a weighted
+    in [\[0,1\]].  Before the MCMF solve, σ⃗ is flattened by its uniform
     average, a per-edge-type penalty is added, and the result is scaled
     to an integer ([cost_scale] units per 1.0), which is what the solver
     consumes. *)
@@ -43,12 +43,12 @@ type params = {
 
 val default_params : params
 
-(** [flatten ?weights components ~penalty params] averages the σ⃗
-    components (uniform weights by default), adds the penalty, and scales
-    to a non-negative integer.  Test hook: only the edge prices of this
+(** [flatten components ~penalty params] averages the σ⃗ components
+    with uniform weights, adds the penalty, and scales to a
+    non-negative integer.  Test hook: only the edge prices of this
     module call it; the tests pin its clamp and scaling, and check the
     loop-form shortcut and to-sink costs bit for bit against it. *)
-val flatten : ?weights:float array -> float list -> penalty:float -> params -> int
+val flatten : float list -> penalty:float -> params -> int
 
 (* ------------------------------------------------------------------ *)
 (* Φ functions (Tab. 5)                                               *)

@@ -7,7 +7,10 @@ module Task_census = struct
      hierarchy.  A machine is tagged (tor, pod) as follows: servers and
      ToRs by their own ToR; aggs by their pod only; cores by neither.
      Every change to a group stamps it with the next value of the
-     census-wide [clock], so equal stamps mean unchanged counts. *)
+     census-wide [clock], so equal stamps mean unchanged counts.  A
+     group whose last task leaves is dropped: it reads stamp 0 and
+     counts 0, as one never seen does, so the census holds only groups
+     with running tasks. *)
   type group_counts = {
     by_machine : int Int_tbl.t;
     by_tor : int Int_tbl.t;
@@ -57,7 +60,8 @@ module Task_census = struct
     (match tor with Some x -> bump g.by_tor x delta | None -> ());
     (match pod with Some p -> bump g.by_pod p delta | None -> ());
     g.total <- g.total + delta;
-    if g.total < 0 then invalid_arg "Task_census: negative total"
+    if g.total < 0 then invalid_arg "Task_census: negative total";
+    if g.total = 0 then Int_tbl.remove t.groups tg_id
 
   let add t ~tg_id ~machine = adjust t ~tg_id ~machine 1
   let remove t ~tg_id ~machine = adjust t ~tg_id ~machine (-1)
@@ -92,7 +96,7 @@ module Task_census = struct
       (fun (m, _) -> if Fat_tree.is_switch t.topo m then Some m else None)
       (machines t ~tg_id)
 
-  (* A removed group reads stamp 0, like one never seen; re-adding it
+  (* A cleared group reads stamp 0, like one never seen; re-adding it
      stamps it from the clock, above any stamp it had before. *)
   let clear_group t ~tg_id = Int_tbl.remove t.groups tg_id
 
@@ -101,7 +105,8 @@ module Task_census = struct
      are re-derived through one [adjust] per pair on restore, so a
      decoded census is structurally identical to one built live.  Groups
      and machines are written in sorted order for canonical bytes.  A
-     live census never holds a zero count, so decoding rejects one.
+     live census never holds a zero count, so decoding rejects one, nor
+     an empty group, so every group written has a pair.
      Decoding keeps the clock running (monotone, one tick per pair), so
      every decoded group gets a stamp above any it had and every dropped
      one reads 0. *)

@@ -26,6 +26,9 @@ module Task_census : sig
       groups). *)
   val add : t -> tg_id:int -> machine:int -> unit
 
+  (** [remove t ~tg_id ~machine] undoes one {!add}.  A group whose last
+      task leaves is dropped, so the census holds only groups with
+      running tasks. *)
   val remove : t -> tg_id:int -> machine:int -> unit
 
   (** Tasks of the group running inside the subtree rooted at [node].
@@ -42,13 +45,14 @@ module Task_census : sig
   val switches : t -> tg_id:int -> int list
 
   (** Drop a group, as a checkpoint restore ({!decode_state}) drops one
-      the snapshot lacks.  Test hook: the scheduler never drops a
-      group; tests drop one directly to take its {!stamp} back to 0
-      mid-run. *)
+      the snapshot lacks.  Test hook: the census drops a group itself
+      only when its last task is removed; tests drop one that still has
+      tasks to take its {!stamp} back to 0 mid-run. *)
   val clear_group : t -> tg_id:int -> unit
 
   (** Change stamp of a group: 0 while the group is absent (never
-      added, cleared, or dropped by {!decode_state}); otherwise the
+      added, its last task removed, cleared, or dropped by
+      {!decode_state}); otherwise the
       value of a census-wide counter at the group's last {!add},
       {!remove} or decode.  The counter only grows, so a group whose
       stamp reads the same as before has the same counts as before,

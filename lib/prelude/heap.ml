@@ -56,85 +56,65 @@ let peek t = if t.size = 0 then raise Not_found else t.data.(0)
 let clear t = t.size <- 0
 let to_list t = Array.to_list (Array.sub t.data 0 t.size)
 
-(* Monomorphic (int key, int value) min-heap on parallel arrays: no
-   tuple boxing, no polymorphic-compare dispatch.  Ordering is the
-   canonical lexicographic (key, value) order — equal keys break ties
-   toward the smaller value — so pop order is a total order independent
-   of insertion order, and the MCMF Dijkstra's tie-breaking with it.
-
-   No decrease-key is needed (or provided): Dijkstra pushes a fresh
-   entry on every distance improvement and lazily skips stale entries
-   at pop time (popped key > current dist).  Since improvements are
-   strictly decreasing per node, duplicate (key, value) entries cannot
-   occur, and the lexicographic order stays total in practice. *)
+(* Monomorphic (int key, int value) min-heap of packed entries,
+   [key lsl 21 lor value]: integer order on entries is the
+   lexicographic (key, value) order, so pop order is a total order
+   independent of insertion order, and the MCMF Dijkstra's
+   tie-breaking with it.  The sifts move a hole instead of swapping.
+   No decrease-key: Dijkstra pushes a fresh entry on every distance
+   improvement and skips stale ones at pop time. *)
 module Int_pair = struct
-  type t = { mutable key : int array; mutable value : int array; mutable size : int }
+  let value_bits = 21
+  let value_mask = (1 lsl value_bits) - 1
 
-  let create () = { key = [||]; value = [||]; size = 0 }
+  type t = { mutable data : int array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
   let is_empty t = t.size = 0
   let size t = t.size
   let clear t = t.size <- 0
 
-  let grow t =
-    let cap = Array.length t.key in
-    if t.size = cap then begin
-      let ncap = max 8 (2 * cap) in
-      let nkey = Array.make ncap 0 and nvalue = Array.make ncap 0 in
-      Array.blit t.key 0 nkey 0 t.size;
-      Array.blit t.value 0 nvalue 0 t.size;
-      t.key <- nkey;
-      t.value <- nvalue
-    end
-
-  let swap t i j =
-    let k = t.key.(i) and v = t.value.(i) in
-    t.key.(i) <- t.key.(j);
-    t.value.(i) <- t.value.(j);
-    t.key.(j) <- k;
-    t.value.(j) <- v
-
-  (* Lexicographic (key, value) comparison. *)
-  let less t i j =
-    t.key.(i) < t.key.(j) || (t.key.(i) = t.key.(j) && t.value.(i) < t.value.(j))
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less t i parent then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && less t l !smallest then smallest := l;
-    if r < t.size && less t r !smallest then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
-
   let push t k v =
-    grow t;
-    t.key.(t.size) <- k;
-    t.value.(t.size) <- v;
+    if k lsr 41 lor (v lsr value_bits) <> 0 then invalid_arg "Heap.Int_pair.push: out of range";
+    if t.size = Array.length t.data then begin
+      let data = Array.make (max 8 (2 * t.size)) 0 in
+      Array.blit t.data 0 data 0 t.size;
+      t.data <- data
+    end;
+    let data = t.data and x = (k lsl value_bits) lor v in
+    let i = ref t.size in
     t.size <- t.size + 1;
-    sift_up t (t.size - 1)
+    while !i > 0 && data.((!i - 1) / 2) > x do
+      let p = (!i - 1) / 2 in
+      data.(!i) <- data.(p);
+      i := p
+    done;
+    data.(!i) <- x
 
   let min_key t =
     if t.size = 0 then raise Not_found;
-    t.key.(0)
+    t.data.(0) lsr value_bits
 
   let pop t =
     if t.size = 0 then raise Not_found;
-    let top = t.value.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.key.(0) <- t.key.(t.size);
-      t.value.(0) <- t.value.(t.size);
-      sift_down t 0
-    end;
+    let data = t.data in
+    let top = data.(0) land value_mask in
+    let size = t.size - 1 in
+    t.size <- size;
+    let x = data.(size) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= size then sifting := false
+      else begin
+        let c = if l + 1 < size && data.(l + 1) < data.(l) then l + 1 else l in
+        if data.(c) < x then begin
+          data.(!i) <- data.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    data.(!i) <- x;
     top
 end

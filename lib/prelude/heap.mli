@@ -25,19 +25,17 @@ val clear : 'a t -> unit
 (** [to_list t] returns the elements in unspecified order. *)
 val to_list : 'a t -> 'a list
 
-(** Monomorphic (int key, int value) min-heap on parallel int arrays.
-
-    Allocation-free in steady state: [push]/[pop] reuse the backing
-    arrays, and [clear] resets without freeing, so a heap held across
+(** Monomorphic (int key, int value) min-heap on one int array: an
+    entry is packed as [key lsl 21 lor value].  Allocation-free in
+    steady state: [clear] keeps the array, so a heap held across
     Dijkstra runs never reallocates once warmed up.
 
-    Ordering is the canonical lexicographic (key, value) order: among
-    equal keys the smaller value pops first.  The MCMF solver's
-    Dijkstra breaks its ties between equally short paths by this order
-    (test_prelude pins it).  There is deliberately no
-    decrease-key: Dijkstra pushes a new entry per improvement and skips
-    stale ones at pop time, which keeps every operation O(log n) with
-    zero bookkeeping. *)
+    Ordering is the lexicographic (key, value) order, which is integer
+    order on the packed entries: among equal keys the smaller value
+    pops first.  The MCMF solver's Dijkstra breaks its ties between
+    equally short paths by this order (test_prelude pins it).  There is
+    deliberately no decrease-key: Dijkstra pushes a new entry per
+    improvement and skips stale ones at pop time. *)
 module Int_pair : sig
   type t
 
@@ -45,9 +43,11 @@ module Int_pair : sig
   val is_empty : t -> bool
   val size : t -> int
 
-  (** Reset to empty, keeping the backing arrays for reuse. *)
+  (** Reset to empty, keeping the backing array for reuse. *)
   val clear : t -> unit
 
+  (** [push t key value].  @raise Invalid_argument unless
+      [0 <= key < 2{^41}] and [0 <= value < 2{^21}]. *)
   val push : t -> int -> int -> unit
 
   (** Key of the minimum entry.  @raise Not_found when empty. *)

@@ -803,6 +803,11 @@ let sched_patched seed =
       same_as_reference ~scratch g)
     [ 1; 2; 3; 4 ]
 
+(* One scratch across all graphs: each solve must start a new epoch,
+   or the blocked marks of the last graph's search would skip scans in
+   this one (docs/PERFORMANCE.md, "Why the skip is exact").  Most of
+   these solves mix zero-length paths with Dijkstra ones, and each
+   Dijkstra must start a new epoch too. *)
 let prop_fast_scan_sched =
   let scratch = Mcmf.scratch () in
   QCheck.Test.make ~name:"live-arc scan equals full scan, scheduling-shaped" ~count:1000
@@ -820,16 +825,19 @@ let prop_fast_scan_sched_patched =
    Dijkstra it falls back to are exercised; and the solver's
    [flow.zero_paths] counter equals the reference's count of
    zero-length augmentations, so the search finds a path exactly when
-   the full Dijkstra would have found one of length 0. *)
+   the full Dijkstra would have found one of length 0.  The search also
+   skips the scans of nodes it found blocked earlier in the epoch
+   ([flow.zero_blocked]), so the skip is exercised too. *)
 let test_fast_scan_sched_both_kinds () =
   let was_enabled = Obs.enabled () in
   Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
   Obs.set_enabled true;
-  let zero_paths () =
-    Option.value (List.assoc_opt "flow.zero_paths" (Obs.Registry.counters ())) ~default:0
+  let counter name =
+    Option.value (List.assoc_opt name (Obs.Registry.counters ())) ~default:0
   in
+  let zero_paths () = counter "flow.zero_paths" in
   let z0 = !Ref.zero_paths and p0 = !Ref.positive_paths in
-  let c0 = zero_paths () in
+  let c0 = zero_paths () and b0 = counter "flow.zero_blocked" in
   for seed = 0 to 299 do
     Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true
       (same_as_reference (sched_graph seed));
@@ -840,7 +848,8 @@ let test_fast_scan_sched_both_kinds () =
   Alcotest.(check bool) "zero-length augmentations occur" true (zero > 0);
   Alcotest.(check bool) "positive-length augmentations occur" true (positive > 0);
   Alcotest.(check int) "flow.zero_paths counts the zero-length ones" zero
-    (zero_paths () - c0)
+    (zero_paths () - c0);
+  Alcotest.(check bool) "blocked scans are skipped" true (counter "flow.zero_blocked" > b0)
 
 (* Sink 0, aux node A = 1, machines M1 = 2 and M2 = 3, sources S1 = 4
    and S2 = 5.  The first Dijkstra pops S1, then A, which it reached at

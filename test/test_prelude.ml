@@ -172,6 +172,65 @@ let test_int_pair_tie_order () =
     Alcotest.(check bool) "drained" true (Heap.Int_pair.is_empty h)
   done
 
+(* Interleaved pushes ([Some]) and pops ([None]) against a sorted-list
+   model: every pop returns the least (key, value) pair still held.
+   Keys come from 8 small values, so most entries tie, or from the top
+   of the key range, next to the sign bit of the packed entry. *)
+let prop_int_pair_interleaved =
+  let max_key = (1 lsl 41) - 1 and max_value = (1 lsl 21) - 1 in
+  QCheck.Test.make ~name:"int-pair interleaved pushes and pops" ~count:500
+    QCheck.(
+      list_of_size Gen.(int_range 0 400)
+        (option (triple bool (int_range 0 7) (int_range 0 max_value))))
+    (fun ops ->
+      let h = Heap.Int_pair.create () in
+      let model = ref [] in
+      let pop () =
+        let k = Heap.Int_pair.min_key h in
+        let v = Heap.Int_pair.pop h in
+        match !model with
+        | m :: rest ->
+            model := rest;
+            m = (k, v)
+        | [] -> false
+      in
+      List.for_all
+        (function
+          | Some (big, k, v) ->
+              let k = if big then max_key - k else k in
+              Heap.Int_pair.push h k v;
+              model := List.merge Stdlib.compare [ (k, v) ] !model;
+              Heap.Int_pair.size h = List.length !model
+          | None -> Heap.Int_pair.is_empty h = (!model = []) && (!model = [] || pop ()))
+        ops
+      && List.for_all (fun _ -> pop ()) !model
+      && Heap.Int_pair.is_empty h)
+
+(* A key outside [0, 2^41) or a value outside [0, 2^21) does not fit
+   the packed entry and is refused; the extremes that fit round-trip. *)
+let test_int_pair_range () =
+  let h = Heap.Int_pair.create () in
+  let refused = Invalid_argument "Heap.Int_pair.push: out of range" in
+  List.iter
+    (fun (name, k, v) ->
+      Alcotest.check_raises name refused (fun () -> Heap.Int_pair.push h k v))
+    [
+      ("negative key", -1, 0);
+      ("key 2^41", 1 lsl 41, 0);
+      ("min_int key", min_int, 0);
+      ("negative value", 0, -1);
+      ("value 2^21", 0, 1 lsl 21);
+    ];
+  Alcotest.(check bool) "nothing pushed" true (Heap.Int_pair.is_empty h);
+  Heap.Int_pair.push h ((1 lsl 41) - 1) ((1 lsl 21) - 1);
+  Heap.Int_pair.push h 0 0;
+  let pop () =
+    let k = Heap.Int_pair.min_key h in
+    (k, Heap.Int_pair.pop h)
+  in
+  Alcotest.(check (pair int int)) "least first" (0, 0) (pop ());
+  Alcotest.(check (pair int int)) "largest round-trips" ((1 lsl 41) - 1, (1 lsl 21) - 1) (pop ())
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -451,7 +510,8 @@ let () =
         :: Alcotest.test_case "empty pop" `Quick test_heap_empty_pop
         :: Alcotest.test_case "clear" `Quick test_heap_clear
         :: Alcotest.test_case "int-pair tie order" `Quick test_int_pair_tie_order
-        :: qt [ prop_heap_sorts ] );
+        :: Alcotest.test_case "int-pair range" `Quick test_int_pair_range
+        :: qt [ prop_heap_sorts; prop_int_pair_interleaved ] );
       ( "stats",
         Alcotest.test_case "mean" `Quick test_stats_mean
         :: Alcotest.test_case "stddev" `Quick test_stats_stddev
