@@ -44,7 +44,10 @@ test:
 # shortcut memo lookup `memo_shortcuts` may call `server_shortcuts` or
 # `network_shortcuts`: a patched build prices a group's candidates only
 # where its memo entry cannot vouch for them (docs/PERFORMANCE.md,
-# "Shortcut memo").  In
+# "Shortcut memo"), and only `price_tor` may call
+# Cost_model.gs_shortcut: every server shortcut goes through its run
+# cache, which prices a run of ToRs sharing one aggregate record and
+# one Φloc once (docs/PERFORMANCE.md, "Priced once per run").  In
 # lib/flow/mcmf.ml, `s.gen <- s.gen + 1` appears exactly once: one
 # search generation per augmentation, as a Dijkstra resumes the
 # zero-length search that missed instead of starting a new one; and
@@ -109,6 +112,9 @@ lint-compare:
 		lib/hire/flow_network.ml \
 		| grep -nE '\b(server|network)_shortcuts +[a-z(~]'; } \
 		|| { echo "lint-compare: FAIL (shortcuts priced outside the memo lookup above)"; exit 1; }
+	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "price_tor"' lib/hire/flow_network.ml \
+		| grep -nE 'Cost_model\.gs_shortcut\b'; } \
+		|| { echo "lint-compare: FAIL (server shortcut priced outside price_tor's run cache above)"; exit 1; }
 	@test "$$(grep -c 's\.gen <- s\.gen + 1' lib/flow/mcmf.ml)" -eq 1 \
 		|| { echo "lint-compare: FAIL (mcmf.ml must bump s.gen in exactly one place)"; exit 1; }
 	@! { sed -n '/^let zero_path/,/^let /p' lib/flow/mcmf.ml | grep -n 'Heap\.Int_pair'; } \

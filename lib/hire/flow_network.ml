@@ -47,8 +47,16 @@ let decode_role packed =
 
 (* Per-ToR aggregate of server availability: the lower bound implements
    the "all resource nodes reachable via N can run at least one task"
-   rule for subtree shortcuts; the upper bound prices them. *)
+   rule for subtree shortcuts; the upper bound prices them.  A record
+   is never mutated once made, and ToRs whose aggregates are
+   bit-identical ([same_agg]) may share one: [build_prefix] gives a run
+   of such consecutive ToRs one record, [patch_prefix] keeps a ToR's
+   record while its aggregate stays the same, and [price_tor] prices a
+   record once per run (docs/PERFORMANCE.md, "Priced once per run"). *)
 type tor_agg = { n_servers : int; min_avail : Vec.t; max_avail : Vec.t }
+
+(* Shares no record with any ToR: the run cache's empty key. *)
+let no_agg = { n_servers = 0; min_avail = [||]; max_avail = [||] }
 
 let compute_tor_agg (view : View.t) tor =
   let servers = Fat_tree.servers_under view.topo tor in
@@ -115,6 +123,11 @@ type cands = {
   mutable seg_end : int array;  (* [end lsl 1 lor mixed]: buffer end, mixed-ToR flag *)
   mutable n_seg : int;
   mutable segmented : bool;  (* whether segments are recorded; a full build needs none *)
+  (* [price_tor]'s run cache: the last fits-all aggregate priced since
+     [clear_cands], the Φloc it was priced with and the cost. *)
+  mutable run_agg : tor_agg;
+  mutable run_phi : float;
+  mutable run_cost : int;
 }
 
 let empty_cands () =
@@ -129,6 +142,9 @@ let empty_cands () =
     seg_end = [||];
     n_seg = 0;
     segmented = true;
+    run_agg = no_agg;
+    run_phi = 0.0;
+    run_cost = 0;
   }
 
 (* A group's shortcut memo entry ([memo_shortcuts]): its candidates as
@@ -447,27 +463,39 @@ let select_shortcuts c ~(params : Cost_model.params) =
   Prelude.Cost_sort.sort c.keys n;
   c.kept <- min n params.max_shortcuts
 
+(* Starts a group's pricing: an empty buffer and an empty run cache. *)
 let clear_cands c =
   c.n <- 0;
-  c.n_seg <- 0
+  c.n_seg <- 0;
+  c.run_agg <- no_agg
 
 (* The segment of ToR [tor] for a server group: one aggregate edge when
    every server under it fits, else, when some might (a mixed ToR),
-   direct edges to the servers that do. *)
+   direct edges to the servers that do.  An aggregate edge's cost reads
+   the group, fixed until [clear_cands], the aggregate and Φloc at
+   [tor]: a ToR whose record is the cached one (so every server under
+   it fits) and whose Φloc has the cached bits reuses the cached cost.
+   Mixed ToRs are never cached. *)
 let price_tor b (view : View.t) c ~params ~ctx ~phi_prio ~demand tor =
   let mixed =
     match b.tor_aggs.(tor) with
     | None -> false
+    | Some agg when agg == c.run_agg || Vec.fits ~demand ~available:agg.min_avail ->
+        let phi_loc = phi_loc_at ctx tor in
+        if
+          not
+            (agg == c.run_agg
+            && Int64.equal (Int64.bits_of_float phi_loc) (Int64.bits_of_float c.run_phi))
+        then begin
+          c.run_agg <- agg;
+          c.run_phi <- phi_loc;
+          c.run_cost <-
+            Cost_model.gs_shortcut ~demand ~available:agg.max_avail ~phi_loc ~phi_prio params
+        end;
+        push_shortcut c ~dst:b.ns_node.(tor) ~cap:agg.n_servers ~cost:c.run_cost;
+        false
     | Some agg ->
-        if Vec.fits ~demand ~available:agg.min_avail then begin
-          let cost =
-            Cost_model.gs_shortcut ~demand ~available:agg.max_avail ~phi_loc:(phi_loc_at ctx tor)
-              ~phi_prio params
-          in
-          push_shortcut c ~dst:b.ns_node.(tor) ~cap:agg.n_servers ~cost;
-          false
-        end
-        else if Vec.fits ~demand ~available:agg.max_avail then begin
+        if Vec.fits ~demand ~available:agg.max_avail then begin
           let servers = Fat_tree.servers_under view.topo tor in
           for j = 0 to Array.length servers - 1 do
             let s = servers.(j) in
@@ -774,6 +802,23 @@ let reserve_full b (view : View.t) ~(params : Cost_model.params) selected =
   Graph.reserve b.g ~nodes:!nodes ~arcs:!arcs;
   ensure_roles b !nodes
 
+(* Whether two ToR aggregates price every shortcut alike: same server
+   count and bit-identical bounds. *)
+let same_agg a b =
+  let same_vec (x : Vec.t) (y : Vec.t) =
+    let rec go i =
+      i = Array.length x
+      || Int64.equal (Int64.bits_of_float x.(i)) (Int64.bits_of_float y.(i)) && go (i + 1)
+    in
+    Array.length x = Array.length y && go 0
+  in
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      a.n_servers = b.n_servers && same_vec a.min_avail b.min_avail
+      && same_vec a.max_avail b.max_avail
+  | None, Some _ | Some _, None -> false
+
 (* Rebuild the topology prefix from scratch: sink, machine nodes for
    alive servers / supported switches, the ToR aggregators, and their
    arcs down to the servers.  That is Fig. 6's topology part restricted
@@ -827,35 +872,28 @@ let build_prefix b (view : View.t) ~(params : Cost_model.params) mk =
     tors;
   (* Left out: one Nn→Mn arc per Mn and two arcs per switch-switch link. *)
   b.omitted_arcs <- !n_mn + (2 * b.switch_links);
-  Array.iter (fun tor -> b.tor_aggs.(tor) <- compute_tor_agg view tor) tors;
+  (* Consecutive ToRs with bit-identical aggregates share a record. *)
+  let prev = ref None in
+  Array.iter
+    (fun tor ->
+      let agg = compute_tor_agg view tor in
+      let agg = if same_agg !prev agg then !prev else agg in
+      b.tor_aggs.(tor) <- agg;
+      prev := agg)
+    tors;
   b.prefix <- Some { mark = Graph.mark g; p_arcs = Graph.arc_count g };
   sink
-
-(* Whether two ToR aggregates price every shortcut alike: same server
-   count and bit-identical bounds. *)
-let same_agg a b =
-  let same_vec (x : Vec.t) (y : Vec.t) =
-    let rec go i =
-      i = Array.length x
-      || Int64.equal (Int64.bits_of_float x.(i)) (Int64.bits_of_float y.(i)) && go (i + 1)
-    in
-    Array.length x = Array.length y && go 0
-  in
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b ->
-      a.n_servers = b.n_servers && same_vec a.min_avail b.min_avail
-      && same_vec a.max_avail b.max_avail
-  | None, Some _ | Some _, None -> false
 
 (* Rewind the graph to the topology prefix and patch only the arcs whose
    inputs changed: Ms→K / Mn→K costs of dirty nodes and the ToR
    aggregates of dirty servers.  The same pass stamps what the shortcut
    memo reads: every dirty server and switch, and every ToR whose
-   aggregate moved.
+   aggregate moved; a ToR whose aggregate did not move keeps its
+   record, shared or not.
    The resulting arrays are element-for-element identical to what
-   [build_prefix] would produce from the same cluster state, which is
-   what makes incremental solves bit-identical to full rebuilds. *)
+   [build_prefix] would produce from the same cluster state (the ToR
+   aggregates equal by [same_agg], and so priced alike), which is what
+   makes incremental solves bit-identical to full rebuilds. *)
 let patch_prefix b (view : View.t) p d ~(params : Cost_model.params) touched =
   let g = b.g in
   let topo = view.topo in
@@ -892,8 +930,10 @@ let patch_prefix b (view : View.t) p d ~(params : Cost_model.params) touched =
       if b.tor_stamp.(tor) <> now then begin
         b.tor_stamp.(tor) <- now;
         let agg = compute_tor_agg view tor in
-        if not (same_agg b.tor_aggs.(tor) agg) then b.agg_changed_at.(tor) <- now;
-        b.tor_aggs.(tor) <- agg
+        if not (same_agg b.tor_aggs.(tor) agg) then begin
+          b.agg_changed_at.(tor) <- now;
+          b.tor_aggs.(tor) <- agg
+        end
       end)
 
 let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.params) =

@@ -186,8 +186,10 @@ let apply_flavor_picks t ~flavor_picks ~cancelled ~decisions =
    Requeue clones share the original's tg_id under a different job id,
    so the scan runs oldest job first — a fixed submission order, not
    hash-table order, which replayed restores would not reproduce
-   (docs/JOURNAL.md). *)
+   (docs/JOURNAL.md).  Placing changes neither [t.order] nor [t.jobs],
+   so the job list is taken once per call. *)
 let apply_placements t raw =
+  let jobs = job_list t in
   List.filter_map
     (fun (tg_id, machine) ->
       let found =
@@ -199,7 +201,7 @@ let apply_placements t raw =
               ->
                 Some (job, ts)
             | _ -> None)
-          (job_list t)
+          jobs
       in
       match found with
       | None -> None
@@ -214,6 +216,7 @@ let apply_placements t raw =
    group status is ignored — only groups with work left resolve.  Same
    oldest-job-first scan as [apply_placements]. *)
 let resolve_for_guard t raw =
+  let jobs = job_list t in
   List.filter_map
     (fun (tg_id, machine) ->
       let found =
@@ -222,7 +225,7 @@ let resolve_for_guard t raw =
             match Pending.find_tg job tg_id with
             | Some ts when ts.Pending.remaining > 0 -> Some ts
             | _ -> None)
-          (job_list t)
+          jobs
       in
       Option.map (fun ts -> (ts, machine)) found)
     raw

@@ -69,5 +69,4 @@ let has_pending_work job =
 
 let flavor_open job = undecided job <> []
 
-let find_tg job tg_id =
-  Array.to_list job.tg_states |> List.find_opt (fun ts -> ts.tg.Poly_req.tg_id = tg_id)
+let find_tg job tg_id = Array.find_opt (fun ts -> ts.tg.Poly_req.tg_id = tg_id) job.tg_states

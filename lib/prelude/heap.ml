@@ -52,7 +52,6 @@ let pop t =
   end;
   top
 
-let peek t = if t.size = 0 then raise Not_found else t.data.(0)
 let clear t = t.size <- 0
 let to_list t = Array.to_list (Array.sub t.data 0 t.size)
 
@@ -71,7 +70,6 @@ module Int_pair = struct
 
   let create () = { data = [||]; size = 0 }
   let is_empty t = t.size = 0
-  let size t = t.size
   let clear t = t.size <- 0
 
   let push t k v =

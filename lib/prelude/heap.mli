@@ -1,7 +1,9 @@
-(** Imperative binary min-heap, parameterised by an ordering.
+(** Imperative binary min-heap, parameterised by an ordering, and a
+    packed (int key, int value) min-heap.
 
-    Used by the MCMF solver (Dijkstra priority queue) and by the
-    discrete-event simulator (pending-event queue). *)
+    The generic heap serves the discrete-event simulator's
+    pending-event queue ([Sim.Event_queue]); the MCMF solver's
+    Dijkstra uses {!Int_pair}. *)
 
 type 'a t
 
@@ -15,10 +17,6 @@ val push : 'a t -> 'a -> unit
 (** [pop t] removes and returns the minimum element.
     @raise Not_found when empty. *)
 val pop : 'a t -> 'a
-
-(** [peek t] returns the minimum without removing it.
-    @raise Not_found when empty. *)
-val peek : 'a t -> 'a
 
 val clear : 'a t -> unit
 
@@ -41,7 +39,6 @@ module Int_pair : sig
 
   val create : unit -> t
   val is_empty : t -> bool
-  val size : t -> int
 
   (** Reset to empty, keeping the backing array for reuse. *)
   val clear : t -> unit

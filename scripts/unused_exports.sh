@@ -4,7 +4,11 @@
 # own module's two files (lib/X.ml and lib/X.mli), and fail if one of
 # them is not on the allowlist below.  A name that is also a local name
 # somewhere else counts as used, so the scan can only under-report: it
-# never flags an export that something calls.
+# never flags an export that something calls.  Its blind spot is a
+# common name: an export called, say, `size` or `peek` passes whatever
+# module it belongs to as long as any other module uses that word for
+# anything (a record field, a local, another module's function), so an
+# export with such a name needs its callers checked by hand.
 #
 # Usage: scripts/unused_exports.sh   (from the repository root)
 

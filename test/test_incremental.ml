@@ -796,6 +796,171 @@ let test_build_leaves_ledgers () =
   charge_switches cluster (List.hd (network_tgs jobs)) [ List.nth (inc_switches cluster) 2 ];
   Alcotest.(check bool) "patched build" false (round "patched")
 
+(* The run cache of ToR pricing (docs/PERFORMANCE.md, "Priced once per
+   run") against the cost model called directly.  On these k=4
+   clusters every ToR whose servers are untouched has the same
+   aggregate, and a full build gives each run of such consecutive ToRs
+   one record.  Every G→Ns arc must cost what [Cost_model.gs_shortcut]
+   gives for that ToR's aggregate and Φloc, and a mixed ToR must get
+   arcs to its fitting servers only.  Three builds:
+   - one record under all ToRs, two server groups of different demands
+     (a cache kept from one group to the next prices the second like
+     the first);
+   - a task of the group counted under the second ToR of that record,
+     so Φloc differs along the run (a cache keyed without Φloc reuses
+     the first ToR's cost);
+   - ToRs 2 and 5 mixed, one server full and one empty, between runs:
+     their upper bound equals the runs' (a cache that matches equal
+     bounds rather than the record skips their fit check). *)
+let test_run_cache_exact () =
+  let params = { Cost_model.default_params with Cost_model.max_shortcuts = 1000 } in
+  let check_build name ~mixed ~census_on =
+    let cluster = make_cluster () in
+    let view = Sim.Cluster.view cluster in
+    let topo = view.Hire.View.topo in
+    let tors = Topology.Fat_tree.tor_switches topo in
+    let full = Sim.Cluster.server_capacity cluster in
+    List.iter
+      (fun i ->
+        Sim.Cluster.place_server_task cluster
+          ~server:(Topology.Fat_tree.servers_under topo tors.(i)).(0)
+          ~demand:full)
+      mixed;
+    let ids = Transformer.Id_gen.create () in
+    let jobs =
+      List.mapi
+        (fun i cpu ->
+          Pending.of_poly
+            (Transformer.transform store ids (Rng.create 5) ~job_id:i ~arrival:(float_of_int i)
+               (server_only_req ~cpu 3)))
+        (if census_on = [] then [ 2.0; 6.0 ] else [ 2.0 ])
+    in
+    (* The census counts the first group under [census_on] ToRs without
+       charging a ledger, so the aggregates stay shared. *)
+    let census = Hire.Locality.Task_census.create topo in
+    let first = (List.hd jobs).Pending.tg_states.(0).tg in
+    List.iter
+      (fun i ->
+        Hire.Locality.Task_census.add census ~tg_id:first.Poly_req.tg_id
+          ~machine:(Topology.Fat_tree.servers_under topo tors.(i)).(1))
+      census_on;
+    let net = Flow_network.build view census ~jobs ~now:10.0 ~params in
+    let g = Flow_network.graph net in
+    let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+    let agg tor =
+      let servers = Topology.Fat_tree.servers_under topo tor in
+      let lo = Vec.copy (view.server_available servers.(0)) in
+      let hi = Vec.copy lo in
+      Array.iter
+        (fun s ->
+          Array.iteri
+            (fun i x ->
+              if x < lo.(i) then lo.(i) <- x;
+              if x > hi.(i) then hi.(i) <- x)
+            (view.server_available s))
+        servers;
+      (Array.length servers, lo, hi)
+    in
+    let _, _, hi0 = agg tors.(0) in
+    List.iter
+      (fun i ->
+        let _, _, hi = agg tors.(i) in
+        Alcotest.(check bool) (name ^ ": mixed ToR's upper bound is the runs'") true
+          (Array.for_all2 bits_equal hi hi0))
+      mixed;
+    let costs =
+      List.map
+        (fun (job : Pending.job_state) ->
+          let ts = job.tg_states.(0) in
+          let tg = ts.tg in
+          let demand = tg.Poly_req.demand in
+          let phi_prio = Cost_model.phi_prio job.poly.Poly_req.priority in
+          (* Φloc as the builder's locality context prices it; every
+             counted task runs on a server, so the server weight is 1. *)
+          let related = List.sort Int.compare (tg.Poly_req.tg_id :: tg.Poly_req.connected) in
+          let placed =
+            List.fold_left
+              (fun acc id ->
+                acc
+                + List.fold_left
+                    (fun acc (_, c) -> acc + c)
+                    0
+                    (Hire.Locality.Task_census.machines census ~tg_id:id))
+              0 related
+          in
+          let phi_loc =
+            if placed = 0 then fun _ ->
+              Cost_model.phi_loc ~related_placed:false ~upsilon:1.0 ~gamma_norm:0.0
+                ~server_weight:0.5
+            else begin
+              let upsilon =
+                Hire.Locality.upsilon topo census ~tg_ids:related ~group_size:placed
+              in
+              let gain =
+                Hire.Locality.Gain.compute topo census ~related ~gamma:params.gamma ~xi:params.xi
+              in
+              fun node ->
+                Cost_model.phi_loc ~related_placed:true ~upsilon:(upsilon node)
+                  ~gamma_norm:(Hire.Locality.Gain.normalized gain node)
+                  ~server_weight:1.0
+            end
+          in
+          if census_on <> [] then
+            Alcotest.(check bool) (name ^ ": Φloc differs along the run") false
+              (bits_equal (phi_loc tors.(0)) (phi_loc tors.(1)));
+          let gnode = ref (-1) in
+          for v = 0 to Graph.node_count g - 1 do
+            match Flow_network.role net v with
+            | Flow_network.Group id when id = tg.Poly_req.tg_id -> gnode := v
+            | _ -> ()
+          done;
+          let got = ref [] in
+          Graph.iter_arcs g (fun a ->
+              if Graph.src g a = !gnode then
+                match Flow_network.role net (Graph.dst g a) with
+                | Flow_network.Aux_server tor ->
+                    got := (tor, Graph.capacity g a, Graph.cost g a) :: !got
+                | Flow_network.Machine_server s -> got := (s, 1, Graph.cost g a) :: !got
+                | _ -> ());
+          let want = ref [] in
+          Array.iter
+            (fun tor ->
+              let n, lo, hi = agg tor in
+              if Vec.fits ~demand ~available:lo then
+                want :=
+                  ( tor,
+                    n,
+                    Cost_model.gs_shortcut ~demand ~available:hi ~phi_loc:(phi_loc tor) ~phi_prio
+                      params )
+                  :: !want
+              else
+                Array.iter
+                  (fun s ->
+                    let available = view.server_available s in
+                    if Vec.fits ~demand ~available then
+                      want :=
+                        ( s,
+                          1,
+                          Cost_model.gs_shortcut ~demand ~available ~phi_loc:(phi_loc s) ~phi_prio
+                            params )
+                        :: !want)
+                  (Topology.Fat_tree.servers_under topo tor))
+            tors;
+          let sorted l = List.sort Stdlib.compare l in
+          Alcotest.(check (list (triple int int int)))
+            (Printf.sprintf "%s: tg %d shortcuts" name tg.Poly_req.tg_id)
+            (sorted !want) (sorted !got);
+          List.assoc tors.(0) (List.map (fun (d, _, c) -> (d, c)) !want))
+        jobs
+    in
+    match costs with
+    | [ a; b ] -> Alcotest.(check bool) (name ^ ": the two groups price apart") false (a = b)
+    | _ -> ()
+  in
+  check_build "one record, two demands" ~mixed:[] ~census_on:[];
+  check_build "related under a run" ~mixed:[] ~census_on:[ 1 ];
+  check_build "mixed between runs" ~mixed:[ 2; 5 ] ~census_on:[]
+
 (* ------------------------------------------------------------------ *)
 (* Shared locality contexts                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1331,6 +1496,7 @@ let () =
             test_build_leaves_ledgers;
           Alcotest.test_case "warm build allocation flat in candidates" `Quick
             test_warm_build_alloc_flat;
+          Alcotest.test_case "run cache prices as the cost model" `Quick test_run_cache_exact;
         ] );
       ("reachable-only", qt [ prop_reachable_exact ]);
       ( "shared-loc",
