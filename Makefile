@@ -79,7 +79,13 @@ test:
 # own process and must not mention Runner., Sim.Service or Journal.
 # (the fork pool is hire_sweep's, journaling is hire_service's), and
 # nothing under bench/ mentions HIRE_BENCH_TRACE or HIRE_BENCH_OBS
-# (hire_sim --trace/--obs-summary instrument a cell).  Every `val` in a
+# (hire_sim --trace/--obs-summary instrument a cell).  Nothing in
+# lib/schedulers calls Cluster.server_available, Cluster.server_capacity,
+# Sharing.available or Sharing.capacity, which copy a ledger, or builds
+# a Seq: the baselines read ledgers in place through their Cluster.view
+# and Sharing.live_available/live_capacity, and Sparrow++ collects its
+# feasible pool in a reused buffer (docs/PERFORMANCE.md, "The baselines'
+# scans").  Every `val` in a
 # lib/ interface is used outside its own module, or is on the commented
 # allowlist of scripts/unused_exports.sh: an interface lists what its
 # callers need.
@@ -144,6 +150,8 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (hire_sim runs a pool or a journal above)"; exit 1; }
 	@! grep -rnE 'HIRE_BENCH_(TRACE|OBS)' bench \
 		|| { echo "lint-compare: FAIL (bench instrumentation knob above)"; exit 1; }
+	@! grep -rnE '(Cluster\.server_(available|capacity)|Sharing\.(available|capacity))\b|\bSeq\.' lib/schedulers \
+		|| { echo "lint-compare: FAIL (ledger copy or Seq in lib/schedulers above)"; exit 1; }
 	@sh scripts/unused_exports.sh \
 		|| { echo "lint-compare: FAIL (export above used nowhere outside its module)"; exit 1; }
 	@echo "lint-compare: OK"

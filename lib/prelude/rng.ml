@@ -67,21 +67,22 @@ let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
 
-let sample_without_replacement t ~n arr =
-  let len = Array.length arr in
+(* Partial Fisher–Yates on the prefix [arr.(0 .. len - 1)]: the first
+   [min n len] slots end up as the sample. *)
+let sample_in_place t ~n arr ~len =
   let n = min n len in
-  if n <= 0 then []
-  else begin
-    let copy = Array.copy arr in
-    (* Partial Fisher–Yates: the first [n] slots end up as the sample. *)
-    for i = 0 to n - 1 do
-      let j = int_in t i (len - 1) in
-      let tmp = copy.(i) in
-      copy.(i) <- copy.(j);
-      copy.(j) <- tmp
-    done;
-    Array.to_list (Array.sub copy 0 n)
-  end
+  for i = 0 to n - 1 do
+    let j = int_in t i (len - 1) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
+  done;
+  max 0 n
+
+let sample_without_replacement t ~n arr =
+  let copy = Array.copy arr in
+  let n = sample_in_place t ~n copy ~len:(Array.length copy) in
+  Array.to_list (Array.sub copy 0 n)
 
 let weighted_choice t items =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 items in

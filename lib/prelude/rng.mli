@@ -57,6 +57,14 @@ val choose : t -> 'a array -> 'a
     distinct elements drawn uniformly from [arr]. *)
 val sample_without_replacement : t -> n:int -> 'a array -> 'a list
 
+(** [sample_in_place t ~n arr ~len] draws the same sample from the
+    prefix [arr.(0 .. len - 1)] without copying it: it shuffles the
+    prefix in place and returns [k = max 0 (min n len)], and
+    [arr.(0 .. k - 1)] is the list {!sample_without_replacement} would
+    return for that prefix, with the same draws from [t].  Sparrow++
+    samples from a reused buffer through it. *)
+val sample_in_place : t -> n:int -> 'a array -> len:int -> int
+
 (** [weighted_choice t items] picks an element with probability
     proportional to its non-negative weight.  The total weight must be
     positive. *)

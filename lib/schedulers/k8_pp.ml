@@ -6,15 +6,44 @@ let feasible_fraction = 0.05
 let sample_fraction = 0.10
 
 (* The K8 default scoring pair: prefer machines that stay least
-   requested and most balanced after the allocation. *)
+   requested and most balanced after the allocation.  With f the free
+   fraction left per dimension (0 where the capacity is below
+   [Vec.eps]), the score is (mean f + 1 - stddev (1 - f)) / 2.  The
+   loops perform the float operations of Vec.sub, Vec.div,
+   Stats.mean_arr and Stats.stddev_arr in their order, so the score is
+   bit for bit theirs, without their four arrays. *)
 let score ~capacity ~available ~demand =
-  let after = Vec.sub available demand in
-  let free_frac = Vec.div after capacity in
-  let util_after = Array.map (fun f -> 1.0 -. f) free_frac in
-  (Vec.avg free_frac +. (1.0 -. Vec.stddev util_after)) /. 2.0
+  let n = Array.length available in
+  if Array.length demand <> n || Array.length capacity <> n then
+    invalid_arg "K8_pp.score: dimension mismatch";
+  let sum_f = ref 0.0 and sum_u = ref 0.0 in
+  for i = 0 to n - 1 do
+    let c = capacity.(i) in
+    let f = if Float.abs c < Vec.eps then 0.0 else (available.(i) -. demand.(i)) /. c in
+    sum_f := !sum_f +. f;
+    sum_u := !sum_u +. (1.0 -. f)
+  done;
+  let mean_f = if n = 0 then 0.0 else !sum_f /. float_of_int n in
+  let stddev_u =
+    if n < 2 then 0.0
+    else begin
+      let m = !sum_u /. float_of_int n in
+      let ss = ref 0.0 in
+      for i = 0 to n - 1 do
+        let c = capacity.(i) in
+        let f = if Float.abs c < Vec.eps then 0.0 else (available.(i) -. demand.(i)) /. c in
+        let u = 1.0 -. f in
+        ss := !ss +. ((u -. m) *. (u -. m))
+      done;
+      sqrt (!ss /. float_of_int n)
+    end
+  in
+  (mean_f +. (1.0 -. stddev_u)) /. 2.0
 
 let create ~mode cluster =
   let modes = Modes.create mode in
+  let view = Sim.Cluster.view cluster in
+  let sharing = view.sharing in
   let cursor_server = ref 0 and cursor_switch = ref 0 in
   let pick ~time:_ (_job : Modes.mjob) (rt : Modes.tg_rt) =
     let pool = Policy_util.machine_pool cluster rt in
@@ -26,7 +55,7 @@ let create ~mode cluster =
       let sample_budget = max want (int_of_float (sample_fraction *. float_of_int n)) in
       let feasible m =
         if Poly_req.is_network rt.tg then Policy_util.switch_feasible cluster ~switch:m rt
-        else Policy_util.server_fits cluster ~server:m ~demand:rt.tg.Poly_req.demand
+        else Policy_util.server_fits view ~server:m ~demand:rt.tg.Poly_req.demand
       in
       let candidates = ref [] and n_candidates = ref 0 in
       let scanned = ref 0 in
@@ -48,19 +77,17 @@ let create ~mode cluster =
       match !candidates with
       | [] -> None
       | cs ->
-          let score_of m =
+          let score_of =
             if Poly_req.is_network rt.tg then begin
               let _, _, demand = Policy_util.unshared_parts rt.tg in
-              score
-                ~capacity:(Hire.Sharing.capacity (Sim.Cluster.sharing cluster))
-                ~available:(Hire.Sharing.available (Sim.Cluster.sharing cluster) m)
-                ~demand
+              let capacity = Hire.Sharing.live_capacity sharing in
+              fun m -> score ~capacity ~available:(Hire.Sharing.live_available sharing m) ~demand
             end
-            else
-              score
-                ~capacity:(Sim.Cluster.server_capacity cluster)
-                ~available:(Sim.Cluster.server_available cluster m)
-                ~demand:rt.tg.Poly_req.demand
+            else begin
+              let demand = rt.tg.Poly_req.demand in
+              let capacity = view.server_capacity in
+              fun m -> score ~capacity ~available:(view.server_available m) ~demand
+            end
           in
           let best =
             List.fold_left

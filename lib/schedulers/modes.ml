@@ -22,6 +22,8 @@ type mjob = {
   deadline : float;
   mutable decision : decision;
   mutable decided_at : float;
+  mutable tors : int list;
+  mutable unread : int list;
 }
 
 type t = {
@@ -101,6 +103,8 @@ let submit t ~time poly =
       deadline;
       decision;
       decided_at = time;
+      tors = [];
+      unread = [];
     }
   in
   Hashtbl.replace t.jobs_tbl poly.Poly_req.job_id job;
@@ -155,6 +159,7 @@ let tick t ~time =
 let note_placement t ~time job (rt : tg_rt) ~machine =
   rt.remaining <- rt.remaining - 1;
   rt.placed_on <- machine :: rt.placed_on;
+  job.unread <- machine :: job.unread;
   if job.decision = Undecided && t.mode = Concurrent then begin
     let in_list l = List.memq rt l in
     if in_list job.inc_only then begin

@@ -24,6 +24,8 @@ type tg_rt = {
   tg : Hire.Poly_req.task_group;
   mutable remaining : int;
   mutable placed_on : int list;
+      (** machines placed on, newest first.  Only {!note_placement}
+          adds to it, and nothing removes from it. *)
 }
 
 type decision = Undecided | Inc | Server
@@ -37,6 +39,12 @@ type mjob = {
   deadline : float;  (** timeout-mode fallback time *)
   mutable decision : decision;
   mutable decided_at : float;
+  mutable tors : int list;
+      (** Yarn++'s preferred racks: the sorted, unique ToRs of the
+          placements already folded in by [Policy_util.preferred_tors] *)
+  mutable unread : int list;
+      (** machines placed on since [tors] was last brought up to date,
+          newest first.  Only {!note_placement} adds to it. *)
 }
 
 type t

@@ -10,10 +10,10 @@ let unshared_parts (tg : Poly_req.task_group) =
 
 (* Liveness is part of feasibility: every baseline routes server picks
    through here, so dead servers are masked for all of them at once
-   (switch liveness is masked inside [Sharing.can_place]). *)
-let server_fits cluster ~server ~demand =
-  Sim.Cluster.is_alive cluster server
-  && Vec.fits ~demand ~available:(Sim.Cluster.server_available cluster server)
+   (switch liveness is masked inside [Sharing.can_place]).  The view's
+   ledger is the live one, read in place. *)
+let server_fits (view : Hire.View.t) ~server ~demand =
+  view.alive server && Vec.fits ~demand ~available:(view.server_available server)
 
 let switch_feasible cluster ~switch (rt : Modes.tg_rt) =
   match rt.tg.Poly_req.kind with
@@ -32,20 +32,31 @@ let switch_feasible cluster ~switch (rt : Modes.tg_rt) =
       Hire.Sharing.can_place (Sim.Cluster.sharing cluster) ~switch ~service ~per_switch
         ~per_instance
 
-let job_tors cluster (job : Modes.mjob) =
-  let topo = Sim.Cluster.topo cluster in
-  let machines =
-    List.concat_map
-      (fun (rt : Modes.tg_rt) -> rt.placed_on)
-      (job.common @ job.server_only @ job.inc_only)
-  in
-  machines
-  |> List.filter_map (fun m ->
-         match Fat_tree.kind topo m with
-         | Fat_tree.Server -> Some (Fat_tree.tor_of_server topo m)
-         | Fat_tree.Tor -> Some m
-         | Fat_tree.Agg | Fat_tree.Core -> None)
-  |> List.sort_uniq compare
+let rec mem_tor (tor : int) = function [] -> false | t :: rest -> t = tor || mem_tor tor rest
+
+let rec insert_tor (tor : int) = function
+  | t :: rest when t < tor -> t :: insert_tor tor rest
+  | l -> tor :: l
+
+(* Fold the placements made since the last call into the job's sorted
+   ToR set: a server counts under its ToR, a ToR as itself, and
+   aggregation and core switches not at all. *)
+let preferred_tors topo (job : Modes.mjob) =
+  (match job.unread with
+  | [] -> ()
+  | unread ->
+      List.iter
+        (fun m ->
+          let tor =
+            match Fat_tree.kind topo m with
+            | Fat_tree.Server -> Fat_tree.tor_of_server topo m
+            | Fat_tree.Tor -> m
+            | Fat_tree.Agg | Fat_tree.Core -> -1
+          in
+          if tor >= 0 && not (mem_tor tor job.tors) then job.tors <- insert_tor tor job.tors)
+        unread;
+      job.unread <- []);
+  job.tors
 
 let machine_pool cluster (rt : Modes.tg_rt) =
   let topo = Sim.Cluster.topo cluster in

@@ -35,26 +35,41 @@ let create ~mode ~seed cluster =
         Hashtbl.replace samples tg_id s;
         s
   in
+  let view = Sim.Cluster.view cluster in
   let feasible machine (rt : Modes.tg_rt) =
     if Poly_req.is_network rt.tg then Policy_util.switch_feasible cluster ~switch:machine rt
-    else Policy_util.server_fits cluster ~server:machine ~demand:rt.tg.Poly_req.demand
+    else Policy_util.server_fits view ~server:machine ~demand:rt.tg.Poly_req.demand
   in
+  (* The feasible machines of one sample, in id order, then shuffled in
+     place: one buffer for every sample, as long as the larger machine
+     class. *)
+  let pool = Array.make (max (Sim.Cluster.n_servers cluster) (Sim.Cluster.n_switches cluster)) 0 in
   (* Batch sampling: enqueue reservations for up to [need] tasks on the
      shortest queues among 2·need sampled feasible machines. *)
   let sample_for ~time job (rt : Modes.tg_rt) st =
     let need = rt.remaining - st.outstanding in
     if need > 0 then begin
-      let pool =
-        Policy_util.machine_pool cluster rt
-        |> Array.to_seq
-        |> Seq.filter (fun m -> feasible m rt)
-        |> Array.of_seq
+      let len =
+        Array.fold_left
+          (fun len m ->
+            if feasible m rt then begin
+              pool.(len) <- m;
+              len + 1
+            end
+            else len)
+          0
+          (Policy_util.machine_pool cluster rt)
       in
-      if Array.length pool > 0 then begin
-        let sampled = Rng.sample_without_replacement rng ~n:(2 * need) pool in
+      if len > 0 then begin
+        let k = Rng.sample_in_place rng ~n:(2 * need) pool ~len in
+        let sampled = List.init k (Array.get pool) in
+        (* A stable sort of the sample, as a list: [queue_of] creates a
+           machine's queue on first sight, and the order in which this
+           sort first sees the sampled machines is the insertion order
+           of [queues], which the late-binding pass iterates. *)
         let by_queue_len =
           List.sort
-            (fun a b -> compare (Queue.length (queue_of a)) (Queue.length (queue_of b)))
+            (fun a b -> Int.compare (Queue.length (queue_of a)) (Queue.length (queue_of b)))
             sampled
         in
         List.iteri

@@ -7,6 +7,7 @@ let think_per_alloc = 0.0012
 let create ~mode cluster =
   let modes = Modes.create ~revert_after:60.0 mode in
   let topo = Sim.Cluster.topo cluster in
+  let view = Sim.Cluster.view cluster in
   let pick ~time (job : Modes.mjob) (rt : Modes.tg_rt) =
     match rt.tg.Poly_req.kind with
     | Poly_req.Network_tg _ ->
@@ -16,12 +17,12 @@ let create ~mode cluster =
           (Fat_tree.switches topo)
     | Poly_req.Server_tg -> (
         let demand = rt.tg.Poly_req.demand in
-        let preferred = Policy_util.job_tors cluster job in
+        let preferred = Policy_util.preferred_tors topo job in
         let in_preferred_rack =
           List.find_map
             (fun tor ->
               Array.find_opt
-                (fun s -> Policy_util.server_fits cluster ~server:s ~demand)
+                (fun s -> Policy_util.server_fits view ~server:s ~demand)
                 (Fat_tree.servers_under topo tor))
             preferred
         in
@@ -32,7 +33,7 @@ let create ~mode cluster =
               None (* delay scheduling: wait briefly for the preferred rack *)
             else
               Array.find_opt
-                (fun s -> Policy_util.server_fits cluster ~server:s ~demand)
+                (fun s -> Policy_util.server_fits view ~server:s ~demand)
                 (Fat_tree.servers topo))
   in
   let order_jobs jobs =

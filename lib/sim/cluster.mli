@@ -48,7 +48,10 @@ val n_switches : t -> int
 
 (** The read view handed to schedulers (includes node liveness).  Its
     [server_available] is the server's live ledger, not a copy, and
-    raises [Invalid_argument] for a node that is not a server. *)
+    raises [Invalid_argument] for a node that is not a server; its
+    [server_capacity] is the capacity vector itself.  HIRE and CoCo++
+    take a view per scheduler, and so do the baselines' feasibility
+    checks and K8++'s scoring, which read every ledger through it. *)
 val view : t -> Hire.View.t
 
 (** {2 Liveness (fault injection)}
@@ -72,10 +75,14 @@ val fail_node : t -> time:float -> int -> unit
     @raise Invalid_argument if the node is up. *)
 val recover_node : t -> int -> float
 
-(** A copy of the server's ledger.
+(** A copy of the server's ledger, for callers that keep it (the
+    simulator's load accounting, tests).  A scan that only reads it
+    uses {!view} instead; lib/schedulers must not call this or
+    {!server_capacity} ([make lint-compare]).
     @raise Invalid_argument if the node is not a server. *)
 val server_available : t -> int -> Vec.t
 
+(** A copy of the per-server capacity. *)
 val server_capacity : t -> Vec.t
 
 (** [place_server_task t ~server ~demand] charges a server.

@@ -290,14 +290,16 @@ let test_baseline_feasibility_skips_dead () =
   let c = make_cluster () in
   let s = (Topology.Fat_tree.servers (Sim.Cluster.topo c)).(0) in
   let demand = Vec.of_list [ 1.0; 1.0 ] in
+  (* One view for the whole test, as a baseline fetches it once. *)
+  let view = Sim.Cluster.view c in
   Alcotest.(check bool) "fits when alive" true
-    (Schedulers.Policy_util.server_fits c ~server:s ~demand);
+    (Schedulers.Policy_util.server_fits view ~server:s ~demand);
   Sim.Cluster.fail_node c ~time:1.0 s;
   Alcotest.(check bool) "dead server never fits" false
-    (Schedulers.Policy_util.server_fits c ~server:s ~demand);
+    (Schedulers.Policy_util.server_fits view ~server:s ~demand);
   ignore (Sim.Cluster.recover_node c s);
   Alcotest.(check bool) "fits again after recovery" true
-    (Schedulers.Policy_util.server_fits c ~server:s ~demand)
+    (Schedulers.Policy_util.server_fits view ~server:s ~demand)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: kill, requeue, reschedule, cancel                      *)

@@ -99,6 +99,32 @@ let test_rng_sample_without_replacement () =
   let s_all = Rng.sample_without_replacement r ~n:100 arr in
   Alcotest.(check int) "clamped to population" 20 (List.length s_all)
 
+(* The sampler's output for one seed, recorded before it shared its
+   body with [sample_in_place].  Cluster creation (INC-capable switches
+   and heterogeneous services) and Sparrow++ draw from it, so any drift
+   in its draws or its order shows here first. *)
+let test_rng_sample_pinned () =
+  let ints = Alcotest.(list int) in
+  let r = Rng.create 2024 in
+  Alcotest.check ints "8 of 20" [ 17; 7; 14; 19; 10; 2; 3; 9 ]
+    (Rng.sample_without_replacement r ~n:8 (Array.init 20 (fun i -> i)));
+  Alcotest.check ints "3 of 5" [ 103; 102; 100 ]
+    (Rng.sample_without_replacement r ~n:3 [| 100; 101; 102; 103; 104 |]);
+  Alcotest.check ints "none" [] (Rng.sample_without_replacement r ~n:0 [| 1; 2; 3 |]);
+  Alcotest.check ints "all 7" [ 30; 0; 20; 50; 60; 10; 40 ]
+    (Rng.sample_without_replacement r ~n:100 (Array.init 7 (fun i -> 10 * i)));
+  Alcotest.check ints "empty" [] (Rng.sample_without_replacement r ~n:2 [||]);
+  Alcotest.(check int) "next draw" 537843 (Rng.int r 1_000_000);
+  (* The in-place form draws the same sample from a buffer's prefix and
+     leaves the rest of the buffer alone. *)
+  let r = Rng.create 2024 in
+  let buf = Array.append (Array.init 20 (fun i -> i)) [| -1; -2 |] in
+  let k = Rng.sample_in_place r ~n:8 buf ~len:20 in
+  Alcotest.check ints "in place: 8 of 20" [ 17; 7; 14; 19; 10; 2; 3; 9 ]
+    (Array.to_list (Array.sub buf 0 k));
+  Alcotest.check ints "in place: tail untouched" [ -1; -2 ] (Array.to_list (Array.sub buf 20 2));
+  Alcotest.(check int) "in place: none" 0 (Rng.sample_in_place r ~n:(-1) buf ~len:20)
+
 let test_rng_weighted_choice () =
   let r = Rng.create 14 in
   let n = 20_000 in
@@ -502,6 +528,7 @@ let () =
           Alcotest.test_case "sample w/o replacement" `Quick
             test_rng_sample_without_replacement;
           Alcotest.test_case "weighted choice" `Quick test_rng_weighted_choice;
+          Alcotest.test_case "sampler pinned" `Quick test_rng_sample_pinned;
         ] );
       ( "heap",
         Alcotest.test_case "basic" `Quick test_heap_basic

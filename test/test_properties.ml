@@ -293,6 +293,84 @@ let prop_modes_decisions_monotone =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Baselines' allocation-free scans                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* K8++'s score as it was computed through arrays; the loop form must
+   give the same bits. *)
+let k8_score_by_arrays ~capacity ~available ~demand =
+  let after = Vec.sub available demand in
+  let free_frac = Vec.div after capacity in
+  let util_after = Array.map (fun f -> 1.0 -. f) free_frac in
+  (Vec.avg free_frac +. (1.0 -. Vec.stddev util_after)) /. 2.0
+
+let prop_k8_score_bitwise =
+  QCheck.Test.make ~name:"k8 score = array formula (bitwise)" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dim = Rng.int_in rng 1 4 in
+      (* Capacities that are zero, below [Vec.eps] either side of zero,
+         or ordinary; availability both above and below the demand. *)
+      let coord () =
+        match Rng.int rng 5 with
+        | 0 -> 0.0
+        | 1 -> Vec.eps /. 2.0
+        | 2 -> -.Vec.eps /. 3.0
+        | _ -> Rng.float_in rng 0.5 100.0
+      in
+      let capacity = Array.init dim (fun _ -> coord ()) in
+      let demand = Array.init dim (fun _ -> Rng.float rng 50.0) in
+      let available =
+        Array.init dim (fun i ->
+            if Rng.bool rng then demand.(i) -. Rng.float rng 10.0
+            else Rng.float rng (Float.max 1.0 capacity.(i)))
+      in
+      Int64.equal
+        (Int64.bits_of_float (Schedulers.K8_pp.score ~capacity ~available ~demand))
+        (Int64.bits_of_float (k8_score_by_arrays ~capacity ~available ~demand)))
+
+(* Yarn++'s preferred racks as they were computed on every pick: the
+   sorted, unique ToRs of every placement the job has made. *)
+let tors_of_all_placements topo (job : Schedulers.Modes.mjob) =
+  List.concat_map
+    (fun (rt : Schedulers.Modes.tg_rt) -> rt.placed_on)
+    (job.common @ job.server_only @ job.inc_only)
+  |> List.filter_map (fun m ->
+         match Fat_tree.kind topo m with
+         | Fat_tree.Server -> Some (Fat_tree.tor_of_server topo m)
+         | Fat_tree.Tor -> Some m
+         | Fat_tree.Agg | Fat_tree.Core -> None)
+  |> List.sort_uniq Int.compare
+
+let prop_preferred_tors_incremental =
+  QCheck.Test.make ~name:"yarn preferred racks = sort_uniq of all placements" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo = Fat_tree.create ~k:4 in
+      let modes = Schedulers.Modes.create Schedulers.Modes.Concurrent in
+      let ids = Transformer.Id_gen.create () in
+      Schedulers.Modes.submit modes ~time:0.0
+        (Transformer.transform store ids (Rng.split rng) ~job_id:0 ~arrival:0.0
+           (random_req rng));
+      let job = List.hd (Schedulers.Modes.jobs modes) in
+      let rts = Array.of_list (job.common @ job.server_only @ job.inc_only) in
+      let ok = ref true in
+      (* Servers, ToRs, aggregation and core switches, with reads after
+         no, one or several placements. *)
+      for _ = 1 to 60 do
+        for _ = 1 to Rng.int rng 4 do
+          ignore
+            (Schedulers.Modes.note_placement modes ~time:0.0 job (Rng.choose rng rts)
+               ~machine:(Rng.int rng (Fat_tree.node_count topo)))
+        done;
+        if Schedulers.Policy_util.preferred_tors topo job <> tors_of_all_placements topo job
+        then ok := false
+      done;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
 (* Fat tree across k                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -330,4 +408,5 @@ let () =
       ("scheduler", qt [ prop_hire_rounds_never_overcommit ]);
       ("modes", qt [ prop_modes_decisions_monotone ]);
       ("fat_tree", qt [ prop_fat_tree_identities ]);
+      ("baselines", qt [ prop_k8_score_bitwise; prop_preferred_tors_incremental ]);
     ]

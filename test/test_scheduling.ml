@@ -712,6 +712,76 @@ let test_resources_conserved_after_drain () =
         (Topology.Fat_tree.servers (Sim.Cluster.topo cluster)))
     [ "hire"; "yarn-concurrent"; "k8-timeout"; "sparrow-concurrent"; "coco-timeout" ]
 
+(* ------------------------------------------------------------------ *)
+(* Golden baseline reports                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One k=8 cell per baseline, with and without faults, pinned by the
+   MD5 of its report: every count, the bits of every mean, load and
+   latency quantile, and the think time, but not the measured solver
+   wall clock.  k=8 is the smallest fat-tree where K8++ scores more
+   than one candidate (5 % of 128 servers).  The digests were recorded
+   before the baselines' scans stopped copying ledgers and arrays, so a
+   change to any decision of theirs shows here. *)
+let golden_baseline_digests =
+  [
+    ("yarn-concurrent", "b8fa5505fde9763dfa78bace6a5df3c8", "6a680665309fef387c17bc5a7dfc9357");
+    ("yarn-timeout", "44c87143dfaacccbdf7e643c5bbbebea", "df5c87c729686f48ac9d6c6931fc4e25");
+    ("k8-concurrent", "f9dddc819ac88523f05d4ab9dfab2766", "fbbaf3df5bb6fc097f7398c45320e028");
+    ("k8-timeout", "d5e384c22b92b235131a7ba505c574be", "fb9d298111e4dba99e36c2c79c283db7");
+    ("sparrow-concurrent", "d24d912625ccd86f7f77b931a51f98a5", "84d0052990978282cd9fbf5dc7eab2f9");
+    ("sparrow-timeout", "5695d434d3dbed78dbc6b6249ec4e6ab", "be56fd07c2ce900f896bd858cb62b382");
+    ("coco-timeout", "9e54f4fe4cf7ab5b052b7c02bed678c1", "d6e99e5996e82b7db61b0069d9c65a0e");
+  ]
+
+let baseline_report_digest ~faults scheduler =
+  let faults =
+    if not faults then None
+    else
+      Some
+        {
+          Faults.default_spec with
+          plan =
+            {
+              Faults.Plan.default_config with
+              server_mtbf = 80.0;
+              switch_mtbf = 80.0;
+              server_mttr = 10.0;
+              switch_mttr = 10.0;
+            };
+        }
+  in
+  let r =
+    Harness.Experiment.run
+      {
+        Harness.Experiment.default with
+        scheduler;
+        k = 8;
+        horizon = 120.0;
+        mu = 0.7;
+        target_utilization = 2.0;
+        faults;
+      }
+  in
+  let h = r.Sim.Metrics.placement_latency in
+  let q p = if Obs.Histogram.count h = 0 then 0.0 else Obs.Histogram.quantile h p in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%d %d %d %d %d %d %d %h %h %d [%s] %d %h %h %d %h %d %d %d %d %d %d"
+          r.jobs_total r.inc_jobs_total r.inc_jobs_served r.inc_tgs_total r.inc_tgs_unserved
+          r.tgs_total r.tgs_satisfied r.detour_mean r.span_mean r.detour_samples
+          (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r.switch_load)))
+          (Obs.Histogram.count h) (q 0.5) (q 0.99) r.rounds r.think_total r.node_fails
+          r.node_recoveries r.tasks_killed r.requeues r.fault_cancels r.tgs_cancelled))
+
+let test_golden_baseline_digests () =
+  List.iter
+    (fun (name, plain, faulty) ->
+      Alcotest.(check string) name plain (baseline_report_digest ~faults:false name);
+      Alcotest.(check string) (name ^ " with faults") faulty
+        (baseline_report_digest ~faults:true name))
+    golden_baseline_digests
+
 let () =
   Alcotest.run "scheduling"
     [
@@ -787,4 +857,6 @@ let () =
           Alcotest.test_case "portfolio rejected" `Quick test_registry_rejects_portfolio;
           Alcotest.test_case "resources conserved" `Slow test_resources_conserved_after_drain;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "baseline report digests" `Quick test_golden_baseline_digests ] );
     ]
