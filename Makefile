@@ -22,7 +22,8 @@ test:
 # and switch ledgers in place instead of building a utilization vector.
 # In lib/flow/mcmf.ml, the SSP Dijkstra and the zero-length search
 # before it (from `let dijkstra` up to `let solve`)
-# and `decompose` (to the end of the file) must not call Graph.iter_out:
+# and the path walker `iter_paths` under `decompose` (to the end of the
+# file) must not call Graph.iter_out:
 # they walk the forward chains and the live twins
 # through Graph.Raw, without a closure and without visiting
 # zero-capacity twins.  The shortcut
@@ -38,9 +39,11 @@ test:
 # shadow copy of the topology or the switch-switch arcs
 # (docs/PERFORMANCE.md, "Only reachable nodes").  In the same file,
 # only the memo lookup `shared_loc_ctx` may call `loc_ctx`, and only
-# `loc_ctx` may call Locality.Gain.compute or Locality.upsilon: a
-# group's locality context is staged once per related set and shared
-# (docs/PERFORMANCE.md, "Shared locality context").  Likewise only the
+# `loc_ctx` may call Locality.upsilon, Locality.Gain.of_source or
+# Locality.Gain.sum: a group's locality context (Υ, Γ summed from the
+# builder's per-source IncLocProp rows, and its per-ToR Φloc table) is
+# staged once per related set and shared (docs/PERFORMANCE.md, "Shared
+# locality context").  Likewise only the
 # shortcut memo lookup `memo_shortcuts` may call `server_shortcuts` or
 # `network_shortcuts`: a patched build prices a group's candidates only
 # where its memo entry cannot vouch for them (docs/PERFORMANCE.md,
@@ -98,7 +101,7 @@ lint-compare:
 		|| { echo "lint-compare: FAIL (copying or sorting Sharing accessor in flow_network.ml above)"; exit 1; }
 	@! grep -nE 'Resource\.utilization\b' lib/hire/flow_network.ml \
 		|| { echo "lint-compare: FAIL (utilization vector in flow_network.ml above)"; exit 1; }
-	@! { sed -n '/^let dijkstra/,/^let solve/p;/^let decompose/,$$p' lib/flow/mcmf.ml \
+	@! { sed -n '/^let dijkstra/,/^let solve/p;/^let iter_paths/,$$p' lib/flow/mcmf.ml \
 		| grep -n 'Graph\.iter_out'; } \
 		|| { echo "lint-compare: FAIL (full residual scan in the fast SSP or decompose above)"; exit 1; }
 	@! { sed -n '/^let push_shortcut/,/^(\* Build/p' lib/hire/flow_network.ml \
@@ -112,7 +115,7 @@ lint-compare:
 		lib/hire/flow_network.ml | grep -nE '\bloc_ctx +[a-z(~]'; } \
 		|| { echo "lint-compare: FAIL (locality context computed outside the memo lookup above)"; exit 1; }
 	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "loc_ctx"' lib/hire/flow_network.ml \
-		| grep -nE 'Locality\.(Gain\.compute|upsilon)\b'; } \
+		| grep -nE 'Locality\.(upsilon|Gain\.(of_source|sum))\b'; } \
 		|| { echo "lint-compare: FAIL (Υ or Γ staged outside loc_ctx above)"; exit 1; }
 	@! { awk '/^let /{ d = ($$2 == "rec" ? $$3 : $$2) } d != "memo_shortcuts" && !/^let (server|network)_shortcuts /' \
 		lib/hire/flow_network.ml \

@@ -486,7 +486,13 @@ let solve ?budget ?scratch:s g =
   (* Augmentations whose path [zero_path] found. *)
   let zero_paths = ref 0 in
   seed_live s g n;
-  let cap = Graph.Raw.cap g and dst = Graph.Raw.dst g in
+  (* The cost of the flow, accumulated per augmentation: each pushed arc
+     adds [amount] times its cost, a twin's being the negated cost of
+     its forward arc, which sums to [Graph.flow_cost] when the solve
+     starts from the zero flow.  One that starts from another flow
+     (a listed twin) prices the result with that pass instead. *)
+  let zero_start = s.live_used = 0 and flow_cost = ref 0 in
+  let cap = Graph.Raw.cap g and dst = Graph.Raw.dst g and cost = Graph.Raw.cost g in
   while !continue_ do
     (* Budget checked at augmentation boundaries: an SSP prefix is a
        valid min-cost flow for its value, so stopping here leaves a
@@ -530,6 +536,7 @@ let solve ?budget ?scratch:s g =
         while parent.(!v) >= 0 do
           let a = parent.(!v) in
           Graph.push g a amount;
+          flow_cost := !flow_cost + (amount * cost.(a));
           if a land 1 = 0 && cap.(a + 1) = amount then live_insert s dst.(a) (a + 1);
           v := dst.(a lxor 1)
         done;
@@ -587,7 +594,7 @@ let solve ?budget ?scratch:s g =
   {
     shipped = !shipped;
     unshipped = !remaining;
-    total_cost = Graph.flow_cost g;
+    total_cost = (if zero_start then !flow_cost else Graph.flow_cost g);
     augmentations = !augmentations;
     elapsed_s;
     degraded;
@@ -611,8 +618,9 @@ type path = { nodes : int list; amount : int }
    antiparallel pair).  The cycle's bottleneck is consumed from every
    arc of the cycle, which keeps the remaining flow a conserving one,
    and the walk resumes from that node.  Each cancellation consumes at
-   least one unit, so every walk ends. *)
-let decompose g =
+   least one unit, so every walk ends.  A finished path is the chain
+   of cursor arcs from its source to its sink, which [walk] follows. *)
+let iter_paths g f =
   let n = Graph.node_count g in
   let fwd = Graph.Raw.forward_head g and next = Graph.Raw.next g in
   let dst = Graph.Raw.dst g in
@@ -639,7 +647,15 @@ let decompose g =
       v := u
     done
   in
-  let paths = ref [] in
+  let path_source = ref 0 and path_sink = ref 0 in
+  let walk h =
+    let x = ref !path_source in
+    while !x <> !path_sink do
+      h !x;
+      x := dst.(cursor.(!x))
+    done;
+    h !path_sink
+  in
   for source = 0 to n - 1 do
     while balance.(source) > 0 && out_with_flow source >= 0 do
       (* Walk flow-carrying arcs until a node with remaining demand, or
@@ -681,14 +697,22 @@ let decompose g =
       (* [sink = source] when all of the source's outflow cycled back. *)
       if sink = source then balance.(source) <- 0
       else begin
-        let rec nodes_from x = if x = sink then [ x ] else x :: nodes_from dst.(cursor.(x)) in
-        let nodes = nodes_from source in
+        (* [consume] moves no cursor, so [walk] still follows the path. *)
         consume source sink amount;
         balance.(source) <- balance.(source) - amount;
         if balance.(sink) < 0 then balance.(sink) <- Int.min 0 (balance.(sink) + amount);
-        paths := { nodes; amount } :: !paths
+        path_source := source;
+        path_sink := sink;
+        f walk amount
       end;
       Bytes.set on_path sink '\000'
     done
-  done;
+  done
+
+let decompose g =
+  let paths = ref [] in
+  iter_paths g (fun walk amount ->
+      let nodes = ref [] in
+      walk (fun v -> nodes := v :: !nodes);
+      paths := { nodes = List.rev !nodes; amount } :: !paths);
   List.rev !paths

@@ -23,7 +23,10 @@
 type result = {
   shipped : int;  (** units of supply actually routed to demands *)
   unshipped : int;  (** supply that could not reach any demand *)
-  total_cost : int;  (** cost of the final flow *)
+  total_cost : int;
+      (** cost of the final flow, {!Graph.flow_cost}; the SSP sums it
+          per augmentation, with no pass over the arcs, unless the
+          solve started from a non-zero flow *)
   augmentations : int;  (** number of augmenting paths used *)
   elapsed_s : float;  (** monotonic wall-clock solve time ({!Prelude.Clock}) *)
   degraded : bool;
@@ -102,3 +105,10 @@ type path = { nodes : int list; amount : int }
     in {!Graph.iter_out} order.  Allocates per node, not per arc.  The
     graph's flow is not modified. *)
 val decompose : Graph.t -> path list
+
+(** [iter_paths g f] is {!decompose} without the lists: for each path,
+    in the same order, it calls [f walk amount], where [walk h] calls
+    [h] on the path's nodes from its supply node to its demand node.
+    [walk] is valid only during that call to [f], which must not change
+    the graph.  {!decompose} is its list form. *)
+val iter_paths : Graph.t -> (((int -> unit) -> unit) -> int -> unit) -> unit

@@ -88,10 +88,20 @@ let compute_tor_agg (view : View.t) tor =
 
 (* Locality context of one task group: inputs of Φloc.  Υ and Γ are
    only read when a related task is placed, so a [Neutral] context
-   computes neither. *)
+   computes neither.  A [Related] one holds Φloc at every ToR, the ToR
+   at offset [j] from the first at [tor_phi.(j)] ([price_tor] reads
+   it), and Υ, Γ and the weight for the servers of mixed ToRs and the
+   switches of INC groups (docs/PERFORMANCE.md, "Shared locality
+   context"). *)
 type loc_ctx =
   | Neutral
-  | Related of { server_weight : float; upsilon : int -> float; gain : Locality.Gain.t }
+  | Related of {
+      server_weight : float;
+      upsilon : int -> float;
+      gain : Locality.Gain.t;
+      tor0 : int;
+      tor_phi : float array;
+    }
 
 (* The builder's locality memo is keyed on a group's related ids
    ([tg_id :: connected]), sorted. *)
@@ -213,6 +223,13 @@ type builder = {
   (* Locality contexts by related ids ([shared_loc_ctx]), computed
      from the one census the builder is used with. *)
   loc_memo : loc_entry Ids_tbl.t;
+  (* IncLocProp rows by source switch id, [None] until a context first
+     needs one (they depend on the topology, γ and ξ, all fixed for a
+     builder); and a mark per switch, [src_seen.(s) = loc_serial] once
+     [s] is a source of the context being computed ([loc_ctx]). *)
+  mutable rows : Locality.Gain.t option array;
+  mutable src_seen : int array;
+  mutable loc_serial : int;
   mutable loc_computed : int;  (* contexts computed this build *)
   mutable loc_reused : int;  (* contexts found in a memo this build *)
   (* Stats. *)
@@ -251,6 +268,9 @@ let create_builder () =
     sc_priced = 0;
     sc_reused = 0;
     loc_memo = Ids_tbl.create 16;
+    rows = [||];
+    src_seen = [||];
+    loc_serial = 0;
     loc_computed = 0;
     loc_reused = 0;
     builds = 0;
@@ -314,40 +334,87 @@ let stats t =
     full_rebuilds = t.b.full_rebuilds;
   }
 
-(* The locality context of a group whose related ids are [related].
-   Only [shared_loc_ctx] calls it. *)
-let loc_ctx (view : View.t) census ~(params : Cost_model.params) related =
-  let on_servers, on_switches =
-    List.fold_left
-      (fun (sv, sw) tg_id ->
-        List.fold_left
-          (fun (sv, sw) (m, c) ->
-            if Fat_tree.is_server view.topo m then (sv + c, sw) else (sv, sw + c))
-          (sv, sw)
-          (Locality.Task_census.machines census ~tg_id))
-      (0, 0) related
+(* Cost_model.phi_loc ignores Υ, Γ and the weight when nothing related
+   is placed. *)
+let neutral_phi_loc =
+  Cost_model.phi_loc ~related_placed:false ~upsilon:1.0 ~gamma_norm:0.0 ~server_weight:0.5
+
+(* The locality context of a group whose related ids are [related]
+   (docs/PERFORMANCE.md, "Shared locality context").  The census keeps
+   each group's total and switch-hosted count, so the split and Υ's
+   group size are sums over [related].  Γ sums the rows of the distinct
+   switches hosting a related task, each computed once per builder; with
+   none it is the shared [Gain.empty].  Φloc at a ToR reads Υ through
+   the staged closure only where a related group's ToR rollup names the
+   ToR: elsewhere no related task is under it and Υ is 1.0, the value
+   the closure gives there.  Only [shared_loc_ctx] calls it. *)
+let loc_ctx b topo census ~(params : Cost_model.params) related =
+  let module C = Locality.Task_census in
+  let rec count placed on_switches = function
+    | [] -> (placed, on_switches)
+    | id :: rest ->
+        count
+          (placed + C.total census ~tg_id:id)
+          (on_switches + C.switch_tasks census ~tg_id:id)
+          rest
   in
-  let total_placed = on_servers + on_switches in
-  if total_placed = 0 then Neutral
+  let placed, on_switches = count 0 0 related in
+  if placed = 0 then Neutral
   else begin
-    let group_size =
-      List.fold_left (fun acc id -> acc + Locality.Task_census.total census ~tg_id:id) 0 related
+    let gain =
+      if on_switches = 0 then Locality.Gain.empty
+      else begin
+        let switches = Array.length (Fat_tree.switches topo) in
+        if Array.length b.rows <> switches then begin
+          b.rows <- Array.make switches None;
+          b.src_seen <- Array.make switches 0
+        end;
+        b.loc_serial <- b.loc_serial + 1;
+        let rows = ref [] in
+        List.iter
+          (fun id ->
+            C.iter_switches census ~tg_id:id (fun s ->
+                if b.src_seen.(s) <> b.loc_serial then begin
+                  b.src_seen.(s) <- b.loc_serial;
+                  let row =
+                    match b.rows.(s) with
+                    | Some row -> row
+                    | None ->
+                        let row =
+                          Locality.Gain.of_source topo ~source:s ~gamma:params.gamma ~xi:params.xi
+                        in
+                        b.rows.(s) <- Some row;
+                        row
+                  in
+                  rows := row :: !rows
+                end))
+          related;
+        Locality.Gain.sum !rows
+      end
     in
-    Related
-      {
-        server_weight = float_of_int on_servers /. float_of_int total_placed;
-        upsilon =
-          Locality.upsilon view.topo census ~tg_ids:related ~group_size:(max 1 group_size);
-        gain = Locality.Gain.compute view.topo census ~related ~gamma:params.gamma ~xi:params.xi;
-      }
+    let server_weight = float_of_int (placed - on_switches) /. float_of_int placed in
+    let upsilon = Locality.upsilon topo census ~tg_ids:related ~group_size:placed in
+    let phi node ~upsilon =
+      Cost_model.phi_loc ~related_placed:true ~upsilon
+        ~gamma_norm:(Locality.Gain.normalized gain node)
+        ~server_weight
+    in
+    let tors = Fat_tree.tor_switches topo in
+    let tor0 = tors.(0) in
+    let tor_phi = Array.map (fun tor -> phi tor ~upsilon:1.0) tors in
+    List.iter
+      (fun id ->
+        C.iter_tors census ~tg_id:id (fun tor ->
+            tor_phi.(tor - tor0) <- phi tor ~upsilon:(upsilon tor)))
+      related;
+    Related { server_weight; upsilon; gain; tor0; tor_phi }
   end
 
-(* The locality context of a task group, shared by every group with the
-   same related ids ([tg_id :: connected], sorted) in this build, and
-   reused by later builds while the census stamp of each of those ids is
-   unchanged (docs/PERFORMANCE.md, "Why the memo is exact"). *)
-let shared_loc_ctx b view census ~params (tg : Poly_req.task_group) =
-  let ids = List.sort Int.compare (tg.Poly_req.tg_id :: tg.Poly_req.connected) in
+(* The locality context of the related ids [ids] (sorted), shared by
+   every group with those ids in this build, and reused by later builds
+   while the census stamp of each of those ids is unchanged
+   (docs/PERFORMANCE.md, "Why the memo is exact"). *)
+let shared_loc_ctx b topo census ~params ids =
   match Ids_tbl.find_opt b.loc_memo ids with
   | Some e
     when List.for_all
@@ -357,18 +424,21 @@ let shared_loc_ctx b view census ~params (tg : Poly_req.task_group) =
       b.loc_reused <- b.loc_reused + 1;
       e
   | _ ->
-      let ctx = loc_ctx view census ~params ids in
+      let ctx = loc_ctx b topo census ~params ids in
       let stamps = List.map (fun id -> (id, Locality.Task_census.stamp census ~tg_id:id)) ids in
       let e = { ctx; stamps; used = b.builds } in
       Ids_tbl.replace b.loc_memo ids e;
       b.loc_computed <- b.loc_computed + 1;
       e
 
+let related_ids (tg : Poly_req.task_group) =
+  List.sort Int.compare (tg.Poly_req.tg_id :: tg.Poly_req.connected)
+
 (* A group's locality context without sorting or hashing its related
    ids: the entry the group used last build while it is still valid,
    which one stamp walk per build settles for every group sharing it;
    otherwise [shared_loc_ctx]. *)
-let group_loc (b : builder) view census ~params tg = function
+let group_loc (b : builder) topo census ~params tg = function
   | Some e
     when e.used = b.builds
          || List.for_all
@@ -377,20 +447,25 @@ let group_loc (b : builder) view census ~params tg = function
       e.used <- b.builds;
       b.loc_reused <- b.loc_reused + 1;
       e
-  | _ -> shared_loc_ctx b view census ~params tg
+  | _ -> shared_loc_ctx b topo census ~params (related_ids tg)
 
-(* Cost_model.phi_loc ignores Υ, Γ and the weight when nothing related
-   is placed. *)
-let neutral_phi_loc =
-  Cost_model.phi_loc ~related_placed:false ~upsilon:1.0 ~gamma_norm:0.0 ~server_weight:0.5
-
+(* Φloc at a server or switch. *)
 let phi_loc_at ctx node =
   match ctx with
   | Neutral -> neutral_phi_loc
-  | Related { server_weight; upsilon; gain } ->
+  | Related { server_weight; upsilon; gain; _ } ->
       Cost_model.phi_loc ~related_placed:true ~upsilon:(upsilon node)
         ~gamma_norm:(Locality.Gain.normalized gain node)
         ~server_weight
+
+(* Φloc at a ToR: [phi_loc_at]'s value, from the context's table. *)
+let tor_phi_loc ctx tor =
+  match ctx with Neutral -> neutral_phi_loc | Related r -> r.tor_phi.(tor - r.tor0)
+
+let loc_phi b topo census ~params related =
+  let ctx = (shared_loc_ctx b topo census ~params (List.sort_uniq Int.compare related)).ctx in
+  fun node ->
+    if Fat_tree.kind topo node = Fat_tree.Tor then tor_phi_loc ctx node else phi_loc_at ctx node
 
 (* ------------------------------------------------------------------ *)
 (* Shortcut candidates                                                *)
@@ -481,7 +556,7 @@ let price_tor b (view : View.t) c ~params ~ctx ~phi_prio ~demand tor =
     match b.tor_aggs.(tor) with
     | None -> false
     | Some agg when agg == c.run_agg || Vec.fits ~demand ~available:agg.min_avail ->
-        let phi_loc = phi_loc_at ctx tor in
+        let phi_loc = tor_phi_loc ctx tor in
         if
           not
             (agg == c.run_agg
@@ -655,7 +730,9 @@ let memo_shortcuts b (view : View.t) census ~(params : Cost_model.params) ~phi_p
   if b.last_full then begin
     b.sc_priced <- b.sc_priced + 1;
     price b.sc
-      (if params.locality_aware then (shared_loc_ctx b view census ~params tg).ctx else Neutral);
+      (if params.locality_aware then
+         (shared_loc_ctx b view.topo census ~params (related_ids tg)).ctx
+       else Neutral);
     b.sc
   end
   else begin
@@ -663,7 +740,7 @@ let memo_shortcuts b (view : View.t) census ~(params : Cost_model.params) ~phi_p
     let loc =
       if params.locality_aware then
         Some
-          (group_loc b view census ~params tg
+          (group_loc b view.topo census ~params tg
              (match found with Some e -> e.loc | None -> None))
       else None
     in
@@ -1078,7 +1155,7 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
       let variants = Hashtbl.create 4 in
       List.iter
         (fun ((ts : Pending.tg_state), gnode) ->
-          let key = Flavor.to_string ts.tg.Poly_req.flavor in
+          let key = ts.Pending.flavor_key in
           let cur = match Hashtbl.find_opt variants key with Some l -> l | None -> [] in
           Hashtbl.replace variants key ((ts, gnode) :: cur))
         und;
@@ -1195,41 +1272,49 @@ let solve_only ?(solver = Ssp) ?budget ?scratch t =
   | Ssp -> Mcmf.solve ?budget ?scratch t.b.g
   | Cost_scaling -> Flow.Cost_scaling.solve ?budget t.b.g
 
+(* Role tags (the low 4 bits) that extraction reads. *)
+let group_tag = encode_role (Group 0)
+let flavor_tag = encode_role (Flavor_sel 0)
+let server_tag = encode_role (Machine_server 0)
+let inc_tag = encode_role (Machine_inc 0)
+
 let extract t ~solver =
   let extract_t0 = if Obs.enabled () then Prelude.Clock.now () else 0.0 in
-  let paths = Mcmf.decompose t.b.g in
-  let placements = ref [] and flavor_picks = ref [] in
-  List.iter
-    (fun (p : Mcmf.path) ->
-      (* Nodes without a role are skipped rather than fatal: the
-         cost-scaling backend leaves its virtual feasibility node in the
-         graph, and a budget-exhausted partial flow may route through
-         it. *)
-      let roles_on_path = List.filter_map (role_opt t) p.nodes in
-      let group = List.find_opt (function Group _ -> true | _ -> false) roles_on_path in
-      let flavor = List.find_opt (function Flavor_sel _ -> true | _ -> false) roles_on_path in
-      let machine =
-        List.find_opt
-          (function Machine_server _ | Machine_inc _ -> true | _ -> false)
-          roles_on_path
-      in
-      (match (flavor, group) with
-      | Some (Flavor_sel job_id), Some (Group tg_id) ->
-          flavor_picks := (job_id, tg_id) :: !flavor_picks
-      | _ -> ());
-      match (group, machine) with
-      | Some (Group tg_id), Some (Machine_server m) | Some (Group tg_id), Some (Machine_inc m)
-        ->
-          (* M→K capacity is 1, so such a path carries exactly one task. *)
-          for _ = 1 to p.amount do
-            placements := (tg_id, m) :: !placements
-          done
-      | _ -> ())
-    paths;
+  let roles = t.b.roles and valid_n = t.b.valid_n in
+  let placements = ref [] and flavor_picks = ref [] and n_paths = ref 0 in
+  (* The payload ids of the first Group, Flavor_sel and machine role on
+     the path being walked; -1 while none.  Nodes without a role are
+     skipped rather than fatal: the cost-scaling backend leaves its
+     virtual feasibility node in the graph, and a budget-exhausted
+     partial flow may route through it. *)
+  let group = ref (-1) and flavor = ref (-1) and machine = ref (-1) in
+  let note v =
+    if v < valid_n then begin
+      let r = roles.(v) in
+      if r >= 0 then begin
+        let tag = r land 15 in
+        if tag = group_tag then (if !group < 0 then group := r asr 4)
+        else if tag = flavor_tag then (if !flavor < 0 then flavor := r asr 4)
+        else if (tag = server_tag || tag = inc_tag) && !machine < 0 then machine := r asr 4
+      end
+    end
+  in
+  Mcmf.iter_paths t.b.g (fun walk amount ->
+      incr n_paths;
+      group := -1;
+      flavor := -1;
+      machine := -1;
+      walk note;
+      if !flavor >= 0 && !group >= 0 then flavor_picks := (!flavor, !group) :: !flavor_picks;
+      if !group >= 0 && !machine >= 0 then
+        (* M→K capacity is 1, so such a path carries exactly one task. *)
+        for _ = 1 to amount do
+          placements := (!group, !machine) :: !placements
+        done);
   if Obs.enabled () then
     Obs.Trace.emit "flow_extract"
       [
-        ("paths", Obs.Trace.Int (List.length paths));
+        ("paths", Obs.Trace.Int !n_paths);
         ("placements", Obs.Trace.Int (List.length !placements));
         ("flavor_picks", Obs.Trace.Int (List.length !flavor_picks));
         ("extract_s", Obs.Trace.Float (Prelude.Clock.now () -. extract_t0));

@@ -56,7 +56,9 @@ type t
     (per the {!View.t.dirty} set) instead of reallocating everything.
 
     The builder also owns a memo of locality contexts (the Υ and Γ
-    that price Φloc), keyed on a group's related ids as a sorted list.
+    that price Φloc, and Φloc at every ToR), keyed on a group's related
+    ids as a sorted list, and the IncLocProp row of every switch that
+    has hosted a related task, which Γ sums.
     Groups with the same related ids share one context within a build,
     and later builds reuse it while the {!Locality.Task_census.stamp}
     of each of those ids is unchanged; a build drops the contexts it
@@ -91,6 +93,22 @@ type builder
 (** [create_builder ()] makes a fresh builder.  A patched build first
     undoes the previous round's flow with {!Flow.Graph.reset_flows}. *)
 val create_builder : unit -> builder
+
+(** [loc_phi builder topo census ~params related] is Φloc at a node as
+    the builder's locality context for the related ids [related] prices
+    shortcuts there: from the context's per-ToR table at a ToR, from
+    its staged Υ and Γ at a server or switch.  It goes through the
+    builder's context memo, as a build does.  Test hook: a network
+    shows Φloc only inside rounded edge costs, and the tests compare it
+    bit for bit with Υ and Γ staged from scratch. *)
+val loc_phi :
+  builder ->
+  Topology.Fat_tree.t ->
+  Locality.Task_census.t ->
+  params:Cost_model.params ->
+  int list ->
+  int ->
+  float
 
 (** Per-build patching statistics of the network a builder produced
     last: [touched_arcs] counts patched prefix arcs plus rebuilt suffix

@@ -181,29 +181,48 @@ let apply_flavor_picks t ~flavor_picks ~cancelled ~decisions =
               end))
     flavor_picks
 
+(* The groups the raw placements name, by tg id: every job's group
+   with that id ([Pending.find_tg]'s, the first in the job), oldest job
+   first.  Requeue clones share the original's tg_id under a different
+   job id, so one id may list several jobs; the order is submission
+   order, not hash-table order, which replayed restores would not
+   reproduce (docs/JOURNAL.md).  Placing changes neither [t.order] nor
+   [t.jobs], so one index serves a whole call. *)
+let tg_index t raw =
+  let idx = Int_tbl.create 16 in
+  List.iter (fun (tg_id, _) -> Int_tbl.replace idx tg_id []) raw;
+  (* [t.order] is newest first, so prepending leaves each list oldest
+     first. *)
+  List.iter
+    (fun id ->
+      match Int_tbl.find_opt t.jobs id with
+      | None -> ()
+      | Some job ->
+          Array.iter
+            (fun (ts : Pending.tg_state) ->
+              let tg_id = ts.tg.Poly_req.tg_id in
+              match Int_tbl.find_opt idx tg_id with
+              | Some ((j, _) :: _) when j == job -> ()
+              | Some l -> Int_tbl.replace idx tg_id ((job, ts) :: l)
+              | None -> ())
+            job.Pending.tg_states)
+    t.order;
+  idx
+
 (* Record raw (tg_id, machine) placements against pending state and the
    locality census; returns the applied (task_group, machine) pairs.
-   Requeue clones share the original's tg_id under a different job id,
-   so the scan runs oldest job first — a fixed submission order, not
-   hash-table order, which replayed restores would not reproduce
-   (docs/JOURNAL.md).  Placing changes neither [t.order] nor [t.jobs],
-   so the job list is taken once per call. *)
+   Each resolves to the oldest job whose group is materialized and has
+   work left. *)
 let apply_placements t raw =
-  let jobs = job_list t in
+  let idx = tg_index t raw in
   List.filter_map
     (fun (tg_id, machine) ->
-      let found =
-        List.find_map
-          (fun job ->
-            match Pending.find_tg job tg_id with
-            | Some ts
-              when Pending.status job ts = Flavor.Materialized && ts.Pending.remaining > 0
-              ->
-                Some (job, ts)
-            | _ -> None)
-          jobs
-      in
-      match found with
+      match
+        List.find_opt
+          (fun (job, (ts : Pending.tg_state)) ->
+            Pending.status job ts = Flavor.Materialized && ts.remaining > 0)
+          (Int_tbl.find idx tg_id)
+      with
       | None -> None
       | Some (job, ts) ->
           Pending.place job ts ~machine;
@@ -214,20 +233,15 @@ let apply_placements t raw =
 (* Lenient resolution of raw placements for the guard's ledger
    cross-check: flavor picks have not been applied yet at guard time, so
    group status is ignored — only groups with work left resolve.  Same
-   oldest-job-first scan as [apply_placements]. *)
+   oldest-job-first order as [apply_placements]. *)
 let resolve_for_guard t raw =
-  let jobs = job_list t in
+  let idx = tg_index t raw in
   List.filter_map
     (fun (tg_id, machine) ->
-      let found =
-        List.find_map
-          (fun job ->
-            match Pending.find_tg job tg_id with
-            | Some ts when ts.Pending.remaining > 0 -> Some ts
-            | _ -> None)
-          jobs
-      in
-      Option.map (fun ts -> (ts, machine)) found)
+      List.find_map
+        (fun (_, (ts : Pending.tg_state)) ->
+          if ts.remaining > 0 then Some (ts, machine) else None)
+        (Int_tbl.find idx tg_id))
     raw
 
 let other_backend = function

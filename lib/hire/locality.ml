@@ -10,12 +10,15 @@ module Task_census = struct
      census-wide [clock], so equal stamps mean unchanged counts.  A
      group whose last task leaves is dropped: it reads stamp 0 and
      counts 0, as one never seen does, so the census holds only groups
-     with running tasks. *)
+     with running tasks.  [on_switches] is the sum of [by_machine] over
+     switches, kept by [adjust], so a locality context reads a group's
+     server/switch split without walking its machines. *)
   type group_counts = {
     by_machine : int Int_tbl.t;
     by_tor : int Int_tbl.t;
     by_pod : int Int_tbl.t;
     mutable total : int;
+    mutable on_switches : int;
     mutable stamp : int;
   }
 
@@ -33,15 +36,26 @@ module Task_census = struct
             by_tor = Int_tbl.create 8;
             by_pod = Int_tbl.create 8;
             total = 0;
+            on_switches = 0;
             stamp = 0;
           }
         in
         Int_tbl.replace t.groups tg_id g;
         g
 
+  (* Adds [delta] to [key]'s count, dropping a count that falls to 0 or
+     below; returns the change the count took. *)
   let bump tbl key delta =
-    let v = (match Int_tbl.find_opt tbl key with Some v -> v | None -> 0) + delta in
-    if v <= 0 then Int_tbl.remove tbl key else Int_tbl.replace tbl key v
+    let old = match Int_tbl.find_opt tbl key with Some v -> v | None -> 0 in
+    let v = old + delta in
+    if v <= 0 then begin
+      Int_tbl.remove tbl key;
+      -old
+    end
+    else begin
+      Int_tbl.replace tbl key v;
+      delta
+    end
 
   let tags t machine =
     let open Fat_tree in
@@ -55,10 +69,11 @@ module Task_census = struct
     let g = group t tg_id in
     t.clock <- t.clock + 1;
     g.stamp <- t.clock;
-    bump g.by_machine machine delta;
+    let moved = bump g.by_machine machine delta in
+    if Fat_tree.is_switch t.topo machine then g.on_switches <- g.on_switches + moved;
     let tor, pod = tags t machine in
-    (match tor with Some x -> bump g.by_tor x delta | None -> ());
-    (match pod with Some p -> bump g.by_pod p delta | None -> ());
+    (match tor with Some x -> ignore (bump g.by_tor x delta) | None -> ());
+    (match pod with Some p -> ignore (bump g.by_pod p delta) | None -> ());
     g.total <- g.total + delta;
     if g.total < 0 then invalid_arg "Task_census: negative total";
     if g.total = 0 then Int_tbl.remove t.groups tg_id
@@ -80,6 +95,20 @@ module Task_census = struct
   let total t ~tg_id =
     match Int_tbl.find_opt t.groups tg_id with None -> 0 | Some g -> g.total
 
+  let switch_tasks t ~tg_id =
+    match Int_tbl.find_opt t.groups tg_id with None -> 0 | Some g -> g.on_switches
+
+  let iter_switches t ~tg_id f =
+    match Int_tbl.find_opt t.groups tg_id with
+    | Some g when g.on_switches > 0 ->
+        Int_tbl.iter (fun m _ -> if Fat_tree.is_switch t.topo m then f m) g.by_machine
+    | _ -> ()
+
+  let iter_tors t ~tg_id f =
+    match Int_tbl.find_opt t.groups tg_id with
+    | None -> ()
+    | Some g -> Int_tbl.iter (fun tor _ -> f tor) g.by_tor
+
   let stamp t ~tg_id =
     match Int_tbl.find_opt t.groups tg_id with None -> 0 | Some g -> g.stamp
 
@@ -90,11 +119,6 @@ module Task_census = struct
         Int_tbl.fold (fun m c acc -> (m, c) :: acc) g.by_machine []
         |> List.sort (fun (m1, c1) (m2, c2) ->
                match Int.compare m1 m2 with 0 -> Int.compare c1 c2 | c -> c)
-
-  let switches t ~tg_id =
-    List.filter_map
-      (fun (m, _) -> if Fat_tree.is_switch t.topo m then Some m else None)
-      (machines t ~tg_id)
 
   (* A cleared group reads stamp 0, like one never seen; re-adding it
      stamps it from the clock, above any stamp it had before. *)
@@ -192,41 +216,61 @@ let upsilon topo census ~tg_ids ~group_size =
   end
 
 module Gain = struct
-  type t = { table : int Int_tbl.t; max_gain : int }
+  (* Gains by switch id: switch ids are 0 .. S-1 (Fat_tree.switches), so
+     a server's id falls past the table and reads 0, as IncLocProp
+     never reaches a server. *)
+  type t = { table : int array; max_gain : int }
 
-  let inc_loc_prop topo table ~start ~gamma ~xi =
-    let visited = Int_tbl.create 32 in
-    let visit = ref [ start ] in
-    let g = ref gamma in
-    while !g > 0 && !visit <> [] do
-      let next = ref [] in
-      List.iter
-        (fun n ->
-          if not (Int_tbl.mem visited n) then begin
-            Int_tbl.replace visited n ();
-            let cur = match Int_tbl.find_opt table n with Some v -> v | None -> 0 in
-            Int_tbl.replace table n (cur + !g);
-            List.iter
-              (fun nb -> if Topology.Fat_tree.is_switch topo nb then next := nb :: !next)
-              (Topology.Fat_tree.neighbors topo n)
-          end)
-        !visit;
-      visit := List.filter (fun n -> not (Int_tbl.mem visited n)) !next;
+  let empty = { table = [||]; max_gain = 0 }
+
+  (* IncLocProp (Alg. 1) from one switch: a breadth-first walk over
+     switch-switch links that gives every switch at hop distance [d]
+     the gain [gamma] divided [d] times by [xi], while that is above 0.
+     [queue] holds the walk's switches in visit order, and [level_end]
+     where the current hop distance ends in it. *)
+  let of_source topo ~source ~gamma ~xi =
+    if xi <= 1 then invalid_arg "Gain.of_source: xi must be > 1";
+    if not (Fat_tree.is_switch topo source) then invalid_arg "Gain.of_source: not a switch";
+    let n = Array.length (Fat_tree.switches topo) in
+    let table = Array.make n 0 in
+    let seen = Bytes.make n '\000' and queue = Array.make n 0 in
+    queue.(0) <- source;
+    Bytes.set seen source '\001';
+    let head = ref 0 and tail = ref 1 and g = ref gamma in
+    while !g > 0 && !head < !tail do
+      let level_end = !tail in
+      while !head < level_end do
+        let u = queue.(!head) in
+        incr head;
+        table.(u) <- !g;
+        List.iter
+          (fun v ->
+            if Fat_tree.is_switch topo v && Bytes.get seen v = '\000' then begin
+              Bytes.set seen v '\001';
+              queue.(!tail) <- v;
+              incr tail
+            end)
+          (Fat_tree.neighbors topo u)
+      done;
       g := !g / xi
-    done
+    done;
+    { table; max_gain = Array.fold_left Int.max 0 table }
 
-  let compute topo census ~related ~gamma ~xi =
-    if xi <= 1 then invalid_arg "Gain.compute: xi must be > 1";
-    let table = Int_tbl.create 64 in
-    let sources =
-      List.concat_map (fun tg_id -> Task_census.switches census ~tg_id) related
-      |> List.sort_uniq Int.compare
-    in
-    List.iter (fun s -> inc_loc_prop topo table ~start:s ~gamma ~xi) sources;
-    let max_gain = Int_tbl.fold (fun _ v acc -> max v acc) table 0 in
-    { table; max_gain }
+  let sum = function
+    | [] -> empty
+    | [ row ] -> row
+    | row :: _ as rows ->
+        let table = Array.make (Array.length row.table) 0 in
+        List.iter
+          (fun r ->
+            let t = r.table in
+            for i = 0 to Array.length t - 1 do
+              table.(i) <- table.(i) + t.(i)
+            done)
+          rows;
+        { table; max_gain = Array.fold_left Int.max 0 table }
 
-  let at t node = match Int_tbl.find_opt t.table node with Some v -> v | None -> 0
+  let at t node = if node < Array.length t.table then t.table.(node) else 0
 
   let normalized t node =
     if t.max_gain <= 0 then 0.0 else float_of_int (at t node) /. float_of_int t.max_gain

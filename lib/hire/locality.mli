@@ -11,7 +11,8 @@
       child subtree (lower = better co-location);
     - [Gain] — the INC-locality gain Γ of Alg. 1: a decaying
       breadth-first propagation of a gain γ from every switch hosting a
-      related task ([IncLocProp]). *)
+      related task ([IncLocProp]), kept as one row per source switch
+      and summed per related set. *)
 
 module Fat_tree = Topology.Fat_tree
 
@@ -38,11 +39,23 @@ module Task_census : sig
 
   val total : t -> tg_id:int -> int
 
-  (** Machines hosting tasks of the group, with counts. *)
+  (** Machines hosting tasks of the group, with counts, in machine
+      order.  Test hook: the census encodes these pairs itself, and
+      the tests derive the rollups and {!switch_tasks} from them. *)
   val machines : t -> tg_id:int -> (int * int) list
 
-  (** Switches among [machines]. *)
-  val switches : t -> tg_id:int -> int list
+  (** Tasks of the group running on switches: the sum of {!machines}'
+      counts at switches, kept up to date by {!add} and {!remove}. *)
+  val switch_tasks : t -> tg_id:int -> int
+
+  (** [iter_switches t ~tg_id f] calls [f] once on every switch hosting
+      a task of the group, in no fixed order. *)
+  val iter_switches : t -> tg_id:int -> (int -> unit) -> unit
+
+  (** [iter_tors t ~tg_id f] calls [f] once on every ToR whose subtree
+      (its servers and itself) holds a task of the group, in no fixed
+      order: the ToRs where {!count_under} is above 0. *)
+  val iter_tors : t -> tg_id:int -> (int -> unit) -> unit
 
   (** Drop a group, as a checkpoint restore ({!decode_state}) drops one
       the snapshot lacks.  Test hook: the census drops a group itself
@@ -94,13 +107,25 @@ val upsilon :
 module Gain : sig
   type t
 
-  (** [compute topo census ~related ~gamma ~xi] runs IncLocProp from
-      every switch hosting a task of a related group, with initial gain
-      [gamma] and decay divisor [xi > 1]. *)
-  val compute :
-    Fat_tree.t -> Task_census.t -> related:int list -> gamma:int -> xi:int -> t
+  (** No source: 0 everywhere. *)
+  val empty : t
 
-  (** Accumulated Γ at a node (0 if never reached). *)
+  (** [of_source topo ~source ~gamma ~xi] runs IncLocProp from the
+      switch [source], with initial gain [gamma] and decay divisor
+      [xi > 1]: a switch [d] switch-switch hops away gets [gamma]
+      divided [d] times by [xi] (integer division), until that is 0.
+      It depends on nothing but its arguments, so a caller may keep it
+      and sum it into every Γ with that source. *)
+  val of_source : Fat_tree.t -> source:int -> gamma:int -> xi:int -> t
+
+  (** Γ of a set of source switches: the sum of their {!of_source}
+      rows (one each; the order does not matter, integer sums are
+      exact).  [sum []] is {!empty}, [sum [r]] is [r]. *)
+  val sum : t list -> t
+
+  (** Accumulated Γ at a node (0 if never reached, and at servers).
+      Test hook: the builder reads only {!normalized}, which hides the
+      integer gains that the tests check. *)
   val at : t -> int -> int
 
   (** Γ normalized to [\[0,1\]]: 1 = maximum accumulated gain among all

@@ -2,6 +2,7 @@ type tg_state = {
   tg : Poly_req.task_group;
   mutable remaining : int;
   mutable placed_on : int list;
+  flavor_key : string;
 }
 
 type job_state = {
@@ -18,7 +19,13 @@ let of_poly (poly : Poly_req.t) =
     tg_states =
       Array.of_list
         (List.map
-           (fun tg -> { tg; remaining = tg.Poly_req.count; placed_on = [] })
+           (fun tg ->
+             {
+               tg;
+               remaining = tg.Poly_req.count;
+               placed_on = [];
+               flavor_key = Flavor.to_string tg.Poly_req.flavor;
+             })
            poly.task_groups);
     inc_flavor_locked = poly.flavor_len = 0;
   }

@@ -7,6 +7,9 @@ type tg_state = {
   tg : Poly_req.task_group;
   mutable remaining : int;  (** tasks still to place *)
   mutable placed_on : int list;  (** machines already hosting a task (multiset) *)
+  flavor_key : string;
+      (** [Flavor.to_string tg.flavor], made once: the network builder
+          groups a job's undecided groups into variants by it *)
 }
 
 type job_state = {

@@ -12,13 +12,19 @@ let params =
   }
 
 (* Fabricate a fully-materialized Pending job from the currently active
-   variant of a mode-managed job. *)
-let pending_of_active (job : Modes.mjob) rts =
+   variant of a mode-managed job; [key] is the flavor key of a stripped
+   group. *)
+let pending_of_active ~key (job : Modes.mjob) rts =
   let strip (rt : Modes.tg_rt) = { rt.tg with Poly_req.flavor = Flavor.all_x 0 } in
   let tg_states =
     List.map
       (fun (rt : Modes.tg_rt) ->
-        { Pending.tg = strip rt; remaining = rt.remaining; placed_on = rt.placed_on })
+        {
+          Pending.tg = strip rt;
+          remaining = rt.remaining;
+          placed_on = rt.placed_on;
+          flavor_key = key;
+        })
       rts
   in
   {
@@ -37,6 +43,7 @@ let create cluster =
   let view = Sim.Cluster.view cluster in
   (* CoCo++ has no locality bookkeeping: the census stays empty. *)
   let census = Hire.Locality.Task_census.create (Sim.Cluster.topo cluster) in
+  let key = Flavor.to_string (Flavor.all_x 0) in
   let submit ~time poly = Modes.submit modes ~time poly in
   let round ~time =
     let cancelled = ref (Modes.tick modes ~time) in
@@ -51,7 +58,7 @@ let create cluster =
                 (fun (rt : Modes.tg_rt) ->
                   Hashtbl.replace rt_of_tg rt.tg.Poly_req.tg_id (job, rt))
                 rts;
-              Some (pending_of_active job rts))
+              Some (pending_of_active ~key job rts))
         (Modes.jobs modes)
     in
     if Obs.enabled () then begin

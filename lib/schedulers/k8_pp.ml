@@ -78,16 +78,14 @@ let create ~mode cluster =
       | [] -> None
       | cs ->
           let score_of =
-            if Poly_req.is_network rt.tg then begin
-              let _, _, demand = Policy_util.unshared_parts rt.tg in
-              let capacity = Hire.Sharing.live_capacity sharing in
-              fun m -> score ~capacity ~available:(Hire.Sharing.live_available sharing m) ~demand
-            end
-            else begin
-              let demand = rt.tg.Poly_req.demand in
-              let capacity = view.server_capacity in
-              fun m -> score ~capacity ~available:(view.server_available m) ~demand
-            end
+            match rt.switch_demand with
+            | Some demand ->
+                let capacity = Hire.Sharing.live_capacity sharing in
+                fun m -> score ~capacity ~available:(Hire.Sharing.live_available sharing m) ~demand
+            | None ->
+                let demand = rt.tg.Poly_req.demand in
+                let capacity = view.server_capacity in
+                fun m -> score ~capacity ~available:(view.server_available m) ~demand
           in
           let best =
             List.fold_left

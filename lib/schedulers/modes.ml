@@ -9,6 +9,7 @@ type tg_rt = {
   tg : Poly_req.task_group;
   mutable remaining : int;
   mutable placed_on : int list;
+  switch_demand : Prelude.Vec.t option;
 }
 
 type decision = Undecided | Inc | Server
@@ -46,7 +47,14 @@ let split_variants (poly : Poly_req.t) =
       let cur = try Hashtbl.find by_comp tg.comp_id with Not_found -> [] in
       Hashtbl.replace by_comp tg.comp_id (tg :: cur))
     poly.task_groups;
-  let rt tg = { tg; remaining = tg.Poly_req.count; placed_on = [] } in
+  let rt tg =
+    let switch_demand =
+      match tg.Poly_req.kind with
+      | Poly_req.Server_tg -> None
+      | Poly_req.Network_tg n -> Some (Prelude.Vec.add n.Poly_req.per_switch tg.Poly_req.demand)
+    in
+    { tg; remaining = tg.Poly_req.count; placed_on = []; switch_demand }
+  in
   let common = ref [] and server_only = ref [] and inc_only = ref [] in
   Hashtbl.iter
     (fun _comp tgs ->

@@ -26,6 +26,11 @@ type tg_rt = {
   mutable placed_on : int list;
       (** machines placed on, newest first.  Only {!note_placement}
           adds to it, and nothing removes from it. *)
+  switch_demand : Prelude.Vec.t option;
+      (** the demand one instance of a network group puts on a switch
+          under baseline (unshared) accounting: the per-switch
+          registration plus the per-instance demand.  Made once, with
+          the entry; [None] for a server group. *)
 }
 
 type decision = Undecided | Inc | Server

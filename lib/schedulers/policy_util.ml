@@ -2,23 +2,19 @@ module Poly_req = Hire.Poly_req
 module Vec = Prelude.Vec
 module Fat_tree = Topology.Fat_tree
 
-let unshared_parts (tg : Poly_req.task_group) =
-  match tg.kind with
-  | Poly_req.Server_tg -> invalid_arg "Policy_util.unshared_parts: not a network group"
-  | Poly_req.Network_tg n ->
-      (n.service, Vec.zero (Vec.dim tg.demand), Vec.add n.per_switch tg.demand)
-
 (* Liveness is part of feasibility: every baseline routes server picks
    through here, so dead servers are masked for all of them at once
-   (switch liveness is masked inside [Sharing.can_place]).  The view's
+   (switch liveness is masked inside [Sharing.supports]).  The view's
    ledger is the live one, read in place. *)
 let server_fits (view : Hire.View.t) ~server ~demand =
   view.alive server && Vec.fits ~demand ~available:(view.server_available server)
 
+(* [Sharing.can_place] with a zero per-switch demand and [demand] per
+   instance, without its copy: with or without an instance of the
+   service on the switch, the effective demand is [demand]'s values. *)
 let switch_feasible cluster ~switch (rt : Modes.tg_rt) =
-  match rt.tg.Poly_req.kind with
-  | Poly_req.Server_tg -> false
-  | Poly_req.Network_tg n ->
+  match (rt.tg.Poly_req.kind, rt.switch_demand) with
+  | Poly_req.Network_tg n, Some demand ->
       let shape_ok =
         match n.shape with
         | Hire.Comp_store.Single_tor ->
@@ -28,9 +24,10 @@ let switch_feasible cluster ~switch (rt : Modes.tg_rt) =
       shape_ok
       && (not (List.mem switch rt.placed_on))
       &&
-      let service, per_switch, per_instance = unshared_parts rt.tg in
-      Hire.Sharing.can_place (Sim.Cluster.sharing cluster) ~switch ~service ~per_switch
-        ~per_instance
+      let sharing = Sim.Cluster.sharing cluster in
+      Hire.Sharing.supports sharing ~switch ~service:n.service
+      && Vec.fits ~demand ~available:(Hire.Sharing.live_available sharing switch)
+  | _ -> false
 
 let rec mem_tor (tor : int) = function [] -> false | t :: rest -> t = tor || mem_tor tor rest
 

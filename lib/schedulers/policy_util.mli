@@ -11,18 +11,15 @@
 
 module Poly_req = Hire.Poly_req
 
-(** Switch-side (service, per-switch, per-instance) triple of a network
-    group under baseline (unshared) accounting. *)
-val unshared_parts : Poly_req.task_group -> string * Prelude.Vec.t * Prelude.Vec.t
-
 (** [server_fits view ~server ~demand] — the server is alive and the
     demand fits its remaining resources.  It reads the view's live
     ledger in place; each baseline fetches its view once, at creation. *)
 val server_fits : Hire.View.t -> server:int -> demand:Prelude.Vec.t -> bool
 
 (** [switch_feasible cluster ~switch rt] — supports the service, fits the
-    unshared demand, respects the overlay shape (ToR-only services), and
-    is not already used by this group (chains need distinct switches). *)
+    unshared demand ([rt.switch_demand]), respects the overlay shape
+    (ToR-only services), and is not already used by this group (chains
+    need distinct switches).  It allocates nothing. *)
 val switch_feasible : Sim.Cluster.t -> switch:int -> Modes.tg_rt -> bool
 
 (** [preferred_tors topo job] — the sorted, unique ToRs of the machines

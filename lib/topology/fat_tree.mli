@@ -45,11 +45,15 @@ val is_switch : t -> int -> bool
     call and must not be mutated. *)
 val servers : t -> int array
 
-(** All switch node ids (core ++ agg ++ tor), in id order.  The array
-    is built once by the constructor, shared by every call and must not
-    be mutated. *)
+(** All switch node ids (core ++ agg ++ tor), in id order.  They are
+    the ids [0 .. S-1] of the [S] switches, below every server's id, so
+    a switch id indexes an array of length [S].  The array is built
+    once by the constructor, shared by every call and must not be
+    mutated. *)
 val switches : t -> int array
 
+(** ToR switch ids, in id order.  They are consecutive:
+    [(tor_switches t).(j) = (tor_switches t).(0) + j]. *)
 val tor_switches : t -> int array
 
 (** The ToR switch a server is cabled to. *)

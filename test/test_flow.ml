@@ -420,6 +420,24 @@ let prop_decompose_consistent =
       total = r.Mcmf.shipped
       && List.for_all (fun p -> p.Mcmf.amount > 0 && List.length p.Mcmf.nodes >= 2) paths)
 
+(* The solver accumulates its cost per augmentation; it must equal the
+   full pass over the arcs, for solves a step budget cuts short too, and
+   for a second solve that starts from the first one's flow (the pass
+   itself prices that one). *)
+let prop_total_cost_is_flow_cost =
+  QCheck.Test.make ~name:"total_cost = flow_cost, budgeted and warm-started" ~count:200
+    QCheck.(triple (int_range 0 100_000) (int_range 0 12) bool)
+    (fun (seed, steps, again) ->
+      let g = random_instance seed in
+      let budget = if steps = 0 then None else Some (Flow.Budget.make ~max_steps:steps ()) in
+      let scratch = Mcmf.scratch () in
+      let r = Mcmf.solve ?budget ~scratch g in
+      r.Mcmf.total_cost = Graph.flow_cost g
+      && ((not again)
+         ||
+         let r2 = Mcmf.solve ~budget:(Flow.Budget.make ~max_steps:6 ()) ~scratch g in
+         r2.Mcmf.total_cost = Graph.flow_cost g))
+
 let prop_solver_cost_not_above_greedy =
   (* Min-cost flow can never cost more than routing everything through the
      expensive unscheduled arc. *)
@@ -1041,5 +1059,6 @@ let () =
             prop_solver_output_verified;
             prop_decompose_consistent;
             prop_solver_cost_not_above_greedy;
+            prop_total_cost_is_flow_cost;
           ] );
     ]

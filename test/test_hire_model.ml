@@ -666,7 +666,10 @@ let test_census_switch_tasks () =
   let census = Locality.Task_census.create topo in
   let tor = (Fat_tree.tor_switches topo).(0) in
   Locality.Task_census.add census ~tg_id:2 ~machine:tor;
-  Alcotest.(check (list int)) "switches" [ tor ] (Locality.Task_census.switches census ~tg_id:2);
+  let hosts = ref [] in
+  Locality.Task_census.iter_switches census ~tg_id:2 (fun s -> hosts := s :: !hosts);
+  Alcotest.(check (list int)) "switches" [ tor ] !hosts;
+  Alcotest.(check int) "switch-hosted" 1 (Locality.Task_census.switch_tasks census ~tg_id:2);
   Alcotest.(check int) "under itself" 1
     (Locality.Task_census.count_under census ~tg_id:2 ~node:tor)
 
@@ -874,7 +877,7 @@ let test_gain_propagates_and_decays () =
   let census = Locality.Task_census.create topo in
   let tor = (Fat_tree.tor_switches topo).(0) in
   Locality.Task_census.add census ~tg_id:1 ~machine:tor;
-  let gain = Locality.Gain.compute topo census ~related:[ 1 ] ~gamma:64 ~xi:2 in
+  let gain = Locality.Gain.of_source topo ~source:tor ~gamma:64 ~xi:2 in
   Alcotest.(check int) "source gain" 64 (Locality.Gain.at gain tor);
   let agg = List.hd (Fat_tree.parents topo tor) in
   Alcotest.(check int) "one hop decayed" 32 (Locality.Gain.at gain agg);
@@ -883,10 +886,122 @@ let test_gain_propagates_and_decays () =
   let far_tor = (Fat_tree.tor_switches topo).(7) in
   Alcotest.(check int) "far decayed" 4 (Locality.Gain.at gain far_tor)
 
+(* A random census over a fat-tree (k = 4, 6) or a leaf-spine fabric:
+   up to four groups with tasks on servers and switches (some groups on
+   switches only), a few removals, and, drawn on [rs], maybe a round
+   trip through the checkpoint encoding. *)
+let random_topo shape =
+  match shape with
+  | 0 -> Fat_tree.create ~k:4
+  | 1 -> Fat_tree.create ~k:6
+  | _ -> Fat_tree.create_leaf_spine ~spines:3 ~leafs:5 ~servers_per_leaf:4
+
+let churn_census rs topo census ~n_groups =
+  let servers = Fat_tree.servers topo and switches = Fat_tree.switches topo in
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let placed = ref [] in
+  for tg_id = 1 to n_groups do
+    let switch_only = Random.State.int rs 4 = 0 in
+    for _ = 1 to Random.State.int rs 9 do
+      let machine =
+        if switch_only || Random.State.int rs 3 = 0 then pick switches else pick servers
+      in
+      Locality.Task_census.add census ~tg_id ~machine;
+      placed := (tg_id, machine) :: !placed
+    done
+  done;
+  List.iter
+    (fun (tg_id, machine) ->
+      if Random.State.int rs 4 = 0 then Locality.Task_census.remove census ~tg_id ~machine)
+    !placed;
+  if Random.State.int rs 4 = 0 then begin
+    let e = Prelude.Codec.Enc.create () in
+    Locality.Task_census.encode_state census e;
+    Locality.Task_census.decode_state census
+      (Prelude.Codec.Dec.of_string (Prelude.Codec.Enc.to_string e))
+  end
+
+(* The census's switch-hosted count, switch iteration and ToR iteration
+   agree with what its machine lists and rollups say, after random adds,
+   removes and decodes. *)
+let prop_census_switch_counts =
+  QCheck.Test.make ~name:"census switch count = count from machines" ~count:200
+    QCheck.(pair (int_range 0 2) int)
+    (fun (shape, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let topo = random_topo shape in
+      let census = Locality.Task_census.create topo in
+      let n_groups = 1 + Random.State.int rs 4 in
+      for _ = 1 to 1 + Random.State.int rs 3 do
+        churn_census rs topo census ~n_groups
+      done;
+      List.for_all
+        (fun tg_id ->
+          let machines = Locality.Task_census.machines census ~tg_id in
+          let on_switches =
+            List.fold_left
+              (fun acc (m, c) -> if Fat_tree.is_switch topo m then acc + c else acc)
+              0 machines
+          in
+          let listed = ref [] and tors = ref [] in
+          Locality.Task_census.iter_switches census ~tg_id (fun s -> listed := s :: !listed);
+          Locality.Task_census.iter_tors census ~tg_id (fun t -> tors := t :: !tors);
+          let want_tors =
+            List.filter
+              (fun t -> Locality.Task_census.count_under census ~tg_id ~node:t > 0)
+              (Array.to_list (Fat_tree.tor_switches topo))
+          in
+          Locality.Task_census.switch_tasks census ~tg_id = on_switches
+          && List.sort Int.compare !listed
+             = List.filter_map
+                 (fun (m, _) -> if Fat_tree.is_switch topo m then Some m else None)
+                 machines
+          && List.sort Int.compare !tors = want_tors
+          || QCheck.Test.fail_reportf "group %d (shape %d, seed %d)" tg_id shape seed)
+        (List.init (n_groups + 1) (fun i -> i + 1)))
+
+(* A builder's locality context prices Φloc at every ToR, server and
+   switch bit for bit as Υ staged from scratch and the list BFS of
+   Alg. 1 do (test/locality_reference.ml), over several rounds of
+   census churn on one builder, so contexts, memo entries and IncLocProp
+   rows are reused across rounds; γ and ξ are drawn per case. *)
+let prop_loc_ctx_matches_reference =
+  QCheck.Test.make ~name:"context Φloc = staged Υ and list BFS (bitwise)" ~count:150
+    QCheck.(pair (int_range 0 2) int)
+    (fun (shape, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let topo = random_topo shape in
+      let census = Locality.Task_census.create topo in
+      let params =
+        { Cost_model.default_params with gamma = Random.State.int rs 100; xi = 2 + Random.State.int rs 3 }
+      in
+      let builder = Hire.Flow_network.create_builder () in
+      let n_groups = 1 + Random.State.int rs 4 in
+      let ok = ref true in
+      for round = 1 to 1 + Random.State.int rs 3 do
+        churn_census rs topo census ~n_groups;
+        for _ = 1 to 3 do
+          let related =
+            List.filter (fun _ -> Random.State.bool rs) (List.init (n_groups + 1) (fun i -> i + 1))
+          in
+          let related = if related = [] then [ 1 ] else related in
+          let got = Hire.Flow_network.loc_phi builder topo census ~params related in
+          let want = Locality_reference.phi_loc topo census ~params related in
+          for node = 0 to Fat_tree.node_count topo - 1 do
+            let g = got node and w = want node in
+            if !ok && not (Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float w)) then begin
+              ok := false;
+              QCheck.Test.fail_reportf "node %d: context %h, reference %h (round %d, shape %d, seed %d)"
+                node g w round shape seed
+            end
+          done
+        done
+      done;
+      !ok)
+
 let test_gain_empty_sources () =
   let topo = Fat_tree.create ~k:4 in
-  let census = Locality.Task_census.create topo in
-  let gain = Locality.Gain.compute topo census ~related:[ 99 ] ~gamma:64 ~xi:2 in
+  let gain = Locality.Gain.sum [] in
   Alcotest.(check (float 1e-9)) "no gain anywhere" 0.0
     (Locality.Gain.normalized gain (Fat_tree.tor_switches topo).(0))
 
@@ -1255,7 +1370,8 @@ let () =
             Alcotest.test_case "census stamps" `Quick test_census_stamps;
             Alcotest.test_case "census holds only groups with running tasks" `Quick
               test_census_drops_empty_groups;
-          ] );
+          ]
+        @ qt [ prop_census_switch_counts; prop_loc_ctx_matches_reference ] );
       ( "cost_model",
         [
           Alcotest.test_case "phi_pref" `Quick test_phi_pref_shape;

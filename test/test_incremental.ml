@@ -875,35 +875,9 @@ let test_run_cache_exact () =
           let tg = ts.tg in
           let demand = tg.Poly_req.demand in
           let phi_prio = Cost_model.phi_prio job.poly.Poly_req.priority in
-          (* Φloc as the builder's locality context prices it; every
-             counted task runs on a server, so the server weight is 1. *)
-          let related = List.sort Int.compare (tg.Poly_req.tg_id :: tg.Poly_req.connected) in
-          let placed =
-            List.fold_left
-              (fun acc id ->
-                acc
-                + List.fold_left
-                    (fun acc (_, c) -> acc + c)
-                    0
-                    (Hire.Locality.Task_census.machines census ~tg_id:id))
-              0 related
-          in
+          (* Φloc as the builder's locality context prices it. *)
           let phi_loc =
-            if placed = 0 then fun _ ->
-              Cost_model.phi_loc ~related_placed:false ~upsilon:1.0 ~gamma_norm:0.0
-                ~server_weight:0.5
-            else begin
-              let upsilon =
-                Hire.Locality.upsilon topo census ~tg_ids:related ~group_size:placed
-              in
-              let gain =
-                Hire.Locality.Gain.compute topo census ~related ~gamma:params.gamma ~xi:params.xi
-              in
-              fun node ->
-                Cost_model.phi_loc ~related_placed:true ~upsilon:(upsilon node)
-                  ~gamma_norm:(Hire.Locality.Gain.normalized gain node)
-                  ~server_weight:1.0
-            end
+            Locality_reference.phi_loc topo census ~params (tg.Poly_req.tg_id :: tg.Poly_req.connected)
           in
           if census_on <> [] then
             Alcotest.(check bool) (name ^ ": Φloc differs along the run") false

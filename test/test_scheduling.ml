@@ -293,6 +293,28 @@ let test_hire_scheduler_determinism () =
   in
   Alcotest.(check (list (pair int int))) "identical placements" (run ()) (run ())
 
+(* A requeue clone shares its original's tg id under another job id.
+   Each raw placement of that id resolves to the oldest job whose group
+   has work left: the original's three tasks first, then the clone's
+   two, whatever the order of the paths that carried them. *)
+let test_hire_scheduler_clone_resolution () =
+  let cluster = make_cluster () in
+  let sched = Hire_scheduler.create (Sim.Cluster.view cluster) in
+  let poly = poly_of_req ~job_id:1 (server_only_req 3) in
+  let tg = List.hd poly.Poly_req.task_groups in
+  let clone = { tg with Poly_req.count = 2; flavor = Hire.Flavor.all_x 0 } in
+  Hire_scheduler.submit sched ~time:0.0 poly;
+  Hire_scheduler.submit sched ~time:0.0
+    { poly with Poly_req.job_id = -1; arrival = 0.05; flavor_len = 0; task_groups = [ clone ] };
+  let o = Hire_scheduler.run_round sched ~time:0.1 in
+  Alcotest.(check (list string)) "oldest job with work left first"
+    [ "original"; "original"; "original"; "clone"; "clone" ]
+    (List.map
+       (fun ((g : Poly_req.task_group), _) ->
+         if g == tg then "original" else if g == clone then "clone" else "other")
+       o.Hire_scheduler.placements);
+  Alcotest.(check bool) "both drained" false (Hire_scheduler.pending_work sched)
+
 (* ------------------------------------------------------------------ *)
 (* Modes                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -816,6 +838,8 @@ let () =
           Alcotest.test_case "fallback when impossible" `Quick
             test_hire_scheduler_falls_back_when_inc_impossible;
           Alcotest.test_case "deterministic" `Quick test_hire_scheduler_determinism;
+          Alcotest.test_case "requeue clones resolve oldest first" `Quick
+            test_hire_scheduler_clone_resolution;
         ] );
       ( "modes",
         [

@@ -56,7 +56,20 @@ let test_switches_shared () =
   Alcotest.(check (array int)) "leaf-spine: spines @ leaves"
     (Array.append (cores ls) (Fat_tree.tor_switches ls))
     (Fat_tree.switches ls);
-  Alcotest.(check bool) "leaf-spine shared" true (Fat_tree.switches ls == Fat_tree.switches ls)
+  Alcotest.(check bool) "leaf-spine shared" true (Fat_tree.switches ls == Fat_tree.switches ls);
+  (* Switch ids are 0 .. S-1 and ToR ids consecutive: locality tables
+     index switches by id and ToRs by their offset from the first. *)
+  List.iter
+    (fun (name, t) ->
+      let sw = Fat_tree.switches t and tors = Fat_tree.tor_switches t in
+      Alcotest.(check (array int)) (name ^ ": switch ids 0 .. S-1")
+        (Array.init (Array.length sw) Fun.id) sw;
+      Alcotest.(check (array int)) (name ^ ": ToR ids consecutive")
+        (Array.init (Array.length tors) (fun j -> tors.(0) + j))
+        tors;
+      Alcotest.(check bool) (name ^ ": servers above the switches") true
+        (Array.for_all (fun s -> s >= Array.length sw) (Fat_tree.servers t)))
+    [ ("k=4", t4); ("k=6", Fat_tree.create ~k:6); ("leaf-spine", ls) ]
 
 let test_create_rejects_odd_k () =
   Alcotest.(check bool) "odd k rejected" true
